@@ -1,0 +1,272 @@
+"""Golden JSON for a fixed set of reports and one CLI envelope.
+
+Every case below renders a report (or the ``construct end-ennea`` envelope)
+with the package's own JSON writer and compares the text byte for byte with
+``golden_reports.json``.  The expected file pins witnesses, ``checks_run``
+counts and notes, so any rewrite of the checkers or the tensor kernel must
+reproduce them exactly.
+
+Regenerate the expected file (only when a report is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+from splitalg import (
+    CoalgebraData,
+    EpsilonBialgebra,
+    LinearOperator,
+    Tensor3,
+    TrialgebraStructure,
+    WeightedDigraph,
+    chain_coproduct,
+    check_baxter,
+    check_cobaxter,
+    check_coassociative,
+    check_eps_bialgebra,
+    check_hypercubic,
+    check_prelie,
+    check_unit_compatibility,
+    convolution_structure,
+    ennea_on_end,
+    nine_op_unit_rules,
+    path_algebra,
+    triangular_baxter_example,
+    triangular_matrix_coalgebra,
+    triangular_row_coproduct_operator,
+    two_operator_equation,
+    weighted_coproduct,
+)
+from splitalg.bialgebra import (
+    check_derivations,
+    deconcatenation_base,
+    free_extension_report,
+    is_coderivation,
+    is_derivation,
+)
+from splitalg.cli import main
+from splitalg.jsonio import dump_json, graph_to_json, report_to_json, save
+from splitalg.relations import NINE_OP_SYSTEM
+from splitalg.splitting import (
+    PreLieStructure,
+    is_baxter_on_trialgebra,
+    star_morphism_report,
+    trialgebra_from_baxter,
+)
+
+F = Fraction
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+
+def _chain2(weight=F(1)):
+    return path_algebra(WeightedDigraph.build(2, [(0, 1, weight)]))
+
+
+def _chain_bialgebra(weight=F(1), t=F(-1)):
+    pa = _chain2(weight)
+    return EpsilonBialgebra(pa.algebra, chain_coproduct(pa), t)
+
+
+def _weighted_conv():
+    pa = _chain2()
+    return convolution_structure(EpsilonBialgebra(pa.algebra, weighted_coproduct(pa), F(0)))
+
+
+def _inner_derivation(algebra, a):
+    """D(x) = e_a x - x e_a, a derivation of any associative product."""
+    n = algebra.dim
+    grid = [[F(0)] * n for _ in range(n)]
+    for i, j, k, c in algebra.mult.nonzeros():
+        if i == a:
+            grid[k][j] += c
+        if j == a:
+            grid[k][i] -= c
+    return LinearOperator(grid)
+
+
+def _perturbed(op, row, col, delta):
+    grid = [list(r) for r in op.matrix.entries]
+    grid[row][col] += delta
+    return LinearOperator(grid)
+
+
+def _baxter_cases():
+    alg, row, col, param = triangular_baxter_example(4, F(1))
+    cs = convolution_structure(_chain_bialgebra())
+    yield "baxter/triangular4", check_baxter(alg, row, param)
+    yield "baxter/triangular4_column", check_baxter(alg, col, param)
+    yield "baxter/triangular4_weight_plus_one", check_baxter(alg, row, param + 1)
+    yield "baxter/triangular4_perturbed", check_baxter(
+        alg, _perturbed(row, 9, 8, F(1, 2)), param
+    )
+    yield "baxter/conv_left", check_baxter(cs.end, cs.left_conv, F(-1))
+    yield "baxter/conv_right", check_baxter(cs.end, cs.right_conv, F(-1))
+    yield "baxter/conv_right_wrong_weight", check_baxter(cs.end, cs.right_conv, F(1, 2))
+
+
+def _trialgebra_cases():
+    cs = convolution_structure(_chain_bialgebra(F(2, 3)))
+    s = trialgebra_from_baxter(cs.end, cs.left_conv, F(-1))
+    yield "trialgebra/baxter_on_trialgebra", is_baxter_on_trialgebra(s, cs.right_conv, F(-1))
+    yield "trialgebra/baxter_on_trialgebra_fail", is_baxter_on_trialgebra(
+        s, cs.right_conv, F(0)
+    )
+    zero = Tensor3.zero(s.dim)
+    yield "trialgebra/baxter_on_trialgebra_fail_succ", is_baxter_on_trialgebra(
+        TrialgebraStructure(prec=zero, succ=s.succ, circ=s.circ), cs.right_conv, F(0)
+    )
+    yield "trialgebra/baxter_on_trialgebra_fail_circ", is_baxter_on_trialgebra(
+        TrialgebraStructure(prec=zero, succ=zero, circ=s.circ), cs.right_conv, F(0)
+    )
+    yield "trialgebra/star_morphism", star_morphism_report(cs.end, cs.left_conv, s, F(-1))
+    yield "trialgebra/star_morphism_fail", star_morphism_report(
+        cs.end, cs.right_conv, s, F(-1)
+    )
+    alg, row, col, param = triangular_baxter_example(3, F(2, 3))
+    s3 = trialgebra_from_baxter(alg, row, param)
+    yield "trialgebra/star_morphism_triangular", star_morphism_report(alg, row, s3, param)
+    yield "trialgebra/star_morphism_triangular_fail", star_morphism_report(
+        alg, col, s3, param
+    )
+
+
+def _derivation_cases():
+    b = _chain_bialgebra()
+    alg, _, _, _ = triangular_baxter_example(3, F(1))
+    n = b.dim
+    ident = LinearOperator.identity(n)
+    zero = ident.scale(0)
+    yield "derivation/inner", is_derivation(alg, _inner_derivation(alg, 1))
+    yield "derivation/inner_perturbed", is_derivation(
+        alg, _perturbed(_inner_derivation(alg, 1), 4, 5, F(1))
+    )
+    yield "derivation/identity", is_derivation(b.algebra, ident)
+    yield "derivation/bowtie", check_derivations(b)
+    yield "derivation/bowtie_zero_candidate", check_derivations(b, candidate=zero)
+    yield "derivation/bowtie_identity_candidate", check_derivations(b, candidate=ident)
+    yield "derivation/bowtie_wrong_parameter", check_derivations(
+        _chain_bialgebra(F(3), F(0))
+    )
+
+
+def _operator_equation_cases():
+    pa = _chain2()
+    cs = _weighted_conv()
+    cs1 = convolution_structure(EpsilonBialgebra(pa.algebra, chain_coproduct(pa), F(-1)))
+    yield "operator_equation/pass", two_operator_equation(
+        cs.end, cs.left_conv, cs1.left_conv, F(0), F(-1)
+    )
+    yield "operator_equation/wrong_weights", two_operator_equation(
+        cs.end, cs.left_conv, cs1.left_conv, F(1), F(-1)
+    )
+    yield "operator_equation/right_left", two_operator_equation(
+        cs.end, cs.right_conv, cs1.left_conv, F(0), F(-1)
+    )
+    yield "operator_equation/left_right_0_2", two_operator_equation(
+        cs.end, cs.left_conv, cs.right_conv, F(0), F(2)
+    )
+
+
+def _coalgebra_cases():
+    t = F(2, 3)
+    delta3 = triangular_matrix_coalgebra(3)
+    psi = triangular_row_coproduct_operator(3, t)
+    yield "coalgebra/cobaxter", check_cobaxter(delta3, psi, -t)
+    yield "coalgebra/cobaxter_fail", check_cobaxter(delta3, psi, -t + 1)
+    broken = CoalgebraData.from_items(
+        3, [(0, 1, 0, F(1)), (1, 2, 2, F(1, 2)), (2, 0, 1, F(-1))]
+    )
+    yield "coalgebra/coassociative_fail", check_coassociative(broken)
+    b = _chain_bialgebra()
+    yield "coalgebra/eps_bialgebra", check_eps_bialgebra(b)
+    yield "coalgebra/eps_bialgebra_fail", check_eps_bialgebra(
+        EpsilonBialgebra(b.algebra, b.delta, F(0))
+    )
+    pa = _chain2()
+    yield "coalgebra/hypercubic_fail", check_hypercubic(
+        [chain_coproduct(pa), chain_coproduct(pa, weights=[F(3, 2)])]
+    )
+    yield "coalgebra/coderivation_fail", is_coderivation(
+        b.delta, LinearOperator.identity(b.dim)
+    )
+    yield "coalgebra/coderivation_fail_late", is_coderivation(
+        b.delta, _perturbed(LinearOperator.identity(b.dim).scale(0), 2, 2, F(1))
+    )
+    yield "coalgebra/free_extension_fail", free_extension_report(
+        2, [(deconcatenation_base(2), F(0))], cap=3, with_unit=True
+    )[1]
+    yield "coalgebra/free_extension_pair", free_extension_report(
+        2,
+        [(CoalgebraData.from_items(2, []), F(-1)), (CoalgebraData.from_items(2, [(0, 0, 0, F(1))]), F(-1))],
+        cap=2,
+    )[1]
+    skew = Tensor3.from_sparse(
+        3, [(0, 1, 2, F(1)), (1, 2, 0, F(2, 3)), (2, 2, 1, F(-1)), (1, 0, 1, F(1))]
+    )
+    yield "coalgebra/prelie_fail", check_prelie(PreLieStructure(skew))
+
+
+def _unit_cases():
+    e = ennea_on_end(_chain_bialgebra())
+    rules = nine_op_unit_rules()
+    yield "unit/nine_op", check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, rules)
+    swapped = dict(rules, nw=rules["se"], se=rules["nw"])
+    yield "unit/nine_op_swapped", check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, swapped)
+
+
+def _end_ennea_envelope(vertices: int, weights) -> str:
+    graph = WeightedDigraph.build(
+        vertices, [(v, v + 1, w) for v, w in zip(range(vertices - 1), weights)]
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "graph.json")
+        save(path, graph_to_json(graph))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["construct", "end-ennea", "--graph", path])
+    assert code == 0
+    return out.getvalue()
+
+
+def compute() -> dict:
+    """Every golden case, as the JSON value stored in the expected file."""
+    golden: dict = {}
+    for cases in (
+        _baxter_cases,
+        _trialgebra_cases,
+        _derivation_cases,
+        _operator_equation_cases,
+        _coalgebra_cases,
+        _unit_cases,
+    ):
+        for name, report in cases():
+            golden[name] = report_to_json(report)
+    golden["envelope/end_ennea_chain2"] = json.loads(_end_ennea_envelope(2, [F(2, 3)]))
+    chain3 = _end_ennea_envelope(3, [F(1), F(-5, 2)])
+    golden["envelope/end_ennea_chain3_sha256"] = hashlib.sha256(chain3.encode()).hexdigest()
+    return golden
+
+
+def test_reports_match_golden_json():
+    computed = compute()
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(computed) == sorted(expected)
+    mismatched = [
+        name
+        for name in sorted(expected)
+        if dump_json({name: computed[name]}) != dump_json({name: expected[name]})
+    ]
+    assert mismatched == []
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(dump_json(compute()), encoding="utf-8")
