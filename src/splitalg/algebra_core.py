@@ -21,11 +21,11 @@ from .exactlin import (
     Scalar,
     Tensor3,
     basis_vector,
+    check_indices,
     rat,
-    vec_is_zero,
 )
 from .relations import P_ONE, AxiomSystem, Relation, Term, check_system
-from .report import Report, Witness
+from .report import Report, Witness, first_mismatch
 
 ASSOCIATIVITY = AxiomSystem(
     name="assoc",
@@ -108,8 +108,10 @@ class CoalgebraData:
 
     @staticmethod
     def from_items(dim: int, items: Iterable[tuple[int, int, int, Scalar]]) -> "CoalgebraData":
+        """Sum the given legs; every index must be an int in ``[0, dim)``."""
         rows: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(dim)]
         for i, j, k, c in items:
+            check_indices("coproduct", dim, i, j, k)
             key = (j, k)
             rows[i][key] = rows[i].get(key, ZERO) + rat(c)
         return CoalgebraData(
@@ -160,21 +162,9 @@ def check_coassociative(delta: CoalgebraData, title: str = "coassociativity") ->
                 key = (j, a, b)
                 right[key] = right.get(key, ZERO) + c * c2
         report.checks_run += 1
-        diff_keys = sorted(
-            key
-            for key in left.keys() | right.keys()
-            if left.get(key, ZERO) != right.get(key, ZERO)
-        )
-        if diff_keys:
-            key = diff_keys[0]
-            report.add_failure(
-                Witness(
-                    "coassoc",
-                    (i,) + key,
-                    left.get(key, ZERO),
-                    right.get(key, ZERO),
-                )
-            )
+        witness = first_mismatch("coassoc", (i,), left, right)
+        if witness is not None:
+            report.add_failure(witness)
     return report
 
 

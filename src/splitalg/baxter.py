@@ -22,16 +22,17 @@ from .algebra_core import (
     triangular_pairs,
 )
 from .exactlin import (
+    ONE,
     ZERO,
     LinearOperator,
     Matrix,
     Scalar,
-    basis_vector,
+    Tensor3,
+    combine,
     rat,
-    vec_add,
-    vec_scale,
+    twist,
 )
-from .report import Report, Witness
+from .report import Report, compare_on_pairs, first_mismatch
 
 
 def check_baxter(algebra: FiniteAlgebra, op: LinearOperator, t: Scalar) -> Report:
@@ -39,25 +40,23 @@ def check_baxter(algebra: FiniteAlgebra, op: LinearOperator, t: Scalar) -> Repor
     t = rat(t)
     if op.dim != algebra.dim:
         raise ValueError("operator/algebra dimension mismatch")
-    n = algebra.dim
-    images = [op.column(j) for j in range(n)]
     report = Report(title=f"{t}-Baxter identity", passed=True)
-    for i in range(n):
-        e_i = basis_vector(n, i)
-        for j in range(n):
-            e_j = basis_vector(n, j)
-            lhs = algebra.multiply(images[i], images[j])
-            inner = vec_add(
-                algebra.multiply(e_i, images[j]),
-                algebra.multiply(images[i], e_j),
-                vec_scale(t, algebra.multiply(e_i, e_j)),
-            )
-            rhs = op.apply(inner)
-            report.checks_run += 1
-            if lhs != rhs:
-                report.add_failure(Witness("baxter", (i, j), lhs, rhs))
-                return report
+    compare_on_pairs(report, "baxter", *baxter_sides(algebra.mult, op, t))
     return report
+
+
+def baxter_sides(mult: Tensor3, op: LinearOperator, t: Fraction) -> tuple[Tensor3, Tensor3]:
+    """Both sides of B(x) B(y) = B(x B(y) + B(x) y + t x y) as operations."""
+    lhs = twist(mult, left=op, right=op)
+    rhs = combine(
+        mult.dim,
+        [
+            (ONE, twist(mult, right=op, post=op)),
+            (ONE, twist(mult, left=op, post=op)),
+            (t, twist(mult, post=op)),
+        ],
+    )
+    return lhs, rhs
 
 
 def check_cobaxter(delta: CoalgebraData, op: LinearOperator, t: Scalar) -> Report:
@@ -101,18 +100,9 @@ def check_cobaxter(delta: CoalgebraData, op: LinearOperator, t: Scalar) -> Repor
                 if ca != 0:
                     rhs[(a, k)] = rhs.get((a, k), ZERO) + c * ca
         report.checks_run += 1
-        bad = sorted(
-            key
-            for key in lhs.keys() | rhs.keys()
-            if lhs.get(key, ZERO) != rhs.get(key, ZERO)
-        )
-        if bad:
-            key = bad[0]
-            report.add_failure(
-                Witness(
-                    "cobaxter", (i,) + key, lhs.get(key, ZERO), rhs.get(key, ZERO)
-                )
-            )
+        witness = first_mismatch("cobaxter", (i,), lhs, rhs)
+        if witness is not None:
+            report.add_failure(witness)
             return report
     return report
 

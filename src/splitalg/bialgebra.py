@@ -24,15 +24,13 @@ from .exactlin import (
     ONE,
     ZERO,
     LinearOperator,
-    Matrix,
     Scalar,
     Tensor3,
-    basis_vector,
+    combine,
     rat,
-    vec_add,
-    vec_scale,
+    twist,
 )
-from .report import Report, Witness
+from .report import Report, Witness, compare_on_pairs, first_mismatch
 from .splitting import EnneaStructure, PreLieStructure
 
 
@@ -72,40 +70,25 @@ def check_eps_bialgebra(b: EpsilonBialgebra) -> Report:
     report = check_coassociative(b.delta, f"t-twisted bialgebra (t={b.t})")
     n = b.dim
     delta, algebra, t = b.delta, b.algebra, b.t
+    mult = algebra.mult
     for i in range(n):
-        e_i = basis_vector(n, i)
         for j in range(n):
-            e_j = basis_vector(n, j)
-            lhs = _delta_of_vector(delta, algebra.multiply(e_i, e_j))
+            lhs = _delta_of_vector(delta, mult.row(i, j))
             rhs: dict[tuple[int, int], Fraction] = {}
             for a, bb, c in delta.rows[i]:  # x_(1) (x) x_(2) y
-                prod = algebra.multiply(basis_vector(n, bb), e_j)
-                for m, cm in enumerate(prod):
+                for m, cm in enumerate(mult.row(bb, j)):
                     if cm != 0:
                         rhs[(a, m)] = rhs.get((a, m), ZERO) + c * cm
             for a, bb, c in delta.rows[j]:  # x y_(1) (x) y_(2)
-                prod = algebra.multiply(e_i, basis_vector(n, a))
-                for m, cm in enumerate(prod):
+                for m, cm in enumerate(mult.row(i, a)):
                     if cm != 0:
                         rhs[(m, bb)] = rhs.get((m, bb), ZERO) + c * cm
             if t != 0:
                 rhs[(i, j)] = rhs.get((i, j), ZERO) + t
             report.checks_run += 1
-            bad = sorted(
-                key
-                for key in lhs.keys() | rhs.keys()
-                if lhs.get(key, ZERO) != rhs.get(key, ZERO)
-            )
-            if bad:
-                key = bad[0]
-                report.add_failure(
-                    Witness(
-                        "product-compat",
-                        (i, j) + key,
-                        lhs.get(key, ZERO),
-                        rhs.get(key, ZERO),
-                    )
-                )
+            witness = first_mismatch("product-compat", (i, j), lhs, rhs)
+            if witness is not None:
+                report.add_failure(witness)
                 return report
     return report
 
@@ -134,21 +117,9 @@ def check_hypercubic(deltas: Sequence[CoalgebraData]) -> Report:
                         key = (j, a, bb)
                         rhs[key] = rhs.get(key, ZERO) + c * c2
                 report.checks_run += 1
-                bad = sorted(
-                    key
-                    for key in lhs.keys() | rhs.keys()
-                    if lhs.get(key, ZERO) != rhs.get(key, ZERO)
-                )
-                if bad:
-                    key = bad[0]
-                    report.add_failure(
-                        Witness(
-                            f"exchange[{pi},{qi}]",
-                            (i,) + key,
-                            lhs.get(key, ZERO),
-                            rhs.get(key, ZERO),
-                        )
-                    )
+                witness = first_mismatch(f"exchange[{pi},{qi}]", (i,), lhs, rhs)
+                if witness is not None:
+                    report.add_failure(witness)
                     return report
     return report
 
@@ -175,37 +146,25 @@ def convolution_structure(b: EpsilonBialgebra) -> ConvolutionStructure:
     n = b.dim
     end = full_matrix_algebra(n)
     dim = n * n
-    mult = b.algebra.mult
-    conv_items = []
-    for i in range(n):
-        for j, k, c in b.delta.rows[i]:
-            # (T * S)(e_i) = sum c * T(e_j) S(e_k); on matrix units
-            # T = E[a,j], S = E[a2,k] this is c * e_a e_a2 as a column of E[.,i].
-            for a in range(n):
-                for a2 in range(n):
-                    for m, cm in enumerate(mult.entries[a][a2]):
-                        if cm != 0:
-                            conv_items.append(
-                                (a * n + j, a2 * n + k, m * n + i, c * cm)
-                            )
-    conv = Tensor3.from_sparse(dim, conv_items)
-    assert end.unit is not None
+    # (T * S)(e_i) = sum c * T(e_j) S(e_k); on matrix units T = E[a,j],
+    # S = E[a2,k] this is c * e_a e_a2 as a column of E[.,i].
+    conv = Tensor3.from_sparse(
+        dim,
+        (
+            (a * n + j, a2 * n + k, m * n + i, c * cm)
+            for i, j, k, c in b.delta.items()
+            for a, a2, m, cm in b.algebra.mult.nonzeros()
+        ),
+    )
     id_vec = end.unit
-    left = LinearOperator(
-        Matrix(
-            list(
-                zip(*(conv.apply(id_vec, basis_vector(dim, a)) for a in range(dim)))
-            )
-        )
+    left = [[ZERO] * dim for _ in range(dim)]  # column a: id * E_a
+    right = [[ZERO] * dim for _ in range(dim)]  # column a: E_a * id
+    for p, q, k, c in conv.nonzeros():
+        left[k][q] += id_vec[p] * c
+        right[k][p] += c * id_vec[q]
+    return ConvolutionStructure(
+        end, conv, LinearOperator(left), LinearOperator(right), id_vec
     )
-    right = LinearOperator(
-        Matrix(
-            list(
-                zip(*(conv.apply(basis_vector(dim, a), id_vec) for a in range(dim)))
-            )
-        )
-    )
-    return ConvolutionStructure(end, conv, left, right, id_vec)
 
 
 def convolution_report(b: EpsilonBialgebra) -> Report:
@@ -231,35 +190,34 @@ def convolution_report(b: EpsilonBialgebra) -> Report:
 
 def ennea_on_end(b: EpsilonBialgebra) -> EnneaStructure:
     """The nine-operation splitting of composition on End(A), written with
-    convolution formulas only (independent of the commuting-pair route):
+    the two one-sided convolutions with the identity, id*T and T*id:
 
     T se S = (id*T*id) S       T ne S = (id*T)(S*id)    T sw S = (T*id)(id*S)
     T nw S = T (id*S*id)       T up S = t T (S*id)      T down S = t (T*id) S
     T prec S = T (id*S)        T succ S = (id*T) S      T circ S = t T S
+
+    Each operation is a twist of composition by those operators (and t
+    enters through ``scale``).  These are the formulas of
+    :func:`~splitalg.splitting.ennea_from_commuting_pair` for B = id*(-) and
+    G = (-)*id, written out from the convolution data without validating
+    the operators first.
     """
     cs = convolution_structure(b)
-    n2 = cs.end.dim
     comp = cs.end.mult
     t = b.t
-    basis = [basis_vector(n2, a) for a in range(n2)]
-    left_images = [cs.conv.apply(cs.id_vec, basis[a]) for a in range(n2)]
-    right_images = [cs.conv.apply(basis[a], cs.id_vec) for a in range(n2)]
-    both_images = [cs.conv.apply(cs.id_vec, right_images[a]) for a in range(n2)]
+    left, right = cs.left_conv, cs.right_conv
+    both = left.compose(right)  # id*T*id
     return EnneaStructure(
         t=t,
         ops={
-            "se": Tensor3.from_function(n2, lambda a, b2: comp.apply(both_images[a], basis[b2])),
-            "ne": Tensor3.from_function(n2, lambda a, b2: comp.apply(left_images[a], right_images[b2])),
-            "sw": Tensor3.from_function(n2, lambda a, b2: comp.apply(right_images[a], left_images[b2])),
-            "nw": Tensor3.from_function(n2, lambda a, b2: comp.apply(basis[a], both_images[b2])),
-            "up": Tensor3.from_function(
-                n2, lambda a, b2: vec_scale(t, comp.apply(basis[a], right_images[b2]))
-            ),
-            "down": Tensor3.from_function(
-                n2, lambda a, b2: vec_scale(t, comp.apply(right_images[a], basis[b2]))
-            ),
-            "prec": Tensor3.from_function(n2, lambda a, b2: comp.apply(basis[a], left_images[b2])),
-            "succ": Tensor3.from_function(n2, lambda a, b2: comp.apply(left_images[a], basis[b2])),
+            "se": twist(comp, left=both),
+            "ne": twist(comp, left=left, right=right),
+            "sw": twist(comp, left=right, right=left),
+            "nw": twist(comp, right=both),
+            "up": twist(comp, right=right).scale(t),
+            "down": twist(comp, left=right).scale(t),
+            "prec": twist(comp, right=left),
+            "succ": twist(comp, left=left),
             "circ": comp.scale(t),
         },
     )
@@ -272,39 +230,32 @@ def ennea_on_end(b: EpsilonBialgebra) -> EnneaStructure:
 
 def prelie_from_bialgebra(b: EpsilonBialgebra) -> PreLieStructure:
     """x bowtie y = y_(1) x y_(2) (sandwich by the coproduct legs of y)."""
-    n = b.dim
-    algebra = b.algebra
-
-    def row(i: int, j: int) -> tuple[Fraction, ...]:
-        total = [ZERO] * n
-        for p, q, c in b.delta.rows[j]:
-            left = algebra.multiply(basis_vector(n, p), basis_vector(n, i))
-            prod = algebra.multiply(left, basis_vector(n, q))
-            for m, cm in enumerate(prod):
-                total[m] += c * cm
-        return tuple(total)
-
-    return PreLieStructure(Tensor3.from_function(n, row))
+    by_first = b.algebra.mult.by_first()
+    return PreLieStructure(
+        Tensor3.from_sparse(
+            b.dim,
+            (
+                (i, j, m, c * c1 * c2)
+                for j, p, q, c in b.delta.items()
+                for i, a, c1 in by_first.get(p, ())  # e_p e_i = c1 e_a
+                for q2, m, c2 in by_first.get(a, ())  # e_a e_q = c2 e_m
+                if q2 == q
+            ),
+        )
+    )
 
 
 def is_derivation(algebra: FiniteAlgebra, op: LinearOperator) -> Report:
     """D(x y) = D(x) y + x D(y) on all basis pairs."""
-    n = algebra.dim
-    images = [op.column(j) for j in range(n)]
     report = Report(title="derivation of the product", passed=True)
-    for i in range(n):
-        e_i = basis_vector(n, i)
-        for j in range(n):
-            e_j = basis_vector(n, j)
-            lhs = op.apply(algebra.multiply(e_i, e_j))
-            rhs = vec_add(
-                algebra.multiply(images[i], e_j), algebra.multiply(e_i, images[j])
-            )
-            report.checks_run += 1
-            if lhs != rhs:
-                report.add_failure(Witness("derivation", (i, j), lhs, rhs))
-                return report
+    compare_on_pairs(report, "derivation", *derivation_sides(algebra.mult, op))
     return report
+
+
+def derivation_sides(mult: Tensor3, op: LinearOperator) -> tuple[Tensor3, Tensor3]:
+    """Both sides of D(x y) = D(x) y + x D(y) as operations."""
+    rhs = combine(mult.dim, [(ONE, twist(mult, left=op)), (ONE, twist(mult, right=op))])
+    return twist(mult, post=op), rhs
 
 
 def is_coderivation(delta: CoalgebraData, op: LinearOperator) -> Report:
@@ -323,16 +274,9 @@ def is_coderivation(delta: CoalgebraData, op: LinearOperator) -> Report:
                 if cb != 0:
                     rhs[(j, bb)] = rhs.get((j, bb), ZERO) + c * cb
         report.checks_run += 1
-        bad = sorted(
-            key
-            for key in lhs.keys() | rhs.keys()
-            if lhs.get(key, ZERO) != rhs.get(key, ZERO)
-        )
-        if bad:
-            key = bad[0]
-            report.add_failure(
-                Witness("coderivation", (i,) + key, lhs.get(key, ZERO), rhs.get(key, ZERO))
-            )
+        witness = first_mismatch("coderivation", (i,), lhs, rhs)
+        if witness is not None:
+            report.add_failure(witness)
             return report
     return report
 
@@ -348,17 +292,12 @@ def check_derivations(b: EpsilonBialgebra, candidate: LinearOperator | None = No
     n = b.dim
     bowtie = prelie_from_bialgebra(b).op
     report = Report(title="derivation properties of bowtie", passed=True)
+    shifted = combine(n, [(ONE, bowtie), (b.t, b.algebra.mult)]).by_first()
     for a in range(n):
-        e_a = basis_vector(n, a)
-        grid = [
-            vec_add(
-                bowtie.apply(e_a, basis_vector(n, j)),
-                vec_scale(b.t, b.algebra.multiply(e_a, basis_vector(n, j))),
-            )
-            for j in range(n)
-        ]
-        op = LinearOperator(Matrix(list(zip(*grid))))
-        sub = is_derivation(b.algebra, op)
+        grid = [[ZERO] * n for _ in range(n)]  # column j: a bowtie e_j + t a e_j
+        for j, k, c in shifted.get(a, ()):
+            grid[k][j] = c
+        sub = is_derivation(b.algebra, LinearOperator(grid))
         sub.witnesses = [
             Witness(f"bowtie-derivation[a={a}]", w.args, w.lhs, w.rhs)
             for w in sub.witnesses
@@ -372,21 +311,7 @@ def check_derivations(b: EpsilonBialgebra, candidate: LinearOperator | None = No
         report.merge(hyp1)
         report.merge(hyp2)
         if hyp1.passed and hyp2.passed:
-            images = [candidate.column(j) for j in range(n)]
-            for i in range(n):
-                e_i = basis_vector(n, i)
-                for j in range(n):
-                    e_j = basis_vector(n, j)
-                    lhs = candidate.apply(bowtie.apply(e_i, e_j))
-                    rhs = vec_add(
-                        bowtie.apply(images[i], e_j), bowtie.apply(e_i, images[j])
-                    )
-                    report.checks_run += 1
-                    if lhs != rhs:
-                        report.add_failure(
-                            Witness("bideriv-bowtie", (i, j), lhs, rhs)
-                        )
-                        return report
+            compare_on_pairs(report, "bideriv-bowtie", *derivation_sides(bowtie, candidate))
         else:
             report.notes.append(
                 "candidate is not a bi-derivation; bowtie conclusion not applicable"
@@ -531,21 +456,9 @@ def free_extension_report(
                     key = (index[u], index[v])
                     rhs[key] = rhs.get(key, ZERO) + t
                 report.checks_run += 1
-                bad = sorted(
-                    key
-                    for key in lhs.keys() | rhs.keys()
-                    if lhs.get(key, ZERO) != rhs.get(key, ZERO)
-                )
-                if bad:
-                    key = bad[0]
-                    report.add_failure(
-                        Witness(
-                            f"extension-compat(t={t})",
-                            (u, v) + key,
-                            lhs.get(key, ZERO),
-                            rhs.get(key, ZERO),
-                        )
-                    )
+                witness = first_mismatch(f"extension-compat(t={t})", (u, v), lhs, rhs)
+                if witness is not None:
+                    report.add_failure(witness)
                     return extended, report
     report.merge(check_hypercubic(extended))
     return extended, report

@@ -41,14 +41,12 @@ from .exactlin import (
     Scalar,
     Tensor3,
     accumulate,
-    basis_vector,
     combine,
     compose_left,
     compose_right,
     first_discrepancy,
     rat,
-    vec_add,
-    vec_scale,
+    twist,
 )
 from .relations import (
     FOUR_OP_SYSTEM,
@@ -60,7 +58,7 @@ from .relations import (
     Term,
     check_system,
 )
-from .report import Report, Witness
+from .report import Report, Witness, compare_on_pairs
 from .splitting import ennea_from_commuting_pair, trialgebra_from_baxter
 
 
@@ -200,29 +198,24 @@ def two_operator_equation(
       = second(T) first(S) + first(T) second(S).
     """
     r, r1 = rat(r), rat(r1)
-    n = end.dim
-    img1 = [first.column(j) for j in range(n)]
-    img2 = [second.column(j) for j in range(n)]
+    m = end.mult
+    lhs = combine(
+        m.dim,
+        [
+            (ONE, twist(m, right=second, post=first)),
+            (ONE, twist(m, left=second, post=first)),
+            (r1, twist(m, post=first)),
+            (ONE, twist(m, right=first, post=second)),
+            (ONE, twist(m, left=first, post=second)),
+            (r, twist(m, post=second)),
+        ],
+    )
+    rhs = combine(
+        m.dim,
+        [(ONE, twist(m, left=second, right=first)), (ONE, twist(m, left=first, right=second))],
+    )
     report = Report(title="two-operator deformation equation", passed=True)
-    for i in range(n):
-        e_i = basis_vector(n, i)
-        for j in range(n):
-            e_j = basis_vector(n, j)
-            lhs = vec_add(
-                first.apply(end.multiply(e_i, img2[j])),
-                first.apply(end.multiply(img2[i], e_j)),
-                vec_scale(r1, first.apply(end.multiply(e_i, e_j))),
-                second.apply(end.multiply(e_i, img1[j])),
-                second.apply(end.multiply(img1[i], e_j)),
-                vec_scale(r, second.apply(end.multiply(e_i, e_j))),
-            )
-            rhs = vec_add(
-                end.multiply(img2[i], img1[j]), end.multiply(img1[i], img2[j])
-            )
-            report.checks_run += 1
-            if lhs != rhs:
-                report.add_failure(Witness("operator-equation", (i, j), lhs, rhs))
-                return report
+    compare_on_pairs(report, "operator-equation", lhs, rhs)
     return report
 
 

@@ -8,8 +8,14 @@ The two workhorses are:
 * :func:`rank` — fraction-free integer elimination (Bareiss), used for the
   degree-3 dimension counts of quadratic presentations;
 * :class:`Tensor3` — structure constants of a bilinear operation
-  (``z = op(x, y)`` has coefficients ``z_k = sum x_i y_j c[i][j][k]``) with
-  sparse nested-composition helpers, used by every axiom checker.
+  (``z = op(x, y)`` has coefficients ``z_k = sum x_i y_j c[i][j][k]``),
+  stored only as its sorted nonzero entries ``(i, j, k, c)``; a dense
+  ``entries[i][j][k]`` view is built on demand for inspection.
+
+On top of the tensor sit :func:`twist`, the operation
+``(x, y) -> P(op(M x, N y))`` from which every Baxter-operator construction
+and both sides of every operator identity are combined, and the sparse
+nested-composition helpers used by the quadratic-identity checkers.
 """
 
 from __future__ import annotations
@@ -33,37 +39,25 @@ def rat(value: Scalar) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def rat_str(value: Fraction) -> str:
-    """Canonical 'p' / 'p/q' serialization."""
-    return str(Fraction(value))
-
-
 # ---------------------------------------------------------------------------
 # vectors (plain tuples of Fraction)
 # ---------------------------------------------------------------------------
 
 
-def zero_vector(dim: int) -> tuple[Fraction, ...]:
-    return (ZERO,) * dim
-
-
 def basis_vector(dim: int, index: int) -> tuple[Fraction, ...]:
-    assert 0 <= index < dim
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} out of range for dimension {dim}")
     return tuple(ONE if i == index else ZERO for i in range(dim))
 
 
 def vec_add(*vectors: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    dims = {len(v) for v in vectors}
-    assert len(dims) == 1, "vector dimension mismatch"
+    if len({len(v) for v in vectors}) != 1:
+        raise ValueError("vector dimension mismatch")
     return tuple(sum(col) for col in zip(*vectors))
 
 
 def vec_scale(c: Fraction, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c * v for v in vector)
-
-
-def vec_is_zero(vector: Sequence[Fraction]) -> bool:
-    return all(v == 0 for v in vector)
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +88,12 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def from_function(rows: int, cols: int, f) -> "Matrix":
-        return Matrix([[f(i, j) for j in range(cols)] for i in range(rows)])
-
     # -- algebra ------------------------------------------------------------
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix-vector product (columns index the input basis)."""
-        assert len(vector) == self.cols, "dimension mismatch"
+        if len(vector) != self.cols:
+            raise ValueError("dimension mismatch")
         return tuple(
             sum((row[j] * vector[j] for j in range(self.cols)), ZERO)
             for row in self.entries
@@ -120,7 +111,8 @@ class Matrix:
         )
 
     def add(self, other: "Matrix") -> "Matrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix sum dimension mismatch")
         return Matrix(
             [
                 [a + b for a, b in zip(r1, r2)]
@@ -251,29 +243,26 @@ class LinearOperator:
 # structure-constant tensors
 # ---------------------------------------------------------------------------
 
+Entry = tuple[int, int, int, Fraction]
+
 
 class Tensor3:
     """Structure constants of one bilinear operation on an n-dim space.
 
-    ``entries[i][j][k]`` is the e_k coefficient of op(e_i, e_j).  Instances
-    are treated as immutable; sparse index groupings are cached lazily for
-    the nested-composition helpers below.
+    Storage is sparse: the sorted tuple of nonzero entries ``(i, j, k, c)``,
+    each saying that op(e_i, e_j) has coefficient c on e_k.  Build instances
+    with :meth:`from_sparse` (or :func:`combine` / :func:`twist`); they are
+    immutable, and the index groupings used by the nested-composition
+    helpers are cached lazily.  :attr:`entries` is a dense
+    ``entries[i][j][k]`` view, built on each access and never stored.
     """
 
-    __slots__ = ("dim", "entries", "_nonzeros", "_by_first", "_by_second")
+    __slots__ = ("dim", "_nonzeros", "_by_first", "_by_second")
 
-    def __init__(self, entries: Sequence[Sequence[Sequence[Scalar]]]):
-        dim = len(entries)
-        cube = tuple(
-            tuple(tuple(rat(v) for v in row) for row in plane) for plane in entries
-        )
-        if any(len(p) != dim for p in cube) or any(
-            len(r) != dim for p in cube for r in p
-        ):
-            raise ValueError("structure tensor must be a cube")
+    def __init__(self, dim: int, nonzeros: tuple[Entry, ...]):
+        """Wrap entries that are already sorted, in range and nonzero."""
         self.dim = dim
-        self.entries = cube
-        self._nonzeros: list[tuple[int, int, int, Fraction]] | None = None
+        self._nonzeros = nonzeros
         self._by_first: dict[int, list[tuple[int, int, Fraction]]] | None = None
         self._by_second: dict[int, list[tuple[int, int, Fraction]]] | None = None
 
@@ -281,42 +270,49 @@ class Tensor3:
 
     @staticmethod
     def zero(dim: int) -> "Tensor3":
-        return Tensor3([[[0] * dim for _ in range(dim)] for _ in range(dim)])
+        return Tensor3.from_sparse(dim, ())
 
     @staticmethod
     def from_sparse(
         dim: int, items: Iterable[tuple[int, int, int, Scalar]]
     ) -> "Tensor3":
-        cube = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        """Sum the given entries; repeated indices accumulate.
+
+        Every index must be an int in ``[0, dim)``; anything else raises
+        ValueError, so malformed envelope data never wraps around.
+        """
+        acc: dict[tuple[int, int, int], Fraction] = {}
         for i, j, k, c in items:
-            cube[i][j][k] += rat(c)
-        return Tensor3(cube)
+            check_indices("tensor", dim, i, j, k)
+            key = (i, j, k)
+            acc[key] = acc.get(key, ZERO) + rat(c)
+        return _from_accumulated(dim, acc)
 
-    @staticmethod
-    def from_function(dim: int, f) -> "Tensor3":
-        """f(i, j) returns the value vector of op(e_i, e_j)."""
-        return Tensor3(
-            [[list(f(i, j)) for j in range(dim)] for i in range(dim)]
-        )
+    # -- views ----------------------------------------------------------------
 
-    # -- sparse views --------------------------------------------------------
-
-    def nonzeros(self) -> list[tuple[int, int, int, Fraction]]:
-        if self._nonzeros is None:
-            self._nonzeros = [
-                (i, j, k, c)
-                for i, plane in enumerate(self.entries)
-                for j, row in enumerate(plane)
-                for k, c in enumerate(row)
-                if c != 0
-            ]
+    def nonzeros(self) -> tuple[Entry, ...]:
+        """The stored entries, sorted by (i, j, k)."""
         return self._nonzeros
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Dense view: ``entries[i][j][k]`` is the e_k coefficient of op(e_i, e_j)."""
+        n = self.dim
+        return tuple(tuple(self.row(i, j) for j in range(n)) for i in range(n))
+
+    def row(self, i: int, j: int) -> tuple[Fraction, ...]:
+        """Dense coefficient vector of op(e_i, e_j)."""
+        out = [ZERO] * self.dim
+        for j2, k, c in self.by_first().get(i, ()):
+            if j2 == j:
+                out[k] = c
+        return tuple(out)
 
     def by_first(self) -> dict[int, list[tuple[int, int, Fraction]]]:
         """a -> [(j, k, c)] with op(e_a, e_j) having coefficient c on e_k."""
         if self._by_first is None:
             groups: dict[int, list[tuple[int, int, Fraction]]] = {}
-            for i, j, k, c in self.nonzeros():
+            for i, j, k, c in self._nonzeros:
                 groups.setdefault(i, []).append((j, k, c))
             self._by_first = groups
         return self._by_first
@@ -325,7 +321,7 @@ class Tensor3:
         """a -> [(i, k, c)] with op(e_i, e_a) having coefficient c on e_k."""
         if self._by_second is None:
             groups: dict[int, list[tuple[int, int, Fraction]]] = {}
-            for i, j, k, c in self.nonzeros():
+            for i, j, k, c in self._nonzeros:
                 groups.setdefault(j, []).append((i, k, c))
             self._by_second = groups
         return self._by_second
@@ -336,7 +332,8 @@ class Tensor3:
         self, x: Sequence[Fraction], y: Sequence[Fraction]
     ) -> tuple[Fraction, ...]:
         """Evaluate the bilinear operation on two coefficient vectors."""
-        assert len(x) == len(y) == self.dim, "dimension mismatch"
+        if not len(x) == len(y) == self.dim:
+            raise ValueError("dimension mismatch")
         out = [ZERO] * self.dim
         by_first = self.by_first()
         for i, xi in enumerate(x):
@@ -355,41 +352,121 @@ class Tensor3:
         return combine(self.dim, [(ONE, self), (-ONE, other)])
 
     def scale(self, c: Scalar) -> "Tensor3":
-        return combine(self.dim, [(rat(c), self)])
+        c = rat(c)
+        if c == 0:
+            return Tensor3(self.dim, ())
+        return Tensor3(self.dim, tuple((i, j, k, c * v) for i, j, k, v in self._nonzeros))
 
     def swap_args(self) -> "Tensor3":
         """The opposite operation: op'(x, y) = op(y, x)."""
         return Tensor3(
-            [
-                [self.entries[j][i] for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
+            self.dim, tuple(sorted((j, i, k, c) for i, j, k, c in self._nonzeros))
         )
 
     def is_zero(self) -> bool:
-        return not self.nonzeros()
+        return not self._nonzeros
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tensor3) and self.entries == other.entries
+        return (
+            isinstance(other, Tensor3)
+            and self.dim == other.dim
+            and self._nonzeros == other._nonzeros
+        )
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.dim, self._nonzeros))
 
     def __repr__(self) -> str:
-        return f"Tensor3(dim={self.dim}, nonzeros={len(self.nonzeros())})"
+        return f"Tensor3(dim={self.dim}, nonzeros={len(self._nonzeros)})"
+
+
+def check_indices(what: str, dim: int, *indices: object) -> None:
+    """Raise ValueError unless every index is an int in ``[0, dim)``."""
+    for index in indices:
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < dim:
+            raise ValueError(f"{what} index {index!r} out of range for dimension {dim}")
+
+
+def _from_accumulated(dim: int, acc: dict[tuple[int, int, int], Fraction]) -> Tensor3:
+    return Tensor3(
+        dim, tuple((i, j, k, c) for (i, j, k), c in sorted(acc.items()) if c != 0)
+    )
 
 
 def combine(dim: int, terms: Iterable[tuple[Scalar, Tensor3]]) -> Tensor3:
     """Exact linear combination of structure tensors."""
-    cube = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    acc: dict[tuple[int, int, int], Fraction] = {}
     for coeff, tensor in terms:
         coeff = rat(coeff)
         if coeff == 0:
             continue
-        assert tensor.dim == dim, "dimension mismatch in combination"
+        if tensor.dim != dim:
+            raise ValueError("dimension mismatch in combination")
         for i, j, k, c in tensor.nonzeros():
-            cube[i][j][k] += coeff * c
-    return Tensor3(cube)
+            key = (i, j, k)
+            acc[key] = acc.get(key, ZERO) + coeff * c
+    return _from_accumulated(dim, acc)
+
+
+def _sparse_lines(
+    op: LinearOperator | None, dim: int, columns: bool
+) -> list[list[tuple[int, Fraction]]]:
+    """Nonzeros of each matrix row (or column) of op; None is the identity."""
+    if op is None:
+        return [[(a, ONE)] for a in range(dim)]
+    if op.dim != dim:
+        raise ValueError("operator/tensor dimension mismatch")
+    lines = zip(*op.matrix.entries) if columns else op.matrix.entries
+    return [[(i, c) for i, c in enumerate(line) if c != 0] for line in lines]
+
+
+def twist(
+    op: Tensor3,
+    left: LinearOperator | None = None,
+    right: LinearOperator | None = None,
+    post: LinearOperator | None = None,
+) -> Tensor3:
+    """The operation (x, y) -> post(op(left(x), right(y))).
+
+    An omitted operator is the identity.  Every construction from Baxter
+    operators, and both sides of every operator identity, is a linear
+    combination of such twists of one product.
+    """
+    n = op.dim
+    # rows of left/right: which basis vectors feed e_a; columns of post:
+    # where e_k goes
+    from_left = _sparse_lines(left, n, columns=False)
+    from_right = _sparse_lines(right, n, columns=False)
+    images = _sparse_lines(post, n, columns=True)
+    acc: dict[tuple[int, int, int], Fraction] = {}
+    for a, b, k, c in op.nonzeros():
+        for i, ci in from_left[a]:
+            for j, cj in from_right[b]:
+                cij = c * ci * cj
+                for m, cm in images[k]:
+                    key = (i, j, m)
+                    acc[key] = acc.get(key, ZERO) + cij * cm
+    return _from_accumulated(n, acc)
+
+
+def first_row_difference(
+    lhs: Tensor3, rhs: Tensor3
+) -> tuple[tuple[int, int], tuple[Fraction, ...], tuple[Fraction, ...]] | None:
+    """Smallest basis pair (i, j) on which two operations differ, if any,
+    with the dense values op(e_i, e_j) of both sides."""
+    if lhs.dim != rhs.dim:
+        raise ValueError("dimension mismatch in comparison")
+    left, right = lhs.nonzeros(), rhs.nonzeros()
+    if left == right:
+        return None
+    # entries are sorted by (i, j, k): the first position where the two
+    # lists disagree lies in the first row that differs
+    p = next(
+        (q for q, (a, b) in enumerate(zip(left, right)) if a != b),
+        min(len(left), len(right)),
+    )
+    pair = min(entry[:2] for entry in left[p:p + 1] + right[p:p + 1])
+    return pair, lhs.row(*pair), rhs.row(*pair)
 
 
 # ---------------------------------------------------------------------------

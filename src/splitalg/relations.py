@@ -72,9 +72,6 @@ class TPoly(tuple):
     def scale(self, c: Scalar) -> "TPoly":
         return TPoly([rat(c) * a for a in self])
 
-    def neg(self) -> "TPoly":
-        return TPoly([-a for a in self])
-
     def eval(self, t: Fraction) -> Fraction:
         value = ZERO
         for coeff in reversed(self):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Mapping
+
+from .exactlin import ZERO, Tensor3, first_row_difference
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,8 +81,43 @@ class Report:
 MAX_PRINTED_WITNESSES = 5
 
 
-def passing(title: str, checks_run: int, *, notes: Sequence[str] = ()) -> Report:
-    return Report(title=title, passed=True, checks_run=checks_run, notes=list(notes))
+def compare_on_pairs(report: Report, context: str, lhs: Tensor3, rhs: Tensor3) -> bool:
+    """Record whether two bilinear maps agree on every basis pair.
+
+    Pairs count as checked in lexicographic order up to the first failing
+    one (n*n when all agree); that pair becomes the witness, carrying the
+    dense values of both sides.
+    """
+    diff = first_row_difference(lhs, rhs)
+    n = lhs.dim
+    if diff is None:
+        report.checks_run += n * n
+        return True
+    (i, j), lvec, rvec = diff
+    report.checks_run += i * n + j + 1
+    report.add_failure(Witness(context, (i, j), lvec, rvec))
+    return False
+
+
+def first_mismatch(
+    context: str,
+    prefix: tuple,
+    lhs: Mapping[Any, Any],
+    rhs: Mapping[Any, Any],
+    missing: Any = ZERO,
+) -> Witness | None:
+    """Witness at the smallest key where two coefficient maps disagree.
+
+    Absent keys read as ``missing``; the witness arguments are
+    ``prefix + key``.
+    """
+    key = min(
+        (k for k in lhs.keys() | rhs.keys() if lhs.get(k, missing) != rhs.get(k, missing)),
+        default=None,
+    )
+    if key is None:
+        return None
+    return Witness(context, prefix + key, lhs.get(key, missing), rhs.get(key, missing))
 
 
 def format_value(value: Any) -> str:

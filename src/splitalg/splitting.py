@@ -20,20 +20,18 @@ import dataclasses
 from fractions import Fraction
 
 from .algebra_core import FiniteAlgebra
-from .baxter import check_baxter, commute
+from .baxter import baxter_sides, check_baxter, commute
 from .exactlin import (
     ONE,
     ZERO,
     LinearOperator,
     Scalar,
     Tensor3,
-    basis_vector,
     combine,
     compose_left,
     compose_right,
     rat,
-    vec_add,
-    vec_scale,
+    twist,
 )
 from .relations import (
     FOUR_OP_SYSTEM,
@@ -44,7 +42,7 @@ from .relations import (
     check_system,
     resolve_tensor,
 )
-from .report import Report, Witness
+from .report import Report, Witness, compare_on_pairs, first_mismatch
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,16 +154,10 @@ def trialgebra_from_baxter(
     t = rat(t)
     if validate:
         _require(check_baxter(algebra, op, t))
-    n = algebra.dim
-    images = [op.column(j) for j in range(n)]
-    prec = Tensor3.from_function(
-        n, lambda i, j: algebra.multiply(basis_vector(n, i), images[j])
+    mult = algebra.mult
+    return TrialgebraStructure(
+        prec=twist(mult, right=op), succ=twist(mult, left=op), circ=mult.scale(t)
     )
-    succ = Tensor3.from_function(
-        n, lambda i, j: algebra.multiply(images[i], basis_vector(n, j))
-    )
-    circ = algebra.mult.scale(t)
-    return TrialgebraStructure(prec=prec, succ=succ, circ=circ)
 
 
 def star_morphism_report(
@@ -175,18 +167,13 @@ def star_morphism_report(
     B(x star_t y) = B(x) B(y), with star_t = prec + succ + t*circ... the
     Baxter-built structure stores circ = t*(product), so the total here is
     prec + succ + circ."""
-    n = algebra.dim
-    star = s.star()
-    images = [op.column(j) for j in range(n)]
     report = Report(title="operator is a morphism from the split total", passed=True)
-    for i in range(n):
-        for j in range(n):
-            lhs = op.apply(star.apply(basis_vector(n, i), basis_vector(n, j)))
-            rhs = algebra.multiply(images[i], images[j])
-            report.checks_run += 1
-            if lhs != rhs:
-                report.add_failure(Witness("star-morphism", (i, j), lhs, rhs))
-                return report
+    compare_on_pairs(
+        report,
+        "star-morphism",
+        twist(s.star(), post=op),
+        twist(algebra.mult, left=op, right=op),
+    )
     return report
 
 
@@ -197,25 +184,10 @@ def is_baxter_on_trialgebra(
     t = rat(t)
     if op.dim != s.dim:
         raise ValueError("operator/structure dimension mismatch")
-    n = s.dim
-    images = [op.column(j) for j in range(n)]
     report = Report(title=f"{t}-Baxter on three-op structure", passed=True)
     for name, tensor in s.ops().items():
-        for i in range(n):
-            e_i = basis_vector(n, i)
-            for j in range(n):
-                e_j = basis_vector(n, j)
-                lhs = tensor.apply(images[i], images[j])
-                inner = vec_add(
-                    tensor.apply(e_i, images[j]),
-                    tensor.apply(images[i], e_j),
-                    vec_scale(t, tensor.apply(e_i, e_j)),
-                )
-                rhs = op.apply(inner)
-                report.checks_run += 1
-                if lhs != rhs:
-                    report.add_failure(Witness(f"baxter[{name}]", (i, j), lhs, rhs))
-                    return report
+        if not compare_on_pairs(report, f"baxter[{name}]", *baxter_sides(tensor, op, t)):
+            break
     return report
 
 
@@ -233,28 +205,15 @@ def ennea_from_baxter_on_trialgebra(
     t = rat(t)
     if validate:
         _require(is_baxter_on_trialgebra(s, op, t))
-    n = s.dim
-    images = [op.column(j) for j in range(n)]
-
-    def left_twist(tensor: Tensor3) -> Tensor3:
-        return Tensor3.from_function(
-            n, lambda i, j: tensor.apply(images[i], basis_vector(n, j))
-        )
-
-    def right_twist(tensor: Tensor3) -> Tensor3:
-        return Tensor3.from_function(
-            n, lambda i, j: tensor.apply(basis_vector(n, i), images[j])
-        )
-
     return EnneaStructure(
         t=t,
         ops={
-            "se": left_twist(s.succ),
-            "ne": right_twist(s.succ),
-            "sw": left_twist(s.prec),
-            "nw": right_twist(s.prec),
-            "down": left_twist(s.circ),
-            "up": right_twist(s.circ),
+            "se": twist(s.succ, left=op),
+            "ne": twist(s.succ, right=op),
+            "sw": twist(s.prec, left=op),
+            "nw": twist(s.prec, right=op),
+            "down": twist(s.circ, left=op),
+            "up": twist(s.circ, right=op),
             "prec": s.prec,
             "succ": s.succ,
             "circ": s.circ,
@@ -281,31 +240,20 @@ def ennea_from_commuting_pair(
         _require(check_baxter(algebra, second, t))
         if not commute(first, second):
             raise ValueError("precondition failed: the two operators do not commute")
-    n = algebra.dim
+    mult = algebra.mult
     both = first.compose(second)
-    img_b = [first.column(j) for j in range(n)]
-    img_g = [second.column(j) for j in range(n)]
-    img_bg = [both.column(j) for j in range(n)]
-
-    def basis(i: int) -> tuple[Fraction, ...]:
-        return basis_vector(n, i)
-
     return EnneaStructure(
         t=t,
         ops={
-            "se": Tensor3.from_function(n, lambda i, j: algebra.multiply(img_bg[i], basis(j))),
-            "ne": Tensor3.from_function(n, lambda i, j: algebra.multiply(img_b[i], img_g[j])),
-            "sw": Tensor3.from_function(n, lambda i, j: algebra.multiply(img_g[i], img_b[j])),
-            "nw": Tensor3.from_function(n, lambda i, j: algebra.multiply(basis(i), img_bg[j])),
-            "up": Tensor3.from_function(
-                n, lambda i, j: vec_scale(t, algebra.multiply(basis(i), img_g[j]))
-            ),
-            "down": Tensor3.from_function(
-                n, lambda i, j: vec_scale(t, algebra.multiply(img_g[i], basis(j)))
-            ),
-            "prec": Tensor3.from_function(n, lambda i, j: algebra.multiply(basis(i), img_b[j])),
-            "succ": Tensor3.from_function(n, lambda i, j: algebra.multiply(img_b[i], basis(j))),
-            "circ": algebra.mult.scale(t),
+            "se": twist(mult, left=both),
+            "ne": twist(mult, left=first, right=second),
+            "sw": twist(mult, left=second, right=first),
+            "nw": twist(mult, right=both),
+            "up": twist(mult, right=second).scale(t),
+            "down": twist(mult, left=second).scale(t),
+            "prec": twist(mult, right=first),
+            "succ": twist(mult, left=first),
+            "circ": mult.scale(t),
         },
     )
 
@@ -500,16 +448,10 @@ def check_prelie(p: PreLieStructure) -> Report:
     report = Report(title="pre-Lie (left-symmetric associator)", passed=True)
     n = p.dim
     report.checks_run = n**3
-    bad = sorted(
-        key
-        for key in set(assoc) | {(j, i, k) for i, j, k in assoc}
-        if assoc.get(key, {}) != assoc.get((key[1], key[0], key[2]), {})
-    )
-    if bad:
-        i, j, k = bad[0]
-        report.add_failure(
-            Witness("prelie", (i, j, k), assoc.get((i, j, k), {}), assoc.get((j, i, k), {}))
-        )
+    swapped = {(j, i, k): vec for (i, j, k), vec in assoc.items()}
+    witness = first_mismatch("prelie", (), assoc, swapped, missing={})
+    if witness is not None:
+        report.add_failure(witness)
     return report
 
 

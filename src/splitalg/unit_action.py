@@ -44,6 +44,7 @@ from .exactlin import (
     combine,
     compose_left,
     compose_right,
+    first_discrepancy,
     rat,
 )
 from .relations import (
@@ -247,19 +248,14 @@ def check_unit_compatibility(
         rhs = side(relation.rhs, False)
         report.checks_run += (dim + 1) ** 3 - len(skip)
         report.skipped_undefined += len(skip)
-        worst = None
-        for key in lhs.keys() | rhs.keys():
-            if key in skip:
-                continue
-            lvec = {m: c for m, c in lhs.get(key, {}).items() if c != 0}
-            rvec = {m: c for m, c in rhs.get(key, {}).items() if c != 0}
-            if lvec != rvec and (worst is None or key < worst):
-                worst = key
-        if worst is not None:
-            lvec = {m: c for m, c in lhs.get(worst, {}).items() if c != 0}
-            rvec = {m: c for m, c in rhs.get(worst, {}).items() if c != 0}
+        diff = first_discrepancy(
+            {key: vec for key, vec in lhs.items() if key not in skip},
+            {key: vec for key, vec in rhs.items() if key not in skip},
+        )
+        if diff is not None:
+            key, lvec, rvec = diff
             report.add_failure(
-                Witness(f"{system.name}:{relation.name}+unit", worst, lvec, rvec)
+                Witness(f"{system.name}:{relation.name}+unit", key, lvec, rvec)
             )
     return report
 

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from splitalg import Tensor3, WeightedDigraph
+from splitalg import LinearOperator, Tensor3, WeightedDigraph
 from splitalg.cli import main
-from splitalg.jsonio import dump_json, graph_to_json, load, save
+from splitalg.jsonio import dump_json, graph_to_json, load, operator_to_json, save
 
 F = Fraction
 
@@ -197,3 +197,30 @@ def test_wrong_envelope_kind_is_a_usage_error(tmp_path, capsys):
     save(str(path), graph_to_json(WeightedDigraph.build(1, [])))
     assert main(["verify", "ennea", "--file", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _assert_one_line_usage_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_out_of_range_tensor_index_is_a_usage_error(tmp_path, capsys):
+    algebra = {"kind": "algebra", "dim": 2, "mult": [[0, 0, 0, "1"], [1, 5, 1, "1"]]}
+    save(str(tmp_path / "alg.json"), algebra)
+    save(str(tmp_path / "op.json"), operator_to_json(LinearOperator.identity(2)))
+    argv = ["verify", "baxter", "--algebra", str(tmp_path / "alg.json"),
+            "--operator", str(tmp_path / "op.json"), "--t", "-1"]
+    assert main(argv) == 2
+    _assert_one_line_usage_error(capsys)
+
+
+def test_negative_coproduct_index_is_a_usage_error(tmp_path, capsys):
+    coproduct = {"kind": "coproduct", "dim": 2, "items": [[-1, 0, 1, "1"]]}
+    save(str(tmp_path / "delta.json"), coproduct)
+    save(str(tmp_path / "op.json"), operator_to_json(LinearOperator.identity(2)))
+    argv = ["verify", "baxter", "--coproduct", str(tmp_path / "delta.json"),
+            "--operator", str(tmp_path / "op.json"), "--t", "-1"]
+    assert main(argv) == 2
+    _assert_one_line_usage_error(capsys)

@@ -14,8 +14,10 @@ from splitalg.exactlin import (
     compose_left,
     compose_right,
     first_discrepancy,
+    first_row_difference,
     rank,
     rank_int_rows,
+    twist,
     vec_add,
     vec_scale,
 )
@@ -42,15 +44,6 @@ def test_from_sparse_accumulates_duplicates():
     assert t.entries[0][1][0] == F(3, 2)
     assert t.entries[1][1][1] == F(-1)
     assert t.entries[0][0][0] == 0
-
-
-def test_from_function_matches_from_sparse():
-    def op(i, j):
-        return tuple(F(1) if k == (i + j) % 3 else F(0) for k in range(3))
-
-    t = Tensor3.from_function(3, op)
-    s = Tensor3.from_sparse(3, [(i, j, (i + j) % 3, F(1)) for i in range(3) for j in range(3)])
-    assert t.entries == s.entries
 
 
 def test_apply_is_bilinear():
@@ -125,6 +118,38 @@ def test_first_discrepancy_reports_smallest_key():
     assert lvec == {} and rvec == {0: F(5)}
 
 
+def _random_operator(rng, n):
+    return LinearOperator(
+        [[F(rng.choice([0, 0, 1, -2]), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_twist_matches_dense_evaluation(seed):
+    rng = random.Random(seed)
+    op = oracles.random_tensor(rng, 4)
+    m, n_, p = (_random_operator(rng, 4) for _ in range(3))
+    got = twist(op, left=m, right=n_, post=p)
+    for i in range(4):
+        for j in range(4):
+            e_i, e_j = basis_vector(4, i), basis_vector(4, j)
+            assert got.row(i, j) == p.apply(op.apply(m.apply(e_i), n_.apply(e_j)))
+    assert twist(op) == op
+    assert twist(op, left=m) == twist(op, left=m, right=LinearOperator.identity(4))
+
+
+def test_first_row_difference_reports_smallest_pair():
+    a = Tensor3.from_sparse(3, [(0, 1, 2, F(1)), (2, 0, 1, F(3))])
+    assert first_row_difference(a, a) is None
+    b = Tensor3.from_sparse(3, [(0, 1, 2, F(1)), (1, 2, 0, F(5)), (2, 0, 1, F(2))])
+    pair, lrow, rrow = first_row_difference(a, b)
+    assert pair == (1, 2)
+    assert lrow == (F(0), F(0), F(0)) and rrow == (F(5), F(0), F(0))
+    pair, lrow, rrow = first_row_difference(a, Tensor3.from_sparse(3, [(0, 1, 0, F(1))]))
+    assert pair == (0, 1)
+    assert lrow == (F(0), F(0), F(1)) and rrow == (F(1), F(0), F(0))
+
+
 def test_linear_operator_columns_and_composition():
     op = LinearOperator([[1, 2], [0, 1]])
     assert op.column(1) == (F(2), F(1))
@@ -156,3 +181,47 @@ def test_matrix_rank_matches_sympy(seed):
 def test_rank_int_rows_matches_fraction_rank():
     rows = [[2, 4, 6], [1, 2, 3], [0, 1, 1]]
     assert rank_int_rows(rows) == rank([[F(v) for v in row] for row in rows]) == 2
+
+
+OPTIMIZED_CHECKS = """
+from fractions import Fraction as F
+from splitalg import LinearOperator, Matrix, Tensor3, basis_vector, combine
+from splitalg.exactlin import vec_add
+
+if __debug__:
+    raise SystemExit("must run under python -O")
+t2 = Tensor3.zero(2)
+cases = {
+    "vec_add": lambda: vec_add((F(1), F(2)), (F(3),)),
+    "basis_vector": lambda: basis_vector(2, 2),
+    "Matrix.apply": lambda: Matrix.identity(2).apply((F(1),)),
+    "Matrix.add": lambda: Matrix.identity(2).add(Matrix.identity(3)),
+    "Tensor3.apply": lambda: t2.apply((F(1),), (F(1), F(0))),
+    "combine": lambda: combine(3, [(F(1), t2)]),
+}
+for name, call in cases.items():
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit(f"{name} accepted mismatched dimensions")
+"""
+
+
+def test_dimension_checks_survive_python_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import splitalg
+
+    env = dict(os.environ, PYTHONPATH=str(Path(splitalg.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -161,3 +161,18 @@ def test_load_rejects_untagged_payload(tmp_path):
     target.write_text("[1, 2, 3]\n")
     with pytest.raises(ValueError):
         load(str(target))
+
+
+@pytest.mark.parametrize("index", [-1, 2, "0", True])
+def test_tensor_indices_outside_the_dimension_are_rejected(index):
+    with pytest.raises(ValueError):
+        tensor_from_json(2, [[index, 0, 0, "1"]])
+    with pytest.raises(ValueError):
+        tensor_from_json(2, [[0, 0, index, "1"]])
+
+
+@pytest.mark.parametrize("index", [-1, 2, "1"])
+def test_coproduct_indices_outside_the_dimension_are_rejected(index):
+    data = {"kind": "coproduct", "dim": 2, "items": [[index, 0, 0, "1"]]}
+    with pytest.raises(ValueError):
+        coproduct_from_json(data)
