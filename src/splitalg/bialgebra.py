@@ -297,13 +297,8 @@ def check_derivations(b: EpsilonBialgebra, candidate: LinearOperator | None = No
         grid = [[ZERO] * n for _ in range(n)]  # column j: a bowtie e_j + t a e_j
         for j, k, c in shifted.get(a, ()):
             grid[k][j] = c
-        sub = is_derivation(b.algebra, LinearOperator(grid))
-        sub.witnesses = [
-            Witness(f"bowtie-derivation[a={a}]", w.args, w.lhs, w.rhs)
-            for w in sub.witnesses
-        ]
-        report.merge(sub)
-        if not report.passed:
+        sides = derivation_sides(b.algebra.mult, LinearOperator(grid))
+        if not compare_on_pairs(report, f"bowtie-derivation[a={a}]", *sides):
             return report
     if candidate is not None:
         hyp1 = is_derivation(b.algebra, candidate)
