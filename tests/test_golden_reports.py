@@ -13,6 +13,7 @@ Regenerate the expected file (only when a report is meant to change) with
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -23,20 +24,30 @@ from pathlib import Path
 
 from splitalg import (
     CoalgebraData,
+    EnneaStructure,
     EpsilonBialgebra,
+    FiniteAlgebra,
     LinearOperator,
     Tensor3,
     TrialgebraStructure,
     WeightedDigraph,
+    baxter_deformation,
     chain_coproduct,
+    check_algebra,
     check_baxter,
     check_cobaxter,
     check_coassociative,
+    check_deformation_instance,
+    check_dialgebra,
+    check_ennea,
     check_eps_bialgebra,
     check_hypercubic,
     check_prelie,
+    check_quadri,
+    check_trialgebra,
     check_unit_compatibility,
     convolution_structure,
+    ennea_from_commuting_pair,
     ennea_on_end,
     nine_op_unit_rules,
     path_algebra,
@@ -55,7 +66,7 @@ from splitalg.bialgebra import (
 )
 from splitalg.cli import main
 from splitalg.jsonio import dump_json, graph_to_json, report_to_json, save
-from splitalg.relations import NINE_OP_SYSTEM
+from splitalg.relations import NINE_OP_SYSTEM, THREE_OP_SYSTEM
 from splitalg.splitting import (
     PreLieStructure,
     is_baxter_on_trialgebra,
@@ -223,6 +234,54 @@ def _unit_cases():
     yield "unit/nine_op_swapped", check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, swapped)
 
 
+def _bump(tensor, i, j, k, delta):
+    """The tensor with ``delta`` added to one structure constant."""
+    return Tensor3.from_sparse(tensor.dim, tensor.nonzeros() + ((i, j, k, delta),))
+
+
+def _bumped_ops(ops, name, i, j, k, delta):
+    return dict(ops, **{name: _bump(ops[name], i, j, k, delta)})
+
+
+def _identity_system_cases():
+    end = ennea_on_end(_chain_bialgebra(F(2, 3)))
+    yield "ennea/end_perturbed_rational", check_ennea(
+        EnneaStructure(t=end.t, ops=_bumped_ops(end.ops, "ne", 1, 4, 2, F(1, 2)))
+    )
+    alg, row, col, param = triangular_baxter_example(2, F(2, 3))
+    pair = ennea_from_commuting_pair(alg, row, row, param)
+    yield "ennea/commuting_pair_rational_t", check_ennea(pair)
+    yield "ennea/commuting_pair_rational_t_fail", check_ennea(
+        EnneaStructure(t=pair.t, ops=_bumped_ops(pair.ops, "circ", 0, 1, 1, F(3, 7)))
+    )
+    tri = trialgebra_from_baxter(alg, row, param)
+    yield "trialgebra/check_fail", check_trialgebra(
+        TrialgebraStructure(prec=_bump(tri.prec, 0, 0, 0, F(1, 5)), succ=tri.succ, circ=tri.circ)
+    )
+    yield "dialgebra/check_fail", check_dialgebra(tri.prec, tri.succ)
+    corners = {name: pair.ops[name] for name in ("nw", "ne", "sw", "se")}
+    yield "quadri/check_fail", check_quadri(_bumped_ops(corners, "sw", 1, 2, 0, F(-2, 9)))
+    skew = Tensor3.from_sparse(
+        3, [(0, 1, 2, F(1, 2)), (1, 2, 0, F(2, 3)), (2, 2, 1, F(-1)), (1, 0, 1, F(1))]
+    )
+    yield "algebra/associativity_fail", check_algebra(FiniteAlgebra(skew))
+    rules = nine_op_unit_rules()
+    yield "unit/nine_op_perturbed_rational", check_unit_compatibility(
+        NINE_OP_SYSTEM, _bumped_ops(end.ops, "nw", 2, 1, 3, F(5, 6)), end.t, rules
+    )
+    tri_rules = {"prec": (F(1), F(0)), "succ": (F(0), F(1)), "circ": (F(0), F(0))}
+    yield "unit/three_op_perturbed_rational", check_unit_compatibility(
+        THREE_OP_SYSTEM, _bumped_ops(tri.ops(), "succ", 1, 1, 2, F(-4, 3)), F(2, 3), tri_rules
+    )
+    pa = _chain2()
+    inst = baxter_deformation(
+        "two_three", pa.algebra, weighted_coproduct(pa), chain_coproduct(pa), 0, -1
+    )
+    yield "deformation/instance_fail", check_deformation_instance(
+        dataclasses.replace(inst, ops=_bumped_ops(inst.ops, "succ1", 3, 4, 5, F(7, 4)))
+    )
+
+
 def _end_ennea_envelope(vertices: int, weights) -> str:
     graph = WeightedDigraph.build(
         vertices, [(v, v + 1, w) for v, w in zip(range(vertices - 1), weights)]
@@ -247,6 +306,7 @@ def compute() -> dict:
         _operator_equation_cases,
         _coalgebra_cases,
         _unit_cases,
+        _identity_system_cases,
     ):
         for name, report in cases():
             golden[name] = report_to_json(report)
