@@ -56,7 +56,6 @@ from .relations import (
     AxiomSystem,
     Relation,
     TPoly,
-    check_system,
 )
 from .report import Report
 from .splitting import EnneaStructure, TrialgebraStructure, check_ennea, check_trialgebra

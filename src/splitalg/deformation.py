@@ -52,7 +52,6 @@ from .relations import (
     FOUR_OP_SYSTEM,
     NINE_OP_SYSTEM,
     THREE_OP_SYSTEM,
-    TWO_OP_SYSTEM,
     AxiomSystem,
     Relation,
     Term,

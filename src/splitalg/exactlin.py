@@ -14,15 +14,20 @@ The two workhorses are:
 
 On top of the tensor sit :func:`twist`, the operation
 ``(x, y) -> P(op(M x, N y))`` from which every Baxter-operator construction
-and both sides of every operator identity are combined, and the sparse
-nested-composition helpers used by the quadratic-identity checkers.
+and both sides of every operator identity are combined, and
+:func:`nested_residual`, the kernel of every quadratic-identity check.  It
+reads each tensor through a cached :class:`IntegerView` (integer numerators
+over one shared denominator), clears the remaining denominators once per
+identity, and sums integer products only, so a check stays exact without
+Fraction arithmetic in its inner loop; :func:`nested_value` rebuilds the
+exact rational values of an identity side at a witness triple.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Container, Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -102,13 +107,17 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matrix product dimension mismatch")
-        cols_of_other = list(zip(*other.entries)) if other.entries else []
-        return Matrix(
-            [
-                [sum((a * b for a, b in zip(row, col)), ZERO) for col in cols_of_other]
-                for row in self.entries
-            ]
-        )
+        # sum over the nonzeros of each row of self and of the rows they pick
+        other_rows = [[(k, b) for k, b in enumerate(row) if b] for row in other.entries]
+        product = []
+        for row in self.entries:
+            out = [ZERO] * other.cols
+            for j, a in enumerate(row):
+                if a:
+                    for k, b in other_rows[j]:
+                        out[k] += a * b
+            product.append(out)
+        return Matrix(product)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -246,6 +255,20 @@ class LinearOperator:
 Entry = tuple[int, int, int, Fraction]
 
 
+class IntegerView(NamedTuple):
+    """A tensor's nonzeros as integer numerators over one shared denominator.
+
+    Entry ``(i, j, k, c)`` of the view stands for the rational ``c / denom``;
+    ``by_first``/``by_second`` group the entries like the tensor's own
+    :meth:`Tensor3.by_first`/:meth:`Tensor3.by_second`.
+    """
+
+    denom: int
+    nonzeros: tuple[tuple[int, int, int, int], ...]
+    by_first: dict[int, list[tuple[int, int, int]]]
+    by_second: dict[int, list[tuple[int, int, int]]]
+
+
 class Tensor3:
     """Structure constants of one bilinear operation on an n-dim space.
 
@@ -253,11 +276,12 @@ class Tensor3:
     each saying that op(e_i, e_j) has coefficient c on e_k.  Build instances
     with :meth:`from_sparse` (or :func:`combine` / :func:`twist`); they are
     immutable, and the index groupings used by the nested-composition
-    helpers are cached lazily.  :attr:`entries` is a dense
+    helpers (with their integer form, :meth:`integer_view`) are cached
+    lazily.  :attr:`entries` is a dense
     ``entries[i][j][k]`` view, built on each access and never stored.
     """
 
-    __slots__ = ("dim", "_nonzeros", "_by_first", "_by_second")
+    __slots__ = ("dim", "_nonzeros", "_by_first", "_by_second", "_integer")
 
     def __init__(self, dim: int, nonzeros: tuple[Entry, ...]):
         """Wrap entries that are already sorted, in range and nonzero."""
@@ -265,6 +289,7 @@ class Tensor3:
         self._nonzeros = nonzeros
         self._by_first: dict[int, list[tuple[int, int, Fraction]]] | None = None
         self._by_second: dict[int, list[tuple[int, int, Fraction]]] | None = None
+        self._integer: IntegerView | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -325,6 +350,22 @@ class Tensor3:
                 groups.setdefault(j, []).append((i, k, c))
             self._by_second = groups
         return self._by_second
+
+    def integer_view(self) -> "IntegerView":
+        """The entries as integer numerators over one shared denominator."""
+        if self._integer is None:
+            denom = math.lcm(*(c.denominator for *_, c in self._nonzeros))
+            nonzeros = tuple(
+                (i, j, k, c.numerator * (denom // c.denominator))
+                for i, j, k, c in self._nonzeros
+            )
+            by_first: dict[int, list[tuple[int, int, int]]] = {}
+            by_second: dict[int, list[tuple[int, int, int]]] = {}
+            for i, j, k, c in nonzeros:
+                by_first.setdefault(i, []).append((j, k, c))
+                by_second.setdefault(j, []).append((i, k, c))
+            self._integer = IntegerView(denom, nonzeros, by_first, by_second)
+        return self._integer
 
     # -- algebra -------------------------------------------------------------
 
@@ -474,9 +515,116 @@ def first_row_difference(
 # ---------------------------------------------------------------------------
 #
 # A quadratic identity compares sums of left-nested terms  outer(inner(x,y), z)
-# against sums of right-nested terms  outer(x, inner(y, z)).  We compose the
-# sparse tensors once per term and compare the resulting coefficient maps,
-# instead of looping over all basis triples times all relations.
+# against sums of right-nested terms  outer(x, inner(y, z)).  The residual
+# kernel clears all denominators once per identity and sums integer products
+# of sparse entries, so no Fraction is touched in the inner loop; the exact
+# values of both sides are rebuilt only at a witness triple.  The
+# Fraction-valued composition maps below serve the remaining checkers.
+
+NestedTerm = tuple[Fraction, Tensor3, Tensor3]  # (coeff, inner, outer)
+
+
+def nested_residual(
+    left_terms: Sequence[NestedTerm], right_terms: Sequence[NestedTerm]
+) -> dict[tuple[int, int, int, int], int]:
+    """Nonzero entries of L * (sum left - sum right) as exact integers.
+
+    A left term ``(c, inner, outer)`` stands for c * outer(inner(x, y), z),
+    a right term for c * outer(x, inner(y, z)); the result maps
+    ``(x, y, z, m)`` to the e_m coefficient on the basis triple (x, y, z).
+    L > 0 is the lcm of the denominators of every term's scale
+    c / (D_inner * D_outer), D being a tensor's shared denominator, so the
+    residual is zero exactly where the two sides agree.
+    """
+    weighted = []
+    dims = set()
+    for sign, left_nested, terms in ((1, True, left_terms), (-1, False, right_terms)):
+        for coeff, inner, outer in terms:
+            if coeff == 0:
+                continue
+            dims.update((inner.dim, outer.dim))
+            vi, vo = inner.integer_view(), outer.integer_view()
+            scale = sign * Fraction(coeff) / (vi.denom * vo.denom)
+            weighted.append((scale, left_nested, vi, vo))
+    if len(dims) > 1:
+        raise ValueError("dimension mismatch in nested composition")
+    n = dims.pop() if dims else 0
+    n2, n3 = n * n, n * n * n
+    common = math.lcm(*(scale.denominator for scale, *_ in weighted))
+    # keys are packed as ((x*n + y)*n + z)*n + m while summing
+    acc: dict[int, int] = {}
+    get = acc.get
+    for scale, left_nested, vi, vo in weighted:
+        w = scale.numerator * (common // scale.denominator)
+        if left_nested:
+            # (i, j) -> a under inner, then (a, k) -> m under outer
+            rows = vo.by_first
+            for i, j, a, c in vi.nonzeros:
+                row = rows.get(a)
+                if row:
+                    wc, base = w * c, (i * n + j) * n2
+                    for k, m, c2 in row:
+                        key = base + k * n + m
+                        acc[key] = get(key, 0) + wc * c2
+        else:
+            # (j, k) -> a under inner, then (i, a) -> m under outer
+            cols = vo.by_second
+            for j, k, a, c in vi.nonzeros:
+                col = cols.get(a)
+                if col:
+                    wc, base = w * c, (j * n + k) * n
+                    for i, m, c2 in col:
+                        key = base + i * n3 + m
+                        acc[key] = get(key, 0) + wc * c2
+    out: dict[tuple[int, int, int, int], int] = {}
+    for key, value in acc.items():
+        if value:
+            xy, zm = divmod(key, n2)
+            out[divmod(xy, n) + divmod(zm, n)] = value
+    return out
+
+
+def nested_value(
+    terms: Sequence[NestedTerm], left_nested: bool, triple: tuple[int, int, int]
+) -> dict[int, Fraction]:
+    """Exact nonzero coefficients {m: c} of one identity side at one triple."""
+    x, y, z = triple
+    out: dict[int, Fraction] = {}
+    for coeff, inner, outer in terms:
+        if coeff == 0:
+            continue
+        if left_nested:
+            mids = [(a, c) for j, a, c in inner.by_first().get(x, ()) if j == y]
+            for a, c in mids:
+                for k, m, c2 in outer.by_first().get(a, ()):
+                    if k == z:
+                        out[m] = out.get(m, ZERO) + coeff * c * c2
+        else:
+            mids = [(a, c) for k, a, c in inner.by_first().get(y, ()) if k == z]
+            for a, c in mids:
+                for i, m, c2 in outer.by_second().get(a, ()):
+                    if i == x:
+                        out[m] = out.get(m, ZERO) + coeff * c * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def first_nested_difference(
+    left_terms: Sequence[NestedTerm],
+    right_terms: Sequence[NestedTerm],
+    skip: Container[tuple[int, int, int]] = (),
+) -> tuple[tuple[int, int, int], dict[int, Fraction], dict[int, Fraction]] | None:
+    """Smallest basis triple outside ``skip`` where the two sides differ,
+    with the exact values of both sides there, if any."""
+    residual = nested_residual(left_terms, right_terms)
+    triple = min((key[:3] for key in residual if key[:3] not in skip), default=None)
+    if triple is None:
+        return None
+    return (
+        triple,
+        nested_value(left_terms, True, triple),
+        nested_value(right_terms, False, triple),
+    )
+
 
 CompositionMap = dict[tuple[int, int, int], dict[int, Fraction]]
 

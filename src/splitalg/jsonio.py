@@ -82,6 +82,14 @@ def _expect_kind(data: Mapping[str, Any], kind: str) -> None:
         raise ValueError(f"expected a {kind!r} envelope, found kind={found!r}")
 
 
+def _dim_from_json(data: Mapping[str, Any]) -> int:
+    """The envelope's ``dim``, which must be an int >= 1 (never a bool)."""
+    dim = data.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"envelope dim must be an integer >= 1, got {dim!r}")
+    return dim
+
+
 def graph_to_json(graph: WeightedDigraph) -> dict[str, Any]:
     return {
         "kind": "graph",
@@ -119,7 +127,7 @@ def algebra_to_json(algebra: FiniteAlgebra) -> dict[str, Any]:
 
 def algebra_from_json(data: Mapping[str, Any]) -> FiniteAlgebra:
     _expect_kind(data, "algebra")
-    dim = data["dim"]
+    dim = _dim_from_json(data)
     unit = data.get("unit")
     labels = data.get("labels")
     return FiniteAlgebra(
@@ -142,8 +150,9 @@ def operator_to_json(op: LinearOperator) -> dict[str, Any]:
 
 def operator_from_json(data: Mapping[str, Any]) -> LinearOperator:
     _expect_kind(data, "operator")
+    dim = _dim_from_json(data)
     rows = [[scalar_from_json(c) for c in row] for row in data["matrix"]]
-    if len(rows) != data["dim"] or any(len(row) != data["dim"] for row in rows):
+    if len(rows) != dim or any(len(row) != dim for row in rows):
         raise ValueError("operator matrix shape does not match dim")
     return LinearOperator(rows)
 
@@ -159,7 +168,7 @@ def coproduct_to_json(delta: CoalgebraData) -> dict[str, Any]:
 def coproduct_from_json(data: Mapping[str, Any]) -> CoalgebraData:
     _expect_kind(data, "coproduct")
     return CoalgebraData.from_items(
-        data["dim"],
+        _dim_from_json(data),
         ((i, j, k, scalar_from_json(c)) for i, j, k, c in data["items"]),
     )
 
@@ -184,7 +193,7 @@ def operations_from_json(
     data: Mapping[str, Any],
 ) -> tuple[str, Fraction, dict[str, Tensor3]]:
     _expect_kind(data, "operations")
-    dim = data["dim"]
+    dim = _dim_from_json(data)
     ops = {
         name: tensor_from_json(dim, items) for name, items in data["ops"].items()
     }

@@ -23,16 +23,12 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .exactlin import (
-    ONE,
     ZERO,
-    CompositionMap,
+    NestedTerm,
     Scalar,
     Tensor3,
-    accumulate,
     combine,
-    compose_left,
-    compose_right,
-    first_discrepancy,
+    first_nested_difference,
     rat,
 )
 from .report import Report, Witness
@@ -346,25 +342,23 @@ def resolve_tensor(
     return tensor
 
 
-def side_composition(
+def _side_terms(
     system: AxiomSystem,
     ops: dict[str, Tensor3],
     t: Fraction,
     terms: Sequence[Term],
-    left_nested: bool,
     cache: dict[str, Tensor3],
-) -> CompositionMap:
-    """Total coefficient map of one side of an identity."""
-    total: CompositionMap = {}
-    for coeff, inner_name, outer_name in terms:
-        value = coeff.eval(t)
-        if value == 0:
-            continue
-        inner = resolve_tensor(system, ops, t, inner_name, cache)
-        outer = resolve_tensor(system, ops, t, outer_name, cache)
-        part = compose_left(inner, outer) if left_nested else compose_right(inner, outer)
-        accumulate(total, part, value)
-    return total
+) -> list[NestedTerm]:
+    """One identity side as (coefficient, inner, outer) tensor terms at t."""
+    return [
+        (
+            value,
+            resolve_tensor(system, ops, t, inner_name, cache),
+            resolve_tensor(system, ops, t, outer_name, cache),
+        )
+        for coeff, inner_name, outer_name in terms
+        if (value := coeff.eval(t)) != 0
+    ]
 
 
 def check_system(
@@ -386,10 +380,10 @@ def check_system(
     report = Report(title=title or f"{system.name} identities", passed=True)
     cache: dict[str, Tensor3] = {}
     for relation in system.relations:
-        lhs = side_composition(system, ops, t, relation.lhs, True, cache)
-        rhs = side_composition(system, ops, t, relation.rhs, False, cache)
+        lhs = _side_terms(system, ops, t, relation.lhs, cache)
+        rhs = _side_terms(system, ops, t, relation.rhs, cache)
         report.checks_run += dim**3
-        diff = first_discrepancy(lhs, rhs)
+        diff = first_nested_difference(lhs, rhs)
         if diff is not None:
             key, lvec, rvec = diff
             report.add_failure(

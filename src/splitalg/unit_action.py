@@ -37,14 +37,10 @@ from typing import Iterable, Mapping, Sequence
 from .exactlin import (
     ONE,
     ZERO,
-    CompositionMap,
     Scalar,
     Tensor3,
-    accumulate,
     combine,
-    compose_left,
-    compose_right,
-    first_discrepancy,
+    first_nested_difference,
     rat,
 )
 from .relations import (
@@ -230,28 +226,20 @@ def check_unit_compatibility(
         title=title or f"{system.name} unit compatibility", passed=True
     )
 
-    def side(terms, left_nested: bool) -> CompositionMap:
-        # compose straight from the augmented table so composite corner
-        # values are used as stored, never re-resolved from generators
-        total: CompositionMap = {}
-        for coeff, inner_name, outer_name in terms:
-            value = coeff.eval(t)
-            if value == 0:
-                continue
-            compose = compose_left if left_nested else compose_right
-            accumulate(total, compose(aug[inner_name], aug[outer_name]), value)
-        return total
-
     for relation in system.relations:
         skip = relation_skip_set(system, rules, t, relation, dim)
-        lhs = side(relation.lhs, True)
-        rhs = side(relation.rhs, False)
+        # terms read the augmented table directly, so composite corner
+        # values are used as stored, never re-resolved from generators
+        lhs, rhs = (
+            [
+                (coeff.eval(t), aug[inner_name], aug[outer_name])
+                for coeff, inner_name, outer_name in terms
+            ]
+            for terms in (relation.lhs, relation.rhs)
+        )
         report.checks_run += (dim + 1) ** 3 - len(skip)
         report.skipped_undefined += len(skip)
-        diff = first_discrepancy(
-            {key: vec for key, vec in lhs.items() if key not in skip},
-            {key: vec for key, vec in rhs.items() if key not in skip},
-        )
+        diff = first_nested_difference(lhs, rhs, skip)
         if diff is not None:
             key, lvec, rvec = diff
             report.add_failure(

@@ -224,3 +224,32 @@ def test_negative_coproduct_index_is_a_usage_error(tmp_path, capsys):
             "--operator", str(tmp_path / "op.json"), "--t", "-1"]
     assert main(argv) == 2
     _assert_one_line_usage_error(capsys)
+
+
+def _empty_nine_op_envelope(dim):
+    from splitalg.relations import NINE_OP_GENERATORS
+
+    return {
+        "kind": "operations",
+        "family": "nine_op",
+        "t": "1",
+        "dim": dim,
+        "ops": {name: [] for name in NINE_OP_GENERATORS},
+    }
+
+
+@pytest.mark.parametrize("verb", ["ennea", "unit-action"])
+@pytest.mark.parametrize("dim", [-3, 0, 2.5, True, "2", None])
+def test_invalid_envelope_dim_is_a_usage_error(tmp_path, capsys, verb, dim):
+    path = tmp_path / "ops.json"
+    save(str(path), _empty_nine_op_envelope(dim))
+    assert main(["verify", verb, "--file", str(path)]) == 2
+    _assert_one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("verb", ["ennea", "unit-action"])
+def test_smallest_valid_envelope_dim_is_accepted(tmp_path, capsys, verb):
+    path = tmp_path / "ops.json"
+    save(str(path), _empty_nine_op_envelope(1))
+    assert main(["verify", verb, "--file", str(path)]) == 0
+    assert "PASS" in capsys.readouterr().out

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from splitalg import (
     EnneaStructure,
     LinearOperator,
@@ -16,6 +18,7 @@ from splitalg import (
     check_ennea,
     check_jacobi,
     check_prelie,
+    check_system,
     degree3_dimension,
     ennea_from_commuting_pair,
     opposite_ennea,
@@ -25,8 +28,8 @@ from splitalg import (
     triangular_baxter_example,
     triangular_matrix_coalgebra,
 )
-from splitalg.exactlin import Tensor3
-from splitalg.relations import NINE_OP_GENERATORS, TPoly
+from splitalg.exactlin import Tensor3, nested_residual, nested_value
+from splitalg.relations import NINE_OP_GENERATORS, THREE_OP_SYSTEM, TPoly
 
 F = Fraction
 
@@ -149,3 +152,126 @@ def test_cobaxter_duality_is_an_equivalence(rows, s):
     left = check_cobaxter(delta, op, s).passed
     right = check_baxter(delta.dual_algebra(), transpose_operator(op), s).passed
     assert left == right
+
+
+# -- the integer residual kernel ---------------------------------------------
+
+non_integral = st.builds(
+    F, st.integers(min_value=-6, max_value=6), st.integers(min_value=2, max_value=7)
+)
+
+
+def rational_tensor(dim):
+    item = st.tuples(
+        st.integers(0, dim - 1),
+        st.integers(0, dim - 1),
+        st.integers(0, dim - 1),
+        non_integral,
+    )
+    return st.lists(item, max_size=8).map(lambda items: Tensor3.from_sparse(dim, items))
+
+
+def nested_terms(dim):
+    term = st.tuples(non_integral, rational_tensor(dim), rational_tensor(dim))
+    return st.lists(term, max_size=3)
+
+
+def brute_residual(left_terms, right_terms):
+    """sum c*outer(inner(x,y),z) - sum c*outer(x,inner(y,z)) by direct summation."""
+    total = {}
+    for sign, brute, terms in ((1, oracles.brute_left, left_terms), (-1, oracles.brute_right, right_terms)):
+        for coeff, inner, outer in terms:
+            for (x, y, z), vec in brute(inner, outer).items():
+                for m, c in vec.items():
+                    key = (x, y, z, m)
+                    total[key] = total.get(key, F(0)) + sign * coeff * c
+    return {key: value for key, value in total.items() if value}
+
+
+def clearing_factor(left_terms, right_terms):
+    """lcm of the denominators of coeff / (D_inner * D_outer), D the lcm of a
+    tensor's entry denominators, over every nonzero term."""
+
+    def denom(tensor):
+        return math.lcm(*(c.denominator for row in tensor.entries for vec in row for c in vec))
+
+    return math.lcm(
+        *(
+            (coeff / (denom(inner) * denom(outer))).denominator
+            for coeff, inner, outer in left_terms + right_terms
+            if coeff
+        )
+    )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(nested_terms(3), nested_terms(3))
+def test_nested_residual_matches_direct_summation(left_terms, right_terms):
+    scale = clearing_factor(left_terms, right_terms)
+    expected = {key: scale * value for key, value in brute_residual(left_terms, right_terms).items()}
+    assert all(value.denominator == 1 for value in expected.values())
+    assert nested_residual(left_terms, right_terms) == expected
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(nested_terms(3), nested_terms(3))
+def test_nested_value_matches_direct_summation(left_terms, right_terms):
+    for terms, left_nested in ((left_terms, True), (right_terms, False)):
+        brute = brute_residual(terms, []) if left_nested else brute_residual([], terms)
+        for x in range(3):
+            for y in range(3):
+                for z in range(3):
+                    sign = 1 if left_nested else -1
+                    expected = {
+                        m: sign * c for (a, b, d, m), c in brute.items() if (a, b, d) == (x, y, z)
+                    }
+                    assert nested_value(terms, left_nested, (x, y, z)) == expected
+
+
+def three_op_structure(dim):
+    return st.fixed_dictionaries(
+        {name: rational_tensor(dim) for name in THREE_OP_SYSTEM.generators}
+    )
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(three_op_structure(2))
+def test_check_system_agrees_with_brute_force_per_relation(ops):
+    report = check_system(THREE_OP_SYSTEM, ops, F(0))
+    failed = {w.context for w in report.witnesses}
+    for relation in THREE_OP_SYSTEM.relations:
+        holds = oracles.brute_relation_holds(THREE_OP_SYSTEM, ops, F(0), relation)
+        assert (f"three_op:{relation.name}" not in failed) == holds
+
+
+def _associative_rational_product():
+    """Upper-triangular 2x2 matrices in the basis e11, e12, e22, scaled by 3/7."""
+    c = F(3, 7)
+    return Tensor3.from_sparse(
+        3, [(0, 0, 0, c), (0, 1, 1, c), (1, 2, 1, c), (2, 2, 2, c)]
+    )
+
+
+def test_terms_that_cancel_only_exactly():
+    mul = _associative_rational_product()
+    thirds = [(F(1, 3), mul, mul), (F(2, 3), mul, mul), (F(-1), mul, mul)]
+    assert nested_residual(thirds, []) == {}
+    assert nested_residual([], thirds) == {}
+    assert all(nested_value(thirds, True, (x, 0, 0)) == {} for x in range(3))
+    # associativity with the total coefficient 1/3 + 2/3 on the left
+    assert nested_residual(thirds[:2], [(F(1), mul, mul)]) == {}
+
+
+def test_denominators_beyond_machine_words():
+    mul = _associative_rational_product()
+    tiny = F(1, 2**61 + 3)
+    small = mul.scale(tiny)
+    # T(sT(x, y), z) = sT(x, T(y, z)) for an associative T
+    assert nested_residual([(F(1), small, mul)], [(F(1), mul, small)]) == {}
+    bumped = [(1 + F(1, 2**62), small, mul)]
+    right = [(F(1), mul, small)]
+    residual = nested_residual(bumped, right)
+    assert residual
+    scale = clearing_factor(bumped, right)
+    assert residual == {key: scale * value for key, value in brute_residual(bumped, right).items()}
+    assert nested_value(bumped, True, (0, 0, 0)) == {0: (1 + F(1, 2**62)) * tiny * F(3, 7) ** 2}
