@@ -276,9 +276,9 @@ class Tensor3:
     each saying that op(e_i, e_j) has coefficient c on e_k.  Build instances
     with :meth:`from_sparse` (or :func:`combine` / :func:`twist`); they are
     immutable, and the index groupings used by the nested-composition
-    helpers (with their integer form, :meth:`integer_view`) are cached
-    lazily.  :attr:`entries` is a dense
-    ``entries[i][j][k]`` view, built on each access and never stored.
+    helpers, with their integer form :meth:`integer_view`, are cached
+    lazily.  :attr:`entries` is a dense ``entries[i][j][k]`` view, built on
+    each access and never stored.
     """
 
     __slots__ = ("dim", "_nonzeros", "_by_first", "_by_second", "_integer")
@@ -351,7 +351,7 @@ class Tensor3:
             self._by_second = groups
         return self._by_second
 
-    def integer_view(self) -> "IntegerView":
+    def integer_view(self) -> IntegerView:
         """The entries as integer numerators over one shared denominator."""
         if self._integer is None:
             denom = math.lcm(*(c.denominator for *_, c in self._nonzeros))

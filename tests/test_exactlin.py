@@ -161,6 +161,29 @@ def test_linear_operator_columns_and_composition():
         LinearOperator([[1, 2, 3], [4, 5, 6]])
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_matmul_matches_dense_dot_products(seed):
+    rng = random.Random(seed)
+    shape = [rng.randint(1, 5) for _ in range(3)]
+
+    def sparse_grid(rows, cols):
+        return [
+            [F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else F(0) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    a, b = sparse_grid(shape[0], shape[1]), sparse_grid(shape[1], shape[2])
+    expected = [
+        [sum((a[i][j] * b[j][k] for j in range(shape[1])), F(0)) for k in range(shape[2])]
+        for i in range(shape[0])
+    ]
+    product = Matrix(a).matmul(Matrix(b))
+    assert (product.rows, product.cols) == (shape[0], shape[2])
+    assert product == Matrix(expected)
+    with pytest.raises(ValueError):
+        Matrix(a).matmul(Matrix(sparse_grid(shape[1] + 1, 2)))
+
+
 def test_matrix_rank_on_known_cases():
     assert rank(Matrix.identity(4)) == 4
     assert rank(Matrix.zero(3, 5)) == 0

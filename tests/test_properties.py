@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -216,16 +217,14 @@ def test_nested_residual_matches_direct_summation(left_terms, right_terms):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(nested_terms(3), nested_terms(3))
 def test_nested_value_matches_direct_summation(left_terms, right_terms):
-    for terms, left_nested in ((left_terms, True), (right_terms, False)):
-        brute = brute_residual(terms, []) if left_nested else brute_residual([], terms)
-        for x in range(3):
-            for y in range(3):
-                for z in range(3):
-                    sign = 1 if left_nested else -1
-                    expected = {
-                        m: sign * c for (a, b, d, m), c in brute.items() if (a, b, d) == (x, y, z)
-                    }
-                    assert nested_value(terms, left_nested, (x, y, z)) == expected
+    sides = (
+        (left_terms, True, brute_residual(left_terms, [])),
+        (right_terms, False, {k: -v for k, v in brute_residual([], right_terms).items()}),
+    )
+    for terms, left_nested, brute in sides:
+        for triple in itertools.product(range(3), repeat=3):
+            expected = {key[3]: c for key, c in brute.items() if key[:3] == triple}
+            assert nested_value(terms, left_nested, triple) == expected
 
 
 def three_op_structure(dim):
