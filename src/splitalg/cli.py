@@ -294,13 +294,15 @@ def cmd_operad_dim3(args: argparse.Namespace) -> int:
         "generators": count.generators,
         "relations": count.relations,
         "monomials": count.monomials,
+        "nonzeros": count.nonzeros,
         "rank": count.rank,
         "dim3": count.dim3,
     }
     text = (
         f"{count.system_name} at t={count.t}: {count.generators} generators, "
         f"{count.relations} identities, degree-3 monomials {count.monomials}, "
-        f"relation rank {count.rank}, dim3 = {count.dim3}"
+        f"relation rank {count.rank} over {count.nonzeros} nonzeros, "
+        f"dim3 = {count.dim3}"
     )
     return _emit_data(args, data, text)
 

@@ -5,8 +5,12 @@ are exact — a failed identity is a real counterexample, never roundoff.
 
 The two workhorses are:
 
-* :func:`rank` — fraction-free integer elimination (Bareiss), used for the
-  degree-3 dimension counts of quadratic presentations;
+* :func:`rank_int_rows` — exact rank by sparse fraction-free elimination
+  over the integers (rows as ``{col: int}`` maps, a column→rows index,
+  Markowitz-style pivots, each updated row divided by its content), used
+  for the degree-3 dimension counts of quadratic presentations;
+  :func:`rank` clears a rational matrix's denominators row by row and
+  calls it;
 * :class:`Tensor3` — structure constants of a bilinear operation
   (``z = op(x, y)`` has coefficients ``z_k = sum x_i y_j c[i][j][k]``),
   stored only as its sorted nonzero entries ``(i, j, k, c)``; a dense
@@ -25,9 +29,10 @@ exact rational values of an identity side at a witness triple.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
-from typing import Container, Iterable, NamedTuple, Sequence, Union
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -149,58 +154,93 @@ class Matrix:
         return f"Matrix({[list(map(str, row)) for row in self.entries]})"
 
 
+def integer_row(values: Mapping[int, Scalar]) -> dict[int, int]:
+    """The nonzero entries of a rational row as integers: every entry is
+    multiplied by the lcm of the denominators, so the row spans the same line
+    over the rationals."""
+    nonzero = {c: q for c, v in values.items() if (q := rat(v))}
+    scale = math.lcm(*(q.denominator for q in nonzero.values()))
+    return {c: q.numerator * (scale // q.denominator) for c, q in nonzero.items()}
+
+
 def rank(matrix: Union[Matrix, Sequence[Sequence[Scalar]]]) -> int:
-    """Exact rank over the rationals via fraction-free elimination."""
-    entries = matrix.entries if isinstance(matrix, Matrix) else [
-        [rat(v) for v in row] for row in matrix
-    ]
-    int_rows = []
-    for row in entries:
-        scale = math.lcm(*(v.denominator for v in row)) if row else 1
-        int_row = [int(v * scale) for v in row]
-        if any(int_row):
-            int_rows.append(int_row)
-    return rank_int_rows(int_rows)
+    """Exact rank over the rationals: clear each row's denominators, then
+    eliminate with :func:`rank_int_rows`."""
+    entries = matrix.entries if isinstance(matrix, Matrix) else matrix
+    return rank_int_rows([integer_row(dict(enumerate(row))) for row in entries])
 
 
-def rank_int_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Bareiss fraction-free elimination over the integers.
+def _divide_content(row: dict[int, int]) -> None:
+    content = math.gcd(*row.values())
+    if content != 1:
+        for c in row:
+            row[c] //= content
 
-    Full pivoting on a minimal-magnitude nonzero entry keeps the intermediate
-    integers small; every division below is exact by the Bareiss identity.
+
+def rank_int_rows(rows: Iterable[Union[Sequence[int], Mapping[int, int]]]) -> int:
+    """Exact rank over the rationals of integer rows, by sparse fraction-free
+    elimination.
+
+    A row is a dense sequence of ints or a ``{col: int}`` map of its entries.
+    Each step takes the shortest remaining row as pivot row and, within it,
+    the column met by the fewest rows, ties going to the smallest |value|
+    (Markowitz-style, to keep fill-in low).  Every other row ``r`` meeting the
+    pivot column, with entry ``a`` against pivot ``p`` and ``g = gcd(p, a)``,
+    becomes ``(p/g)·r − (a/g)·pivot_row`` and is divided by the gcd of its
+    entries.  Neither step changes the span over the rationals, and all
+    arithmetic stays in exact integers.  A column→rows index is kept up to
+    date, so a step touches only the rows that meet its pivot column.
     """
-    work = [list(row) for row in rows if any(row)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    col_order = list(range(ncols))
-    prev_pivot = 1
-    step = 0
-    while step < len(work) and step < ncols:
-        best = None
-        for r in range(step, len(work)):
-            for c in range(step, ncols):
-                v = work[r][col_order[c]]
-                if v != 0 and (best is None or abs(v) < abs(best[2])):
-                    best = (r, c, v)
-        if best is None:
-            break
-        r, c, pivot = best
-        work[step], work[r] = work[r], work[step]
-        col_order[step], col_order[c] = col_order[c], col_order[step]
-        pivot_row = work[step]
-        cols_right = [col_order[c2] for c2 in range(step + 1, ncols)]
-        for r2 in range(step + 1, len(work)):
+    work: dict[int, dict[int, int]] = {}
+    rows_of: dict[int, set[int]] = {}
+    queue: list[tuple[int, int]] = []  # (length, row id); stale entries skipped
+    for r, row in enumerate(rows):
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        sparse = {c: v for c, v in items if v}
+        if not sparse:
+            continue
+        _divide_content(sparse)
+        work[r] = sparse
+        for c in sparse:
+            rows_of.setdefault(c, set()).add(r)
+        queue.append((len(sparse), r))
+    heapq.heapify(queue)
+    found = 0
+    while queue:
+        length, r = heapq.heappop(queue)
+        pivot_row = work.get(r)
+        if pivot_row is None or len(pivot_row) != length:
+            continue
+        del work[r]
+        for c in pivot_row:
+            rows_of[c].discard(r)
+        col = min(pivot_row, key=lambda c: (len(rows_of[c]), abs(pivot_row[c])))
+        p = pivot_row[col]
+        rest = [(c, v) for c, v in pivot_row.items() if c != col]
+        for r2 in rows_of.pop(col):
             row = work[r2]
-            lead = row[col_order[step]]
-            if lead == 0 and pivot == prev_pivot:
-                continue
-            for c2 in cols_right:
-                row[c2] = (pivot * row[c2] - lead * pivot_row[c2]) // prev_pivot
-            row[col_order[step]] = 0
-        prev_pivot = pivot
-        step += 1
-    return step
+            a = row.pop(col)
+            g = math.gcd(p, a)
+            keep, take = p // g, a // g
+            if keep != 1:
+                for c in row:
+                    row[c] *= keep
+            for c, v in rest:
+                value = row.get(c, 0) - take * v
+                if value:
+                    if c not in row:
+                        rows_of[c].add(r2)
+                    row[c] = value
+                elif c in row:
+                    del row[c]
+                    rows_of[c].discard(r2)
+            if row:
+                _divide_content(row)
+                heapq.heappush(queue, (len(row), r2))
+            else:
+                del work[r2]
+        found += 1
+    return found
 
 
 class LinearOperator:

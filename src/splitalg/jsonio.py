@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Container, Iterable, Mapping
 
 from .algebra_core import CoalgebraData, FiniteAlgebra
 from .exactlin import LinearOperator, Scalar, Tensor3, rat
@@ -45,7 +45,10 @@ def scalar_from_json(text: Any) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {text!r} has a zero denominator") from None
     raise ValueError(f"cannot read a scalar from {text!r}")
 
 
@@ -217,10 +220,48 @@ def _terms_to_json(terms: Iterable[Term]) -> list[list[Any]]:
     ]
 
 
-def _terms_from_json(data: Any) -> tuple[Term, ...]:
-    return tuple(
-        Term(tpoly_from_json(coeff), inner, outer) for coeff, inner, outer in data
-    )
+def _terms_from_json(data: Any, operations: Container[str]) -> tuple[Term, ...]:
+    if not isinstance(data, list):
+        raise ValueError(f"an identity side must be a list of terms, got {data!r}")
+    terms = []
+    for item in data:
+        if not isinstance(item, list) or len(item) != 3:
+            raise ValueError(f"a term must be a [coeff, inner, outer] list, got {item!r}")
+        coeff, inner, outer = item
+        for name in (inner, outer):
+            if not isinstance(name, str) or name not in operations:
+                raise ValueError(f"term {item!r} names an unknown operation {name!r}")
+        terms.append(Term(tpoly_from_json(coeff), inner, outer))
+    return tuple(terms)
+
+
+def _generators_from_json(data: Any) -> tuple[str, ...]:
+    if not isinstance(data, list) or not all(isinstance(g, str) for g in data):
+        raise ValueError(f"presentation generators must be a list of strings, got {data!r}")
+    repeated = sorted({g for g in data if data.count(g) > 1})
+    if repeated:
+        raise ValueError(f"presentation generators must be distinct; repeated: {repeated}")
+    return tuple(data)
+
+
+def _composite_from_json(
+    name: str, parts: Any, generators: tuple[str, ...]
+) -> tuple[tuple[TPoly, str], ...]:
+    if name in generators:
+        raise ValueError(f"composite {name!r} has the name of a generator")
+    if not isinstance(parts, list):
+        raise ValueError(f"composite {name!r} must be a list of parts, got {parts!r}")
+    out = []
+    for part in parts:
+        if not isinstance(part, list) or len(part) != 2:
+            raise ValueError(
+                f"composite {name!r}: a part must be a [coeff, generator] list, got {part!r}"
+            )
+        poly, gen = part
+        if gen not in generators:
+            raise ValueError(f"composite {name!r}: part {part!r} names no generator")
+        out.append((tpoly_from_json(poly), gen))
+    return tuple(out)
 
 
 def system_to_json(system: AxiomSystem) -> dict[str, Any]:
@@ -244,19 +285,28 @@ def system_to_json(system: AxiomSystem) -> dict[str, Any]:
 
 
 def system_from_json(data: Mapping[str, Any]) -> AxiomSystem:
+    """A presentation, validated: generators are distinct strings, composites
+    are named apart from them and built from them, and every term is a
+    ``[coeff, inner, outer]`` list naming known operations."""
     _expect_kind(data, "presentation")
+    generators = _generators_from_json(data["generators"])
+    named_parts = data.get("composites", {})
+    if not isinstance(named_parts, dict):
+        raise ValueError("presentation composites must be an object of named parts")
+    composites = {
+        name: _composite_from_json(name, parts, generators)
+        for name, parts in named_parts.items()
+    }
+    operations = set(generators) | set(composites)
     return AxiomSystem(
         name=data["name"],
-        generators=tuple(data["generators"]),
-        composites={
-            name: tuple((tpoly_from_json(poly), gen) for poly, gen in parts)
-            for name, parts in data.get("composites", {}).items()
-        },
+        generators=generators,
+        composites=composites,
         relations=tuple(
             Relation(
                 name=rel["name"],
-                lhs=_terms_from_json(rel["lhs"]),
-                rhs=_terms_from_json(rel["rhs"]),
+                lhs=_terms_from_json(rel["lhs"], operations),
+                rhs=_terms_from_json(rel["rhs"], operations),
             )
             for rel in data["relations"]
         ),

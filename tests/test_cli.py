@@ -253,3 +253,100 @@ def test_smallest_valid_envelope_dim_is_accepted(tmp_path, capsys, verb):
     save(str(path), _empty_nine_op_envelope(1))
     assert main(["verify", verb, "--file", str(path)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def _zero_denominator_graph(tmp_path):
+    path = tmp_path / "graph.json"
+    graph = {"kind": "graph", "vertices": 2, "arcs": [{"src": 0, "dst": 1, "weight": "1/0"}]}
+    save(str(path), graph)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "end-ennea", "--graph"],
+        ["verify", "graph-bialgebra", "--variant", "chain", "--file"],
+    ],
+)
+def test_zero_denominator_arc_weight_is_a_usage_error(tmp_path, capsys, argv):
+    assert main([*argv, _zero_denominator_graph(tmp_path)]) == 2
+    _assert_one_line_usage_error(capsys)
+
+
+def _presentation(**changes):
+    from splitalg import builtin_presentations
+    from splitalg.jsonio import system_to_json
+
+    data = system_to_json(builtin_presentations()["three_op"])
+    data.update(changes)
+    return data
+
+
+def _run_dim3_file(tmp_path, data):
+    path = tmp_path / "pres.json"
+    save(str(path), data)
+    return main(["operad", "dim3", "--file", str(path), "--t", "1"])
+
+
+def test_zero_denominator_presentation_coefficient_is_a_usage_error(tmp_path, capsys):
+    data = _presentation()
+    data["relations"][0]["lhs"][0][0] = ["1/0"]
+    assert _run_dim3_file(tmp_path, data) == 2
+    _assert_one_line_usage_error(capsys)
+
+
+TWO_GENERATOR_RELATION = {"name": "r", "lhs": [[["1"], "a", "a"]], "rhs": [[["1"], "a", "a"]]}
+
+
+def _relation(lhs):
+    return [{"name": "r", "lhs": lhs, "rhs": []}]
+
+
+MALFORMED_PRESENTATIONS = {
+    "duplicate-generators": (
+        {"generators": ["a", "a"], "relations": [TWO_GENERATOR_RELATION]}, "distinct"
+    ),
+    "generators-string": (
+        {"generators": "ab", "relations": [TWO_GENERATOR_RELATION]}, "list of strings"
+    ),
+    "generator-not-string": ({"generators": ["a", 1], "relations": []}, "list of strings"),
+    "composite-shadows-generator": (
+        {"generators": ["a", "b"], "composites": {"a": [[["1"], "b"]]}}, "name of a generator"
+    ),
+    "composite-part-unknown": (
+        {"generators": ["a", "b"], "composites": {"s": [[["1"], "c"]]}}, "names no generator"
+    ),
+    "composite-part-not-pair": (
+        {"generators": ["a", "b"], "composites": {"s": [["1"]]}}, "[coeff, generator]"
+    ),
+    "composites-not-object": ({"generators": ["a", "b"], "composites": []}, "object"),
+    "term-not-triple": (
+        {"generators": ["a", "b"], "relations": _relation([[["1"], "a"]])}, "[coeff, inner, outer]"
+    ),
+    "term-unknown-operation": (
+        {"generators": ["a", "b"], "relations": _relation([[["1"], "a", "c"]])},
+        "unknown operation 'c'",
+    ),
+    "side-not-list": ({"generators": ["a", "b"], "relations": _relation("a")}, "list of terms"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRESENTATIONS))
+def test_malformed_presentation_is_a_usage_error(tmp_path, capsys, case):
+    changes, message = MALFORMED_PRESENTATIONS[case]
+    data = _presentation(composites={}, relations=[])
+    data.update(changes)
+    assert _run_dim3_file(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("preset,nonzeros", [("nine_op", 162), ("deformed_nine_nine", 648)])
+def test_operad_dim3_reports_relation_nonzeros(capsys, preset, nonzeros):
+    assert main(["operad", "dim3", "--preset", preset, "--t", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["nonzeros"] == nonzeros
+    assert payload["monomials"] == 2 * payload["generators"] ** 2
+    assert payload["rank"] == payload["relations"]

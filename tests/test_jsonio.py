@@ -42,6 +42,7 @@ from splitalg.jsonio import (
     system_to_json,
     tensor_from_json,
     tensor_to_json,
+    tpoly_from_json,
 )
 
 F = Fraction
@@ -56,6 +57,14 @@ def test_scalar_roundtrip_and_rejections():
         scalar_from_json(0.5)
     with pytest.raises((TypeError, ValueError)):
         scalar_from_json(True)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_zero_denominator_scalar_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        scalar_from_json(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        tpoly_from_json(["1", text])
 
 
 def test_tensor_roundtrip_sorted_items():

@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from splitalg import builtin_presentations, degree3_dimension
-from splitalg.operad import relation_matrix
+from splitalg.exactlin import Matrix
+from splitalg.operad import relation_matrix, relation_rows
 
 F = Fraction
 
@@ -81,3 +82,22 @@ def test_generating_function_prefix():
     assert count.generating_function_prefix(signed=True) == [F(-1), F(2), F(-5)]
     three = degree3_dimension(builtin_presentations()["three_op"], F(1))
     assert three.generating_function_prefix() == [F(1), F(3), F(11)]
+
+
+def test_relation_rows_are_the_sparse_relation_matrix():
+    system = builtin_presentations()["deformed_nine_nine"]
+    rows = relation_rows(system, F(2, 3))
+    mat = relation_matrix(system, F(2, 3))
+    assert len(rows) == mat.rows == 147
+    assert all(isinstance(v, int) and v for row in rows for v in row.values())
+    assert [{c: v for c, v in enumerate(row) if v} for row in mat.entries] == rows
+    assert degree3_dimension(system, F(2, 3)).nonzeros == sum(map(len, rows)) == 648
+
+
+def test_degree3_dimension_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Matrix built")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    count = degree3_dimension(builtin_presentations()["nine_op"], F(1))
+    assert (count.rank, count.dim3, count.nonzeros) == (49, 113, 162)

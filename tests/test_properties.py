@@ -29,7 +29,7 @@ from splitalg import (
     triangular_baxter_example,
     triangular_matrix_coalgebra,
 )
-from splitalg.exactlin import Tensor3, nested_residual, nested_value
+from splitalg.exactlin import Tensor3, nested_residual, nested_value, rank, rank_int_rows
 from splitalg.relations import NINE_OP_GENERATORS, THREE_OP_SYSTEM, TPoly
 
 F = Fraction
@@ -274,3 +274,74 @@ def test_denominators_beyond_machine_words():
     scale = clearing_factor(bumped, right)
     assert residual == {key: scale * value for key, value in brute_residual(bumped, right).items()}
     assert nested_value(bumped, True, (0, 0, 0)) == {0: (1 + F(1, 2**62)) * tiny * F(3, 7) ** 2}
+
+
+# -- sparse integer elimination ---------------------------------------------
+# No built-in presentation has a dependent relation (every preset's rank
+# equals its count of nonzero rows), so these matrices plant dependencies:
+# the rank of the whole matrix must equal the rank of its independent part.
+
+entries = st.one_of(
+    st.integers(-9, 9), st.integers(-(2**70), 2**70)
+).filter(lambda v: v != 0)
+multipliers = st.one_of(st.integers(-5, 5), st.integers(2**64, 2**66)).filter(lambda v: v != 0)
+
+SHAPES = {"tall": (2, 6, 5, 12), "wide": (8, 14, 2, 6)}
+
+
+@st.composite
+def planted_rank_matrix(draw, shape):
+    """(ncols, base rows, all rows): base rows drawn at random, then zero rows,
+    sums of two earlier rows and scaled copies mixed in, and all shuffled."""
+    min_cols, max_cols, min_rows, max_rows = SHAPES[shape]
+    ncols = draw(st.integers(min_cols, max_cols))
+    col = st.integers(0, ncols - 1)
+    base = draw(
+        st.lists(
+            st.dictionaries(col, entries, min_size=1, max_size=5),
+            min_size=min_rows,
+            max_size=max_rows,
+        )
+    )
+    rows = list(base)
+    kinds = st.lists(st.sampled_from(["zero", "sum", "scaled"]), min_size=1, max_size=8)
+    for kind in draw(kinds):
+        if kind == "zero":
+            rows.append({})
+            continue
+        a = draw(st.sampled_from(rows))
+        b = draw(st.sampled_from(rows)) if kind == "sum" else {}
+        m, n = draw(multipliers), draw(multipliers)
+        combined = {c: m * a.get(c, 0) + n * b.get(c, 0) for c in set(a) | set(b)}
+        rows.append({c: v for c, v in combined.items() if v})
+    return ncols, base, draw(st.permutations(rows))
+
+
+def dense(row, ncols):
+    return [row.get(c, 0) for c in range(ncols)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(SHAPES)).flatmap(planted_rank_matrix))
+def test_sparse_elimination_finds_planted_dependencies(case):
+    ncols, base, rows = case
+    dense_rows = [dense(row, ncols) for row in rows]
+    expected = oracles.sympy_rank([dense(row, ncols) for row in base])
+    assert oracles.sympy_rank(dense_rows) == expected
+    assert rank_int_rows(rows) == expected
+    assert rank_int_rows(dense_rows) == expected
+    assert rank([[F(v, 3) for v in row] for row in dense_rows]) == expected
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    st.lists(st.lists(fractions, min_size=4, max_size=4), min_size=1, max_size=5),
+    st.lists(st.tuples(nonzero_fractions, nonzero_fractions), min_size=1, max_size=4),
+)
+def test_rational_rank_finds_fractional_combinations(base, weights):
+    rows = list(base)
+    for i, (p, q) in enumerate(weights):
+        a, b = base[i % len(base)], base[(i + 1) % len(base)]
+        rows.append([p * x + q * y for x, y in zip(a, b)])
+    assert rank(rows) == oracles.sympy_rank(base) == oracles.sympy_rank(rows)
+    assert rank(Matrix(rows)) == rank(rows)
