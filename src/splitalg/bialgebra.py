@@ -148,12 +148,13 @@ def convolution_structure(b: EpsilonBialgebra) -> ConvolutionStructure:
     dim = n * n
     # (T * S)(e_i) = sum c * T(e_j) S(e_k); on matrix units T = E[a,j],
     # S = E[a2,k] this is c * e_a e_a2 as a column of E[.,i].
+    products = b.algebra.mult.nonzeros()
     conv = Tensor3.from_sparse(
         dim,
         (
             (a * n + j, a2 * n + k, m * n + i, c * cm)
             for i, j, k, c in b.delta.items()
-            for a, a2, m, cm in b.algebra.mult.nonzeros()
+            for a, a2, m, cm in products
         ),
     )
     id_vec = end.unit

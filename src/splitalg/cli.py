@@ -46,7 +46,11 @@ from .graphalg import (
     splitting_coproduct,
     weighted_coproduct,
 )
-from .operad import builtin_presentations, degree3_dimension
+from .operad import (
+    PRESET_NAMES,
+    builtin_presentation,
+    degree3_dimension,
+)
 from .relations import (
     FOUR_OP_SYSTEM,
     NINE_OP_SYSTEM,
@@ -279,11 +283,10 @@ def cmd_construct_end_ennea(args: argparse.Namespace) -> int:
 
 def cmd_operad_dim3(args: argparse.Namespace) -> int:
     if args.preset:
-        presets = builtin_presentations()
-        if args.preset not in presets:
-            known = ", ".join(sorted(presets))
+        if args.preset not in PRESET_NAMES:
+            known = ", ".join(sorted(PRESET_NAMES))
             raise ValueError(f"unknown preset {args.preset!r}; known: {known}")
-        system = presets[args.preset]
+        system = builtin_presentation(args.preset)
     else:
         system = jsonio.system_from_json(jsonio.load(args.file))
     count = degree3_dimension(system, args.t)
@@ -415,11 +418,10 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
-    presets = builtin_presentations()
     rows = []
     all_ok = True
     for name, expected in EXPECTED_DIM3.items():
-        count = degree3_dimension(presets[name], Fraction(1))
+        count = degree3_dimension(builtin_presentation(name), Fraction(1))
         ok = count.dim3 == expected
         all_ok = all_ok and ok
         rows.append((name, expected, count.dim3, ok))

@@ -1,7 +1,8 @@
 """Exact rational linear algebra: vectors, matrices, structure-constant tensors.
 
-Everything is built on ``fractions.Fraction`` so all checks in this package
-are exact — a failed identity is a real counterexample, never roundoff.
+Every value in this package is an exact rational, so all checks are exact —
+a failed identity is a real counterexample, never roundoff.  Vectors and
+matrices hold ``fractions.Fraction``; tensors hold integers.
 
 The two workhorses are:
 
@@ -13,18 +14,22 @@ The two workhorses are:
   calls it;
 * :class:`Tensor3` — structure constants of a bilinear operation
   (``z = op(x, y)`` has coefficients ``z_k = sum x_i y_j c[i][j][k]``),
-  stored only as its sorted nonzero entries ``(i, j, k, c)``; a dense
-  ``entries[i][j][k]`` view is built on demand for inspection.
+  stored as its sorted nonzero entries ``(i, j, k, n)`` with integer
+  numerators over one shared denominator, in lowest terms.  Fractions
+  appear only in its views (:meth:`Tensor3.nonzeros`, a dense
+  ``entries[i][j][k]`` and the like), built on demand for witnesses, JSON
+  output and tests.
 
-On top of the tensor sit :func:`twist`, the operation
-``(x, y) -> P(op(M x, N y))`` from which every Baxter-operator construction
-and both sides of every operator identity are combined, and
-:func:`nested_residual`, the kernel of every quadratic-identity check.  It
-reads each tensor through a cached :class:`IntegerView` (integer numerators
-over one shared denominator), clears the remaining denominators once per
-identity, and sums integer products only, so a check stays exact without
-Fraction arithmetic in its inner loop; :func:`nested_value` rebuilds the
-exact rational values of an identity side at a witness triple.
+Every operation on tensors works on the numerators: :func:`combine` clears
+each term's scale to an integer weight over one common denominator,
+:meth:`Tensor3.scale` and :meth:`Tensor3.swap_args` rewrite the numerators,
+and :func:`twist`, the operation ``(x, y) -> P(op(M x, N y))`` from which
+every Baxter-operator construction and both sides of every operator
+identity are combined, clears each operator's denominators once.
+:func:`nested_residual`, the kernel of every quadratic-identity check,
+clears the remaining denominators once per identity and sums integer
+products only; :func:`nested_value` rebuilds the exact rational values of
+an identity side at a witness triple.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Container, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -293,49 +298,43 @@ class LinearOperator:
 # ---------------------------------------------------------------------------
 
 Entry = tuple[int, int, int, Fraction]
-
-
-class IntegerView(NamedTuple):
-    """A tensor's nonzeros as integer numerators over one shared denominator.
-
-    Entry ``(i, j, k, c)`` of the view stands for the rational ``c / denom``;
-    ``by_first``/``by_second`` group the entries like the tensor's own
-    :meth:`Tensor3.by_first`/:meth:`Tensor3.by_second`.
-    """
-
-    denom: int
-    nonzeros: tuple[tuple[int, int, int, int], ...]
-    by_first: dict[int, list[tuple[int, int, int]]]
-    by_second: dict[int, list[tuple[int, int, int]]]
+IntEntry = tuple[int, int, int, int]
 
 
 class Tensor3:
     """Structure constants of one bilinear operation on an n-dim space.
 
-    Storage is sparse: the sorted tuple of nonzero entries ``(i, j, k, c)``,
-    each saying that op(e_i, e_j) has coefficient c on e_k.  Build instances
-    with :meth:`from_sparse` (or :func:`combine` / :func:`twist`); they are
-    immutable, and the index groupings used by the nested-composition
-    helpers, with their integer form :meth:`integer_view`, are cached
-    lazily.  :attr:`entries` is a dense ``entries[i][j][k]`` view, built on
-    each access and never stored.
+    Storage is integers over one shared denominator: ``denom`` D > 0 and the
+    sorted tuple ``numerators`` of nonzero entries ``(i, j, k, n)``, each
+    saying that op(e_i, e_j) has coefficient n / D on e_k.  The form is kept
+    in lowest terms (D is the lcm of the entries' reduced denominators, 1 for
+    the zero tensor), so equal tensors have equal storage and equal hashes.
+    Build instances with :meth:`from_sparse` or :meth:`from_numerators` (or
+    :func:`combine` / :func:`twist`); they are immutable, and the integer
+    index groupings read by the nested-composition kernels are cached
+    lazily.
+
+    :meth:`nonzeros`, :meth:`by_first`, :meth:`by_second`, :meth:`row` and
+    :attr:`entries` are Fraction views for witnesses, JSON output and tests;
+    each is rebuilt on every call and never stored.
     """
 
-    __slots__ = ("dim", "_nonzeros", "_by_first", "_by_second", "_integer")
+    __slots__ = ("dim", "denom", "numerators", "_by_first", "_by_second")
 
-    def __init__(self, dim: int, nonzeros: tuple[Entry, ...]):
-        """Wrap entries that are already sorted, in range and nonzero."""
+    def __init__(self, dim: int, denom: int, numerators: tuple[IntEntry, ...]):
+        """Wrap numerators that are already sorted, in range, nonzero and in
+        lowest terms with ``denom``."""
         self.dim = dim
-        self._nonzeros = nonzeros
-        self._by_first: dict[int, list[tuple[int, int, Fraction]]] | None = None
-        self._by_second: dict[int, list[tuple[int, int, Fraction]]] | None = None
-        self._integer: IntegerView | None = None
+        self.denom = denom
+        self.numerators = numerators
+        self._by_first: dict[int, list[tuple[int, int, int]]] | None = None
+        self._by_second: dict[int, list[tuple[int, int, int]]] | None = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(dim: int) -> "Tensor3":
-        return Tensor3.from_sparse(dim, ())
+        return Tensor3(dim, 1, ())
 
     @staticmethod
     def from_sparse(
@@ -344,68 +343,98 @@ class Tensor3:
         """Sum the given entries; repeated indices accumulate.
 
         Every index must be an int in ``[0, dim)``; anything else raises
-        ValueError, so malformed envelope data never wraps around.
+        ValueError, so malformed envelope data never wraps around.  The sum
+        runs in integers over the lcm of the denominators seen so far.
         """
-        acc: dict[tuple[int, int, int], Fraction] = {}
+        acc: dict[tuple[int, int, int], int] = {}
+        denom = 1
         for i, j, k, c in items:
             check_indices("tensor", dim, i, j, k)
+            if type(c) is int:
+                num, den = c, 1
+            else:
+                q = rat(c)
+                num, den = q.numerator, q.denominator
+                if denom % den:
+                    grow = den // math.gcd(denom, den)
+                    denom *= grow
+                    for key in acc:
+                        acc[key] *= grow
             key = (i, j, k)
-            acc[key] = acc.get(key, ZERO) + rat(c)
-        return _from_accumulated(dim, acc)
+            acc[key] = acc.get(key, 0) + num * (denom // den)
+        return _from_accumulated(dim, denom, acc)
 
-    # -- views ----------------------------------------------------------------
+    @staticmethod
+    def from_numerators(dim: int, denom: int, items: Iterable[IntEntry]) -> "Tensor3":
+        """Sum integer entries ``(i, j, k, n)``, each standing for n / denom
+        (denom > 0); repeated indices accumulate.  The indices must already be
+        ints in ``[0, dim)``: outside data goes through :meth:`from_sparse`."""
+        acc: dict[tuple[int, int, int], int] = {}
+        get = acc.get
+        for i, j, k, n in items:
+            key = (i, j, k)
+            acc[key] = get(key, 0) + n
+        return _from_accumulated(dim, denom, acc)
+
+    # -- Fraction views -------------------------------------------------------
 
     def nonzeros(self) -> tuple[Entry, ...]:
-        """The stored entries, sorted by (i, j, k)."""
-        return self._nonzeros
+        """The entries as exact rationals, sorted by (i, j, k)."""
+        d = self.denom
+        return tuple((i, j, k, Fraction(n, d)) for i, j, k, n in self.numerators)
 
     @property
     def entries(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """Dense view: ``entries[i][j][k]`` is the e_k coefficient of op(e_i, e_j)."""
-        n = self.dim
-        return tuple(tuple(self.row(i, j) for j in range(n)) for i in range(n))
+        n, d = self.dim, self.denom
+        grid = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k, c in self.numerators:
+            grid[i][j][k] = Fraction(c, d)
+        return tuple(tuple(tuple(row) for row in plane) for plane in grid)
 
     def row(self, i: int, j: int) -> tuple[Fraction, ...]:
         """Dense coefficient vector of op(e_i, e_j)."""
         out = [ZERO] * self.dim
-        for j2, k, c in self.by_first().get(i, ()):
+        for j2, k, c in self.numerators_by_first().get(i, ()):
             if j2 == j:
-                out[k] = c
+                out[k] = Fraction(c, self.denom)
         return tuple(out)
 
     def by_first(self) -> dict[int, list[tuple[int, int, Fraction]]]:
         """a -> [(j, k, c)] with op(e_a, e_j) having coefficient c on e_k."""
-        if self._by_first is None:
-            groups: dict[int, list[tuple[int, int, Fraction]]] = {}
-            for i, j, k, c in self._nonzeros:
-                groups.setdefault(i, []).append((j, k, c))
-            self._by_first = groups
-        return self._by_first
+        d = self.denom
+        return {
+            a: [(j, k, Fraction(c, d)) for j, k, c in group]
+            for a, group in self.numerators_by_first().items()
+        }
 
     def by_second(self) -> dict[int, list[tuple[int, int, Fraction]]]:
         """a -> [(i, k, c)] with op(e_i, e_a) having coefficient c on e_k."""
+        d = self.denom
+        return {
+            a: [(i, k, Fraction(c, d)) for i, k, c in group]
+            for a, group in self.numerators_by_second().items()
+        }
+
+    # -- integer groupings (cached) ------------------------------------------
+
+    def numerators_by_first(self) -> dict[int, list[tuple[int, int, int]]]:
+        """a -> [(j, k, n)]: op(e_a, e_j) has coefficient n / denom on e_k."""
+        if self._by_first is None:
+            groups: dict[int, list[tuple[int, int, int]]] = {}
+            for i, j, k, n in self.numerators:
+                groups.setdefault(i, []).append((j, k, n))
+            self._by_first = groups
+        return self._by_first
+
+    def numerators_by_second(self) -> dict[int, list[tuple[int, int, int]]]:
+        """a -> [(i, k, n)]: op(e_i, e_a) has coefficient n / denom on e_k."""
         if self._by_second is None:
-            groups: dict[int, list[tuple[int, int, Fraction]]] = {}
-            for i, j, k, c in self._nonzeros:
-                groups.setdefault(j, []).append((i, k, c))
+            groups: dict[int, list[tuple[int, int, int]]] = {}
+            for i, j, k, n in self.numerators:
+                groups.setdefault(j, []).append((i, k, n))
             self._by_second = groups
         return self._by_second
-
-    def integer_view(self) -> IntegerView:
-        """The entries as integer numerators over one shared denominator."""
-        if self._integer is None:
-            denom = math.lcm(*(c.denominator for *_, c in self._nonzeros))
-            nonzeros = tuple(
-                (i, j, k, c.numerator * (denom // c.denominator))
-                for i, j, k, c in self._nonzeros
-            )
-            by_first: dict[int, list[tuple[int, int, int]]] = {}
-            by_second: dict[int, list[tuple[int, int, int]]] = {}
-            for i, j, k, c in nonzeros:
-                by_first.setdefault(i, []).append((j, k, c))
-                by_second.setdefault(j, []).append((i, k, c))
-            self._integer = IntegerView(denom, nonzeros, by_first, by_second)
-        return self._integer
 
     # -- algebra -------------------------------------------------------------
 
@@ -416,7 +445,7 @@ class Tensor3:
         if not len(x) == len(y) == self.dim:
             raise ValueError("dimension mismatch")
         out = [ZERO] * self.dim
-        by_first = self.by_first()
+        by_first = self.numerators_by_first()
         for i, xi in enumerate(x):
             if xi == 0 or i not in by_first:
                 continue
@@ -424,7 +453,7 @@ class Tensor3:
                 yj = y[j]
                 if yj != 0:
                     out[k] += xi * yj * c
-        return tuple(out)
+        return tuple(v / self.denom for v in out)
 
     def add(self, other: "Tensor3") -> "Tensor3":
         return combine(self.dim, [(ONE, self), (ONE, other)])
@@ -435,30 +464,38 @@ class Tensor3:
     def scale(self, c: Scalar) -> "Tensor3":
         c = rat(c)
         if c == 0:
-            return Tensor3(self.dim, ())
-        return Tensor3(self.dim, tuple((i, j, k, c * v) for i, j, k, v in self._nonzeros))
+            return Tensor3.zero(self.dim)
+        p = c.numerator
+        return _lowest_terms(
+            self.dim,
+            self.denom * c.denominator,
+            [(i, j, k, p * n) for i, j, k, n in self.numerators],
+        )
 
     def swap_args(self) -> "Tensor3":
         """The opposite operation: op'(x, y) = op(y, x)."""
         return Tensor3(
-            self.dim, tuple(sorted((j, i, k, c) for i, j, k, c in self._nonzeros))
+            self.dim,
+            self.denom,
+            tuple(sorted((j, i, k, n) for i, j, k, n in self.numerators)),
         )
 
     def is_zero(self) -> bool:
-        return not self._nonzeros
+        return not self.numerators
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Tensor3)
             and self.dim == other.dim
-            and self._nonzeros == other._nonzeros
+            and self.denom == other.denom
+            and self.numerators == other.numerators
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self._nonzeros))
+        return hash((self.dim, self.denom, self.numerators))
 
     def __repr__(self) -> str:
-        return f"Tensor3(dim={self.dim}, nonzeros={len(self._nonzeros)})"
+        return f"Tensor3(dim={self.dim}, nonzeros={len(self.numerators)})"
 
 
 def check_indices(what: str, dim: int, *indices: object) -> None:
@@ -468,37 +505,68 @@ def check_indices(what: str, dim: int, *indices: object) -> None:
             raise ValueError(f"{what} index {index!r} out of range for dimension {dim}")
 
 
-def _from_accumulated(dim: int, acc: dict[tuple[int, int, int], Fraction]) -> Tensor3:
-    return Tensor3(
-        dim, tuple((i, j, k, c) for (i, j, k), c in sorted(acc.items()) if c != 0)
+def _lowest_terms(dim: int, denom: int, entries: list[IntEntry]) -> Tensor3:
+    """Tensor from sorted nonzero numerators over ``denom`` > 0, with the
+    common factor of the denominator and every numerator divided out."""
+    g = denom
+    for *_, n in entries:
+        if g == 1:
+            break
+        g = math.gcd(g, n)
+    if g != 1:
+        entries = [(i, j, k, n // g) for i, j, k, n in entries]
+    return Tensor3(dim, denom // g, tuple(entries))
+
+
+def _from_accumulated(
+    dim: int, denom: int, acc: dict[tuple[int, int, int], int]
+) -> Tensor3:
+    return _lowest_terms(
+        dim, denom, [(i, j, k, n) for (i, j, k), n in sorted(acc.items()) if n]
     )
 
 
 def combine(dim: int, terms: Iterable[tuple[Scalar, Tensor3]]) -> Tensor3:
-    """Exact linear combination of structure tensors."""
-    acc: dict[tuple[int, int, int], Fraction] = {}
+    """Exact linear combination of structure tensors.
+
+    Each term's scale coeff / D is cleared to an integer weight over the lcm
+    of those scales' denominators, so the sum runs over integer numerators.
+    """
+    weighted = []
     for coeff, tensor in terms:
         coeff = rat(coeff)
         if coeff == 0:
             continue
         if tensor.dim != dim:
             raise ValueError("dimension mismatch in combination")
-        for i, j, k, c in tensor.nonzeros():
+        weighted.append((coeff / tensor.denom, tensor.numerators))
+    common = math.lcm(*(scale.denominator for scale, _ in weighted))
+    acc: dict[tuple[int, int, int], int] = {}
+    get = acc.get
+    for scale, numerators in weighted:
+        w = scale.numerator * (common // scale.denominator)
+        for i, j, k, n in numerators:
             key = (i, j, k)
-            acc[key] = acc.get(key, ZERO) + coeff * c
-    return _from_accumulated(dim, acc)
+            acc[key] = get(key, 0) + w * n
+    return _from_accumulated(dim, common, acc)
 
 
-def _sparse_lines(
+def _integer_lines(
     op: LinearOperator | None, dim: int, columns: bool
-) -> list[list[tuple[int, Fraction]]]:
-    """Nonzeros of each matrix row (or column) of op; None is the identity."""
+) -> tuple[int, list[list[tuple[int, int]]]]:
+    """Nonzeros of each matrix row (or column) of op as integers over one
+    common denominator, returned with it; None is the identity."""
     if op is None:
-        return [[(a, ONE)] for a in range(dim)]
+        return 1, [[(a, 1)] for a in range(dim)]
     if op.dim != dim:
         raise ValueError("operator/tensor dimension mismatch")
     lines = zip(*op.matrix.entries) if columns else op.matrix.entries
-    return [[(i, c) for i, c in enumerate(line) if c != 0] for line in lines]
+    sparse = [[(i, c) for i, c in enumerate(line) if c] for line in lines]
+    denom = math.lcm(*(c.denominator for line in sparse for _, c in line))
+    return denom, [
+        [(i, c.numerator * (denom // c.denominator)) for i, c in line]
+        for line in sparse
+    ]
 
 
 def twist(
@@ -516,18 +584,19 @@ def twist(
     n = op.dim
     # rows of left/right: which basis vectors feed e_a; columns of post:
     # where e_k goes
-    from_left = _sparse_lines(left, n, columns=False)
-    from_right = _sparse_lines(right, n, columns=False)
-    images = _sparse_lines(post, n, columns=True)
-    acc: dict[tuple[int, int, int], Fraction] = {}
-    for a, b, k, c in op.nonzeros():
+    d_left, from_left = _integer_lines(left, n, columns=False)
+    d_right, from_right = _integer_lines(right, n, columns=False)
+    d_post, images = _integer_lines(post, n, columns=True)
+    acc: dict[tuple[int, int, int], int] = {}
+    get = acc.get
+    for a, b, k, c in op.numerators:
         for i, ci in from_left[a]:
             for j, cj in from_right[b]:
                 cij = c * ci * cj
                 for m, cm in images[k]:
                     key = (i, j, m)
-                    acc[key] = acc.get(key, ZERO) + cij * cm
-    return _from_accumulated(n, acc)
+                    acc[key] = get(key, 0) + cij * cm
+    return _from_accumulated(n, op.denom * d_left * d_right * d_post, acc)
 
 
 def first_row_difference(
@@ -537,9 +606,16 @@ def first_row_difference(
     with the dense values op(e_i, e_j) of both sides."""
     if lhs.dim != rhs.dim:
         raise ValueError("dimension mismatch in comparison")
-    left, right = lhs.nonzeros(), rhs.nonzeros()
-    if left == right:
+    if lhs == rhs:
         return None
+    # both sides over one denominator, so equal entries have equal numerators
+    common = math.lcm(lhs.denom, rhs.denom)
+    left, right = (
+        t.numerators
+        if t.denom == common
+        else tuple((i, j, k, n * (common // t.denom)) for i, j, k, n in t.numerators)
+        for t in (lhs, rhs)
+    )
     # entries are sorted by (i, j, k): the first position where the two
     # lists disagree lies in the first row that differs
     p = next(
@@ -558,8 +634,9 @@ def first_row_difference(
 # against sums of right-nested terms  outer(x, inner(y, z)).  The residual
 # kernel clears all denominators once per identity and sums integer products
 # of sparse entries, so no Fraction is touched in the inner loop; the exact
-# values of both sides are rebuilt only at a witness triple.  The
-# Fraction-valued composition maps below serve the remaining checkers.
+# values of both sides are rebuilt only at a witness triple.  The composition
+# maps below, which the deformation series check reads, also sum integer
+# products and turn each sum into a Fraction once.
 
 NestedTerm = tuple[Fraction, Tensor3, Tensor3]  # (coeff, inner, outer)
 
@@ -583,9 +660,8 @@ def nested_residual(
             if coeff == 0:
                 continue
             dims.update((inner.dim, outer.dim))
-            vi, vo = inner.integer_view(), outer.integer_view()
-            scale = sign * Fraction(coeff) / (vi.denom * vo.denom)
-            weighted.append((scale, left_nested, vi, vo))
+            scale = sign * Fraction(coeff) / (inner.denom * outer.denom)
+            weighted.append((scale, left_nested, inner, outer))
     if len(dims) > 1:
         raise ValueError("dimension mismatch in nested composition")
     n = dims.pop() if dims else 0
@@ -594,12 +670,12 @@ def nested_residual(
     # keys are packed as ((x*n + y)*n + z)*n + m while summing
     acc: dict[int, int] = {}
     get = acc.get
-    for scale, left_nested, vi, vo in weighted:
+    for scale, left_nested, inner, outer in weighted:
         w = scale.numerator * (common // scale.denominator)
         if left_nested:
             # (i, j) -> a under inner, then (a, k) -> m under outer
-            rows = vo.by_first
-            for i, j, a, c in vi.nonzeros:
+            rows = outer.numerators_by_first()
+            for i, j, a, c in inner.numerators:
                 row = rows.get(a)
                 if row:
                     wc, base = w * c, (i * n + j) * n2
@@ -608,8 +684,8 @@ def nested_residual(
                         acc[key] = get(key, 0) + wc * c2
         else:
             # (j, k) -> a under inner, then (i, a) -> m under outer
-            cols = vo.by_second
-            for j, k, a, c in vi.nonzeros:
+            cols = outer.numerators_by_second()
+            for j, k, a, c in inner.numerators:
                 col = cols.get(a)
                 if col:
                     wc, base = w * c, (j * n + k) * n
@@ -633,18 +709,22 @@ def nested_value(
     for coeff, inner, outer in terms:
         if coeff == 0:
             continue
+        scale = Fraction(coeff) / (inner.denom * outer.denom)
+        mid_rows = inner.numerators_by_first()
         if left_nested:
-            mids = [(a, c) for j, a, c in inner.by_first().get(x, ()) if j == y]
+            mids = [(a, c) for j, a, c in mid_rows.get(x, ()) if j == y]
+            rows = outer.numerators_by_first()
             for a, c in mids:
-                for k, m, c2 in outer.by_first().get(a, ()):
+                for k, m, c2 in rows.get(a, ()):
                     if k == z:
-                        out[m] = out.get(m, ZERO) + coeff * c * c2
+                        out[m] = out.get(m, ZERO) + scale * (c * c2)
         else:
-            mids = [(a, c) for k, a, c in inner.by_first().get(y, ()) if k == z]
+            mids = [(a, c) for k, a, c in mid_rows.get(y, ()) if k == z]
+            cols = outer.numerators_by_second()
             for a, c in mids:
-                for i, m, c2 in outer.by_second().get(a, ()):
+                for i, m, c2 in cols.get(a, ()):
                     if i == x:
-                        out[m] = out.get(m, ZERO) + coeff * c * c2
+                        out[m] = out.get(m, ZERO) + scale * (c * c2)
     return {m: c for m, c in out.items() if c != 0}
 
 
@@ -671,30 +751,40 @@ CompositionMap = dict[tuple[int, int, int], dict[int, Fraction]]
 
 def compose_left(inner: Tensor3, outer: Tensor3) -> CompositionMap:
     """Coefficients of outer(inner(x, y), z) on basis triples (x, y, z)."""
-    result: CompositionMap = {}
-    outer_rows = outer.by_first()
-    for i, j, a, c in inner.nonzeros():
+    sums: dict[tuple[int, int, int], dict[int, int]] = {}
+    outer_rows = outer.numerators_by_first()
+    for i, j, a, c in inner.numerators:
         rows = outer_rows.get(a)
         if not rows:
             continue
         for k, m, c2 in rows:
-            bucket = result.setdefault((i, j, k), {})
-            bucket[m] = bucket.get(m, ZERO) + c * c2
-    return result
+            bucket = sums.setdefault((i, j, k), {})
+            bucket[m] = bucket.get(m, 0) + c * c2
+    return _rational_buckets(sums, inner.denom * outer.denom)
 
 
 def compose_right(inner: Tensor3, outer: Tensor3) -> CompositionMap:
     """Coefficients of outer(x, inner(y, z)) on basis triples (x, y, z)."""
-    result: CompositionMap = {}
-    outer_cols = outer.by_second()
-    for j, k, a, c in inner.nonzeros():
+    sums: dict[tuple[int, int, int], dict[int, int]] = {}
+    outer_cols = outer.numerators_by_second()
+    for j, k, a, c in inner.numerators:
         cols = outer_cols.get(a)
         if not cols:
             continue
         for i, m, c2 in cols:
-            bucket = result.setdefault((i, j, k), {})
-            bucket[m] = bucket.get(m, ZERO) + c * c2
-    return result
+            bucket = sums.setdefault((i, j, k), {})
+            bucket[m] = bucket.get(m, 0) + c * c2
+    return _rational_buckets(sums, inner.denom * outer.denom)
+
+
+def _rational_buckets(
+    sums: dict[tuple[int, int, int], dict[int, int]], denom: int
+) -> CompositionMap:
+    """Integer sums over ``denom`` turned into Fractions in place."""
+    for bucket in sums.values():
+        for m, v in bucket.items():
+            bucket[m] = Fraction(v, denom)
+    return sums
 
 
 def accumulate(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Container, Iterable, Mapping
+from typing import Any, Container, Iterable, Iterator, Mapping
 
 from .algebra_core import CoalgebraData, FiniteAlgebra
 from .exactlin import LinearOperator, Scalar, Tensor3, rat
@@ -69,9 +69,30 @@ def tensor_to_json(tensor: Tensor3) -> list[list[Any]]:
 
 
 def tensor_from_json(dim: int, items: Any) -> Tensor3:
-    return Tensor3.from_sparse(
-        dim, ((i, j, k, scalar_from_json(c)) for i, j, k, c in items)
-    )
+    """A tensor from a list of ``[i, j, k, coeff]`` entries; repeated entries
+    add up, and :meth:`Tensor3.from_sparse` checks every index."""
+    if not isinstance(items, list):
+        raise ValueError(f"tensor entries must be a list, got {type(items).__name__}")
+    return Tensor3.from_sparse(dim, _tensor_items(items))
+
+
+def _tensor_items(items: list[Any]) -> Iterator[tuple[Any, Any, Any, int | Fraction]]:
+    for item in items:
+        if not isinstance(item, list) or len(item) != 4:
+            raise ValueError(f"a tensor entry must be an [i, j, k, coeff] list, got {item!r}")
+        i, j, k, c = item
+        yield i, j, k, _coefficient_from_json(c)
+
+
+def _coefficient_from_json(text: Any) -> int | Fraction:
+    """A tensor coefficient.  A plain integer string ("-12") is read as an int
+    without building a Fraction; anything else goes through
+    :func:`scalar_from_json`, so both accept and reject the same values."""
+    if type(text) is str:
+        digits = text[1:] if text[:1] == "-" else text
+        if digits.isdigit() and digits.isascii():
+            return int(text)
+    return scalar_from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +104,12 @@ def _expect_kind(data: Mapping[str, Any], kind: str) -> None:
     found = data.get("kind")
     if found != kind:
         raise ValueError(f"expected a {kind!r} envelope, found kind={found!r}")
+
+
+def _field(data: Mapping[str, Any], name: str) -> Any:
+    if name not in data:
+        raise ValueError(f"{data['kind']} envelope has no {name!r} field")
+    return data[name]
 
 
 def _dim_from_json(data: Mapping[str, Any]) -> int:
@@ -195,23 +222,50 @@ def operations_to_json(
 def operations_from_json(
     data: Mapping[str, Any],
 ) -> tuple[str, Fraction, dict[str, Tensor3]]:
+    """An operations envelope, validated in one place: ``family`` names a
+    known family, ``t`` is an exact scalar, ``dim`` an int >= 1, and ``ops``
+    an object holding one list of ``[i, j, k, coeff]`` entries for each
+    generator of the family and nothing else.  Every violation raises one
+    ValueError naming the field."""
     _expect_kind(data, "operations")
+    family = _field(data, "family")
+    if not isinstance(family, str):
+        raise ValueError(f"operations field 'family' must be a string, got {family!r}")
+    generators = system_for_family(family).generators
+    try:
+        t = scalar_from_json(_field(data, "t"))
+    except ValueError as exc:
+        raise ValueError(f"operations field 't': {exc}") from None
     dim = _dim_from_json(data)
-    ops = {
-        name: tensor_from_json(dim, items) for name, items in data["ops"].items()
-    }
-    return data["family"], scalar_from_json(data["t"]), ops
+    named = _field(data, "ops")
+    if not isinstance(named, dict):
+        raise ValueError(
+            f"operations field 'ops' must be an object of named tensors, got {type(named).__name__}"
+        )
+    missing = [name for name in generators if name not in named]
+    unknown = sorted(set(named) - set(generators))
+    if missing or unknown:
+        raise ValueError(
+            f"operations field 'ops' must hold the generators of {family!r}: "
+            f"missing {missing}, unknown {unknown}"
+        )
+    ops = {}
+    for name, items in named.items():
+        try:
+            ops[name] = tensor_from_json(dim, items)
+        except ValueError as exc:
+            raise ValueError(f"operations field 'ops' entry {name!r}: {exc}") from None
+    return family, t, ops
 
 
 def system_for_family(family: str) -> AxiomSystem:
     """Identity table for a family name used in an operations envelope."""
-    from .operad import builtin_presentations
+    from .operad import PRESET_NAMES, builtin_presentation
 
-    presets = builtin_presentations()
-    if family not in presets:
-        known = ", ".join(sorted(presets))
+    if family not in PRESET_NAMES:
+        known = ", ".join(sorted(PRESET_NAMES))
         raise ValueError(f"unknown family {family!r}; known: {known}")
-    return presets[family]
+    return builtin_presentation(family)
 
 
 def _terms_to_json(terms: Iterable[Term]) -> list[list[Any]]:

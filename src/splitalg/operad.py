@@ -27,7 +27,14 @@ import dataclasses
 from fractions import Fraction
 
 from .exactlin import ZERO, Matrix, Scalar, integer_row, rank_int_rows, rat
-from .relations import AxiomSystem, expand_relation
+from .relations import (
+    FOUR_OP_SYSTEM,
+    NINE_OP_SYSTEM,
+    THREE_OP_SYSTEM,
+    TWO_OP_SYSTEM,
+    AxiomSystem,
+    expand_relation,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,31 +105,35 @@ def degree3_dimension(system: AxiomSystem, t: Scalar = 0) -> Degree3Count:
     )
 
 
+# name -> (base system, generators kept nonzero at h = 0 by its one-parameter
+# formal deformation, or None for the base system itself)
+_PRESETS: dict[str, tuple[AxiomSystem, tuple[str, ...] | None]] = {
+    "two_op": (TWO_OP_SYSTEM, None),
+    "three_op": (THREE_OP_SYSTEM, None),
+    "four_op": (FOUR_OP_SYSTEM, None),
+    "nine_op": (NINE_OP_SYSTEM, None),
+    "deformed_two_three": (THREE_OP_SYSTEM, ("prec", "succ")),
+    "deformed_two_two": (TWO_OP_SYSTEM, ("prec", "succ")),
+    "deformed_three_three": (THREE_OP_SYSTEM, ("prec", "succ", "circ")),
+    "deformed_four_four": (FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators),
+    "deformed_nine_nine": (NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
+def builtin_presentation(name: str) -> AxiomSystem:
+    """One named presentation, building only that one; a name outside
+    :data:`PRESET_NAMES` raises KeyError."""
+    base, nonzero_base = _PRESETS[name]
+    if nonzero_base is None:
+        return base
+    from .deformation import cross_term_system
+
+    return cross_term_system(base, nonzero_base=nonzero_base).system
+
+
 def builtin_presentations() -> dict[str, AxiomSystem]:
     """Named presentations: the four base splitting families and their
     one-parameter formal deformations (cross-term systems)."""
-    from .deformation import cross_term_system
-    from .relations import FOUR_OP_SYSTEM, NINE_OP_SYSTEM, THREE_OP_SYSTEM, TWO_OP_SYSTEM
-
-    presets: dict[str, AxiomSystem] = {
-        "two_op": TWO_OP_SYSTEM,
-        "three_op": THREE_OP_SYSTEM,
-        "four_op": FOUR_OP_SYSTEM,
-        "nine_op": NINE_OP_SYSTEM,
-    }
-    presets["deformed_two_three"] = cross_term_system(
-        THREE_OP_SYSTEM, nonzero_base=("prec", "succ")
-    ).system
-    presets["deformed_two_two"] = cross_term_system(
-        TWO_OP_SYSTEM, nonzero_base=("prec", "succ")
-    ).system
-    presets["deformed_three_three"] = cross_term_system(
-        THREE_OP_SYSTEM, nonzero_base=("prec", "succ", "circ")
-    ).system
-    presets["deformed_four_four"] = cross_term_system(
-        FOUR_OP_SYSTEM, nonzero_base=("nw", "ne", "sw", "se")
-    ).system
-    presets["deformed_nine_nine"] = cross_term_system(
-        NINE_OP_SYSTEM, nonzero_base=NINE_OP_SYSTEM.generators
-    ).system
-    return presets
+    return {name: builtin_presentation(name) for name in PRESET_NAMES}

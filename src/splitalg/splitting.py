@@ -274,10 +274,10 @@ def _kron(a: Tensor3, b: Tensor3) -> Tensor3:
     nb = b.dim
     items = [
         (i1 * nb + i2, j1 * nb + j2, k1 * nb + k2, c1 * c2)
-        for i1, j1, k1, c1 in a.nonzeros()
-        for i2, j2, k2, c2 in b.nonzeros()
+        for i1, j1, k1, c1 in a.numerators
+        for i2, j2, k2, c2 in b.numerators
     ]
-    return Tensor3.from_sparse(a.dim * nb, items)
+    return Tensor3.from_numerators(a.dim * nb, a.denom * b.denom, items)
 
 
 def tensor_ennea(a: TrialgebraStructure, b: TrialgebraStructure, t: Scalar) -> EnneaStructure:

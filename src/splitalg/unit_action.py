@@ -31,6 +31,7 @@ what lets the augmented free algebras carry bialgebra structures.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -133,16 +134,19 @@ def augment_tensor(tensor: Tensor3, scalars: UnitScalars) -> Tensor3:
     compatibility check never reads it because it skips those triples.
     """
     n = tensor.dim
-    items: list[tuple[int, int, int, Scalar]] = [
-        (i + 1, j + 1, k + 1, c) for i, j, k, c in tensor.nonzeros()
-    ]
-    if scalars.left != 0:
-        items.extend((0, j, j, scalars.left) for j in range(1, n + 1))
-    if scalars.right != 0:
-        items.extend((i, 0, i, scalars.right) for i in range(1, n + 1))
-    if scalars.defined and scalars.right != 0:
-        items.append((0, 0, 0, scalars.right))
-    return Tensor3.from_sparse(n + 1, items)
+    left, right = rat(scalars.left), rat(scalars.right)
+    denom = math.lcm(tensor.denom, left.denominator, right.denominator)
+    grow = denom // tensor.denom
+    items = [(i + 1, j + 1, k + 1, c * grow) for i, j, k, c in tensor.numerators]
+    if left != 0:
+        c = left.numerator * (denom // left.denominator)
+        items.extend((0, j, j, c) for j in range(1, n + 1))
+    if right != 0:
+        c = right.numerator * (denom // right.denominator)
+        items.extend((i, 0, i, c) for i in range(1, n + 1))
+        if scalars.defined:
+            items.append((0, 0, 0, c))
+    return Tensor3.from_numerators(n + 1, denom, items)
 
 
 def augmented_ops(
@@ -281,17 +285,17 @@ def coherence_ops(
     def pair(i: int, j: int) -> int:
         return p + q + i * q + j
 
-    total_a = combine(
+    total_items = combine(
         p, [(poly.eval(t), ops_a[gen]) for poly, gen in system.resolve(total_name)]
-    )
+    ).nonzeros()
 
     out: dict[str, Tensor3] = {}
     for gen in system.generators:
-        ta, tb = ops_a[gen], ops_b[gen]
+        a_items, b_items = ops_a[gen].nonzeros(), ops_b[gen].nonzeros()
         u, l = (rat(s) for s in rules[gen])
         items: list[tuple[int, int, int, Scalar]] = []
         # (x⊗1)(x'⊗1): both right factors are the unit, so op moves left.
-        items.extend((i, i2, k, c) for i, i2, k, c in ta.nonzeros())
+        items.extend((i, i2, k, c) for i, i2, k, c in a_items)
         # (x⊗1)(1⊗y') = (x *total* 1) ⊗ (1 op y') = l * x⊗y'
         if l != 0:
             items.extend(
@@ -301,7 +305,7 @@ def coherence_ops(
         if l != 0:
             items.extend(
                 (i, pair(i2, j2), pair(m, j2), l * c)
-                for i, i2, m, c in total_a.nonzeros()
+                for i, i2, m, c in total_items
                 for j2 in range(q)
             )
         # (1⊗y)(x'⊗1) = (1 total x') ⊗ (y op 1) = u * x'⊗y
@@ -310,31 +314,31 @@ def coherence_ops(
                 (p + j, i2, pair(i2, j), u) for j in range(q) for i2 in range(p)
             )
         # (1⊗y)(1⊗y') = (1 total 1) ⊗ (y op y') = 1 ⊗ (y op y')
-        items.extend((p + j, p + j2, p + k, c) for j, j2, k, c in tb.nonzeros())
+        items.extend((p + j, p + j2, p + k, c) for j, j2, k, c in b_items)
         # (1⊗y)(x'⊗y') = (1 total x') ⊗ (y op y') = x' ⊗ (y op y')
         items.extend(
             (p + j, pair(i2, j2), pair(i2, k), c)
-            for j, j2, k, c in tb.nonzeros()
+            for j, j2, k, c in b_items
             for i2 in range(p)
         )
         # (x⊗y)(x'⊗1) = (x total x') ⊗ (y op 1)
         if u != 0:
             items.extend(
                 (pair(i, j), i2, pair(m, j), u * c)
-                for i, i2, m, c in total_a.nonzeros()
+                for i, i2, m, c in total_items
                 for j in range(q)
             )
         # (x⊗y)(1⊗y') = (x total 1) ⊗ (y op y') = x ⊗ (y op y')
         items.extend(
             (pair(i, j), p + j2, pair(i, k), c)
-            for j, j2, k, c in tb.nonzeros()
+            for j, j2, k, c in b_items
             for i in range(p)
         )
         # (x⊗y)(x'⊗y') = (x total x') ⊗ (y op y')
         items.extend(
             (pair(i, j), pair(i2, j2), pair(m, k), c1 * c2)
-            for i, i2, m, c1 in total_a.nonzeros()
-            for j, j2, k, c2 in tb.nonzeros()
+            for i, i2, m, c1 in total_items
+            for j, j2, k, c2 in b_items
         )
         out[gen] = Tensor3.from_sparse(dim, items)
     return out

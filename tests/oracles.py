@@ -268,3 +268,100 @@ def random_tensor(rng: random.Random, dim: int, entries: int = 12) -> Tensor3:
             )
         )
     return Tensor3.from_sparse(dim, items)
+
+
+# -- dense Fraction oracles for the integer tensor ---------------------------
+# A grid is a dense n x n x n list of Fractions, grid[i][j][k] being the e_k
+# coefficient of op(e_i, e_j).  These build and transform grids entry by entry
+# from the raw items, never through Tensor3's own storage or operations.
+
+Grid = list[list[list[Fraction]]]
+
+
+def zero_grid(dim: int) -> Grid:
+    return [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+
+
+def grid_from_items(dim: int, items) -> Grid:
+    """Sum (i, j, k, c) items into a grid, one Fraction addition at a time."""
+    grid = zero_grid(dim)
+    for i, j, k, c in items:
+        grid[i][j][k] += Fraction(c)
+    return grid
+
+
+def frozen(grid: Grid) -> tuple:
+    """A grid in the nested-tuple shape of ``Tensor3.entries``."""
+    return tuple(tuple(tuple(row) for row in plane) for plane in grid)
+
+
+def dense_combine(dim: int, terms) -> Grid:
+    """sum coeff * grid over (coeff, grid) terms."""
+    out = zero_grid(dim)
+    for coeff, grid in terms:
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    out[i][j][k] += Fraction(coeff) * grid[i][j][k]
+    return out
+
+
+def dense_swap(grid: Grid) -> Grid:
+    n = len(grid)
+    return [[list(grid[j][i]) for j in range(n)] for i in range(n)]
+
+
+def dense_twist(grid: Grid, left=None, right=None, post=None) -> Grid:
+    """post(op(left e_i, right e_j)) for matrices given as row lists whose
+    columns are the images of basis vectors; None is the identity."""
+    n = len(grid)
+
+    def entry(matrix, row, col):
+        if matrix is None:
+            return Fraction(int(row == col))
+        return Fraction(matrix[row][col])
+
+    out = zero_grid(n)
+    for i in range(n):
+        for j in range(n):
+            for a in range(n):
+                la = entry(left, a, i)
+                if not la:
+                    continue
+                for b in range(n):
+                    rb = entry(right, b, j)
+                    if not rb:
+                        continue
+                    for k in range(n):
+                        c = grid[a][b][k]
+                        if c:
+                            for m in range(n):
+                                out[i][j][m] += la * rb * c * entry(post, m, k)
+    return out
+
+
+def dense_augment(grid: Grid, right: Fraction, left: Fraction) -> Grid:
+    """The grid on k*1 (+) A with the unit at index 0: x op 1 = right*x,
+    1 op x = left*x, and 1 op 1 = right when right == left, else zero."""
+    n = len(grid) + 1
+    out = zero_grid(n)
+    for i in range(1, n):
+        for j in range(1, n):
+            for k in range(1, n):
+                out[i][j][k] = grid[i - 1][j - 1][k - 1]
+        out[i][0][i] = Fraction(right)
+        out[0][i][i] = Fraction(left)
+    if right == left:
+        out[0][0][0] = Fraction(right)
+    return out
+
+
+def fraction_decoded_tensor(dim: int, items) -> Tensor3:
+    """An envelope's ``[i, j, k, coeff]`` entries decoded the way a
+    Fraction-summing decoder reads them: every coefficient parsed as a
+    Fraction and repeated indices added up in Fractions, before a tensor is
+    built from the sums."""
+    sums: dict[Triple, Fraction] = {}
+    for i, j, k, c in items:
+        sums[(i, j, k)] = sums.get((i, j, k), ZERO) + Fraction(c)
+    return Tensor3.from_sparse(dim, [(i, j, k, c) for (i, j, k), c in sums.items() if c])

@@ -350,3 +350,50 @@ def test_operad_dim3_reports_relation_nonzeros(capsys, preset, nonzeros):
     assert payload["nonzeros"] == nonzeros
     assert payload["monomials"] == 2 * payload["generators"] ** 2
     assert payload["rank"] == payload["relations"]
+
+
+def _nine_op_envelope_with(**changes):
+    data = _empty_nine_op_envelope(2)
+    data["ops"]["nw"] = [[0, 0, 0, "1"]]
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize(
+    "case,field",
+    [
+        ("ops_is_a_list", "'ops'"),
+        ("t_missing", "'t'"),
+        ("family_is_a_list", "'family'"),
+        ("three_item_entry", "'nw'"),
+    ],
+)
+@pytest.mark.parametrize("verb", ["ennea", "unit-action"])
+def test_malformed_operations_envelope_names_the_field(tmp_path, capsys, verb, case, field):
+    data = _nine_op_envelope_with()
+    if case == "ops_is_a_list":
+        data["ops"] = []
+    elif case == "t_missing":
+        del data["t"]
+    elif case == "family_is_a_list":
+        data["family"] = ["x"]
+    else:
+        data["ops"]["nw"] = [[0, 0, 0]]
+    path = tmp_path / "ops.json"
+    save(str(path), data)
+    assert main(["verify", verb, "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: operations ")
+    assert len(err.strip().splitlines()) == 1
+    assert field in err
+
+
+def test_operations_envelope_must_hold_the_family_generators(tmp_path, capsys):
+    data = _nine_op_envelope_with()
+    del data["ops"]["se"]
+    data["ops"]["bogus"] = []
+    path = tmp_path / "ops.json"
+    save(str(path), data)
+    assert main(["verify", "unit-action", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "missing ['se']" in err and "unknown ['bogus']" in err

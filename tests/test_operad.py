@@ -101,3 +101,26 @@ def test_degree3_dimension_builds_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(Matrix, "__init__", refuse)
     count = degree3_dimension(builtin_presentations()["nine_op"], F(1))
     assert (count.rank, count.dim3, count.nonzeros) == (49, 113, 162)
+
+
+def test_builtin_presentation_builds_only_the_named_system(monkeypatch):
+    import splitalg.deformation as deformation
+    from splitalg.jsonio import system_for_family
+    from splitalg.operad import PRESET_NAMES, builtin_presentation
+    from splitalg.relations import NINE_OP_SYSTEM
+
+    built = []
+    real = deformation.cross_term_system
+
+    def counting(base, nonzero_base):
+        built.append(base.name)
+        return real(base, nonzero_base=nonzero_base)
+
+    monkeypatch.setattr(deformation, "cross_term_system", counting)
+    assert builtin_presentation("nine_op") is NINE_OP_SYSTEM
+    assert system_for_family("nine_op") is NINE_OP_SYSTEM
+    assert built == []
+    assert system_for_family("deformed_two_three").name == "three_op_deformed"
+    assert built == ["three_op"]
+    assert list(builtin_presentations()) == list(PRESET_NAMES)
+    assert len(built) == 1 + 5
