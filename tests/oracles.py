@@ -8,6 +8,7 @@ or elimination code, so that agreement between the two paths is meaningful.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -365,3 +366,117 @@ def fraction_decoded_tensor(dim: int, items) -> Tensor3:
     for i, j, k, c in items:
         sums[(i, j, k)] = sums.get((i, j, k), ZERO) + Fraction(c)
     return Tensor3.from_sparse(dim, [(i, j, k, c) for (i, j, k), c in sums.items() if c])
+
+
+# -- coalgebra checks by direct summation ------------------------------------
+# A coproduct is read into a dense cube d[i][j][k], the coefficient of
+# e_j (x) e_k in the coproduct of e_i; an operator into its matrix rows
+# (column j holding the image of e_j).  Each oracle walks the basis vectors
+# e_i in order and, on each, the legs of the identity in lexicographic order,
+# and returns (passed, checks_run, witnesses) with every witness a
+# (context, args, lhs, rhs) tuple of scalars.
+
+CoalgebraOutcome = tuple[bool, int, list[tuple[str, tuple, Fraction, Fraction]]]
+
+
+def coproduct_cube(delta) -> Grid:
+    return grid_from_items(delta.dim, delta.items())
+
+
+def _operator_rows(op) -> list[list[Fraction]]:
+    return [list(row) for row in op.matrix.entries]
+
+
+def _first_leg(lhs, rhs, shape: int, n: int):
+    """The smallest leg (a tuple of ``shape`` indices) where two dense
+    functions of the leg differ, with both values, or None."""
+    for leg in itertools.product(range(n), repeat=shape):
+        left, right = lhs(*leg), rhs(*leg)
+        if left != right:
+            return leg, left, right
+    return None
+
+
+def _exchange_pair(p: Grid, q: Grid, i: int, n: int):
+    """(p (x) id) q == (id (x) q) p on the coproduct of e_i, first failure."""
+    return _first_leg(
+        lambda x, y, z: sum((q[i][j][z] * p[j][x][y] for j in range(n)), ZERO),
+        lambda x, y, z: sum((p[i][x][k] * q[k][y][z] for k in range(n)), ZERO),
+        3,
+        n,
+    )
+
+
+def coassociativity_oracle(delta) -> CoalgebraOutcome:
+    """Every basis vector is checked; one witness per failing one."""
+    d, n = coproduct_cube(delta), delta.dim
+    witnesses = []
+    for i in range(n):
+        found = _exchange_pair(d, d, i, n)
+        if found is not None:
+            leg, left, right = found
+            witnesses.append(("coassoc", (i,) + leg, left, right))
+    return not witnesses, n, witnesses
+
+
+def exchange_oracle(deltas) -> CoalgebraOutcome:
+    """Pairs (p, q) in order, basis vectors in order; stops at the first failure."""
+    cubes = [coproduct_cube(d) for d in deltas]
+    n = deltas[0].dim
+    checks = 0
+    for pi, p in enumerate(cubes):
+        for qi, q in enumerate(cubes):
+            for i in range(n):
+                checks += 1
+                found = _exchange_pair(p, q, i, n)
+                if found is not None:
+                    leg, left, right = found
+                    return False, checks, [(f"exchange[{pi},{qi}]", (i,) + leg, left, right)]
+    return True, checks, []
+
+
+def _first_vector_failure(context, n, lhs_at, rhs_at) -> CoalgebraOutcome:
+    """Basis vectors in order; the first with a differing leg (x, y) fails."""
+    for i in range(n):
+        found = _first_leg(lambda x, y: lhs_at(i, x, y), lambda x, y: rhs_at(i, x, y), 2, n)
+        if found is not None:
+            leg, left, right = found
+            return False, i + 1, [(context, (i,) + leg, left, right)]
+    return True, n, []
+
+
+def cobaxter_oracle(delta, op, t) -> CoalgebraOutcome:
+    """(P (x) P) delta = t delta P + (id (x) P) delta P + (P (x) id) delta P."""
+    d, n, p, t = coproduct_cube(delta), delta.dim, _operator_rows(op), Fraction(t)
+
+    def image_coproduct(i, x, y):  # coefficient of e_x (x) e_y in delta(P e_i)
+        return sum((p[a][i] * d[a][x][y] for a in range(n)), ZERO)
+
+    def lhs(i, x, y):
+        return sum(
+            (d[i][j][k] * p[x][j] * p[y][k] for j in range(n) for k in range(n)), ZERO
+        )
+
+    def rhs(i, x, y):
+        return (
+            t * image_coproduct(i, x, y)
+            + sum((image_coproduct(i, x, k) * p[y][k] for k in range(n)), ZERO)
+            + sum((image_coproduct(i, j, y) * p[x][j] for j in range(n)), ZERO)
+        )
+
+    return _first_vector_failure("cobaxter", n, lhs, rhs)
+
+
+def coderivation_oracle(delta, op) -> CoalgebraOutcome:
+    """delta(D x) = (D (x) id) delta(x) + (id (x) D) delta(x)."""
+    d, n, D = coproduct_cube(delta), delta.dim, _operator_rows(op)
+
+    def lhs(i, x, y):
+        return sum((D[a][i] * d[a][x][y] for a in range(n)), ZERO)
+
+    def rhs(i, x, y):
+        return sum((d[i][j][y] * D[x][j] for j in range(n)), ZERO) + sum(
+            (d[i][x][k] * D[y][k] for k in range(n)), ZERO
+        )
+
+    return _first_vector_failure("coderivation", n, lhs, rhs)

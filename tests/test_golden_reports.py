@@ -47,10 +47,12 @@ from splitalg import (
     check_trialgebra,
     check_unit_compatibility,
     convolution_structure,
+    deformed_structure_check,
     ennea_from_commuting_pair,
     ennea_on_end,
     nine_op_unit_rules,
     path_algebra,
+    splitting_coproduct,
     triangular_baxter_example,
     triangular_matrix_coalgebra,
     triangular_row_coproduct_operator,
@@ -70,6 +72,7 @@ from splitalg.relations import NINE_OP_SYSTEM, THREE_OP_SYSTEM
 from splitalg.splitting import (
     PreLieStructure,
     is_baxter_on_trialgebra,
+    prelie_from_trialgebra,
     star_morphism_report,
     trialgebra_from_baxter,
 )
@@ -224,6 +227,19 @@ def _coalgebra_cases():
         3, [(0, 1, 2, F(1)), (1, 2, 0, F(2, 3)), (2, 2, 1, F(-1)), (1, 0, 1, F(1))]
     )
     yield "coalgebra/prelie_fail", check_prelie(PreLieStructure(skew))
+    pa3 = path_algebra(WeightedDigraph.build(3, [(0, 1, F(2, 3)), (1, 2, F(-5, 2))]))
+    yield "coalgebra/hypercubic_fail_third_pair", check_hypercubic(
+        [
+            weighted_coproduct(pa3),
+            weighted_coproduct(pa3, weights=[F(1, 2), F(3)]),
+            chain_coproduct(pa3),
+            splitting_coproduct(pa3),
+        ]
+    )
+    alg, row, _, param = triangular_baxter_example(3, F(2, 3))
+    yield "coalgebra/prelie_rational", check_prelie(
+        prelie_from_trialgebra(trialgebra_from_baxter(alg, row, param))
+    )
 
 
 def _unit_cases():
@@ -279,6 +295,11 @@ def _identity_system_cases():
     )
     yield "deformation/instance_fail", check_deformation_instance(
         dataclasses.replace(inst, ops=_bumped_ops(inst.ops, "succ1", 3, 4, 5, F(7, 4)))
+    )
+    succ0, succ1 = inst.series["succ"]
+    series = dict(inst.series, succ=[succ0, _bump(succ1, 1, 4, 2, F(-2, 5))])
+    yield "deformation/series_fail", deformed_structure_check(
+        inst.deformed.base, series, inst.t_eval, order=3, tau=F(3, 2)
     )
 
 
