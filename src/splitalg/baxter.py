@@ -32,7 +32,7 @@ from .exactlin import (
     rat,
     twist,
 )
-from .report import Report, compare_on_pairs, first_mismatch
+from .report import Report, compare_dual, compare_on_pairs
 
 
 def check_baxter(algebra: FiniteAlgebra, op: LinearOperator, t: Scalar) -> Report:
@@ -62,48 +62,16 @@ def baxter_sides(mult: Tensor3, op: LinearOperator, t: Fraction) -> tuple[Tensor
 def check_cobaxter(delta: CoalgebraData, op: LinearOperator, t: Scalar) -> Report:
     """Verify the transposed identity on a coalgebra:
 
-    (P (x) P) delta = t delta P + (id (x) P) delta P + (P (x) id) delta P.
+    (P (x) P) delta = t delta P + (id (x) P) delta P + (P (x) id) delta P,
+
+    which is the t-Baxter identity of the transpose of P on the dual product.
     """
     t = rat(t)
     if op.dim != delta.dim:
         raise ValueError("operator/coalgebra dimension mismatch")
-    n = delta.dim
-    images = [op.column(j) for j in range(n)]
     report = Report(title=f"{t}-coBaxter identity", passed=True)
-    for i in range(n):
-        lhs: dict[tuple[int, int], Fraction] = {}
-        for j, k, c in delta.rows[i]:
-            for a, ca in enumerate(images[j]):
-                if ca == 0:
-                    continue
-                for b, cb in enumerate(images[k]):
-                    if cb == 0:
-                        continue
-                    key = (a, b)
-                    lhs[key] = lhs.get(key, ZERO) + c * ca * cb
-        # coproduct of the image P(e_i)
-        d_of_image: dict[tuple[int, int], Fraction] = {}
-        for a, ca in enumerate(images[i]):
-            if ca == 0:
-                continue
-            for j, k, c in delta.rows[a]:
-                key = (j, k)
-                d_of_image[key] = d_of_image.get(key, ZERO) + ca * c
-        rhs: dict[tuple[int, int], Fraction] = {}
-        for (j, k), c in d_of_image.items():
-            if t != 0:
-                rhs[(j, k)] = rhs.get((j, k), ZERO) + t * c
-            for b, cb in enumerate(images[k]):  # (id (x) P)
-                if cb != 0:
-                    rhs[(j, b)] = rhs.get((j, b), ZERO) + c * cb
-            for a, ca in enumerate(images[j]):  # (P (x) id)
-                if ca != 0:
-                    rhs[(a, k)] = rhs.get((a, k), ZERO) + c * ca
-        report.checks_run += 1
-        witness = first_mismatch("cobaxter", (i,), lhs, rhs)
-        if witness is not None:
-            report.add_failure(witness)
-            return report
+    sides = baxter_sides(delta.dual_algebra().mult, transpose_operator(op), t)
+    compare_dual(report, "cobaxter", *sides)
     return report
 
 

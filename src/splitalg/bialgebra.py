@@ -30,7 +30,8 @@ from .exactlin import (
     rat,
     twist,
 )
-from .report import Report, Witness, compare_on_pairs, first_mismatch
+from .baxter import transpose_operator
+from .report import Report, Witness, compare_dual, compare_on_pairs, first_mismatch
 from .splitting import EnneaStructure, PreLieStructure
 
 
@@ -98,29 +99,14 @@ def check_hypercubic(deltas: Sequence[CoalgebraData]) -> Report:
 
     (delta_i (x) id) delta_j == (id (x) delta_j) delta_i   for all i, j.
     """
-    dims = {d.dim for d in deltas}
-    if len(dims) != 1:
+    if len({d.dim for d in deltas}) != 1:
         raise ValueError("all coproducts must share one dimension")
-    n = dims.pop()
     report = Report(title=f"coproduct exchange laws ({len(deltas)} coproducts)", passed=True)
-    for pi, p in enumerate(deltas):
-        for qi, q in enumerate(deltas):
-            for i in range(n):
-                lhs: dict[tuple[int, int, int], Fraction] = {}
-                for j, k, c in q.rows[i]:
-                    for a, bb, c2 in p.rows[j]:
-                        key = (a, bb, k)
-                        lhs[key] = lhs.get(key, ZERO) + c * c2
-                rhs: dict[tuple[int, int, int], Fraction] = {}
-                for j, k, c in p.rows[i]:
-                    for a, bb, c2 in q.rows[k]:
-                        key = (j, a, bb)
-                        rhs[key] = rhs.get(key, ZERO) + c * c2
-                report.checks_run += 1
-                witness = first_mismatch(f"exchange[{pi},{qi}]", (i,), lhs, rhs)
-                if witness is not None:
-                    report.add_failure(witness)
-                    return report
+    duals = [delta.dual_algebra().mult for delta in deltas]
+    for pi, p in enumerate(duals):
+        for qi, q in enumerate(duals):
+            if not compare_dual(report, f"exchange[{pi},{qi}]", [(ONE, p, q)], [(ONE, q, p)]):
+                return report
     return report
 
 
@@ -260,25 +246,11 @@ def derivation_sides(mult: Tensor3, op: LinearOperator) -> tuple[Tensor3, Tensor
 
 
 def is_coderivation(delta: CoalgebraData, op: LinearOperator) -> Report:
-    """delta(D(x)) = (D (x) id) delta(x) + (id (x) D) delta(x)."""
-    n = delta.dim
-    images = [op.column(j) for j in range(n)]
+    """delta(D(x)) = (D (x) id) delta(x) + (id (x) D) delta(x): the transpose
+    of D is a derivation of the dual product."""
     report = Report(title="coderivation of the coproduct", passed=True)
-    for i in range(n):
-        lhs = _delta_of_vector(delta, images[i])
-        rhs: dict[tuple[int, int], Fraction] = {}
-        for j, k, c in delta.rows[i]:
-            for a, ca in enumerate(images[j]):
-                if ca != 0:
-                    rhs[(a, k)] = rhs.get((a, k), ZERO) + c * ca
-            for bb, cb in enumerate(images[k]):
-                if cb != 0:
-                    rhs[(j, bb)] = rhs.get((j, bb), ZERO) + c * cb
-        report.checks_run += 1
-        witness = first_mismatch("coderivation", (i,), lhs, rhs)
-        if witness is not None:
-            report.add_failure(witness)
-            return report
+    sides = derivation_sides(delta.dual_algebra().mult, transpose_operator(op))
+    compare_dual(report, "coderivation", *sides)
     return report
 
 

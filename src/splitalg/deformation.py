@@ -389,28 +389,30 @@ def deformed_structure_check(
     dim = dims.pop()
     zero = Tensor3.zero(dim)
 
-    def scaled(name: str, m: int) -> Tensor3:
-        coeffs = series.get(name, ())
-        if m >= len(coeffs):
-            return zero
-        tensor = coeffs[m]
-        return tensor.scale(tau**m) if m > 0 else tensor
-
+    # One cache for the generators' scaled coefficients and the composites
+    # built from them; neither closure refers to itself, so no reference
+    # cycle keeps the cache alive after the check returns.
     cache: dict[tuple[str, int], Tensor3] = {}
 
-    def op_series(name: str, m: int) -> Tensor3:
+    def scaled(name: str, m: int) -> Tensor3:
         key = (name, m)
         if key not in cache:
-            if name in base.composites:
-                cache[key] = combine(
-                    dim,
-                    [
-                        (poly.eval(t_eval), op_series(gen, m))
-                        for poly, gen in base.composites[name]
-                    ],
-                )
+            coeffs = series.get(name, ())
+            if m >= len(coeffs):
+                cache[key] = zero
             else:
-                cache[key] = scaled(name, m)
+                cache[key] = coeffs[m].scale(tau**m) if m > 0 else coeffs[m]
+        return cache[key]
+
+    def op_series(name: str, m: int) -> Tensor3:
+        parts = base.composites.get(name)
+        if parts is None:
+            return scaled(name, m)
+        key = (name, m)
+        if key not in cache:
+            cache[key] = combine(
+                dim, [(poly.eval(t_eval), scaled(gen, m)) for poly, gen in parts]
+            )
         return cache[key]
 
     report = Report(

@@ -29,7 +29,14 @@ identity are combined, clears each operator's denominators once.
 :func:`nested_residual`, the kernel of every quadratic-identity check,
 clears the remaining denominators once per identity and sums integer
 products only; :func:`nested_value` rebuilds the exact rational values of
-an identity side at a witness triple.
+an identity side at a witness triple.  An identity is data for them: a list
+of left-nested terms outer(inner(u, v), w) and one of right-nested terms
+outer(u, inner(v, w)), each term a coefficient, two tensors and optionally
+an argument order saying how (u, v, w) permutes the basis triple (x, y, z),
+so identities that permute their variables (pre-Lie, Jacobi) are data too.
+The coalgebra identities are checked on the dual products the same way.
+Only the order-by-order deformation check still reads the Fraction
+composition maps (:func:`compose_left`, :func:`compose_right`).
 """
 
 from __future__ import annotations
@@ -314,7 +321,7 @@ class Tensor3:
     index groupings read by the nested-composition kernels are cached
     lazily.
 
-    :meth:`nonzeros`, :meth:`by_first`, :meth:`by_second`, :meth:`row` and
+    :meth:`nonzeros`, :meth:`by_first`, :meth:`row` and
     :attr:`entries` are Fraction views for witnesses, JSON output and tests;
     each is rebuilt on every call and never stored.
     """
@@ -406,14 +413,6 @@ class Tensor3:
         return {
             a: [(j, k, Fraction(c, d)) for j, k, c in group]
             for a, group in self.numerators_by_first().items()
-        }
-
-    def by_second(self) -> dict[int, list[tuple[int, int, Fraction]]]:
-        """a -> [(i, k, c)] with op(e_i, e_a) having coefficient c on e_k."""
-        d = self.denom
-        return {
-            a: [(i, k, Fraction(c, d)) for i, k, c in group]
-            for a, group in self.numerators_by_second().items()
         }
 
     # -- integer groupings (cached) ------------------------------------------
@@ -630,15 +629,16 @@ def first_row_difference(
 # nested composition (the engine behind every quadratic-identity check)
 # ---------------------------------------------------------------------------
 #
-# A quadratic identity compares sums of left-nested terms  outer(inner(x,y), z)
-# against sums of right-nested terms  outer(x, inner(y, z)).  The residual
-# kernel clears all denominators once per identity and sums integer products
-# of sparse entries, so no Fraction is touched in the inner loop; the exact
-# values of both sides are rebuilt only at a witness triple.  The composition
-# maps below, which the deformation series check reads, also sum integer
-# products and turn each sum into a Fraction once.
+# A quadratic identity compares sums of left-nested terms  outer(inner(u,v), w)
+# against sums of right-nested terms  outer(u, inner(v, w)), where (u, v, w)
+# is the basis triple (x, y, z) read in the term's argument order.  The
+# residual kernel clears all denominators once per identity and sums integer
+# products of sparse entries, so no Fraction is touched in the inner loop;
+# the exact values of both sides are rebuilt only at a witness triple.  The
+# composition maps below, which the deformation series check reads, also sum
+# integer products and turn each sum into a Fraction once.
 
-NestedTerm = tuple[Fraction, Tensor3, Tensor3]  # (coeff, inner, outer)
+NestedTerm = tuple  # (coeff, inner, outer) or (coeff, inner, outer, order)
 
 
 def nested_residual(
@@ -647,50 +647,58 @@ def nested_residual(
     """Nonzero entries of L * (sum left - sum right) as exact integers.
 
     A left term ``(c, inner, outer)`` stands for c * outer(inner(x, y), z),
-    a right term for c * outer(x, inner(y, z)); the result maps
-    ``(x, y, z, m)`` to the e_m coefficient on the basis triple (x, y, z).
-    L > 0 is the lcm of the denominators of every term's scale
-    c / (D_inner * D_outer), D being a tensor's shared denominator, so the
-    residual is zero exactly where the two sides agree.
+    a right term for c * outer(x, inner(y, z)).  A fourth entry, an order
+    σ (a permutation of (0, 1, 2)), makes the term read its arguments as
+    (u, v, w) = (t[σ[0]], t[σ[1]], t[σ[2]]) for the triple t = (x, y, z):
+    (1, 0, 2) swaps x and y, (1, 2, 0) turns c * outer(inner(x, y), z)
+    into c * outer(inner(y, z), x).  The result maps ``(x, y, z, m)`` to
+    the e_m coefficient on the basis triple (x, y, z).  L > 0 is the lcm of
+    the denominators of every term's scale c / (D_inner * D_outer), D being
+    a tensor's shared denominator, so the residual is zero exactly where the
+    two sides agree.
     """
     weighted = []
     dims = set()
     for sign, left_nested, terms in ((1, True, left_terms), (-1, False, right_terms)):
-        for coeff, inner, outer in terms:
+        for coeff, inner, outer, *order in terms:
             if coeff == 0:
                 continue
             dims.update((inner.dim, outer.dim))
             scale = sign * Fraction(coeff) / (inner.denom * outer.denom)
-            weighted.append((scale, left_nested, inner, outer))
+            order = order[0] if order else (0, 1, 2)
+            weighted.append((scale, left_nested, inner, outer, order))
     if len(dims) > 1:
         raise ValueError("dimension mismatch in nested composition")
     n = dims.pop() if dims else 0
     n2, n3 = n * n, n * n * n
+    place = (n3, n2, n)
     common = math.lcm(*(scale.denominator for scale, *_ in weighted))
-    # keys are packed as ((x*n + y)*n + z)*n + m while summing
+    # keys are packed as ((x*n + y)*n + z)*n + m while summing; u, v and w
+    # land in the slots their order names
     acc: dict[int, int] = {}
     get = acc.get
-    for scale, left_nested, inner, outer in weighted:
+    for scale, left_nested, inner, outer, (p, q, r) in weighted:
         w = scale.numerator * (common // scale.denominator)
+        wu, wv, ww = place[p], place[q], place[r]
         if left_nested:
-            # (i, j) -> a under inner, then (a, k) -> m under outer
+            # (u, v) -> a under inner, then (a, w) -> m under outer
             rows = outer.numerators_by_first()
             for i, j, a, c in inner.numerators:
                 row = rows.get(a)
                 if row:
-                    wc, base = w * c, (i * n + j) * n2
+                    wc, base = w * c, i * wu + j * wv
                     for k, m, c2 in row:
-                        key = base + k * n + m
+                        key = base + k * ww + m
                         acc[key] = get(key, 0) + wc * c2
         else:
-            # (j, k) -> a under inner, then (i, a) -> m under outer
+            # (v, w) -> a under inner, then (u, a) -> m under outer
             cols = outer.numerators_by_second()
             for j, k, a, c in inner.numerators:
                 col = cols.get(a)
                 if col:
-                    wc, base = w * c, (j * n + k) * n
+                    wc, base = w * c, j * wv + k * ww
                     for i, m, c2 in col:
-                        key = base + i * n3 + m
+                        key = base + i * wu + m
                         acc[key] = get(key, 0) + wc * c2
     out: dict[tuple[int, int, int, int], int] = {}
     for key, value in acc.items():
@@ -704,11 +712,11 @@ def nested_value(
     terms: Sequence[NestedTerm], left_nested: bool, triple: tuple[int, int, int]
 ) -> dict[int, Fraction]:
     """Exact nonzero coefficients {m: c} of one identity side at one triple."""
-    x, y, z = triple
     out: dict[int, Fraction] = {}
-    for coeff, inner, outer in terms:
+    for coeff, inner, outer, *order in terms:
         if coeff == 0:
             continue
+        x, y, z = (triple[p] for p in order[0]) if order else triple
         scale = Fraction(coeff) / (inner.denom * outer.denom)
         mid_rows = inner.numerators_by_first()
         if left_nested:

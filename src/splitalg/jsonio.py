@@ -112,10 +112,15 @@ def _field(data: Mapping[str, Any], name: str) -> Any:
     return data[name]
 
 
+def _is_count(value: Any) -> bool:
+    """An int >= 1 that is not a bool."""
+    return not isinstance(value, bool) and isinstance(value, int) and value >= 1
+
+
 def _dim_from_json(data: Mapping[str, Any]) -> int:
     """The envelope's ``dim``, which must be an int >= 1 (never a bool)."""
     dim = data.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+    if not _is_count(dim):
         raise ValueError(f"envelope dim must be an integer >= 1, got {dim!r}")
     return dim
 
@@ -132,14 +137,34 @@ def graph_to_json(graph: WeightedDigraph) -> dict[str, Any]:
 
 
 def graph_from_json(data: Mapping[str, Any]) -> WeightedDigraph:
+    """A graph envelope, validated in one place: ``vertices`` is an int >= 1
+    and ``arcs`` a list of objects, each with int ``src`` and ``dst`` in
+    ``[0, vertices)`` and an exact scalar ``weight`` (1 when absent).  Every
+    violation raises one ValueError naming the field."""
     _expect_kind(data, "graph")
-    return WeightedDigraph.build(
-        data["vertices"],
-        [
-            (arc["src"], arc["dst"], scalar_from_json(arc.get("weight", "1")))
-            for arc in data["arcs"]
-        ],
-    )
+    vertices = _field(data, "vertices")
+    if not _is_count(vertices):
+        raise ValueError(f"graph field 'vertices' must be an integer >= 1, got {vertices!r}")
+    arcs = _field(data, "arcs")
+    if not isinstance(arcs, list):
+        raise ValueError(f"graph field 'arcs' must be a list, got {type(arcs).__name__}")
+    return WeightedDigraph.build(vertices, [_arc_from_json(arc, vertices) for arc in arcs])
+
+
+def _arc_from_json(arc: Any, vertices: int) -> tuple[int, int, Fraction]:
+    if not isinstance(arc, dict):
+        raise ValueError(f"graph field 'arcs': an arc must be an object, got {arc!r}")
+    for end in ("src", "dst"):
+        value = arc.get(end)
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < vertices:
+            raise ValueError(
+                f"graph field 'arcs': {end} must be a vertex in [0, {vertices}), got {value!r}"
+            )
+    try:
+        weight = scalar_from_json(arc.get("weight", "1"))
+    except ValueError as exc:
+        raise ValueError(f"graph field 'arcs': weight: {exc}") from None
+    return arc["src"], arc["dst"], weight
 
 
 def algebra_to_json(algebra: FiniteAlgebra) -> dict[str, Any]:

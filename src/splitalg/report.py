@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
-from .exactlin import ZERO, Tensor3, first_row_difference
+from .exactlin import (
+    ONE, ZERO, Tensor3, combine, first_row_difference, nested_residual, nested_value
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,6 +99,52 @@ def compare_on_pairs(report: Report, context: str, lhs: Tensor3, rhs: Tensor3) -
     report.checks_run += i * n + j + 1
     report.add_failure(Witness(context, (i, j), lvec, rvec))
     return False
+
+
+def compare_dual(
+    report: Report, context: str, lhs: Any, rhs: Any, every_vector: bool = False
+) -> bool:
+    """Record whether a coalgebra identity holds, checked as its transpose on
+    the dual product, and report it the coalgebra way.
+
+    The sides are two dual products (Tensor3, for an identity between maps
+    V -> V (x) V) or lists of left- and right-nested terms (V -> V (x) V (x)
+    V).  The e_i* coefficient of a dual side at arguments e_a*, e_b*(, e_c*)
+    is the coefficient of the leg e_a (x) e_b (x e_c) in the coalgebra side
+    at e_i.  Basis vectors count as checked in order; a failing e_i gets one
+    witness at its smallest failing leg, args ``(i, *leg)``, with the scalar
+    values of both sides.  With ``every_vector`` every basis vector is
+    checked and every failing one reported; otherwise checking stops at the
+    first failing one.
+    """
+    if isinstance(lhs, Tensor3):
+        dim = lhs.dim
+        difference = combine(dim, [(ONE, lhs), (-ONE, rhs)])
+        failing: Iterable = (entry[:3] for entry in difference.numerators)
+
+        def values(pair: tuple[int, ...], i: int) -> tuple[Any, Any]:
+            return lhs.row(*pair)[i], rhs.row(*pair)[i]
+
+    else:
+        dim = lhs[0][1].dim
+        failing = nested_residual(lhs, rhs)
+
+        def values(triple: tuple[int, ...], i: int) -> tuple[Any, Any]:
+            return (
+                nested_value(lhs, True, triple).get(i, ZERO),
+                nested_value(rhs, False, triple).get(i, ZERO),
+            )
+
+    smallest: dict[int, tuple[int, ...]] = {}
+    for key in failing:
+        leg, i = tuple(key[:-1]), key[-1]
+        if i not in smallest or leg < smallest[i]:
+            smallest[i] = leg
+    failed = sorted(smallest) if every_vector else sorted(smallest)[:1]
+    report.checks_run += failed[0] + 1 if failed and not every_vector else dim
+    for i in failed:
+        report.add_failure(Witness(context, (i,) + smallest[i], *values(smallest[i], i)))
+    return not failed
 
 
 def first_mismatch(

@@ -28,8 +28,7 @@ from .exactlin import (
     Scalar,
     Tensor3,
     combine,
-    compose_left,
-    compose_right,
+    first_nested_difference,
     rat,
     twist,
 )
@@ -42,7 +41,7 @@ from .relations import (
     check_system,
     resolve_tensor,
 )
-from .report import Report, Witness, compare_on_pairs, first_mismatch
+from .report import Report, Witness, compare_on_pairs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -434,47 +433,33 @@ class PreLieStructure:
 
 
 def check_prelie(p: PreLieStructure) -> Report:
-    """Left symmetry of the associator: a(x,y,z) = a(y,x,z)."""
-    left = compose_left(p.op, p.op)
-    right = compose_right(p.op, p.op)
-    assoc: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-    for key in left.keys() | right.keys():
-        bucket = dict(left.get(key, {}))
-        for m, c in right.get(key, {}).items():
-            bucket[m] = bucket.get(m, ZERO) - c
-        cleaned = {m: c for m, c in bucket.items() if c != 0}
-        if cleaned:
-            assoc[key] = cleaned
-    report = Report(title="pre-Lie (left-symmetric associator)", passed=True)
-    n = p.dim
-    report.checks_run = n**3
-    swapped = {(j, i, k): vec for (i, j, k), vec in assoc.items()}
-    witness = first_mismatch("prelie", (), assoc, swapped, missing={})
-    if witness is not None:
-        report.add_failure(witness)
-    return report
+    """Left symmetry of the associator: a(x,y,z) = a(y,x,z).
+
+    The left side is a(x,y,z) = (xy)z - x(yz) and the right side
+    a(y,x,z) = (yx)z - y(xz), both as nested terms read in argument orders:
+    x(yz) is the opposite product applied to (yz, x), and (yx)z the opposite
+    product applied to (z, yx).
+    """
+    op, opposite = p.op, p.op.swap_args()
+    left = [(ONE, op, op), (-ONE, op, opposite, (1, 2, 0))]
+    right = [(ONE, op, opposite, (2, 1, 0)), (-ONE, op, op, (1, 0, 2))]
+    return _nested_report("pre-Lie (left-symmetric associator)", "prelie", p.dim, left, right)
 
 
 def check_jacobi(bracket: Tensor3) -> Report:
-    """Jacobi identity for an (assumed antisymmetric) bracket tensor."""
-    nested = compose_left(bracket, bracket)  # [[x, y], z]
-    report = Report(title="Jacobi identity", passed=True)
-    n = bracket.dim
-    report.checks_run = n**3
-    seen = set()
-    for i, j, k in list(nested):
-        cyc = [(i, j, k), (j, k, i), (k, i, j)]
-        if min(cyc) in seen:
-            continue
-        seen.add(min(cyc))
-        total: dict[int, Fraction] = {}
-        for key in cyc:
-            for m, c in nested.get(key, {}).items():
-                total[m] = total.get(m, ZERO) + c
-        total = {m: c for m, c in total.items() if c != 0}
-        if total:
-            report.add_failure(Witness("jacobi", (i, j, k), total, {}))
-            return report
+    """Jacobi identity for an (assumed antisymmetric) bracket tensor:
+    [[x, y], z] + [[y, z], x] + [[z, x], y] = 0.  The witness is the smallest
+    failing basis triple, with the cyclic sum there."""
+    cyclic = [(ONE, bracket, bracket, order) for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    return _nested_report("Jacobi identity", "jacobi", bracket.dim, cyclic, [])
+
+
+def _nested_report(title: str, context: str, dim: int, left, right) -> Report:
+    """All dim**3 basis triples checked; the smallest failing one is the witness."""
+    report = Report(title=title, passed=True, checks_run=dim**3)
+    diff = first_nested_difference(left, right)
+    if diff is not None:
+        report.add_failure(Witness(context, *diff))
     return report
 
 

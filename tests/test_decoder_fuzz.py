@@ -199,3 +199,77 @@ def test_rewrites_of_the_exact_values_still_pass(workdir, envelope):
         code, out, _ = run_cli(workdir, good, verb)
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+
+# -- graph envelopes ---------------------------------------------------------
+
+GRAPH_COMMANDS = (
+    ["verify", "graph-bialgebra", "--file"],
+    ["construct", "path-algebra", "--graph"],
+    ["construct", "end-ennea", "--graph"],
+    ["deform", "check", "--graph"],
+)
+GRAPH = graph_to_json(WeightedDigraph.build(3, [(0, 1, F(3)), (1, 2, F(-1, 2))]))
+BAD_VERTEX_COUNTS = [True, False, 0, -2, "3", 3.0, None, [3], {}]
+BAD_ENDPOINTS = [-1, 3, 7, "0", 1.0, True, False, None, [0]]
+
+
+def run_graph_cli(workdir, data, command):
+    path = workdir / "graph_case.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command + [str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def malformed_graph(draw):
+    bad = copy.deepcopy(GRAPH)
+    kind = draw(st.sampled_from(["vertices", "missing", "arcs", "arc", "end", "no_end", "weight"]))
+    arc = bad["arcs"][draw(st.integers(0, len(bad["arcs"]) - 1))]
+    if kind == "vertices":
+        bad["vertices"] = draw(st.sampled_from(BAD_VERTEX_COUNTS))
+    elif kind == "missing":
+        del bad[draw(st.sampled_from(["kind", "vertices", "arcs"]))]
+    elif kind == "arcs":
+        bad["arcs"] = draw(st.sampled_from([{}, "x", 3, None, True]))
+    elif kind == "arc":
+        bad["arcs"][bad["arcs"].index(arc)] = draw(
+            st.sampled_from([[0, 1, "1"], [0, 1], "x", 3, None])
+        )
+    elif kind == "end":
+        arc[draw(st.sampled_from(["src", "dst"]))] = draw(st.sampled_from(BAD_ENDPOINTS))
+    elif kind == "no_end":
+        del arc[draw(st.sampled_from(["src", "dst"]))]
+    else:
+        arc["weight"] = draw(st.sampled_from(BAD_SCALARS))
+    return bad
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(bad=malformed_graph())
+def test_malformed_graph_envelopes_exit_2_with_one_line(workdir, bad):
+    for command in GRAPH_COMMANDS:
+        code, out, err = run_graph_cli(workdir, bad, command)
+        assert code == 2, (command, bad)
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
+def test_graph_weight_spellings_give_the_same_output(workdir):
+    """Integer weights, unreduced fraction strings and an absent weight of 1
+    read as the same graph."""
+    plain = graph_to_json(WeightedDigraph.build(3, [(0, 1, F(1)), (1, 2, F(-1, 2))]))
+    spelled = copy.deepcopy(plain)
+    del spelled["arcs"][0]["weight"]
+    spelled["arcs"][1]["weight"] = "-3/6"
+    as_int = copy.deepcopy(plain)
+    as_int["arcs"][0]["weight"] = 1
+    for command in GRAPH_COMMANDS[:3]:
+        expected = run_graph_cli(workdir, plain, command)
+        assert expected[0] == 0
+        assert run_graph_cli(workdir, spelled, command) == expected
+        assert run_graph_cli(workdir, as_int, command) == expected

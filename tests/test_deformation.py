@@ -8,6 +8,7 @@ generators.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from splitalg import (
     THREE_OP_SYSTEM,
     TWO_OP_SYSTEM,
     EpsilonBialgebra,
+    Tensor3,
     WeightedDigraph,
     baxter_deformation,
     chain_coproduct,
@@ -321,3 +323,20 @@ def test_instance_tensors_satisfy_relations_via_check_system_directly():
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
     report = check_system(inst.deformed.system, inst.ops, inst.t_eval)
     assert report.passed
+
+
+def test_structure_check_leaves_no_tensor_in_cyclic_garbage():
+    """The series cache is freed by reference counting when the check returns."""
+    alg, dw, dch = two_vertex_setup()
+    inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert deformed_structure_check(inst.deformed.base, inst.series, inst.t_eval).passed
+        gc.collect()
+        left_over = [obj for obj in gc.garbage if isinstance(obj, Tensor3)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left_over == []
