@@ -21,109 +21,137 @@ no floats, no tolerances.  The package covers:
   mixed tensor spaces (:mod:`splitalg.unit_action`);
 * kind-tagged JSON envelopes and a command-line driver
   (:mod:`splitalg.jsonio`, :mod:`splitalg.cli`).
+
+Importing the package loads none of its submodules.  Each public name is
+imported from its submodule on first access (PEP 562, module
+``__getattr__``), so a program pays only for the modules it uses.
 """
 
 from __future__ import annotations
 
-from .algebra_core import (
-    CoalgebraData,
-    FiniteAlgebra,
-    check_algebra,
-    check_coassociative,
-    full_matrix_algebra,
-    triangular_matrix_algebra,
-    triangular_matrix_coalgebra,
-)
-from .baxter import (
-    check_baxter,
-    check_cobaxter,
-    commute,
-    transpose_operator,
-    triangular_baxter_example,
-    triangular_column_operator,
-    triangular_row_coproduct_operator,
-    triangular_row_operator,
-)
-from .bialgebra import (
-    ConvolutionStructure,
-    EpsilonBialgebra,
-    check_eps_bialgebra,
-    check_hypercubic,
-    convolution_report,
-    convolution_structure,
-    ennea_on_end,
-    prelie_from_bialgebra,
-)
-from .deformation import (
-    DeformationInstance,
-    DeformedSystem,
-    baxter_deformation,
-    check_deformation_instance,
-    cross_term_system,
-    deformed_structure_check,
-    instance_operator_equation,
-    two_operator_equation,
-)
-from .exactlin import (
-    LinearOperator,
-    Matrix,
-    Scalar,
-    Tensor3,
-    basis_vector,
-    combine,
-    rat,
-)
-from .graphalg import (
-    PathAlgebra,
-    WeightedDigraph,
-    chain_coproduct,
-    chain_order,
-    path_algebra,
-    splitting_coproduct,
-    weighted_coproduct,
-)
-from .operad import Degree3Count, builtin_presentations, degree3_dimension
-from .relations import (
-    FOUR_OP_SYSTEM,
-    NINE_OP_SYSTEM,
-    THREE_OP_SYSTEM,
-    TWO_OP_SYSTEM,
-    AxiomSystem,
-    Relation,
-    Term,
-    TPoly,
-    check_system,
-    resolve_tensor,
-)
-from .report import Report, Witness
-from .splitting import (
-    EnneaStructure,
-    PreLieStructure,
-    TrialgebraStructure,
-    check_dialgebra,
-    check_ennea,
-    check_jacobi,
-    check_prelie,
-    check_quadri,
-    check_trialgebra,
-    ennea_from_baxter_on_trialgebra,
-    ennea_from_commuting_pair,
-    horizontal_trialgebra,
-    opposite_ennea,
-    prelie_pair_from_ennea,
-    quadri_from_commuting_pair,
-    tensor_ennea,
-    transpose_ennea,
-    trialgebra_from_baxter,
-    vertical_trialgebra,
-)
-from .unit_action import (
-    check_coherence,
-    check_ennea_coherence,
-    check_unit_compatibility,
-    ennea_coherence,
-    nine_op_unit_rules,
-    unit_rules,
-)
+import importlib
 
+# Every public name, grouped by the submodule that defines it.
+_EXPORTS_BY_MODULE = {
+    "algebra_core": (
+        "CoalgebraData",
+        "FiniteAlgebra",
+        "check_algebra",
+        "check_coassociative",
+        "full_matrix_algebra",
+        "triangular_matrix_algebra",
+        "triangular_matrix_coalgebra",
+    ),
+    "baxter": (
+        "check_baxter",
+        "check_cobaxter",
+        "commute",
+        "transpose_operator",
+        "triangular_baxter_example",
+        "triangular_column_operator",
+        "triangular_row_coproduct_operator",
+        "triangular_row_operator",
+    ),
+    "bialgebra": (
+        "ConvolutionStructure",
+        "EpsilonBialgebra",
+        "check_eps_bialgebra",
+        "check_hypercubic",
+        "convolution_report",
+        "convolution_structure",
+        "ennea_on_end",
+        "prelie_from_bialgebra",
+    ),
+    "deformation": (
+        "DeformationInstance",
+        "DeformedSystem",
+        "baxter_deformation",
+        "check_deformation_instance",
+        "cross_term_system",
+        "deformed_structure_check",
+        "instance_operator_equation",
+        "two_operator_equation",
+    ),
+    "exactlin": (
+        "LinearOperator",
+        "Matrix",
+        "Scalar",
+        "Tensor3",
+        "basis_vector",
+        "combine",
+        "rat",
+    ),
+    "graphalg": (
+        "PathAlgebra",
+        "WeightedDigraph",
+        "chain_coproduct",
+        "chain_order",
+        "path_algebra",
+        "splitting_coproduct",
+        "weighted_coproduct",
+    ),
+    "operad": ("Degree3Count", "builtin_presentations", "degree3_dimension"),
+    "relations": (
+        "FOUR_OP_SYSTEM",
+        "NINE_OP_SYSTEM",
+        "THREE_OP_SYSTEM",
+        "TWO_OP_SYSTEM",
+        "AxiomSystem",
+        "Relation",
+        "Term",
+        "TPoly",
+        "check_system",
+        "resolve_tensor",
+    ),
+    "report": ("Report", "Witness"),
+    "splitting": (
+        "EnneaStructure",
+        "PreLieStructure",
+        "TrialgebraStructure",
+        "check_dialgebra",
+        "check_ennea",
+        "check_jacobi",
+        "check_prelie",
+        "check_quadri",
+        "check_trialgebra",
+        "ennea_from_baxter_on_trialgebra",
+        "ennea_from_commuting_pair",
+        "horizontal_trialgebra",
+        "opposite_ennea",
+        "prelie_pair_from_ennea",
+        "quadri_from_commuting_pair",
+        "tensor_ennea",
+        "transpose_ennea",
+        "trialgebra_from_baxter",
+        "vertical_trialgebra",
+    ),
+    "unit_action": (
+        "check_coherence",
+        "check_ennea_coherence",
+        "check_unit_compatibility",
+        "ennea_coherence",
+        "nine_op_unit_rules",
+        "unit_rules",
+    ),
+}
+_EXPORTS = {name: module for module, names in _EXPORTS_BY_MODULE.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule (or a submodule by name) on first
+    access and bind the result in the package namespace."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _EXPORTS_BY_MODULE:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS) | set(_EXPORTS_BY_MODULE))

@@ -19,51 +19,19 @@ Exit status: 0 when every check passes, 1 when some identity fails,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import jsonio
-from .algebra_core import check_coassociative
-from .baxter import (
-    check_baxter,
-    check_cobaxter,
-    triangular_baxter_example,
-)
-from .bialgebra import EpsilonBialgebra, check_eps_bialgebra, check_hypercubic, ennea_on_end
-from .deformation import (
-    VARIANTS,
-    baxter_deformation,
-    check_deformation_instance,
-    cross_term_system,
-    deformed_structure_check,
-    instance_operator_equation,
-)
-from .graphalg import (
-    chain_coproduct,
-    path_algebra,
-    splitting_coproduct,
-    weighted_coproduct,
-)
-from .operad import (
-    PRESET_NAMES,
-    builtin_presentation,
-    degree3_dimension,
-)
-from .relations import (
-    FOUR_OP_SYSTEM,
-    NINE_OP_SYSTEM,
-    P_ONE,
-    THREE_OP_SYSTEM,
-    TWO_OP_SYSTEM,
-    AxiomSystem,
-    Relation,
-    TPoly,
-)
-from .report import Report
-from .splitting import EnneaStructure, TrialgebraStructure, check_ennea, check_trialgebra
-from .unit_action import check_coherence, check_unit_compatibility, unit_rules
+if TYPE_CHECKING:
+    from .relations import AxiomSystem, Relation, TPoly
+    from .report import Report
+
+# Each command imports the modules it runs, so a process loads only those.
+# The parser's choices are spelled out here for the same reason; the tests
+# pin them to ``deformation.VARIANTS`` and to ``cross_systems()``.
+DERIVE_VARIANTS = ("four_four", "nine_nine", "three_three", "two_three", "two_two")
+CHECK_VARIANTS = ("four_four", "nine_nine", "three_three", "two_three")
 
 EXPECTED_DIM3 = {
     "two_op": 5,
@@ -77,13 +45,18 @@ EXPECTED_DIM3 = {
     "deformed_nine_nine": 501,
 }
 
-CROSS_SYSTEMS = {
-    "two_two": (TWO_OP_SYSTEM, ("prec", "succ")),
-    "two_three": (THREE_OP_SYSTEM, ("prec", "succ")),
-    "three_three": (THREE_OP_SYSTEM, ("prec", "succ", "circ")),
-    "four_four": (FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators),
-    "nine_nine": (NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators),
-}
+
+def cross_systems() -> dict[str, tuple[AxiomSystem, tuple[str, ...]]]:
+    """``deform derive`` variants: the base system and its deforming generators."""
+    from .relations import FOUR_OP_SYSTEM, NINE_OP_SYSTEM, THREE_OP_SYSTEM, TWO_OP_SYSTEM
+
+    return {
+        "two_two": (TWO_OP_SYSTEM, ("prec", "succ")),
+        "two_three": (THREE_OP_SYSTEM, ("prec", "succ")),
+        "three_three": (THREE_OP_SYSTEM, ("prec", "succ", "circ")),
+        "four_four": (FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators),
+        "nine_nine": (NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators),
+    }
 
 
 def _fraction(text: str) -> Fraction:
@@ -108,6 +81,8 @@ def _name_list(text: str) -> tuple[str, ...]:
 
 def _emit_reports(args: argparse.Namespace, reports: Sequence[Report]) -> int:
     if args.json:
+        from . import jsonio
+
         if len(reports) == 1:
             payload = jsonio.report_to_json(reports[0])
         else:
@@ -124,6 +99,8 @@ def _emit_reports(args: argparse.Namespace, reports: Sequence[Report]) -> int:
 
 def _emit_data(args: argparse.Namespace, data: dict, text: str) -> int:
     if args.json:
+        from . import jsonio
+
         sys.stdout.write(jsonio.dump_json(data))
     else:
         print(text)
@@ -131,6 +108,8 @@ def _emit_data(args: argparse.Namespace, data: dict, text: str) -> int:
 
 
 def _write_or_print(args: argparse.Namespace, data: dict) -> int:
+    from . import jsonio
+
     if args.output:
         jsonio.save(args.output, data)
         if not args.json:
@@ -141,11 +120,15 @@ def _write_or_print(args: argparse.Namespace, data: dict) -> int:
 
 
 def _load_operations(path: str) -> tuple[AxiomSystem, Fraction, dict]:
+    from . import jsonio
+
     family, t, ops = jsonio.operations_from_json(jsonio.load(path))
     return jsonio.system_for_family(family), t, ops
 
 
 def _rules_from_args(system: AxiomSystem, args: argparse.Namespace) -> dict:
+    from .unit_action import unit_rules
+
     right = args.right
     left = args.left
     if right is None and left is None:
@@ -175,6 +158,9 @@ def _total_name(system: AxiomSystem) -> str:
 
 
 def cmd_verify_baxter(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .baxter import check_baxter, check_cobaxter
+
     operator = jsonio.operator_from_json(jsonio.load(args.operator))
     if args.coproduct:
         delta = jsonio.coproduct_from_json(jsonio.load(args.coproduct))
@@ -186,6 +172,8 @@ def cmd_verify_baxter(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_trialgebra(args: argparse.Namespace) -> int:
+    from .splitting import TrialgebraStructure, check_trialgebra
+
     system, t, ops = _load_operations(args.file)
     if system.name != "three_op":
         raise ValueError(f"expected a three_op operations file, got {system.name!r}")
@@ -194,6 +182,8 @@ def cmd_verify_trialgebra(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_ennea(args: argparse.Namespace) -> int:
+    from .splitting import EnneaStructure, check_ennea
+
     system, t, ops = _load_operations(args.file)
     if system.name != "nine_op":
         raise ValueError(f"expected a nine_op operations file, got {system.name!r}")
@@ -201,6 +191,11 @@ def cmd_verify_ennea(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_graph_bialgebra(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .algebra_core import check_coassociative
+    from .bialgebra import EpsilonBialgebra, check_eps_bialgebra, check_hypercubic
+    from .graphalg import chain_coproduct, path_algebra, splitting_coproduct, weighted_coproduct
+
     graph = jsonio.graph_from_json(jsonio.load(args.file))
     pa = path_algebra(graph)
     weighted = weighted_coproduct(pa)
@@ -229,12 +224,16 @@ def cmd_verify_graph_bialgebra(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_unit_action(args: argparse.Namespace) -> int:
+    from .unit_action import check_unit_compatibility
+
     system, t, ops = _load_operations(args.file)
     rules = _rules_from_args(system, args)
     return _emit_reports(args, [check_unit_compatibility(system, ops, t, rules)])
 
 
 def cmd_verify_coherence(args: argparse.Namespace) -> int:
+    from .unit_action import check_coherence
+
     system, t, ops = _load_operations(args.file)
     if args.file2:
         system2, t2, ops2 = _load_operations(args.file2)
@@ -253,6 +252,9 @@ def cmd_verify_coherence(args: argparse.Namespace) -> int:
 
 
 def cmd_construct_path_algebra(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .graphalg import chain_coproduct, path_algebra, splitting_coproduct, weighted_coproduct
+
     graph = jsonio.graph_from_json(jsonio.load(args.graph))
     pa = path_algebra(graph)
     if args.coproduct is None:
@@ -267,6 +269,10 @@ def cmd_construct_path_algebra(args: argparse.Namespace) -> int:
 
 
 def cmd_construct_end_ennea(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .bialgebra import EpsilonBialgebra, ennea_on_end
+    from .graphalg import chain_coproduct, path_algebra
+
     graph = jsonio.graph_from_json(jsonio.load(args.graph))
     pa = path_algebra(graph)
     bial = EpsilonBialgebra(pa.algebra, chain_coproduct(pa), Fraction(-1))
@@ -282,12 +288,16 @@ def cmd_construct_end_ennea(args: argparse.Namespace) -> int:
 
 
 def cmd_operad_dim3(args: argparse.Namespace) -> int:
+    from .operad import PRESET_NAMES, builtin_presentation, degree3_dimension
+
     if args.preset:
         if args.preset not in PRESET_NAMES:
             known = ", ".join(sorted(PRESET_NAMES))
             raise ValueError(f"unknown preset {args.preset!r}; known: {known}")
         system = builtin_presentation(args.preset)
     else:
+        from . import jsonio
+
         system = jsonio.system_from_json(jsonio.load(args.file))
     count = degree3_dimension(system, args.t)
     data = {
@@ -316,6 +326,8 @@ def cmd_operad_dim3(args: argparse.Namespace) -> int:
 
 
 def _format_tpoly(poly: TPoly) -> str:
+    from .relations import P_ONE
+
     if poly == P_ONE:
         return ""
     parts = []
@@ -355,7 +367,10 @@ def format_relation(relation: Relation) -> str:
 
 
 def cmd_deform_derive(args: argparse.Namespace) -> int:
-    base, nonzero = CROSS_SYSTEMS[args.variant]
+    from .deformation import cross_term_system
+    from . import jsonio
+
+    base, nonzero = cross_systems()[args.variant]
     deformed = cross_term_system(base, nonzero)
     if args.json:
         sys.stdout.write(jsonio.dump_json(jsonio.system_to_json(deformed.system)))
@@ -378,6 +393,15 @@ def cmd_deform_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_deform_check(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .deformation import (
+        baxter_deformation,
+        check_deformation_instance,
+        deformed_structure_check,
+        instance_operator_equation,
+    )
+    from .graphalg import chain_coproduct, path_algebra, weighted_coproduct
+
     graph = jsonio.graph_from_json(jsonio.load(args.graph))
     pa = path_algebra(graph)
     weighted = weighted_coproduct(pa)
@@ -417,6 +441,14 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    import random
+
+    from . import jsonio
+    from .baxter import check_baxter, triangular_baxter_example
+    from .bialgebra import EpsilonBialgebra, check_eps_bialgebra
+    from .graphalg import chain_coproduct, path_algebra
+    from .operad import builtin_presentation, degree3_dimension
+
     rng = random.Random(args.seed)
     rows = []
     all_ok = True
@@ -599,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         "derive", parents=[common], help="print the cross-term identity system"
     )
     p.add_argument(
-        "--variant", choices=sorted(CROSS_SYSTEMS), required=True,
+        "--variant", choices=DERIVE_VARIANTS, required=True,
         help="which base/deforming pair",
     )
     p.set_defaults(func=cmd_deform_derive)
@@ -609,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--graph", required=True, help="graph envelope file")
     p.add_argument(
-        "--variant", choices=sorted(VARIANTS), default="two_three",
+        "--variant", choices=CHECK_VARIANTS, default="two_three",
         help="instance recipe (default two_three)",
     )
     p.add_argument(

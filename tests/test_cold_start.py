@@ -1,0 +1,155 @@
+"""Importing the package and building the CLI parser load no submodule.
+
+``splitalg/__init__.py`` resolves its public names on first access, and
+each CLI command imports the modules it runs.  These tests pin that, in
+fresh interpreters where it matters, and pin the public names.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import splitalg
+from splitalg import cli
+
+SRC = str(Path(splitalg.__file__).resolve().parents[1])
+
+# Every public name the package exported when it still imported all its
+# submodules eagerly, by submodule.
+EXPORTED = {
+    "algebra_core": (
+        "CoalgebraData", "FiniteAlgebra", "check_algebra", "check_coassociative",
+        "full_matrix_algebra", "triangular_matrix_algebra", "triangular_matrix_coalgebra",
+    ),
+    "baxter": (
+        "check_baxter", "check_cobaxter", "commute", "transpose_operator",
+        "triangular_baxter_example", "triangular_column_operator",
+        "triangular_row_coproduct_operator", "triangular_row_operator",
+    ),
+    "bialgebra": (
+        "ConvolutionStructure", "EpsilonBialgebra", "check_eps_bialgebra", "check_hypercubic",
+        "convolution_report", "convolution_structure", "ennea_on_end", "prelie_from_bialgebra",
+    ),
+    "deformation": (
+        "DeformationInstance", "DeformedSystem", "baxter_deformation",
+        "check_deformation_instance", "cross_term_system", "deformed_structure_check",
+        "instance_operator_equation", "two_operator_equation",
+    ),
+    "exactlin": ("LinearOperator", "Matrix", "Scalar", "Tensor3", "basis_vector", "combine", "rat"),
+    "graphalg": (
+        "PathAlgebra", "WeightedDigraph", "chain_coproduct", "chain_order", "path_algebra",
+        "splitting_coproduct", "weighted_coproduct",
+    ),
+    "operad": ("Degree3Count", "builtin_presentations", "degree3_dimension"),
+    "relations": (
+        "FOUR_OP_SYSTEM", "NINE_OP_SYSTEM", "THREE_OP_SYSTEM", "TWO_OP_SYSTEM", "AxiomSystem",
+        "Relation", "Term", "TPoly", "check_system", "resolve_tensor",
+    ),
+    "report": ("Report", "Witness"),
+    "splitting": (
+        "EnneaStructure", "PreLieStructure", "TrialgebraStructure", "check_dialgebra",
+        "check_ennea", "check_jacobi", "check_prelie", "check_quadri", "check_trialgebra",
+        "ennea_from_baxter_on_trialgebra", "ennea_from_commuting_pair", "horizontal_trialgebra",
+        "opposite_ennea", "prelie_pair_from_ennea", "quadri_from_commuting_pair",
+        "tensor_ennea", "transpose_ennea", "trialgebra_from_baxter", "vertical_trialgebra",
+    ),
+    "unit_action": (
+        "check_coherence", "check_ennea_coherence", "check_unit_compatibility",
+        "ennea_coherence", "nine_op_unit_rules", "unit_rules",
+    ),
+}
+EXPORTED_NAMES = sorted(
+    (name, module) for module, names in EXPORTED.items() for name in names
+)
+
+REPORT_MODULES = (
+    "import sys\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'splitalg')))\n"
+)
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def loaded_after(code: str) -> list[str]:
+    result = fresh_python("-c", code + "\n" + REPORT_MODULES)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_importing_the_cli_loads_only_the_package_and_the_cli():
+    assert loaded_after("import splitalg.cli") == ["splitalg", "splitalg.cli"]
+
+
+def test_cli_help_as_a_module_loads_no_other_submodule():
+    """``python -m splitalg.cli --help``: the only modules imported on the way
+    (``-X importtime`` lists each one) are the package itself and the cli."""
+    result = fresh_python("-X", "importtime", "-m", "splitalg.cli", "--help")
+    assert result.returncode == 0 and result.stdout.startswith("usage: splitalg")
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+    assert sorted(m for m in imported if m.split(".")[0] == "splitalg") == ["splitalg"]
+
+
+def test_building_the_parser_loads_no_submodule():
+    code = "from splitalg.cli import build_parser\nbuild_parser()"
+    assert loaded_after(code) == ["splitalg", "splitalg.cli"]
+
+
+def test_a_public_name_loads_its_submodule_and_what_that_imports():
+    assert loaded_after("from splitalg import Report") == [
+        "splitalg", "splitalg.exactlin", "splitalg.report"
+    ]
+
+
+def test_an_unknown_attribute_raises_attribute_error_and_loads_nothing():
+    code = (
+        "import splitalg\n"
+        "try:\n"
+        "    splitalg.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+        "try:\n"
+        "    from splitalg import no_such_name\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no ImportError')\n"
+        "assert not hasattr(splitalg, 'no_such_name')\n"
+    )
+    assert loaded_after(code) == ["splitalg"]
+
+
+@pytest.mark.parametrize("name,module", EXPORTED_NAMES)
+def test_every_exported_name_is_the_submodules_own_object(name, module):
+    namespace: dict = {}
+    exec(f"from splitalg import {name}", namespace)
+    submodule = __import__(f"splitalg.{module}", fromlist=[name])
+    assert namespace[name] is getattr(submodule, name)
+
+
+def test_public_names_are_listed():
+    assert sorted(splitalg.__all__) == sorted(name for name, _ in EXPORTED_NAMES)
+    assert set(splitalg.__all__) <= set(dir(splitalg))
+    assert set(EXPORTED) <= set(dir(splitalg))
+
+
+def test_cli_variant_tuples_match_the_library():
+    from splitalg.deformation import VARIANTS
+
+    assert cli.CHECK_VARIANTS == tuple(sorted(VARIANTS))
+    assert cli.DERIVE_VARIANTS == tuple(sorted(cli.cross_systems()))
