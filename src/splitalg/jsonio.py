@@ -77,9 +77,11 @@ def tensor_from_json(dim: int, items: Any) -> Tensor3:
 
 
 def _tensor_items(items: list[Any]) -> Iterator[tuple[Any, Any, Any, int | Fraction]]:
+    """``[i, j, k, coeff]`` entries with their coefficients read; the indices
+    are left for the caller to check against the dimension."""
     for item in items:
         if not isinstance(item, list) or len(item) != 4:
-            raise ValueError(f"a tensor entry must be an [i, j, k, coeff] list, got {item!r}")
+            raise ValueError(f"an entry must be an [i, j, k, coeff] list, got {item!r}")
         i, j, k, c = item
         yield i, j, k, _coefficient_from_json(c)
 
@@ -108,8 +110,15 @@ def _expect_kind(data: Mapping[str, Any], kind: str) -> None:
 
 def _field(data: Mapping[str, Any], name: str) -> Any:
     if name not in data:
-        raise ValueError(f"{data['kind']} envelope has no {name!r} field")
+        raise ValueError(f"{data['kind']} field {name!r} is missing")
     return data[name]
+
+
+def _list_field(data: Mapping[str, Any], name: str) -> list[Any]:
+    value = _field(data, name)
+    if not isinstance(value, list):
+        raise ValueError(f"{data['kind']} field {name!r} must be a list, got {type(value).__name__}")
+    return value
 
 
 def _is_count(value: Any) -> bool:
@@ -119,10 +128,21 @@ def _is_count(value: Any) -> bool:
 
 def _dim_from_json(data: Mapping[str, Any]) -> int:
     """The envelope's ``dim``, which must be an int >= 1 (never a bool)."""
-    dim = data.get("dim")
+    dim = _field(data, "dim")
     if not _is_count(dim):
-        raise ValueError(f"envelope dim must be an integer >= 1, got {dim!r}")
+        raise ValueError(f"{data['kind']} field 'dim' must be an integer >= 1, got {dim!r}")
     return dim
+
+
+def _scalars_from_json(values: Any, length: int, what: str) -> tuple[Fraction, ...]:
+    """A list of exactly ``length`` exact scalars; a violation raises one
+    ValueError starting with ``what``."""
+    if not isinstance(values, list) or len(values) != length:
+        raise ValueError(f"{what} must be a list of {length} scalars, got {values!r}")
+    try:
+        return tuple(scalar_from_json(c) for c in values)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def graph_to_json(graph: WeightedDigraph) -> dict[str, Any]:
@@ -145,9 +165,7 @@ def graph_from_json(data: Mapping[str, Any]) -> WeightedDigraph:
     vertices = _field(data, "vertices")
     if not _is_count(vertices):
         raise ValueError(f"graph field 'vertices' must be an integer >= 1, got {vertices!r}")
-    arcs = _field(data, "arcs")
-    if not isinstance(arcs, list):
-        raise ValueError(f"graph field 'arcs' must be a list, got {type(arcs).__name__}")
+    arcs = _list_field(data, "arcs")
     return WeightedDigraph.build(vertices, [_arc_from_json(arc, vertices) for arc in arcs])
 
 
@@ -181,15 +199,28 @@ def algebra_to_json(algebra: FiniteAlgebra) -> dict[str, Any]:
 
 
 def algebra_from_json(data: Mapping[str, Any]) -> FiniteAlgebra:
+    """An algebra envelope, validated in one place: ``dim`` is an int >= 1,
+    ``mult`` a list of ``[i, j, k, coeff]`` entries, and the optional
+    ``unit`` and ``labels`` lists of ``dim`` scalars and strings.  Every
+    violation raises one ValueError naming the field."""
     _expect_kind(data, "algebra")
     dim = _dim_from_json(data)
+    items = _list_field(data, "mult")
+    try:
+        mult = tensor_from_json(dim, items)
+    except ValueError as exc:
+        raise ValueError(f"algebra field 'mult': {exc}") from None
     unit = data.get("unit")
+    if unit is not None:
+        unit = _scalars_from_json(unit, dim, "algebra field 'unit'")
     labels = data.get("labels")
-    return FiniteAlgebra(
-        tensor_from_json(dim, data["mult"]),
-        unit=None if unit is None else tuple(scalar_from_json(c) for c in unit),
-        labels=None if labels is None else tuple(labels),
-    )
+    if labels is not None:
+        if not isinstance(labels, list) or len(labels) != dim or not all(
+            isinstance(label, str) for label in labels
+        ):
+            raise ValueError(f"algebra field 'labels' must be a list of {dim} strings, got {labels!r}")
+        labels = tuple(labels)
+    return FiniteAlgebra(mult, unit=unit, labels=labels)
 
 
 def operator_to_json(op: LinearOperator) -> dict[str, Any]:
@@ -204,12 +235,17 @@ def operator_to_json(op: LinearOperator) -> dict[str, Any]:
 
 
 def operator_from_json(data: Mapping[str, Any]) -> LinearOperator:
+    """An operator envelope, validated in one place: ``dim`` is an int >= 1
+    and ``matrix`` a list of ``dim`` rows, each a list of ``dim`` exact
+    scalars.  Every violation raises one ValueError naming the field."""
     _expect_kind(data, "operator")
     dim = _dim_from_json(data)
-    rows = [[scalar_from_json(c) for c in row] for row in data["matrix"]]
-    if len(rows) != dim or any(len(row) != dim for row in rows):
-        raise ValueError("operator matrix shape does not match dim")
-    return LinearOperator(rows)
+    rows = _list_field(data, "matrix")
+    if len(rows) != dim:
+        raise ValueError(f"operator field 'matrix' must be a list of {dim} rows, got {len(rows)}")
+    return LinearOperator(
+        [_scalars_from_json(row, dim, f"operator field 'matrix': row {i}") for i, row in enumerate(rows)]
+    )
 
 
 def coproduct_to_json(delta: CoalgebraData) -> dict[str, Any]:
@@ -221,11 +257,16 @@ def coproduct_to_json(delta: CoalgebraData) -> dict[str, Any]:
 
 
 def coproduct_from_json(data: Mapping[str, Any]) -> CoalgebraData:
+    """A coproduct envelope, validated in one place: ``dim`` is an int >= 1
+    and ``items`` a list of ``[i, j, k, coeff]`` legs with indices in
+    ``[0, dim)``.  Every violation raises one ValueError naming the field."""
     _expect_kind(data, "coproduct")
-    return CoalgebraData.from_items(
-        _dim_from_json(data),
-        ((i, j, k, scalar_from_json(c)) for i, j, k, c in data["items"]),
-    )
+    dim = _dim_from_json(data)
+    items = _list_field(data, "items")
+    try:
+        return CoalgebraData.from_items(dim, _tensor_items(items))
+    except ValueError as exc:
+        raise ValueError(f"coproduct field 'items': {exc}") from None
 
 
 def operations_to_json(
@@ -316,10 +357,14 @@ def _terms_from_json(data: Any, operations: Container[str]) -> tuple[Term, ...]:
 
 def _generators_from_json(data: Any) -> tuple[str, ...]:
     if not isinstance(data, list) or not all(isinstance(g, str) for g in data):
-        raise ValueError(f"presentation generators must be a list of strings, got {data!r}")
+        raise ValueError(
+            f"presentation field 'generators' must be a list of strings, got {data!r}"
+        )
     repeated = sorted({g for g in data if data.count(g) > 1})
     if repeated:
-        raise ValueError(f"presentation generators must be distinct; repeated: {repeated}")
+        raise ValueError(
+            f"presentation field 'generators' must be distinct; repeated: {repeated}"
+        )
     return tuple(data)
 
 
@@ -364,32 +409,55 @@ def system_to_json(system: AxiomSystem) -> dict[str, Any]:
 
 
 def system_from_json(data: Mapping[str, Any]) -> AxiomSystem:
-    """A presentation, validated: generators are distinct strings, composites
-    are named apart from them and built from them, and every term is a
-    ``[coeff, inner, outer]`` list naming known operations."""
+    """A presentation envelope, validated in one place: ``name`` is a
+    string, ``generators`` distinct strings, the optional ``composites`` an
+    object of named parts built from the generators and named apart from
+    them, and ``relations`` a list of objects, each with a string ``name``
+    and ``lhs``/``rhs`` lists of ``[coeff, inner, outer]`` terms naming known
+    operations.  Every violation raises one ValueError naming the field."""
     _expect_kind(data, "presentation")
-    generators = _generators_from_json(data["generators"])
+    name = _field(data, "name")
+    if not isinstance(name, str):
+        raise ValueError(f"presentation field 'name' must be a string, got {name!r}")
+    generators = _generators_from_json(_field(data, "generators"))
     named_parts = data.get("composites", {})
     if not isinstance(named_parts, dict):
-        raise ValueError("presentation composites must be an object of named parts")
-    composites = {
-        name: _composite_from_json(name, parts, generators)
-        for name, parts in named_parts.items()
-    }
+        raise ValueError("presentation field 'composites' must be an object of named parts")
+    try:
+        composites = {
+            part_name: _composite_from_json(part_name, parts, generators)
+            for part_name, parts in named_parts.items()
+        }
+    except ValueError as exc:
+        raise ValueError(f"presentation field 'composites': {exc}") from None
     operations = set(generators) | set(composites)
+    relations = _list_field(data, "relations")
+    try:
+        relations = tuple(_relation_from_json(rel, operations) for rel in relations)
+    except ValueError as exc:
+        raise ValueError(f"presentation field 'relations': {exc}") from None
     return AxiomSystem(
-        name=data["name"],
-        generators=generators,
-        composites=composites,
-        relations=tuple(
-            Relation(
-                name=rel["name"],
-                lhs=_terms_from_json(rel["lhs"], operations),
-                rhs=_terms_from_json(rel["rhs"], operations),
-            )
-            for rel in data["relations"]
-        ),
+        name=name, generators=generators, composites=composites, relations=relations
     )
+
+
+def _relation_from_json(data: Any, operations: Container[str]) -> Relation:
+    if not isinstance(data, dict):
+        raise ValueError(f"a relation must be an object with name, lhs and rhs, got {data!r}")
+    missing = [key for key in ("name", "lhs", "rhs") if key not in data]
+    if missing:
+        raise ValueError(f"relation {data.get('name')!r} has no {missing[0]!r}")
+    name = data["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"a relation name must be a string, got {name!r}")
+    try:
+        return Relation(
+            name=name,
+            lhs=_terms_from_json(data["lhs"], operations),
+            rhs=_terms_from_json(data["rhs"], operations),
+        )
+    except ValueError as exc:
+        raise ValueError(f"relation {name!r}: {exc}") from None
 
 
 def report_to_json(report: Report) -> dict[str, Any]:
