@@ -368,11 +368,12 @@ def format_relation(relation: Relation) -> str:
 
 def cmd_deform_derive(args: argparse.Namespace) -> int:
     from .deformation import cross_term_system
-    from . import jsonio
 
     base, nonzero = cross_systems()[args.variant]
     deformed = cross_term_system(base, nonzero)
     if args.json:
+        from . import jsonio
+
         sys.stdout.write(jsonio.dump_json(jsonio.system_to_json(deformed.system)))
         return 0
     system = deformed.system

@@ -117,7 +117,9 @@ def _field(data: Mapping[str, Any], name: str) -> Any:
 def _list_field(data: Mapping[str, Any], name: str) -> list[Any]:
     value = _field(data, name)
     if not isinstance(value, list):
-        raise ValueError(f"{data['kind']} field {name!r} must be a list, got {type(value).__name__}")
+        raise ValueError(
+            f"{data['kind']} field {name!r} must be a list, got {type(value).__name__}"
+        )
     return value
 
 
@@ -218,7 +220,9 @@ def algebra_from_json(data: Mapping[str, Any]) -> FiniteAlgebra:
         if not isinstance(labels, list) or len(labels) != dim or not all(
             isinstance(label, str) for label in labels
         ):
-            raise ValueError(f"algebra field 'labels' must be a list of {dim} strings, got {labels!r}")
+            raise ValueError(
+                f"algebra field 'labels' must be a list of {dim} strings, got {labels!r}"
+            )
         labels = tuple(labels)
     return FiniteAlgebra(mult, unit=unit, labels=labels)
 
@@ -244,7 +248,10 @@ def operator_from_json(data: Mapping[str, Any]) -> LinearOperator:
     if len(rows) != dim:
         raise ValueError(f"operator field 'matrix' must be a list of {dim} rows, got {len(rows)}")
     return LinearOperator(
-        [_scalars_from_json(row, dim, f"operator field 'matrix': row {i}") for i, row in enumerate(rows)]
+        [
+            _scalars_from_json(row, dim, f"operator field 'matrix': row {i}")
+            for i, row in enumerate(rows)
+        ]
     )
 
 

@@ -104,8 +104,8 @@ def test_help_and_usage_errors_match_golden():
     golden = _golden()
     if golden["python"] != list(sys.version_info[:2]):
         pytest.skip(f"golden help text was written with Python {golden['python']}")
-    computed = compute()["cases"]
-    mismatched = [name for name in sorted(golden["cases"]) if computed[name] != golden["cases"][name]]
+    computed, expected = compute()["cases"], golden["cases"]
+    mismatched = [name for name in sorted(expected) if computed[name] != expected[name]]
     assert mismatched == []
 
 
