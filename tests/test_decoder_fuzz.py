@@ -310,11 +310,11 @@ ENVELOPES = {
 KINDS = ("algebra", "operator", "coproduct", "presentation")
 
 
-def run_kind_cli(workdir, kind, data, t=MINUS_T):
+def run_kind_cli(workdir, kind, data, t=MINUS_T, envelopes=ENVELOPES):
     """Exit code, stdout and stderr of the command that reads ``data`` as its
-    ``kind`` envelope; every other input of the command is valid."""
+    ``kind`` envelope; its other inputs are taken from ``envelopes``."""
     files = {}
-    for name, envelope in ENVELOPES.items():
+    for name, envelope in envelopes.items():
         files[name] = str(workdir / f"kind_{name}.json")
         Path(files[name]).write_text(json.dumps(data if name == kind else envelope))
     if kind == "presentation":
@@ -555,6 +555,7 @@ TWO_DIM = {
     "algebra": {"kind": "algebra", "dim": 2, "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]]},
     "operator": {"kind": "operator", "dim": 2, "matrix": [["0", "0"], ["0", "1"]]},
     "coproduct": {"kind": "coproduct", "dim": 2, "items": [[0, 0, 0, "1"]]},
+    "co_operator": {"kind": "operator", "dim": 2, "matrix": [["0", "0"], ["0", "1"]]},
     "presentation": {"kind": "presentation", "name": "p", "generators": ["a"], "relations": []},
 }
 NAMED_FIELD_CASES = [
@@ -575,23 +576,11 @@ NAMED_FIELD_CASES = [
 
 
 @pytest.mark.parametrize("kind,changes,field", NAMED_FIELD_CASES)
-def test_bad_field_is_named_in_the_one_error_line(tmp_path, capsys, kind, changes, field):
+def test_bad_field_is_named_in_the_one_error_line(workdir, kind, changes, field):
     """The error names the envelope kind and the field (None deletes it)."""
     data = dict(TWO_DIM[kind], **changes)
     data = {key: value for key, value in data.items() if value is not None}
-    files = {name: tmp_path / f"{name}.json" for name in TWO_DIM}
-    for name, path in files.items():
-        path.write_text(json.dumps(data if name == kind else TWO_DIM[name]))
-    if kind == "presentation":
-        argv = ["operad", "dim3", "--file", str(files["presentation"])]
-    elif kind == "coproduct":
-        argv = ["verify", "baxter", "--coproduct", str(files["coproduct"])]
-        argv += ["--operator", str(files["operator"]), "--t=-1"]
-    else:
-        argv = ["verify", "baxter", "--algebra", str(files["algebra"])]
-        argv += ["--operator", str(files["operator"]), "--t=-1"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {kind} field '{field}'")
-    assert len(captured.err.strip().splitlines()) == 1
+    code, out, err = run_kind_cli(workdir, kind, data, F(-1), TWO_DIM)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {kind} field '{field}'")
+    assert len(err.strip().splitlines()) == 1
