@@ -289,6 +289,15 @@ def _identity_system_cases():
     yield "unit/three_op_perturbed_rational", check_unit_compatibility(
         THREE_OP_SYSTEM, _bumped_ops(tri.ops(), "succ", 1, 1, 2, F(-4, 3)), F(2, 3), tri_rules
     )
+    pa3 = path_algebra(WeightedDigraph.build(3, [(0, 1, F(3)), (1, 2, F(-7, 2))]))
+    end3 = ennea_on_end(EpsilonBialgebra(pa3.algebra, chain_coproduct(pa3), F(-1)))
+    # dim 36 (37 with the unit), the size the benchmark checks: the witnesses
+    # of the fourteen failing identities lie in slices x = 0, 4, 5 and 30
+    bumped3 = _bumped_ops(end3.ops, "se", 30, 29, 35, F(2, 3))
+    yield "ennea/end_chain3_perturbed", check_ennea(EnneaStructure(t=end3.t, ops=bumped3))
+    yield "unit/end_chain3_perturbed", check_unit_compatibility(
+        NINE_OP_SYSTEM, bumped3, end3.t, rules
+    )
     pa = _chain2()
     inst = baxter_deformation(
         "two_three", pa.algebra, weighted_coproduct(pa), chain_coproduct(pa), 0, -1
