@@ -41,10 +41,11 @@ composition maps (:func:`compose_left`, :func:`compose_right`).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, Sequence, Union
+from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -319,14 +320,16 @@ class Tensor3:
     Build instances with :meth:`from_sparse` or :meth:`from_numerators` (or
     :func:`combine` / :func:`twist`); they are immutable, and the integer
     index groupings read by the nested-composition kernels are cached
-    lazily.
+    lazily: :meth:`runs` and :meth:`packed` for the residual kernel,
+    :meth:`numerators_by_first` and :meth:`numerators_by_second` for the
+    composition maps.
 
     :meth:`nonzeros`, :meth:`by_first`, :meth:`row` and
     :attr:`entries` are Fraction views for witnesses, JSON output and tests;
     each is rebuilt on every call and never stored.
     """
 
-    __slots__ = ("dim", "denom", "numerators", "_by_first", "_by_second")
+    __slots__ = ("dim", "denom", "numerators", "_groupings")
 
     def __init__(self, dim: int, denom: int, numerators: tuple[IntEntry, ...]):
         """Wrap numerators that are already sorted, in range, nonzero and in
@@ -334,8 +337,7 @@ class Tensor3:
         self.dim = dim
         self.denom = denom
         self.numerators = numerators
-        self._by_first: dict[int, list[tuple[int, int, int]]] | None = None
-        self._by_second: dict[int, list[tuple[int, int, int]]] | None = None
+        self._groupings: dict[tuple, dict] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -383,6 +385,20 @@ class Tensor3:
             acc[key] = get(key, 0) + n
         return _from_accumulated(dim, denom, acc)
 
+    @staticmethod
+    def from_sorted(dim: int, denom: int, entries: Sequence[IntEntry]) -> "Tensor3":
+        """Tensor from sorted, distinct, nonzero numerators over ``denom``
+        > 0, with the common factor of the denominator and every numerator
+        divided out."""
+        g = denom
+        for *_, n in entries:
+            if g == 1:
+                break
+            g = math.gcd(g, n)
+        if g != 1:
+            entries = [(i, j, k, n // g) for i, j, k, n in entries]
+        return Tensor3(dim, denom // g, tuple(entries))
+
     # -- Fraction views -------------------------------------------------------
 
     def nonzeros(self) -> tuple[Entry, ...]:
@@ -402,38 +418,87 @@ class Tensor3:
     def row(self, i: int, j: int) -> tuple[Fraction, ...]:
         """Dense coefficient vector of op(e_i, e_j)."""
         out = [ZERO] * self.dim
-        for j2, k, c in self.numerators_by_first().get(i, ()):
-            if j2 == j:
-                out[k] = Fraction(c, self.denom)
+        nums = self.numerators
+        # the entries of (i, j) are one run of the sorted numerators
+        p = bisect.bisect_left(nums, (i, j))
+        while p < len(nums) and nums[p][0] == i and nums[p][1] == j:
+            out[nums[p][2]] = Fraction(nums[p][3], self.denom)
+            p += 1
         return tuple(out)
 
     def by_first(self) -> dict[int, list[tuple[int, int, Fraction]]]:
         """a -> [(j, k, c)] with op(e_a, e_j) having coefficient c on e_k."""
         d = self.denom
-        return {
-            a: [(j, k, Fraction(c, d)) for j, k, c in group]
-            for a, group in self.numerators_by_first().items()
-        }
+        groups: dict[int, list[tuple[int, int, Fraction]]] = {}
+        for i, j, k, c in self.numerators:
+            groups.setdefault(i, []).append((j, k, Fraction(c, d)))
+        return groups
 
     # -- integer groupings (cached) ------------------------------------------
 
+    def _cached(self, key: tuple, build) -> dict:
+        if self._groupings is None:
+            self._groupings = {}
+        groups = self._groupings.get(key)
+        if groups is None:
+            groups = self._groupings[key] = build()
+        return groups
+
+    def runs(self, axis: int) -> dict[int, list[IntEntry]]:
+        """a -> the entries ``(i, j, k, n)`` whose index at ``axis`` (0 or 1)
+        is a, in sorted order; for axis 0 each is a run of ``numerators``."""
+
+        def build() -> dict[int, list[IntEntry]]:
+            groups: dict[int, list[IntEntry]] = {}
+            for entry in self.numerators:
+                groups.setdefault(entry[axis], []).append(entry)
+            return groups
+
+        return self._cached(("runs", axis), build)
+
+    def packed(
+        self, axis: int, wa: int, wb: int
+    ) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """a -> (keys, numerators) over the entries whose index at ``axis``
+        is a, the other two indices packed as ``first*wa + second*wb`` (in
+        (i, j, k) order), so a kernel key is one addition away.  Two flat
+        tuples per group, not one pair per entry, to keep the cache small."""
+        a, b = (p for p in range(3) if p != axis)
+
+        def build() -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+            keys: dict[int, list[int]] = {}
+            values: dict[int, list[int]] = {}
+            for entry in self.numerators:
+                index = entry[axis]
+                if index not in keys:
+                    keys[index], values[index] = [], []
+                keys[index].append(entry[a] * wa + entry[b] * wb)
+                values[index].append(entry[3])
+            return {index: (tuple(keys[index]), tuple(values[index])) for index in keys}
+
+        return self._cached(("packed", axis, wa, wb), build)
+
     def numerators_by_first(self) -> dict[int, list[tuple[int, int, int]]]:
         """a -> [(j, k, n)]: op(e_a, e_j) has coefficient n / denom on e_k."""
-        if self._by_first is None:
+
+        def build() -> dict[int, list[tuple[int, int, int]]]:
             groups: dict[int, list[tuple[int, int, int]]] = {}
             for i, j, k, n in self.numerators:
                 groups.setdefault(i, []).append((j, k, n))
-            self._by_first = groups
-        return self._by_first
+            return groups
+
+        return self._cached(("by_first",), build)
 
     def numerators_by_second(self) -> dict[int, list[tuple[int, int, int]]]:
         """a -> [(i, k, n)]: op(e_i, e_a) has coefficient n / denom on e_k."""
-        if self._by_second is None:
+
+        def build() -> dict[int, list[tuple[int, int, int]]]:
             groups: dict[int, list[tuple[int, int, int]]] = {}
             for i, j, k, n in self.numerators:
                 groups.setdefault(j, []).append((i, k, n))
-            self._by_second = groups
-        return self._by_second
+            return groups
+
+        return self._cached(("by_second",), build)
 
     # -- algebra -------------------------------------------------------------
 
@@ -444,14 +509,10 @@ class Tensor3:
         if not len(x) == len(y) == self.dim:
             raise ValueError("dimension mismatch")
         out = [ZERO] * self.dim
-        by_first = self.numerators_by_first()
-        for i, xi in enumerate(x):
-            if xi == 0 or i not in by_first:
-                continue
-            for j, k, c in by_first[i]:
-                yj = y[j]
-                if yj != 0:
-                    out[k] += xi * yj * c
+        for i, j, k, c in self.numerators:
+            xi, yj = x[i], y[j]
+            if xi and yj:
+                out[k] += xi * yj * c
         return tuple(v / self.denom for v in out)
 
     def add(self, other: "Tensor3") -> "Tensor3":
@@ -465,7 +526,7 @@ class Tensor3:
         if c == 0:
             return Tensor3.zero(self.dim)
         p = c.numerator
-        return _lowest_terms(
+        return Tensor3.from_sorted(
             self.dim,
             self.denom * c.denominator,
             [(i, j, k, p * n) for i, j, k, n in self.numerators],
@@ -504,23 +565,10 @@ def check_indices(what: str, dim: int, *indices: object) -> None:
             raise ValueError(f"{what} index {index!r} out of range for dimension {dim}")
 
 
-def _lowest_terms(dim: int, denom: int, entries: list[IntEntry]) -> Tensor3:
-    """Tensor from sorted nonzero numerators over ``denom`` > 0, with the
-    common factor of the denominator and every numerator divided out."""
-    g = denom
-    for *_, n in entries:
-        if g == 1:
-            break
-        g = math.gcd(g, n)
-    if g != 1:
-        entries = [(i, j, k, n // g) for i, j, k, n in entries]
-    return Tensor3(dim, denom // g, tuple(entries))
-
-
 def _from_accumulated(
     dim: int, denom: int, acc: dict[tuple[int, int, int], int]
 ) -> Tensor3:
-    return _lowest_terms(
+    return Tensor3.from_sorted(
         dim, denom, [(i, j, k, n) for (i, j, k), n in sorted(acc.items()) if n]
     )
 
@@ -640,6 +688,109 @@ def first_row_difference(
 
 NestedTerm = tuple  # (coeff, inner, outer) or (coeff, inner, outer, order)
 
+# Routes to the x-slice.  A left-nested term outer(inner(u, v), w) joins
+# inner (u, v) -> a with outer (a, w) -> m; a right-nested term
+# outer(u, inner(v, w)) joins inner (v, w) -> a with outer (u, a) -> m.
+# Whichever slot holds the triple's x, one tensor is walked by that index
+# (its runs), and each walked entry picks, by its link index a, one group
+# of the other tensor whose two remaining indices are packed into the key.
+# A route is (walked tensor, its axis, position of the free index in a
+# walked entry, the slot that index fills, position of the link index,
+# grouped tensor, its axis, the slots of its two packed indices), with
+# tensors 0 = inner, 1 = outer and slots 0, 1, 2, 3 = u, v, w, m; there is
+# one route per nesting and slot of x.
+_ROUTES = {
+    True: (  # left-nested, x = u, v, w
+        (0, 0, 1, 1, 2, 1, 0, (2, 3)),
+        (0, 1, 0, 0, 2, 1, 0, (2, 3)),
+        (1, 1, 2, 3, 0, 0, 2, (0, 1)),
+    ),
+    False: (  # right-nested, x = u, v, w
+        (1, 0, 2, 3, 1, 0, 2, (1, 2)),
+        (0, 0, 1, 2, 2, 1, 1, (0, 3)),
+        (0, 1, 0, 1, 2, 1, 1, (0, 3)),
+    ),
+}
+
+
+def _slice_plans(
+    sides: Iterable[tuple[int, bool, Sequence[NestedTerm]]]
+) -> tuple[int, int, list[tuple]]:
+    """Each nonzero term of the given (sign, left_nested, terms) sides as a
+    plan ``(weight, runs, free, free_weight, link, groups)`` for
+    :func:`_slice`, with the dimension n and the common denominator L: the
+    integer weights are L * sign * c / (D_inner * D_outer)."""
+    weighted = []
+    dims = set()
+    for sign, left_nested, terms in sides:
+        for coeff, inner, outer, *order in terms:
+            if coeff == 0:
+                continue
+            dims.update((inner.dim, outer.dim))
+            scale = sign * Fraction(coeff) / (inner.denom * outer.denom)
+            weighted.append((scale, left_nested, inner, outer, order[0] if order else (0, 1, 2)))
+    if len(dims) > 1:
+        raise ValueError("dimension mismatch in nested composition")
+    n = dims.pop() if dims else 0
+    common = math.lcm(*(scale.denominator for scale, *_ in weighted))
+    # slot weights in a slice key (y*n + z)*n + m: y counts n*n, z counts n,
+    # m counts 1; x is the slice itself
+    arg_weight = (0, n * n, n)
+    plans = []
+    for scale, left_nested, inner, outer, order in weighted:
+        slot_weight = [arg_weight[arg] for arg in order] + [1]
+        walked, axis, free, free_slot, link, grouped, group_axis, (s1, s2) = _ROUTES[
+            left_nested
+        ][order.index(0)]
+        pair = (inner, outer)
+        plans.append((
+            scale.numerator * (common // scale.denominator),
+            pair[walked].runs(axis),
+            free,
+            slot_weight[free_slot],
+            link,
+            pair[grouped].packed(group_axis, slot_weight[s1], slot_weight[s2]),
+        ))
+    return n, common, plans
+
+
+def _slice(plans: list[tuple], x: int) -> dict[int, int]:
+    """The x-slice of the planned terms' sum: {(y*n + z)*n + m: integer}."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for w, runs, free, free_weight, link, groups in plans:
+        entries = runs.get(x)
+        if not entries:
+            continue
+        for entry in entries:
+            group = groups.get(entry[link])
+            if group:
+                base, wc = entry[free] * free_weight, w * entry[3]
+                for packed, c in zip(*group):
+                    key = base + packed
+                    acc[key] = get(key, 0) + wc * c
+    return acc
+
+
+def _failing_slices(
+    left_terms: Sequence[NestedTerm], right_terms: Sequence[NestedTerm]
+) -> tuple[int, Iterator[tuple[int, dict[int, int]]]]:
+    """The dimension n and, in increasing x, every x-slice of
+    L * (sum left - sum right) that has a nonzero entry.  Only the x that
+    some term's walked tensor holds are visited, and a slice is summed only
+    when the one before it has been consumed, so a caller that stops at the
+    first failing slice does no further work."""
+    n, _, plans = _slice_plans(((1, True, left_terms), (-1, False, right_terms)))
+    xs = sorted(set().union(*(runs for _, runs, *_ in plans)))
+
+    def slices() -> Iterator[tuple[int, dict[int, int]]]:
+        for x in xs:
+            acc = _slice(plans, x)
+            if any(acc.values()):
+                yield x, acc
+
+    return n, slices()
+
 
 def nested_residual(
     left_terms: Sequence[NestedTerm], right_terms: Sequence[NestedTerm]
@@ -655,56 +806,17 @@ def nested_residual(
     the e_m coefficient on the basis triple (x, y, z).  L > 0 is the lcm of
     the denominators of every term's scale c / (D_inner * D_outer), D being
     a tensor's shared denominator, so the residual is zero exactly where the
-    two sides agree.
+    two sides agree.  The sum runs one x-slice at a time (every slice is
+    collected here; :func:`first_nested_difference` stops at the first
+    failing one).
     """
-    weighted = []
-    dims = set()
-    for sign, left_nested, terms in ((1, True, left_terms), (-1, False, right_terms)):
-        for coeff, inner, outer, *order in terms:
-            if coeff == 0:
-                continue
-            dims.update((inner.dim, outer.dim))
-            scale = sign * Fraction(coeff) / (inner.denom * outer.denom)
-            order = order[0] if order else (0, 1, 2)
-            weighted.append((scale, left_nested, inner, outer, order))
-    if len(dims) > 1:
-        raise ValueError("dimension mismatch in nested composition")
-    n = dims.pop() if dims else 0
-    n2, n3 = n * n, n * n * n
-    place = (n3, n2, n)
-    common = math.lcm(*(scale.denominator for scale, *_ in weighted))
-    # keys are packed as ((x*n + y)*n + z)*n + m while summing; u, v and w
-    # land in the slots their order names
-    acc: dict[int, int] = {}
-    get = acc.get
-    for scale, left_nested, inner, outer, (p, q, r) in weighted:
-        w = scale.numerator * (common // scale.denominator)
-        wu, wv, ww = place[p], place[q], place[r]
-        if left_nested:
-            # (u, v) -> a under inner, then (a, w) -> m under outer
-            rows = outer.numerators_by_first()
-            for i, j, a, c in inner.numerators:
-                row = rows.get(a)
-                if row:
-                    wc, base = w * c, i * wu + j * wv
-                    for k, m, c2 in row:
-                        key = base + k * ww + m
-                        acc[key] = get(key, 0) + wc * c2
-        else:
-            # (v, w) -> a under inner, then (u, a) -> m under outer
-            cols = outer.numerators_by_second()
-            for j, k, a, c in inner.numerators:
-                col = cols.get(a)
-                if col:
-                    wc, base = w * c, j * wv + k * ww
-                    for i, m, c2 in col:
-                        key = base + i * wu + m
-                        acc[key] = get(key, 0) + wc * c2
+    n, slices = _failing_slices(left_terms, right_terms)
     out: dict[tuple[int, int, int, int], int] = {}
-    for key, value in acc.items():
-        if value:
-            xy, zm = divmod(key, n2)
-            out[divmod(xy, n) + divmod(zm, n)] = value
+    for x, acc in slices:
+        for key, value in acc.items():
+            if value:
+                yz, m = divmod(key, n)
+                out[(x, *divmod(yz, n), m)] = value
     return out
 
 
@@ -712,28 +824,11 @@ def nested_value(
     terms: Sequence[NestedTerm], left_nested: bool, triple: tuple[int, int, int]
 ) -> dict[int, Fraction]:
     """Exact nonzero coefficients {m: c} of one identity side at one triple."""
-    out: dict[int, Fraction] = {}
-    for coeff, inner, outer, *order in terms:
-        if coeff == 0:
-            continue
-        x, y, z = (triple[p] for p in order[0]) if order else triple
-        scale = Fraction(coeff) / (inner.denom * outer.denom)
-        mid_rows = inner.numerators_by_first()
-        if left_nested:
-            mids = [(a, c) for j, a, c in mid_rows.get(x, ()) if j == y]
-            rows = outer.numerators_by_first()
-            for a, c in mids:
-                for k, m, c2 in rows.get(a, ()):
-                    if k == z:
-                        out[m] = out.get(m, ZERO) + scale * (c * c2)
-        else:
-            mids = [(a, c) for k, a, c in mid_rows.get(y, ()) if k == z]
-            cols = outer.numerators_by_second()
-            for a, c in mids:
-                for i, m, c2 in cols.get(a, ()):
-                    if i == x:
-                        out[m] = out.get(m, ZERO) + scale * (c * c2)
-    return {m: c for m, c in out.items() if c != 0}
+    n, common, plans = _slice_plans(((1, left_nested, terms),))
+    x, y, z = triple
+    base = (y * n + z) * n
+    acc = _slice(plans, x)
+    return {m: Fraction(v, common) for m in range(n) if (v := acc.get(base + m))}
 
 
 def first_nested_difference(
@@ -742,16 +837,20 @@ def first_nested_difference(
     skip: Container[tuple[int, int, int]] = (),
 ) -> tuple[tuple[int, int, int], dict[int, Fraction], dict[int, Fraction]] | None:
     """Smallest basis triple outside ``skip`` where the two sides differ,
-    with the exact values of both sides there, if any."""
-    residual = nested_residual(left_terms, right_terms)
-    triple = min((key[:3] for key in residual if key[:3] not in skip), default=None)
-    if triple is None:
-        return None
-    return (
-        triple,
-        nested_value(left_terms, True, triple),
-        nested_value(right_terms, False, triple),
-    )
+    with the exact values of both sides there, if any.  Slices are summed
+    in increasing x and the scan stops at the first one with a failing
+    triple outside ``skip``."""
+    n, slices = _failing_slices(left_terms, right_terms)
+    for x, acc in slices:
+        for yz in sorted({key // n for key, value in acc.items() if value}):
+            triple = (x, *divmod(yz, n))
+            if triple not in skip:
+                return (
+                    triple,
+                    nested_value(left_terms, True, triple),
+                    nested_value(right_terms, False, triple),
+                )
+    return None
 
 
 CompositionMap = dict[tuple[int, int, int], dict[int, Fraction]]

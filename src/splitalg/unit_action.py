@@ -127,30 +127,56 @@ def op_unit_scalars(
     return UnitScalars(right, left)
 
 
+def unit_scalars(
+    system: AxiomSystem, rules: UnitRules, t: Fraction
+) -> dict[str, UnitScalars]:
+    """Unit-action scalars of every operation of a system, composites
+    included, at parameter t."""
+    missing = set(system.generators) - set(rules)
+    if missing:
+        raise KeyError(f"unit rules missing for generators: {sorted(missing)}")
+    return {
+        name: op_unit_scalars(system, rules, t, name) for name in system.operation_names()
+    }
+
+
 def augment_tensor(tensor: Tensor3, scalars: UnitScalars) -> Tensor3:
     """Structure tensor of one operation on ``k·1 ⊕ A`` (unit at index 0).
 
     The undefined corner (both arguments the unit) is stored as zero; the
     compatibility check never reads it because it skips those triples.
+    The sorted entries are written in order, not re-summed: the corner,
+    the unit row ``1 op e_j``, then for each i the unit column entry
+    ``e_i op 1`` ahead of the shifted entries of row i.
     """
     n = tensor.dim
     left, right = rat(scalars.left), rat(scalars.right)
     denom = math.lcm(tensor.denom, left.denominator, right.denominator)
     grow = denom // tensor.denom
-    items = [(i + 1, j + 1, k + 1, c * grow) for i, j, k, c in tensor.numerators]
-    if left != 0:
-        c = left.numerator * (denom // left.denominator)
-        items.extend((0, j, j, c) for j in range(1, n + 1))
-    if right != 0:
-        c = right.numerator * (denom // right.denominator)
-        items.extend((i, 0, i, c) for i in range(1, n + 1))
-        if scalars.defined:
-            items.append((0, 0, 0, c))
-    return Tensor3.from_numerators(n + 1, denom, items)
+    c_left = left.numerator * (denom // left.denominator)
+    c_right = right.numerator * (denom // right.denominator)
+    items: list[tuple[int, int, int, int]] = []
+    if c_right and scalars.defined:
+        items.append((0, 0, 0, c_right))
+    if c_left:
+        items.extend((0, j, j, c_left) for j in range(1, n + 1))
+    numerators, p = tensor.numerators, 0
+    for i in range(n):
+        if c_right:
+            items.append((i + 1, 0, i + 1, c_right))
+        while p < len(numerators) and numerators[p][0] == i:
+            _, j, k, c = numerators[p]
+            items.append((i + 1, j + 1, k + 1, c * grow))
+            p += 1
+    return Tensor3.from_sorted(n + 1, denom, items)
 
 
 def augmented_ops(
-    system: AxiomSystem, ops: dict[str, Tensor3], t: Fraction, rules: UnitRules
+    system: AxiomSystem,
+    ops: dict[str, Tensor3],
+    t: Fraction,
+    rules: UnitRules,
+    scalars: Mapping[str, UnitScalars] | None = None,
 ) -> dict[str, Tensor3]:
     """Augment every operation — composites included — by the unit action.
 
@@ -160,18 +186,18 @@ def augmented_ops(
     standard example, with both one-sided sums equal to 1), and only the
     composite's own scalars put the right value there.  Away from that
     corner the two readings agree, since the one-sided scalars combine
-    linearly.
+    linearly.  ``scalars``, the table of :func:`unit_scalars`, is computed
+    here when not given.
     """
-    missing = set(system.generators) - set(rules)
-    if missing:
-        raise KeyError(f"unit rules missing for generators: {sorted(missing)}")
+    if scalars is None:
+        scalars = unit_scalars(system, rules, t)
     dim = next(iter(ops.values())).dim
     out: dict[str, Tensor3] = {}
     for name in system.operation_names():
         interior = combine(
             dim, [(poly.eval(t), ops[gen]) for poly, gen in system.resolve(name)]
         )
-        out[name] = augment_tensor(interior, op_unit_scalars(system, rules, t, name))
+        out[name] = augment_tensor(interior, scalars[name])
     return out
 
 
@@ -181,6 +207,7 @@ def relation_skip_set(
     t: Fraction,
     relation: Relation,
     dim: int,
+    scalars: Mapping[str, UnitScalars] | None = None,
 ) -> set[tuple[int, int, int]]:
     """Augmented argument triples on which one identity is not defined.
 
@@ -190,14 +217,17 @@ def relation_skip_set(
     ``outer`` has no unit-by-unit value, which pins (x, y, z) to the all-
     unit triple.  Right-nested terms mirror this in the last two slots.
     An identity instance is skipped when any of its terms is undefined.
+    ``scalars``, the table of :func:`unit_scalars`, is computed here when
+    not given.
     """
+    if scalars is None:
+        scalars = unit_scalars(system, rules, t)
     skip: set[tuple[int, int, int]] = set()
     for terms, left_nested in ((relation.lhs, True), (relation.rhs, False)):
         for coeff, inner_name, outer_name in terms:
             if coeff.eval(t) == 0:
                 continue
-            s_inner = op_unit_scalars(system, rules, t, inner_name)
-            s_outer = op_unit_scalars(system, rules, t, outer_name)
+            s_inner, s_outer = scalars[inner_name], scalars[outer_name]
             if not s_inner.defined:
                 if left_nested:
                     skip.update((0, 0, k) for k in range(dim + 1))
@@ -225,13 +255,14 @@ def check_unit_compatibility(
     if len(dims) != 1:
         raise ValueError("all operation tensors must share one dimension")
     dim = dims.pop()
-    aug = augmented_ops(system, ops, t, rules)
+    scalars = unit_scalars(system, rules, t)
+    aug = augmented_ops(system, ops, t, rules, scalars)
     report = Report(
         title=title or f"{system.name} unit compatibility", passed=True
     )
 
     for relation in system.relations:
-        skip = relation_skip_set(system, rules, t, relation, dim)
+        skip = relation_skip_set(system, rules, t, relation, dim, scalars)
         # terms read the augmented table directly, so composite corner
         # values are used as stored, never re-resolved from generators
         lhs, rhs = (
