@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from splitalg import Tensor3, check_jacobi, check_prelie
-from splitalg.exactlin import nested_residual, nested_value
+from splitalg.exactlin import first_nested_difference, nested_residual, nested_value
+from splitalg.report import Report, compare_dual
 from splitalg.splitting import PreLieStructure
 
 F = Fraction
@@ -154,3 +155,138 @@ def test_prelie_witness_is_the_smallest_asymmetric_associator(seed, dim):
     if expected is not None:
         (w,) = report.witnesses
         assert (w.context, w.args, w.lhs, w.rhs) == ("prelie",) + expected
+
+
+# -- the first failing triple, with skips -------------------------------------
+# first_nested_difference sums the residual one x-slice at a time and stops at
+# the first slice holding a failing triple outside ``skip``.  These cases pin
+# what that scan must return against a brute-force scan of every triple.
+
+
+def random_sides(rng: random.Random, dim: int, count: int):
+    """Random left- and right-nested terms with random argument orders."""
+    left, right = [], []
+    for _ in range(count):
+        inner = oracles.random_tensor(rng, dim, rng.randint(1, 8))
+        outer = oracles.random_tensor(rng, dim, rng.randint(1, 8))
+        coeff = F(rng.randint(-3, 3), rng.randint(1, 4))
+        term = (coeff, inner, outer, rng.choice(ORDERS))
+        (left if rng.random() < 0.5 else right).append(term)
+    return left, right
+
+
+def brute_side(terms, left_nested: bool, dim: int) -> dict:
+    """Triple -> nonzero {m: value} of one side, by explicit summation."""
+    total: dict = {}
+    for coeff, inner, outer, *order in terms:
+        order = order[0] if order else (0, 1, 2)
+        brute = (oracles.brute_left if left_nested else oracles.brute_right)(inner, outer)
+        for t, vec in permuted(brute, order, dim).items():
+            bucket = total.setdefault(t, {})
+            for m, c in vec.items():
+                bucket[m] = bucket.get(m, F(0)) + coeff * c
+    return {t: nonzero for t, vec in total.items() if (nonzero := {m: c for m, c in vec.items() if c})}
+
+
+def brute_first_difference(left, right, dim: int, skip=()):
+    lhs, rhs = brute_side(left, True, dim), brute_side(right, False, dim)
+    for t in itertools.product(range(dim), repeat=3):
+        if t not in skip and lhs.get(t, {}) != rhs.get(t, {}):
+            return t, lhs.get(t, {}), rhs.get(t, {})
+    return None
+
+
+def failing_triples(left, right, dim: int) -> list:
+    lhs, rhs = brute_side(left, True, dim), brute_side(right, False, dim)
+    return [t for t in itertools.product(range(dim), repeat=3) if lhs.get(t, {}) != rhs.get(t, {})]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    dim=st.integers(1, 4),
+    count=st.integers(1, 4),
+    skip_share=st.sampled_from([0, 0.3, 0.7, 1]),
+)
+def test_first_difference_is_the_smallest_failing_triple_outside_skip(seed, dim, count, skip_share):
+    rng = random.Random(seed)
+    left, right = random_sides(rng, dim, count)
+    triples = list(itertools.product(range(dim), repeat=3))
+    # skip some failing triples and some others
+    failing = failing_triples(left, right, dim)
+    skip = {t for t in failing if rng.random() < skip_share}
+    skip |= set(rng.sample(triples, rng.randint(0, len(triples) // 4)))
+    expected = brute_first_difference(left, right, dim, skip)
+    assert first_nested_difference(left, right, skip) == expected
+    assert first_nested_difference(left, right) == brute_first_difference(left, right, dim)
+
+
+def agreeing_sides(rng: random.Random, dim: int):
+    """A left-nested term and the same map written right-nested:
+    outer(inner(x, y), z) = opposite(outer)(z, inner(x, y)), order (2, 0, 1)."""
+    inner, outer = oracles.random_tensor(rng, dim, 10), oracles.random_tensor(rng, dim, 10)
+    coeff = F(rng.randint(1, 5), rng.randint(1, 3))
+    return [(coeff, inner, outer)], [(coeff, inner, outer.swap_args(), (2, 0, 1))]
+
+
+def test_only_failure_in_the_last_slice_is_found():
+    rng = random.Random(88)
+    for dim in (1, 2, 3, 4):
+        for _ in range(10):
+            left, right = agreeing_sides(rng, dim)
+            assert first_nested_difference(left, right) is None
+            # one product that is nonzero on the triple (n-1, j, k) only
+            j, k, a, m = (rng.randrange(dim) for _ in range(4))
+            probe = Tensor3.from_sparse(dim, [(dim - 1, j, a, F(rng.randint(1, 4), 3))])
+            tail = Tensor3.from_sparse(dim, [(a, k, m, F(-2, rng.randint(1, 5)))])
+            left = left + [(F(1), probe, tail)]
+            expected = brute_first_difference(left, right, dim)
+            assert expected is not None and expected[0] == (dim - 1, j, k)
+            assert first_nested_difference(left, right) == expected
+
+
+def test_skipping_the_whole_first_failing_slice_moves_on():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        dim = rng.randint(2, 4)
+        left, right = random_sides(rng, dim, rng.randint(1, 4))
+        failing = failing_triples(left, right, dim)
+        slices = sorted({t[0] for t in failing})
+        if len(slices) < 2:
+            continue
+        first = {t for t in failing if t[0] == slices[0]}
+        expected = brute_first_difference(left, right, dim, first)
+        assert expected is not None and expected[0][0] > slices[0]
+        assert first_nested_difference(left, right, first) == expected
+        # skipping every failing triple leaves nothing to report
+        assert first_nested_difference(left, right, set(failing)) is None
+        checked += 1
+
+
+def test_compare_dual_reports_every_failing_basis_vector():
+    """With every_vector, one witness per failing output index i, at its
+    smallest failing triple, however many slices the failures span."""
+    rng = random.Random(31)
+    seen_late = 0
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        left, right = random_sides(rng, dim, rng.randint(1, 4))
+        if not left:
+            continue
+        lhs, rhs = brute_side(left, True, dim), brute_side(right, False, dim)
+        smallest: dict = {}
+        for t in itertools.product(range(dim), repeat=3):
+            for i in range(dim):
+                lv, rv = lhs.get(t, {}).get(i, F(0)), rhs.get(t, {}).get(i, F(0))
+                if lv != rv and i not in smallest:
+                    smallest[i] = (t, lv, rv)
+        report = Report(title="dual", passed=True)
+        holds = compare_dual(report, "dual", left, right, every_vector=True)
+        assert holds is (not smallest)
+        assert report.checks_run == dim
+        assert [(w.args, w.lhs, w.rhs) for w in report.witnesses] == [
+            ((i, *t), lv, rv) for i, (t, lv, rv) in sorted(smallest.items())
+        ]
+        seen_late += len({t[0] for t, _, _ in smallest.values()}) > 1
+    assert seen_late > 5
