@@ -26,10 +26,14 @@ each term's scale to an integer weight over one common denominator,
 and :func:`twist`, the operation ``(x, y) -> P(op(M x, N y))`` from which
 every Baxter-operator construction and both sides of every operator
 identity are combined, clears each operator's denominators once.
-:func:`nested_residual`, the kernel of every quadratic-identity check,
-clears the remaining denominators once per identity and sums integer
-products only; :func:`nested_value` rebuilds the exact rational values of
-an identity side at a witness triple.  An identity is data for them: a list
+The kernel of every quadratic-identity check clears the remaining
+denominators once per identity and sums integer products only, one slice
+of basis triples (x, ., .) at a time, in increasing x, from groupings
+cached on the tensors with their keys packed:
+:func:`first_nested_difference` stops at the first slice with a failing
+triple, :func:`nested_residual` collects every slice, and
+:func:`nested_value` reads one slice for the exact rational values of an
+identity side at a witness triple.  An identity is data for them: a list
 of left-nested terms outer(inner(u, v), w) and one of right-nested terms
 outer(u, inner(v, w)), each term a coefficient, two tensors and optionally
 an argument order saying how (u, v, w) permutes the basis triple (x, y, z),
@@ -317,10 +321,10 @@ class Tensor3:
     saying that op(e_i, e_j) has coefficient n / D on e_k.  The form is kept
     in lowest terms (D is the lcm of the entries' reduced denominators, 1 for
     the zero tensor), so equal tensors have equal storage and equal hashes.
-    Build instances with :meth:`from_sparse` or :meth:`from_numerators` (or
-    :func:`combine` / :func:`twist`); they are immutable, and the integer
-    index groupings read by the nested-composition kernels are cached
-    lazily: :meth:`runs` and :meth:`packed` for the residual kernel,
+    Build instances with :meth:`from_sparse`, :meth:`from_numerators` or
+    :meth:`from_sorted` (or :func:`combine` / :func:`twist`); they are
+    immutable, and the integer index groupings read by the kernels are
+    cached lazily: :meth:`runs` and :meth:`packed` for the residual kernel,
     :meth:`numerators_by_first` and :meth:`numerators_by_second` for the
     composition maps.
 
@@ -337,7 +341,7 @@ class Tensor3:
         self.dim = dim
         self.denom = denom
         self.numerators = numerators
-        self._groupings: dict[tuple, dict] | None = None
+        self._groupings: dict[tuple, dict] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -436,69 +440,46 @@ class Tensor3:
 
     # -- integer groupings (cached) ------------------------------------------
 
-    def _cached(self, key: tuple, build) -> dict:
-        if self._groupings is None:
-            self._groupings = {}
+    def runs(self, axis: int) -> dict[int, tuple[IntEntry, ...]]:
+        """a -> the entries ``(i, j, k, n)`` whose index at ``axis`` is a, in
+        sorted order; for axis 0 each is a run of ``numerators``."""
+        key = ("runs", axis)
         groups = self._groupings.get(key)
         if groups is None:
-            groups = self._groupings[key] = build()
+            nums = self.numerators
+            groups = self._groupings[key] = _grouped([e[axis] for e in nums], nums)
         return groups
 
-    def runs(self, axis: int) -> dict[int, list[IntEntry]]:
-        """a -> the entries ``(i, j, k, n)`` whose index at ``axis`` (0 or 1)
-        is a, in sorted order; for axis 0 each is a run of ``numerators``."""
-
-        def build() -> dict[int, list[IntEntry]]:
-            groups: dict[int, list[IntEntry]] = {}
-            for entry in self.numerators:
-                groups.setdefault(entry[axis], []).append(entry)
-            return groups
-
-        return self._cached(("runs", axis), build)
-
-    def packed(
-        self, axis: int, wa: int, wb: int
-    ) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """a -> (keys, numerators) over the entries whose index at ``axis``
-        is a, the other two indices packed as ``first*wa + second*wb`` (in
-        (i, j, k) order), so a kernel key is one addition away.  Two flat
-        tuples per group, not one pair per entry, to keep the cache small."""
-        a, b = (p for p in range(3) if p != axis)
-
-        def build() -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-            keys: dict[int, list[int]] = {}
-            values: dict[int, list[int]] = {}
-            for entry in self.numerators:
-                index = entry[axis]
-                if index not in keys:
-                    keys[index], values[index] = [], []
-                keys[index].append(entry[a] * wa + entry[b] * wb)
-                values[index].append(entry[3])
-            return {index: (tuple(keys[index]), tuple(values[index])) for index in keys}
-
-        return self._cached(("packed", axis, wa, wb), build)
+    def packed(self, axis: int, wa: int, wb: int) -> dict[int, tuple[tuple[int, int], ...]]:
+        """a -> ((p, n), ...) over the entries whose index at ``axis`` is a,
+        the other two indices packed as ``p = first*wa + second*wb`` (in
+        (i, j, k) order), so a kernel key is one addition away."""
+        key = ("packed", axis, wa, wb)
+        groups = self._groupings.get(key)
+        if groups is None:
+            nums, (a, b) = self.numerators, (p for p in range(3) if p != axis)
+            groups = self._groupings[key] = _grouped(
+                [e[axis] for e in nums], [(e[a] * wa + e[b] * wb, e[3]) for e in nums]
+            )
+        return groups
 
     def numerators_by_first(self) -> dict[int, list[tuple[int, int, int]]]:
         """a -> [(j, k, n)]: op(e_a, e_j) has coefficient n / denom on e_k."""
-
-        def build() -> dict[int, list[tuple[int, int, int]]]:
-            groups: dict[int, list[tuple[int, int, int]]] = {}
+        groups = self._groupings.get(("by_first",))
+        if groups is None:
+            groups = self._groupings[("by_first",)] = {}
             for i, j, k, n in self.numerators:
                 groups.setdefault(i, []).append((j, k, n))
-            return groups
-
-        return self._cached(("by_first",), build)
+        return groups
 
     def numerators_by_second(self) -> dict[int, list[tuple[int, int, int]]]:
         """a -> [(i, k, n)]: op(e_i, e_a) has coefficient n / denom on e_k."""
-
-        def build() -> dict[int, list[tuple[int, int, int]]]:
-            groups: dict[int, list[tuple[int, int, int]]] = {}
+        groups = self._groupings.get(("by_second",))
+        if groups is None:
+            groups = self._groupings[("by_second",)] = {}
             for i, j, k, n in self.numerators:
                 groups.setdefault(j, []).append((i, k, n))
-            return groups
-
-        return self._cached(("by_second",), build)
+        return groups
 
     # -- algebra -------------------------------------------------------------
 
@@ -558,6 +539,18 @@ class Tensor3:
         return f"Tensor3(dim={self.dim}, nonzeros={len(self.numerators)})"
 
 
+def _grouped(indices: Iterable[int], items: Iterable) -> dict[int, tuple]:
+    """a -> the tuple of items whose index is a, in order (tuples, not
+    lists, since the groups are cached)."""
+    groups: dict[int, list] = {}
+    for index, item in zip(indices, items):
+        if index in groups:
+            groups[index].append(item)
+        else:
+            groups[index] = [item]
+    return {index: tuple(group) for index, group in groups.items()}
+
+
 def check_indices(what: str, dim: int, *indices: object) -> None:
     """Raise ValueError unless every index is an int in ``[0, dim)``."""
     for index in indices:
@@ -578,15 +571,21 @@ def combine(dim: int, terms: Iterable[tuple[Scalar, Tensor3]]) -> Tensor3:
 
     Each term's scale coeff / D is cleared to an integer weight over the lcm
     of those scales' denominators, so the sum runs over integer numerators.
+    A lone term with coefficient 1 is returned as it is (tensors are
+    immutable), so a generator resolved as an operation shares its storage
+    and cached groupings.
     """
-    weighted = []
+    kept = []
     for coeff, tensor in terms:
         coeff = rat(coeff)
         if coeff == 0:
             continue
         if tensor.dim != dim:
             raise ValueError("dimension mismatch in combination")
-        weighted.append((coeff / tensor.denom, tensor.numerators))
+        kept.append((coeff, tensor))
+    if len(kept) == 1 and kept[0][0] == 1:
+        return kept[0][1]
+    weighted = [(coeff / tensor.denom, tensor.numerators) for coeff, tensor in kept]
     common = math.lcm(*(scale.denominator for scale, _ in weighted))
     acc: dict[tuple[int, int, int], int] = {}
     get = acc.get
@@ -681,10 +680,13 @@ def first_row_difference(
 # against sums of right-nested terms  outer(u, inner(v, w)), where (u, v, w)
 # is the basis triple (x, y, z) read in the term's argument order.  The
 # residual kernel clears all denominators once per identity and sums integer
-# products of sparse entries, so no Fraction is touched in the inner loop;
-# the exact values of both sides are rebuilt only at a witness triple.  The
-# composition maps below, which the deformation series check reads, also sum
-# integer products and turn each sum into a Fraction once.
+# products of sparse entries, so no Fraction is touched in the inner loop.
+# It sums one x-slice at a time into a fresh dict keyed (y*n + z)*n + m
+# (row-wise, as in Gustavson's sparse product), so its memory is one slice
+# and a scan for the smallest failing triple can stop at the first failing
+# slice; the exact values of both sides are rebuilt only at a witness
+# triple.  The composition maps below, which the deformation series check
+# reads, also sum integer products and turn each sum into a Fraction once.
 
 NestedTerm = tuple  # (coeff, inner, outer) or (coeff, inner, outer, order)
 
@@ -727,7 +729,8 @@ def _slice_plans(
             if coeff == 0:
                 continue
             dims.update((inner.dim, outer.dim))
-            scale = sign * Fraction(coeff) / (inner.denom * outer.denom)
+            q = Fraction(coeff)
+            scale = Fraction(sign * q.numerator, q.denominator * inner.denom * outer.denom)
             weighted.append((scale, left_nested, inner, outer, order[0] if order else (0, 1, 2)))
     if len(dims) > 1:
         raise ValueError("dimension mismatch in nested composition")
@@ -738,6 +741,8 @@ def _slice_plans(
     arg_weight = (0, n * n, n)
     plans = []
     for scale, left_nested, inner, outer, order in weighted:
+        if not (inner.numerators and outer.numerators):
+            continue  # a zero product; its scale still counts in L
         slot_weight = [arg_weight[arg] for arg in order] + [1]
         walked, axis, free, free_slot, link, grouped, group_axis, (s1, s2) = _ROUTES[
             left_nested
@@ -766,7 +771,7 @@ def _slice(plans: list[tuple], x: int) -> dict[int, int]:
             group = groups.get(entry[link])
             if group:
                 base, wc = entry[free] * free_weight, w * entry[3]
-                for packed, c in zip(*group):
+                for packed, c in group:
                     key = base + packed
                     acc[key] = get(key, 0) + wc * c
     return acc
