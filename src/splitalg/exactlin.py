@@ -323,10 +323,8 @@ class Tensor3:
     the zero tensor), so equal tensors have equal storage and equal hashes.
     Build instances with :meth:`from_sparse`, :meth:`from_numerators` or
     :meth:`from_sorted` (or :func:`combine` / :func:`twist`); they are
-    immutable, and the integer index groupings read by the kernels are
-    cached lazily: :meth:`runs` and :meth:`packed` for the residual kernel,
-    :meth:`numerators_by_first` and :meth:`numerators_by_second` for the
-    composition maps.
+    immutable, and the integer index groupings read by the kernels
+    (:meth:`runs` and :meth:`packed`) are cached lazily.
 
     :meth:`nonzeros`, :meth:`by_first`, :meth:`row` and
     :attr:`entries` are Fraction views for witnesses, JSON output and tests;
@@ -461,24 +459,6 @@ class Tensor3:
             groups = self._groupings[key] = _grouped(
                 [e[axis] for e in nums], [(e[a] * wa + e[b] * wb, e[3]) for e in nums]
             )
-        return groups
-
-    def numerators_by_first(self) -> dict[int, list[tuple[int, int, int]]]:
-        """a -> [(j, k, n)]: op(e_a, e_j) has coefficient n / denom on e_k."""
-        groups = self._groupings.get(("by_first",))
-        if groups is None:
-            groups = self._groupings[("by_first",)] = {}
-            for i, j, k, n in self.numerators:
-                groups.setdefault(i, []).append((j, k, n))
-        return groups
-
-    def numerators_by_second(self) -> dict[int, list[tuple[int, int, int]]]:
-        """a -> [(i, k, n)]: op(e_i, e_a) has coefficient n / denom on e_k."""
-        groups = self._groupings.get(("by_second",))
-        if groups is None:
-            groups = self._groupings[("by_second",)] = {}
-            for i, j, k, n in self.numerators:
-                groups.setdefault(j, []).append((i, k, n))
         return groups
 
     # -- algebra -------------------------------------------------------------
@@ -864,12 +844,12 @@ CompositionMap = dict[tuple[int, int, int], dict[int, Fraction]]
 def compose_left(inner: Tensor3, outer: Tensor3) -> CompositionMap:
     """Coefficients of outer(inner(x, y), z) on basis triples (x, y, z)."""
     sums: dict[tuple[int, int, int], dict[int, int]] = {}
-    outer_rows = outer.numerators_by_first()
+    outer_rows = outer.runs(0)
     for i, j, a, c in inner.numerators:
         rows = outer_rows.get(a)
         if not rows:
             continue
-        for k, m, c2 in rows:
+        for _, k, m, c2 in rows:
             bucket = sums.setdefault((i, j, k), {})
             bucket[m] = bucket.get(m, 0) + c * c2
     return _rational_buckets(sums, inner.denom * outer.denom)
@@ -878,12 +858,12 @@ def compose_left(inner: Tensor3, outer: Tensor3) -> CompositionMap:
 def compose_right(inner: Tensor3, outer: Tensor3) -> CompositionMap:
     """Coefficients of outer(x, inner(y, z)) on basis triples (x, y, z)."""
     sums: dict[tuple[int, int, int], dict[int, int]] = {}
-    outer_cols = outer.numerators_by_second()
+    outer_cols = outer.runs(1)
     for j, k, a, c in inner.numerators:
         cols = outer_cols.get(a)
         if not cols:
             continue
-        for i, m, c2 in cols:
+        for i, _, m, c2 in cols:
             bucket = sums.setdefault((i, j, k), {})
             bucket[m] = bucket.get(m, 0) + c * c2
     return _rational_buckets(sums, inner.denom * outer.denom)
