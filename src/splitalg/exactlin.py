@@ -438,27 +438,36 @@ class Tensor3:
 
     # -- integer groupings (cached) ------------------------------------------
 
-    def runs(self, axis: int) -> dict[int, tuple[IntEntry, ...]]:
+    def runs(self, axis: int) -> dict[int, list[IntEntry]]:
         """a -> the entries ``(i, j, k, n)`` whose index at ``axis`` is a, in
         sorted order; for axis 0 each is a run of ``numerators``."""
         key = ("runs", axis)
         groups = self._groupings.get(key)
         if groups is None:
-            nums = self.numerators
-            groups = self._groupings[key] = _grouped([e[axis] for e in nums], nums)
+            groups = self._groupings[key] = {}
+            for entry in self.numerators:
+                index = entry[axis]
+                if index in groups:
+                    groups[index].append(entry)
+                else:
+                    groups[index] = [entry]
         return groups
 
-    def packed(self, axis: int, wa: int, wb: int) -> dict[int, tuple[tuple[int, int], ...]]:
-        """a -> ((p, n), ...) over the entries whose index at ``axis`` is a,
-        the other two indices packed as ``p = first*wa + second*wb`` (in
-        (i, j, k) order), so a kernel key is one addition away."""
+    def packed(self, axis: int, wa: int, wb: int) -> dict[int, list[tuple[int, int]]]:
+        """a -> [(p, n)] over the entries whose index at ``axis`` is a, the
+        other two indices packed as ``p = first*wa + second*wb`` (in (i, j, k)
+        order), so a kernel key is one addition away."""
         key = ("packed", axis, wa, wb)
         groups = self._groupings.get(key)
         if groups is None:
-            nums, (a, b) = self.numerators, (p for p in range(3) if p != axis)
-            groups = self._groupings[key] = _grouped(
-                [e[axis] for e in nums], [(e[a] * wa + e[b] * wb, e[3]) for e in nums]
-            )
+            groups = self._groupings[key] = {}
+            a, b = (p for p in range(3) if p != axis)
+            for entry in self.numerators:
+                index, pair = entry[axis], (entry[a] * wa + entry[b] * wb, entry[3])
+                if index in groups:
+                    groups[index].append(pair)
+                else:
+                    groups[index] = [pair]
         return groups
 
     # -- algebra -------------------------------------------------------------
@@ -517,18 +526,6 @@ class Tensor3:
 
     def __repr__(self) -> str:
         return f"Tensor3(dim={self.dim}, nonzeros={len(self.numerators)})"
-
-
-def _grouped(indices: Iterable[int], items: Iterable) -> dict[int, tuple]:
-    """a -> the tuple of items whose index is a, in order (tuples, not
-    lists, since the groups are cached)."""
-    groups: dict[int, list] = {}
-    for index, item in zip(indices, items):
-        if index in groups:
-            groups[index].append(item)
-        else:
-            groups[index] = [item]
-    return {index: tuple(group) for index, group in groups.items()}
 
 
 def check_indices(what: str, dim: int, *indices: object) -> None:
@@ -759,22 +756,17 @@ def _slice(plans: list[tuple], x: int) -> dict[int, int]:
 
 def _failing_slices(
     left_terms: Sequence[NestedTerm], right_terms: Sequence[NestedTerm]
-) -> tuple[int, Iterator[tuple[int, dict[int, int]]]]:
-    """The dimension n and, in increasing x, every x-slice of
-    L * (sum left - sum right) that has a nonzero entry.  Only the x that
-    some term's walked tensor holds are visited, and a slice is summed only
-    when the one before it has been consumed, so a caller that stops at the
-    first failing slice does no further work."""
+) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """(n, x, slice) for each x, in increasing order, whose slice of
+    L * (sum left - sum right) has a nonzero entry, n being the dimension.
+    Only the x that some term's walked tensor holds are visited, and a slice
+    is summed only when the one before it has been consumed, so a caller
+    that stops at the first failing slice does no further work."""
     n, _, plans = _slice_plans(((1, True, left_terms), (-1, False, right_terms)))
-    xs = sorted(set().union(*(runs for _, runs, *_ in plans)))
-
-    def slices() -> Iterator[tuple[int, dict[int, int]]]:
-        for x in xs:
-            acc = _slice(plans, x)
-            if any(acc.values()):
-                yield x, acc
-
-    return n, slices()
+    for x in sorted(set().union(*(runs for _, runs, *_ in plans))):
+        acc = _slice(plans, x)
+        if any(acc.values()):
+            yield n, x, acc
 
 
 def nested_residual(
@@ -795,9 +787,8 @@ def nested_residual(
     collected here; :func:`first_nested_difference` stops at the first
     failing one).
     """
-    n, slices = _failing_slices(left_terms, right_terms)
     out: dict[tuple[int, int, int, int], int] = {}
-    for x, acc in slices:
+    for n, x, acc in _failing_slices(left_terms, right_terms):
         for key, value in acc.items():
             if value:
                 yz, m = divmod(key, n)
@@ -825,8 +816,7 @@ def first_nested_difference(
     with the exact values of both sides there, if any.  Slices are summed
     in increasing x and the scan stops at the first one with a failing
     triple outside ``skip``."""
-    n, slices = _failing_slices(left_terms, right_terms)
-    for x, acc in slices:
+    for n, x, acc in _failing_slices(left_terms, right_terms):
         for yz in sorted({key // n for key, value in acc.items() if value}):
             triple = (x, *divmod(yz, n))
             if triple not in skip:
