@@ -341,6 +341,10 @@ def compute() -> dict:
         for name, report in cases():
             golden[name] = report_to_json(report)
     golden["envelope/end_ennea_chain2"] = json.loads(_end_ennea_envelope(2, [F(2, 3)]))
+    # the bytes of an envelope whose tensors have denominators (4/9, 3/5, ...)
+    fifths = _end_ennea_envelope(2, [F(3, 5)])
+    golden["envelope/end_ennea_chain2_3_5"] = json.loads(fifths)
+    golden["envelope/end_ennea_chain2_3_5_sha256"] = hashlib.sha256(fifths.encode()).hexdigest()
     chain3 = _end_ennea_envelope(3, [F(1), F(-5, 2)])
     golden["envelope/end_ennea_chain3_sha256"] = hashlib.sha256(chain3.encode()).hexdigest()
     return golden

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitalg import (
     CoalgebraData,
@@ -185,3 +187,175 @@ def test_coproduct_indices_outside_the_dimension_are_rejected(index):
     data = {"kind": "coproduct", "dim": 2, "items": [[index, 0, 0, "1"]]}
     with pytest.raises(ValueError):
         coproduct_from_json(data)
+
+
+# -- the writer: same bytes as the standard library's indented encoder ------
+
+# Strings that would break a re-indented row block if the writer trusted it:
+# separators, brackets, quotes, backslashes, non-ASCII and line breaks.
+TRICKY_STRINGS = [
+    ", ", "], [", "[", "]", "[[", "]]", ",", '"', '", "', "\\", "\\\\n", "é",
+    " ", "\n", "", "1/2", "-0", "[0, 1]", "a, b", "x]", "{}",
+]
+json_strings = st.one_of(st.sampled_from(TRICKY_STRINGS), st.text(max_size=6))
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**30), 10**30), json_strings
+)
+# lists of rows, the shape of tensor entries and matrix rows: ragged, empty
+# or with empty rows included
+json_rows = st.lists(
+    st.lists(st.one_of(st.integers(-50, 50), json_strings, json_scalars), max_size=5),
+    max_size=6,
+)
+json_values = st.recursive(
+    st.one_of(json_scalars, json_rows),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(value=json_values)
+def test_dump_json_writes_the_bytes_of_the_indented_standard_encoder(value):
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        [[]],
+        [[], []],
+        [[1], []],
+        [[], [1]],
+        [[1, 2], [3]],
+        [["a, b", 1]],
+        [["], [", "x"]],
+        [["\\"]],
+        [["é", 0]],
+        [[True, None, 0]],
+        {"ops": {"b": [[0, 0, 0, "1"]], "a": [[0, 1, 1, "-2/3"], [1, 0, 1, "1"]]}},
+        {"matrix": [["1", "0"], ["1/2", "-3"]], "dim": 2, "kind": "operator"},
+        {"rows": [[[0]], [[1]]], "flat": ["a", "b"], "empty": [[], {}]},
+    ],
+)
+def test_dump_json_edge_shapes(value):
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# -- the tensor decoder: the same tensor as summing Fractions ----------------
+
+coefficient_values = st.one_of(
+    st.integers(-40, 40).map(F),
+    st.builds(F, st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def spelled(draw, value: Fraction):
+    """One JSON spelling of a coefficient: "n", "p/q" (maybe unreduced), a
+    JSON int, or "-0" for zero."""
+    if value == 0 and draw(st.booleans()):
+        return draw(st.sampled_from(["-0", "0", "0/7", "-0/3"]))
+    if value.denominator == 1 and draw(st.booleans()):
+        return value.numerator
+    factor = draw(st.sampled_from([1, 1, 2, 6]))
+    if factor == 1 and value.denominator == 1 and draw(st.booleans()):
+        return str(value.numerator)
+    return f"{value.numerator * factor}/{value.denominator * factor}"
+
+
+@st.composite
+def entry_lists(draw):
+    """Entries over dims 1-4 with few distinct indices, so repeated entries
+    are common, pairs that cancel to zero added, and the list shuffled."""
+    dim = draw(st.integers(1, 4))
+    index = st.integers(0, dim - 1)
+    items = []
+    for _ in range(draw(st.integers(0, 12))):
+        key = [draw(index), draw(index), draw(index)]
+        value = draw(coefficient_values)
+        items.append(key + [draw(spelled(value))])
+        if draw(st.integers(0, 3)) == 0:
+            items.append(key + [draw(spelled(-value))])
+    if draw(st.booleans()):
+        items = draw(st.permutations(items))
+    else:
+        items.sort(key=lambda item: item[:3])
+    return dim, items
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=entry_lists())
+def test_tensor_from_json_equals_from_sparse_on_the_same_entries(case):
+    dim, items = case
+    expected = Tensor3.from_sparse(dim, [(i, j, k, F(c)) for i, j, k, c in items])
+    decoded = tensor_from_json(dim, items)
+    assert decoded == expected
+    assert (decoded.denom, decoded.numerators) == (expected.denom, expected.numerators)
+    assert tensor_from_json(dim, tensor_to_json(decoded)) == decoded
+    delta = coproduct_from_json({"kind": "coproduct", "dim": dim, "items": items})
+    assert delta == CoalgebraData.from_items(dim, [(i, j, k, F(c)) for i, j, k, c in items])
+
+
+@pytest.mark.parametrize(
+    "items,message",
+    [
+        ({"0": [0, 0, 0, "1"]}, "tensor entries must be a list, got dict"),
+        ("[[0, 0, 0, 1]]", "tensor entries must be a list, got str"),
+        (None, "tensor entries must be a list, got NoneType"),
+        ([[True, 0, 0, "1"]], "tensor index True out of range for dimension 2"),
+        ([[0, False, 0, "1"]], "tensor index False out of range for dimension 2"),
+        ([[0, 0, 2, "1"]], "tensor index 2 out of range for dimension 2"),
+        ([[0, -1, 0, "1"]], "tensor index -1 out of range for dimension 2"),
+        ([[0, 0, "1", "1"]], "tensor index '1' out of range for dimension 2"),
+        ([[1.0, 0, 0, "1"]], "tensor index 1.0 out of range for dimension 2"),
+        ([[0, 0, 0, 0.5]], "scalars must be exact fraction strings, got 0.5"),
+        ([[0, 0, 0, 1.0]], "scalars must be exact fraction strings, got 1.0"),
+        ([[0, 0, 0, True]], "scalars must be exact fraction strings, got True"),
+        ([[0, 0, 0, "1/0"]], "scalar '1/0' has a zero denominator"),
+        ([[0, 0, 0, "-3/00"]], "scalar '-3/00' has a zero denominator"),
+        ([[0, 0, 0, None]], "cannot read a scalar from None"),
+        ([[0, 0, 0, "3/-5"]], "Invalid literal for Fraction: '3/-5'"),
+        ([[0, 0, 0]], "an entry must be an [i, j, k, coeff] list, got [0, 0, 0]"),
+        (
+            [[0, 0, 0, "1", "2"]],
+            "an entry must be an [i, j, k, coeff] list, got [0, 0, 0, '1', '2']",
+        ),
+        ([[0, 0, 0, "1"], "abcd"], "an entry must be an [i, j, k, coeff] list, got 'abcd'"),
+        ([(0, 0, 0, "1")], "an entry must be an [i, j, k, coeff] list, got (0, 0, 0, '1')"),
+        ([{"i": 0}], "an entry must be an [i, j, k, coeff] list, got {'i': 0}"),
+        ([None], "an entry must be an [i, j, k, coeff] list, got None"),
+        # the first bad entry is reported, and within one entry the
+        # coefficient is read before the indices are checked
+        ([[0, 0, 5, "1"], [0, 0, 0, "1/0"]], "tensor index 5 out of range for dimension 2"),
+        ([[0, 0, 0, "1/0"], [0, 0, 5, "1"]], "scalar '1/0' has a zero denominator"),
+        ([[0, 0, 5, "1/0"]], "scalar '1/0' has a zero denominator"),
+        ([[9, 0, 0, "1"], [0]], "tensor index 9 out of range for dimension 2"),
+    ],
+)
+def test_malformed_tensor_entries_raise_the_same_message(items, message):
+    with pytest.raises(ValueError) as raised:
+        tensor_from_json(2, items)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "items,message",
+    [
+        ([[0, 0, 2, "1"]], "coproduct index 2 out of range for dimension 2"),
+        ([[True, 0, 0, "1"]], "coproduct index True out of range for dimension 2"),
+        ([[0, 0, 0, "1/0"]], "scalar '1/0' has a zero denominator"),
+        ([[0, 0]], "an entry must be an [i, j, k, coeff] list, got [0, 0]"),
+    ],
+)
+def test_malformed_coproduct_legs_raise_the_same_message(items, message):
+    data = {"kind": "coproduct", "dim": 2, "items": items}
+    with pytest.raises(ValueError) as raised:
+        coproduct_from_json(data)
+    assert str(raised.value) == f"coproduct field 'items': {message}"
