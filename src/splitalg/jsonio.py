@@ -20,11 +20,12 @@ diff cleanly.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from typing import Any, Container, Iterable, Iterator, Mapping
+from typing import Any, Container, Iterable, Mapping
 
 from .algebra_core import CoalgebraData, FiniteAlgebra
-from .exactlin import LinearOperator, Scalar, Tensor3, rat
+from .exactlin import IntEntry, LinearOperator, Scalar, Tensor3, check_indices, rat
 from .graphalg import WeightedDigraph
 from .relations import AxiomSystem, Relation, Term, TPoly
 from .report import Report
@@ -63,38 +64,69 @@ def tpoly_from_json(data: Any) -> TPoly:
 
 
 def tensor_to_json(tensor: Tensor3) -> list[list[Any]]:
-    return [
-        [i, j, k, scalar_to_json(c)] for i, j, k, c in sorted(tensor.nonzeros())
-    ]
+    """The sorted ``[i, j, k, coeff]`` entries, each coefficient written as
+    ``str(Fraction(n, denom))`` straight from the integer numerator."""
+    d = tensor.denom
+    if d == 1:
+        return [[i, j, k, str(n)] for i, j, k, n in tensor.numerators]
+    out = []
+    for i, j, k, n in tensor.numerators:
+        g = math.gcd(n, d)
+        out.append([i, j, k, f"{n // g}/{d // g}" if g != d else str(n // g)])
+    return out
 
 
-def tensor_from_json(dim: int, items: Any) -> Tensor3:
-    """A tensor from a list of ``[i, j, k, coeff]`` entries; repeated entries
-    add up, and :meth:`Tensor3.from_sparse` checks every index."""
+def tensor_from_json(dim: int, items: Any, what: str = "tensor") -> Tensor3:
+    """A tensor from a list of ``[i, j, k, coeff]`` entries.
+
+    One pass reads each entry in order: its shape, then its coefficient
+    (decimal "n" and "p/q" strings as integers, anything else through
+    :func:`scalar_from_json`, so both accept and reject the same values),
+    then its indices, which must be ints in ``[0, dim)`` (``what`` names the
+    object in that error).  Entries in strictly increasing index order, as
+    the writers emit them, become the sorted numerators directly; repeated
+    or unsorted entries are added up."""
     if not isinstance(items, list):
         raise ValueError(f"tensor entries must be a list, got {type(items).__name__}")
-    return Tensor3.from_sparse(dim, _tensor_items(items))
-
-
-def _tensor_items(items: list[Any]) -> Iterator[tuple[Any, Any, Any, int | Fraction]]:
-    """``[i, j, k, coeff]`` entries with their coefficients read; the indices
-    are left for the caller to check against the dimension."""
+    entries: list[IntEntry] = []
+    denominators = []
+    ordered = True
+    last = (-1,)
     for item in items:
         if not isinstance(item, list) or len(item) != 4:
             raise ValueError(f"an entry must be an [i, j, k, coeff] list, got {item!r}")
         i, j, k, c = item
-        yield i, j, k, _coefficient_from_json(c)
-
-
-def _coefficient_from_json(text: Any) -> int | Fraction:
-    """A tensor coefficient.  A plain integer string ("-12") is read as an int
-    without building a Fraction; anything else goes through
-    :func:`scalar_from_json`, so both accept and reject the same values."""
-    if type(text) is str:
-        digits = text[1:] if text[:1] == "-" else text
-        if digits.isdigit() and digits.isascii():
-            return int(text)
-    return scalar_from_json(text)
+        num = None
+        if type(c) is str and c.isascii():
+            n, slash, d = c.partition("/")
+            if n.isdigit() or n[:1] == "-" and n[1:].isdigit():
+                if not slash:
+                    num, den = int(n), 1
+                elif d.isdigit() and d.strip("0"):  # "1/0" goes on to the error
+                    num, den = int(n), int(d)
+        if num is None:
+            q = scalar_from_json(c)
+            num, den = q.numerator, q.denominator
+        if not (
+            type(i) is int and type(j) is int and type(k) is int
+            and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim
+        ):
+            check_indices(what, dim, i, j, k)
+        key = (i, j, k)
+        if key <= last:
+            ordered = False
+        last = key
+        entries.append((i, j, k, num))
+        denominators.append(den)
+    denom = math.lcm(*denominators)
+    if denom != 1:
+        entries = [
+            (i, j, k, n * (denom // den))
+            for (i, j, k, n), den in zip(entries, denominators)
+        ]
+    if ordered:
+        return Tensor3.from_sorted(dim, denom, [entry for entry in entries if entry[3]])
+    return Tensor3.from_numerators(dim, denom, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +303,10 @@ def coproduct_from_json(data: Mapping[str, Any]) -> CoalgebraData:
     dim = _dim_from_json(data)
     items = _list_field(data, "items")
     try:
-        return CoalgebraData.from_items(dim, _tensor_items(items))
+        legs = tensor_from_json(dim, items, "coproduct")
     except ValueError as exc:
         raise ValueError(f"coproduct field 'items': {exc}") from None
+    return CoalgebraData.from_items(dim, legs.nonzeros())
 
 
 def operations_to_json(
@@ -503,8 +536,49 @@ def _json_value(value: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def dump_json(data: Mapping[str, Any]) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def dump_json(data: Any) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    Any ``indent`` sends the standard library to its pure-Python encoder, so
+    objects and lists are laid out here and the bulk rows of an envelope
+    (tensor entries, matrix rows) go through the C encoder in one call."""
+    return _dumps(data, "\n") + "\n"
+
+
+def _dumps(value: Any, newline: str) -> str:
+    """``value`` indented as at the depth whose line breaks are ``newline``."""
+    inner = newline + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        return "{" + ",".join(
+            f"{inner}{json.dumps(key)}: {_dumps(item, inner)}"
+            for key, item in sorted(value.items())
+        ) + newline + "}"
+    if type(value) is list and value:
+        if _plain_rows(value):
+            # "[[a, b], [c]]" with each row and each scalar on its own line
+            deep = inner + "  "
+            return (
+                "[" + inner + "[" + deep
+                + json.dumps(value)[2:-2]
+                .replace("], [", inner + "]," + inner + "[" + deep)
+                .replace(", ", "," + deep)
+                + inner + "]" + newline + "]"
+            )
+        return "[" + ",".join(inner + _dumps(item, inner) for item in value) + newline + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def _plain_rows(rows: list[Any]) -> bool:
+    """Whether ``rows`` is a list of non-empty rows of ints and strings that
+    hold no ``,``, ``[``, ``]`` or backslash, so the C encoder's ", " and
+    "], [" appear only between scalars and between rows."""
+    if not all(type(row) is list and row for row in rows):
+        return False
+    scalars = [x for row in rows for x in row]
+    if not {type(x) for x in scalars} <= {int, str}:
+        return False
+    text = "".join([x for x in scalars if type(x) is str])
+    return not ("," in text or "[" in text or "]" in text or "\\" in text)
 
 
 def save(path: str, data: Mapping[str, Any]) -> None:
