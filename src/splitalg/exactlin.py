@@ -261,14 +261,18 @@ def rank_int_rows(rows: Iterable[Union[Sequence[int], Mapping[int, int]]]) -> in
 
 
 class LinearOperator:
-    """A linear map given by its matrix; columns hold the images of basis vectors."""
+    """A linear map given by its matrix; columns hold the images of basis vectors.
 
-    __slots__ = ("matrix",)
+    Immutable; the integer lines that :func:`twist` reads are cached on the
+    operator (:meth:`integer_lines`)."""
+
+    __slots__ = ("matrix", "_lines")
 
     def __init__(self, matrix: Union[Matrix, Sequence[Sequence[Scalar]]]):
         self.matrix = matrix if isinstance(matrix, Matrix) else Matrix(matrix)
         if self.matrix.rows != self.matrix.cols:
             raise ValueError("operators on a space must be square")
+        self._lines: dict[bool, tuple[int, list[list[tuple[int, int]]]]] = {}
 
     @property
     def dim(self) -> int:
@@ -284,6 +288,21 @@ class LinearOperator:
     def column(self, j: int) -> tuple[Fraction, ...]:
         """Image of the j-th basis vector."""
         return tuple(self.matrix.entries[i][j] for i in range(self.dim))
+
+    def integer_lines(self, columns: bool) -> tuple[int, list[list[tuple[int, int]]]]:
+        """The nonzeros ``(index, n)`` of each matrix row (or column) as
+        integers over one common denominator, returned with it; built on the
+        first call for each orientation and kept."""
+        lines = self._lines.get(columns)
+        if lines is None:
+            grid = zip(*self.matrix.entries) if columns else self.matrix.entries
+            sparse = [[(i, c) for i, c in enumerate(line) if c] for line in grid]
+            denom = math.lcm(*(c.denominator for line in sparse for _, c in line))
+            lines = self._lines[columns] = denom, [
+                [(i, c.numerator * (denom // c.denominator)) for i, c in line]
+                for line in sparse
+            ]
+        return lines
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self after other."""
@@ -577,19 +596,12 @@ def combine(dim: int, terms: Iterable[tuple[Scalar, Tensor3]]) -> Tensor3:
 def _integer_lines(
     op: LinearOperator | None, dim: int, columns: bool
 ) -> tuple[int, list[list[tuple[int, int]]]]:
-    """Nonzeros of each matrix row (or column) of op as integers over one
-    common denominator, returned with it; None is the identity."""
+    """:meth:`LinearOperator.integer_lines` of op; None is the identity."""
     if op is None:
         return 1, [[(a, 1)] for a in range(dim)]
     if op.dim != dim:
         raise ValueError("operator/tensor dimension mismatch")
-    lines = zip(*op.matrix.entries) if columns else op.matrix.entries
-    sparse = [[(i, c) for i, c in enumerate(line) if c] for line in lines]
-    denom = math.lcm(*(c.denominator for line in sparse for _, c in line))
-    return denom, [
-        [(i, c.numerator * (denom // c.denominator)) for i, c in line]
-        for line in sparse
-    ]
+    return op.integer_lines(columns)
 
 
 def twist(
