@@ -22,13 +22,15 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any, Container, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Container, Iterable, Mapping
 
-from .algebra_core import CoalgebraData, FiniteAlgebra
 from .exactlin import IntEntry, LinearOperator, Scalar, Tensor3, check_indices, rat
-from .graphalg import WeightedDigraph
 from .relations import AxiomSystem, Relation, Term, TPoly
 from .report import Report
+
+if TYPE_CHECKING:  # the decoders that build these import their modules
+    from .algebra_core import CoalgebraData, FiniteAlgebra
+    from .graphalg import WeightedDigraph
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +197,8 @@ def graph_from_json(data: Mapping[str, Any]) -> WeightedDigraph:
     and ``arcs`` a list of objects, each with int ``src`` and ``dst`` in
     ``[0, vertices)`` and an exact scalar ``weight`` (1 when absent).  Every
     violation raises one ValueError naming the field."""
+    from .graphalg import WeightedDigraph
+
     _expect_kind(data, "graph")
     vertices = _field(data, "vertices")
     if not _is_count(vertices):
@@ -237,6 +241,8 @@ def algebra_from_json(data: Mapping[str, Any]) -> FiniteAlgebra:
     ``mult`` a list of ``[i, j, k, coeff]`` entries, and the optional
     ``unit`` and ``labels`` lists of ``dim`` scalars and strings.  Every
     violation raises one ValueError naming the field."""
+    from .algebra_core import FiniteAlgebra
+
     _expect_kind(data, "algebra")
     dim = _dim_from_json(data)
     items = _list_field(data, "mult")
@@ -299,6 +305,8 @@ def coproduct_from_json(data: Mapping[str, Any]) -> CoalgebraData:
     """A coproduct envelope, validated in one place: ``dim`` is an int >= 1
     and ``items`` a list of ``[i, j, k, coeff]`` legs with indices in
     ``[0, dim)``.  Every violation raises one ValueError naming the field."""
+    from .algebra_core import CoalgebraData
+
     _expect_kind(data, "coproduct")
     dim = _dim_from_json(data)
     items = _list_field(data, "items")

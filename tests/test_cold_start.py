@@ -153,3 +153,18 @@ def test_cli_variant_tuples_match_the_library():
 
     assert cli.CHECK_VARIANTS == tuple(sorted(VARIANTS))
     assert cli.DERIVE_VARIANTS == tuple(sorted(cli.cross_systems()))
+
+
+def test_operad_dim3_json_loads_five_library_modules():
+    """``jsonio`` imports ``graphalg`` and ``algebra_core`` only inside the
+    decoders that build their objects, so writing a report skips both."""
+    code = (
+        "import contextlib, io\n"
+        "from splitalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['operad', 'dim3', '--preset', 'two_op', '--json']) == 0\n"
+    )
+    assert loaded_after(code) == [
+        "splitalg", "splitalg.cli", "splitalg.exactlin", "splitalg.jsonio",
+        "splitalg.operad", "splitalg.relations", "splitalg.report",
+    ]
