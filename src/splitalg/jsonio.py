@@ -577,16 +577,16 @@ def _dumps(value: Any, newline: str) -> str:
 
 
 def _plain_rows(rows: list[Any]) -> bool:
-    """Whether ``rows`` is a list of non-empty rows of ints and strings that
-    hold no ``,``, ``[``, ``]`` or backslash, so the C encoder's ", " and
-    "], [" appear only between scalars and between rows."""
+    """Whether ``rows`` is a list of non-empty rows of ints and strings in
+    which no string holds a comma.  Then the C encoder's ", " and "], ["
+    occur only between scalars and between rows: both need a comma, and
+    JSON escapes (quotes, backslashes, non-ASCII) never write one."""
     if not all(type(row) is list and row for row in rows):
         return False
     scalars = [x for row in rows for x in row]
     if not {type(x) for x in scalars} <= {int, str}:
         return False
-    text = "".join([x for x in scalars if type(x) is str])
-    return not ("," in text or "[" in text or "]" in text or "\\" in text)
+    return "," not in "".join([x for x in scalars if type(x) is str])
 
 
 def save(path: str, data: Mapping[str, Any]) -> None:

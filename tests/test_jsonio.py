@@ -199,7 +199,7 @@ TRICKY_STRINGS = [
 ]
 json_strings = st.one_of(st.sampled_from(TRICKY_STRINGS), st.text(max_size=6))
 json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(-(10**30), 10**30), json_strings
+    st.none(), st.booleans(), st.integers(-(10**30), 10**30), st.floats(), json_strings
 )
 # lists of rows, the shape of tensor entries and matrix rows: ragged, empty
 # or with empty rows included
@@ -304,6 +304,14 @@ def test_tensor_from_json_equals_from_sparse_on_the_same_entries(case):
 
 
 @pytest.mark.parametrize(
+    "text", ["+3", " 3", "3 ", "1_000", "1.5", "-2.5e1", "\u0661\u0662", "+0/5", "7/14", "-0"]
+)
+def test_other_fraction_spellings_decode_as_fraction_reads_them(text):
+    expected = Tensor3.from_sparse(2, [(0, 1, 1, F(text)), (1, 0, 0, F(1, 3))])
+    assert tensor_from_json(2, [[0, 1, 1, text], [1, 0, 0, "1/3"]]) == expected
+
+
+@pytest.mark.parametrize(
     "items,message",
     [
         ({"0": [0, 0, 0, "1"]}, "tensor entries must be a list, got dict"),
@@ -322,6 +330,13 @@ def test_tensor_from_json_equals_from_sparse_on_the_same_entries(case):
         ([[0, 0, 0, "-3/00"]], "scalar '-3/00' has a zero denominator"),
         ([[0, 0, 0, None]], "cannot read a scalar from None"),
         ([[0, 0, 0, "3/-5"]], "Invalid literal for Fraction: '3/-5'"),
+        ([[0, 0, 0, "--3"]], "Invalid literal for Fraction: '--3'"),
+        ([[0, 0, 0, "1/+2"]], "Invalid literal for Fraction: '1/+2'"),
+        ([[0, 0, 0, "3/4/5"]], "Invalid literal for Fraction: '3/4/5'"),
+        ([[0, 0, 0, ""]], "Invalid literal for Fraction: ''"),
+        # a digit to str.isdigit that neither int() nor Fraction reads
+        ([[0, 0, 0, "\u00b2"]], "Invalid literal for Fraction: '\u00b2'"),
+        ([[0, 0, 0, "1/\u00b2"]], "Invalid literal for Fraction: '1/\u00b2'"),
         ([[0, 0, 0]], "an entry must be an [i, j, k, coeff] list, got [0, 0, 0]"),
         (
             [[0, 0, 0, "1", "2"]],
