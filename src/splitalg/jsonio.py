@@ -544,6 +544,9 @@ def _json_value(value: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
+_encode_string = json.encoder.encode_basestring_ascii  # what json.dumps writes for a str
+
+
 def dump_json(data: Any) -> str:
     """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
@@ -555,10 +558,14 @@ def dump_json(data: Any) -> str:
 
 def _dumps(value: Any, newline: str) -> str:
     """``value`` indented as at the depth whose line breaks are ``newline``."""
+    if type(value) is str:
+        return _encode_string(value)
+    if type(value) is int:
+        return repr(value)
     inner = newline + "  "
     if type(value) is dict and value and all(type(key) is str for key in value):
         return "{" + ",".join(
-            f"{inner}{json.dumps(key)}: {_dumps(item, inner)}"
+            f"{inner}{_encode_string(key)}: {_dumps(item, inner)}"
             for key, item in sorted(value.items())
         ) + newline + "}"
     if type(value) is list and value:
@@ -573,7 +580,9 @@ def _dumps(value: Any, newline: str) -> str:
                 + inner + "]" + newline + "]"
             )
         return "[" + ",".join(inner + _dumps(item, inner) for item in value) + newline + "]"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+    if isinstance(value, (dict, list, tuple)):  # empty, non-string keys or a subclass
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+    return json.dumps(value)
 
 
 def _plain_rows(rows: list[Any]) -> bool:
