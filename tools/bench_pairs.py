@@ -17,10 +17,10 @@ gap between the medians.  The claim is met when the change wins at least
 nine tenths of the pairs and its median beats the parent's by more than
 the parent's interquartile range.  ``--trace-seeds`` adds ``--trace 1``
 runs of the claimed workload on both sides and records the per-pass layer
-metrics named by ``--trace-metrics``.
+metrics in ``TRACE_METRICS``.
 
-The file is rewritten after every run, so an interrupted session leaves
-the runs made so far.
+The file is rewritten after every pair, so an interrupted session leaves
+the pairs run so far.
 """
 
 from __future__ import annotations
@@ -153,10 +153,19 @@ def main() -> int:
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the claimed gain")
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace-seeds", type=int, nargs="*", default=[])
-    parser.add_argument("--trace-metrics", nargs="*", default=list(TRACE_METRICS))
     parser.add_argument("--work", help="directory for the two trees (default: a temporary one)")
     args = parser.parse_args()
+    if args.trace_seeds and not args.claim:
+        parser.error("--trace-seeds traces the claimed workload, so it needs --claim")
+    if args.work:
+        return run_pairs(args, Path(args.work))
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
+        return run_pairs(args, Path(work))
 
+
+def run_pairs(args: argparse.Namespace, work: Path) -> int:
+    """Unpack both trees under ``work``, run the planned pairs and traced
+    runs, and write the BENCH file after each pair."""
     plan = []
     for spec in args.runs:
         workload, pairs, first = spec.split(":")
@@ -167,7 +176,6 @@ def main() -> int:
         for item in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     }
     out_path = ROOT / f"BENCH_{args.number}.json"
-    work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     trees = {side: work / side for side in SIDES}
     for tree in trees.values():
         if tree.exists():
@@ -233,15 +241,13 @@ def main() -> int:
             result = run_bench(trees[side], claim_workload, seed, args.seconds, trace=True)
             traced[side][str(seed)] = {
                 name: round(result["metrics"][name]["value"], 6)
-                for name in args.trace_metrics
+                for name in TRACE_METRICS
                 if name in result["metrics"]
             }
             print(f"traced {claim_workload} seed {seed} {side}: {traced[side][str(seed)]}",
                   file=sys.stderr, flush=True)
         write()
     write()
-    if not args.work:
-        shutil.rmtree(work, ignore_errors=True)
     print(out_path)
     return 0
 
