@@ -551,8 +551,9 @@ def dump_json(data: Any) -> str:
     """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     Any ``indent`` sends the standard library to its pure-Python encoder, so
-    objects and lists are laid out here and the bulk rows of an envelope
-    (tensor entries, matrix rows) go through the C encoder in one call."""
+    objects and lists are laid out here, and each list of plain scalars or
+    of rows of them (tensor entries, matrix rows, vectors) goes through the
+    C encoder in one call."""
     return _dumps(data, "\n") + "\n"
 
 
@@ -563,13 +564,22 @@ def _dumps(value: Any, newline: str) -> str:
     if type(value) is int:
         return repr(value)
     inner = newline + "  "
-    if type(value) is dict and value and all(type(key) is str for key in value):
+    if type(value) is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
         return "{" + ",".join(
             f"{inner}{_encode_string(key)}: {_dumps(item, inner)}"
             for key, item in sorted(value.items())
         ) + newline + "}"
-    if type(value) is list and value:
-        if _plain_rows(value):
+    if type(value) is list:
+        if not value:
+            return "[]"
+        if _plain(value):
+            # "[a, b]" with each scalar on its own line
+            return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + newline + "]"
+        if all(type(row) is list and row for row in value) and _plain(
+            [x for row in value for x in row]
+        ):
             # "[[a, b], [c]]" with each row and each scalar on its own line
             deep = inner + "  "
             return (
@@ -580,22 +590,19 @@ def _dumps(value: Any, newline: str) -> str:
                 + inner + "]" + newline + "]"
             )
         return "[" + ",".join(inner + _dumps(item, inner) for item in value) + newline + "]"
-    if isinstance(value, (dict, list, tuple)):  # empty, non-string keys or a subclass
+    if isinstance(value, (dict, list, tuple)):  # non-string keys or another type
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
     return json.dumps(value)
 
 
-def _plain_rows(rows: list[Any]) -> bool:
-    """Whether ``rows`` is a list of non-empty rows of ints and strings in
-    which no string holds a comma.  Then the C encoder's ", " and "], ["
-    occur only between scalars and between rows: both need a comma, and
-    JSON escapes (quotes, backslashes, non-ASCII) never write one."""
-    if not all(type(row) is list and row for row in rows):
-        return False
-    scalars = [x for row in rows for x in row]
-    if not {type(x) for x in scalars} <= {int, str}:
-        return False
-    return "," not in "".join([x for x in scalars if type(x) is str])
+def _plain(scalars: list[Any]) -> bool:
+    """Whether every item is an int or a string without a comma.  Then, in
+    the C encoder's text of a list of them (or of rows of them), ", " and
+    "], [" occur only between scalars and between rows: both need a comma,
+    and JSON escapes (quotes, backslashes, non-ASCII) never write one."""
+    return {type(x) for x in scalars} <= {int, str} and "," not in "".join(
+        [x for x in scalars if type(x) is str]
+    )
 
 
 def save(path: str, data: Mapping[str, Any]) -> None:
