@@ -360,6 +360,9 @@ def test_reports_match_golden_json():
         if dump_json({name: computed[name]}) != dump_json({name: expected[name]})
     ]
     assert mismatched == []
+    # the entries above are compared after both pass through the writer; the
+    # stored file is the writer's own text, so its bytes pin the writer too
+    assert dump_json(computed) == GOLDEN.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
