@@ -44,11 +44,38 @@ def flat(value, path=""):
     return {path: value}
 
 
+def with_pass_s(record, **changes):
+    """``record`` with some fields of its ``pass_s`` summary replaced."""
+    metrics = dict(record["metrics"], pass_s=dict(record["metrics"]["pass_s"], **changes))
+    return dict(record, metrics=metrics)
+
+
 def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr():
-    recorded = RECORDED["workloads"]["ennea_chain3"]["metrics"]["pass_s"]
-    assert bench_pairs.claim_met(recorded) is RECORDED["claim"]["met"] is True
-    assert not bench_pairs.claim_met(dict(recorded, change_better_pairs=8))
-    assert not bench_pairs.claim_met(dict(recorded, median_gain=recorded["parent_iqr"]))
-    for workload, record in RECORDED["workloads"].items():
+    record = RECORDED["workloads"]["ennea_chain3"]
+    gain = record["metrics"]["pass_s"]
+    assert bench_pairs.claim_met(record, "pass_s") is RECORDED["claim"]["met"] is True
+    assert not bench_pairs.claim_met(with_pass_s(record, change_better_pairs=8), "pass_s")
+    assert not bench_pairs.claim_met(
+        with_pass_s(record, median_gain=gain["parent_iqr"]), "pass_s"
+    )
+    for workload, other in RECORDED["workloads"].items():
         if workload != "ennea_chain3":
-            assert not bench_pairs.claim_met(record["metrics"]["pass_s"])
+            assert not bench_pairs.claim_met(other, "pass_s")
+
+
+def test_claim_fails_when_the_change_fails_a_larger_share_of_commands():
+    record = RECORDED["workloads"]["ennea_chain3"]
+    attempted = {side: [1000] * record["pairs"] for side in bench_pairs.SIDES}
+
+    def failing(parent, change):
+        failed = {"parent": [parent] + [0] * 9, "change": [change] + [0] * 9}
+        return dict(record, commands_attempted=attempted, commands_failed=failed)
+
+    assert not bench_pairs.claim_met(failing(0, 1), "pass_s")
+    assert not bench_pairs.claim_met(failing(2, 3), "pass_s")
+    assert bench_pairs.claim_met(failing(3, 3), "pass_s")
+    assert bench_pairs.claim_met(failing(1, 0), "pass_s")
+    # the change runs more commands in the same time, so equal shares hold
+    # more failures in total
+    more = dict(failing(1, 2), commands_attempted={"parent": [1000] * 10, "change": [2000] * 10})
+    assert bench_pairs.claim_met(more, "pass_s")

@@ -14,8 +14,10 @@ that runs first alternates from pair to pair.  Every end-to-end metric is
 summarised per side (median, quartiles, every run), with the pairs the
 change won (lower is better), the parent's interquartile range and the
 gap between the medians.  The claim is met when the change wins at least
-nine tenths of the pairs and its median beats the parent's by more than
-the parent's interquartile range.  ``--trace-seeds`` adds ``--trace 1``
+nine tenths of the pairs, its median beats the parent's by more than the
+parent's interquartile range, and no larger share of its commands failed
+than of the parent's.  Each run lasts as long as ``perfbench/run.py``'s
+own default.  ``--trace-seeds`` adds ``--trace 1``
 runs of the claimed workload on both sides and records the per-pass layer
 metrics in ``TRACE_METRICS``.
 
@@ -61,11 +63,11 @@ def unpack(rev: str, target: Path) -> str:
     return commit
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, trace: bool) -> dict:
     """The summary line of one ``perfbench/run.py`` run in ``tree``."""
     args = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(int(trace)),
+        "--trace", str(int(trace)),
     ]
     done = subprocess.run(args, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -101,11 +103,17 @@ def compare(parent: list[float], change: list[float], unit: str, bound: float) -
     }
 
 
-def claim_met(summary: dict) -> bool:
-    pairs = len(summary["parent"]["runs"])
+def claim_met(workload: dict, metric: str) -> bool:
+    """Whether ``metric`` gained in one workload's summary: the change won
+    nine tenths of the pairs, its median gain exceeds the parent's IQR and
+    it failed no larger share of its commands."""
+    result = workload["metrics"][metric]
+    failed, attempted = workload["commands_failed"], workload["commands_attempted"]
     return (
-        summary["change_better_pairs"] >= 0.9 * pairs
-        and summary["median_gain"] > summary["parent_iqr"]
+        result["change_better_pairs"] >= 0.9 * workload["pairs"]
+        and result["median_gain"] > result["parent_iqr"]
+        and sum(failed["change"]) * sum(attempted["parent"])
+        <= sum(failed["parent"]) * sum(attempted["change"])
     )
 
 
@@ -151,7 +159,6 @@ def main() -> int:
         "--runs", action="append", required=True, metavar="WORKLOAD:PAIRS:FIRST_SEED"
     )
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the claimed gain")
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace-seeds", type=int, nargs="*", default=[])
     parser.add_argument("--work", help="directory for the two trees (default: a temporary one)")
     args = parser.parse_args()
@@ -191,7 +198,7 @@ def run_pairs(args: argparse.Namespace, work: Path) -> int:
             "change": args.title,
             "parent_commit": commits["parent"],
             "change_commit": commits["change"],
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
+            "command": "python3 perfbench/run.py --workload W --seed S",
             "method": (
                 "tools/bench_pairs.py: parent and change each run from its own git archive "
                 "copy, one run at a time; each pair runs both sides on one seed, and the side "
@@ -208,14 +215,13 @@ def run_pairs(args: argparse.Namespace, work: Path) -> int:
                 "pairs": summary[claim_workload]["pairs"],
                 "median_gain": result["median_gain"],
                 "parent_iqr": result["parent_iqr"],
-                "met": claim_met(result),
+                "met": claim_met(summary[claim_workload], claim_metric),
             }
         doc["workloads"] = summary
         if args.trace_seeds:
             doc["traced"] = {
                 "command": (
-                    f"python3 perfbench/run.py --workload {claim_workload} --seed S "
-                    f"--seconds {args.seconds:g} --trace 1"
+                    f"python3 perfbench/run.py --workload {claim_workload} --seed S --trace 1"
                 ),
                 "per_traced_pass": traced,
             }
@@ -230,7 +236,7 @@ def run_pairs(args: argparse.Namespace, work: Path) -> int:
             raw[workload]["seeds"].append(seed)
             raw[workload]["first"].append(order[0])
             for side in order:
-                result = run_bench(trees[side], workload, seed, args.seconds, trace=False)
+                result = run_bench(trees[side], workload, seed, trace=False)
                 raw[workload]["runs"][side].append(result)
                 values = {k: round(v["value"], 5) for k, v in result["metrics"].items()}
                 print(f"{workload} seed {seed} {side}: {values} failed={result['failed']}",
@@ -238,7 +244,7 @@ def run_pairs(args: argparse.Namespace, work: Path) -> int:
             write()
     for n, seed in enumerate(args.trace_seeds):
         for side in SIDES if n % 2 == 0 else SIDES[::-1]:
-            result = run_bench(trees[side], claim_workload, seed, args.seconds, trace=True)
+            result = run_bench(trees[side], claim_workload, seed, trace=True)
             traced[side][str(seed)] = {
                 name: round(result["metrics"][name]["value"], 6)
                 for name in TRACE_METRICS
