@@ -357,6 +357,69 @@ def dense_augment(grid: Grid, right: Fraction, left: Fraction) -> Grid:
     return out
 
 
+def dense_coherence(
+    system: AxiomSystem,
+    ops_a: Mapping[str, Tensor3],
+    ops_b: Mapping[str, Tensor3],
+    t: Fraction,
+    rules: Mapping[str, tuple[Fraction, Fraction]],
+    total_name: str,
+) -> dict[str, Grid]:
+    """The mixed-space grids on A⊗1 ⊕ 1⊗B ⊕ A⊗B, one basis pair at a time.
+
+    Read straight from the ``splitalg.unit_action`` docstring:
+    ``(a ⊗ b) op (a' ⊗ b')`` multiplies the left factors with the total
+    operation and the right factors with ``op``, a unit factor acting
+    through the rule scalars (x op 1 = right*x, 1 op x = left*x), except
+    that when both right factors are the unit the left factors are
+    multiplied with ``op``.  Basis: x_i ⊗ 1 at i, 1 ⊗ y_j at p + j and
+    x_i ⊗ y_j at p + q + i*q + j.  The total operation must be unital.
+    """
+    p = ops_a[system.generators[0]].dim
+    q = ops_b[system.generators[0]].dim
+    basis = (
+        [(i, None) for i in range(p)]
+        + [(None, j) for j in range(q)]
+        + [(i, j) for i in range(p) for j in range(q)]
+    )
+    position = {pair: n for n, pair in enumerate(basis)}
+    total = dense_combine(
+        p, [(poly.eval(t), ops_a[gen].entries) for poly, gen in system.resolve(total_name)]
+    )
+    total_scalars = unit_scalars(system, rules, t, total_name)
+    assert total_scalars == (1, 1), "the total operation must be unital"
+
+    def factor(grid, scalars, u, v) -> VecMap:
+        """u op v on one factor, None standing for the unit."""
+        right, left = (Fraction(s) for s in scalars)
+        if u is None and v is None:
+            assert right == left
+            return {None: right}
+        if u is None:
+            return {v: left}
+        if v is None:
+            return {u: right}
+        return {m: c for m, c in enumerate(grid[u][v]) if c}
+
+    grids = {}
+    for gen in system.generators:
+        op_a, op_b = ops_a[gen].entries, ops_b[gen].entries
+        grid = zero_grid(len(basis))
+        for x, (a, b) in enumerate(basis):
+            for y, (a2, b2) in enumerate(basis):
+                if b is None and b2 is None:
+                    left_part, right_part = factor(op_a, rules[gen], a, a2), {None: 1}
+                else:
+                    left_part = factor(total, total_scalars, a, a2)
+                    right_part = factor(op_b, rules[gen], b, b2)
+                for u, c1 in left_part.items():
+                    for v, c2 in right_part.items():
+                        if c1 * c2:
+                            grid[x][y][position[(u, v)]] += c1 * c2
+        grids[gen] = grid
+    return grids
+
+
 def fraction_decoded_tensor(dim: int, items) -> Tensor3:
     """An envelope's ``[i, j, k, coeff]`` entries decoded the way a
     Fraction-summing decoder reads them: every coefficient parsed as a

@@ -34,6 +34,7 @@ from splitalg import (
     weighted_coproduct,
 )
 from splitalg.bialgebra import convolution_structure
+from splitalg.splitting import ennea_from_commuting_pair, trialgebra_from_baxter
 
 F = Fraction
 
@@ -266,6 +267,105 @@ def test_variant_preconditions_are_enforced():
     with pytest.raises(ValueError):  # exchange law fails for two chain weightings
         dch2 = chain_coproduct(path_algebra(WeightedDigraph.build(2, [(0, 1, 1)])), weights=[F(3, 2)])
         baxter_deformation("nine_nine", alg, dch, dch2, -1, -1)
+
+
+def pq_chain_setup():
+    pa = path_algebra(WeightedDigraph.build(2, [(0, 1, F(2, 3))]))
+    return (
+        pa.algebra,
+        weighted_coproduct(pa),
+        chain_coproduct(pa),
+        weighted_coproduct(pa, weights=[F(3, 2)]),
+        chain_coproduct(pa, weights=[F(-1, 4)]),
+    )
+
+
+# variant -> (base system, generators kept at h = 0, builder of both
+# structures, which coproducts of pq_chain_setup it takes, t, t1, validate)
+DIRECT_VARIANTS = {
+    "two_three": (THREE_OP_SYSTEM, ("prec", "succ"), "tri", (1, 2), 0, -1, True),
+    "three_three": (THREE_OP_SYSTEM, ("prec", "succ", "circ"), "tri", (1, 2), 0, -1, True),
+    "four_four": (FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators, "ennea", (1, 3), 0, 0, True),
+    "nine_nine": (NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators, "ennea", (2, 2), -1, -1, True),
+    # the two chain weightings do not commute, but the tensors are still defined
+    "nine_nine_unvalidated": (
+        NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators, "ennea", (2, 4), F(-1), F(-1), False
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECT_VARIANTS))
+def test_instance_equals_the_structures_built_directly(case):
+    """ops, series, t_eval and the presentation of every variant, against the
+    splitting constructions applied to the convolution operators."""
+    base, kept, builder, (d, d1), t, t1, validate = DIRECT_VARIANTS[case]
+    setup = pq_chain_setup()
+    alg, delta, delta1 = setup[0], setup[d], setup[d1]
+    variant = case.removesuffix("_unvalidated")
+    inst = baxter_deformation(variant, alg, delta, delta1, t, t1, validate=validate)
+
+    cs = convolution_structure(EpsilonBialgebra(alg, delta, F(t)))
+    cs1 = convolution_structure(EpsilonBialgebra(alg, delta1, F(t1)))
+    if builder == "tri":
+        unlabeled = trialgebra_from_baxter(cs.end, cs.left_conv, t, validate=False).ops()
+        labeled = trialgebra_from_baxter(cs.end, cs1.left_conv, t1, validate=False).ops()
+        t_eval = 0
+    else:
+        unlabeled = ennea_from_commuting_pair(
+            cs.end, cs.left_conv, cs.right_conv, t, validate=False
+        ).ops
+        labeled = ennea_from_commuting_pair(
+            cs.end, cs1.left_conv, cs.right_conv, t1, validate=False
+        ).ops
+        t_eval = t
+    zero = Tensor3.zero(cs.end.dim)
+    want_ops = {g: unlabeled[g] for g in base.generators if g in kept}
+    want_ops.update({g + "1": labeled[g] for g in base.generators})
+    want_series = {
+        g: [unlabeled[g] if g in kept else zero, labeled[g]] for g in base.generators
+    }
+
+    assert inst.variant == variant and inst.end == cs.end
+    assert inst.ops == want_ops
+    assert inst.series == want_series
+    assert inst.t_eval == t_eval and (inst.r, inst.r1) == (t, t1)
+    assert inst.deformed == cross_term_system(base, kept)
+    assert inst.deformed.system == cross_term_system(base, kept).system
+    if case == "nine_nine_unvalidated":
+        assert inst.ops["nw1"] != inst.ops["nw"]
+
+
+PARAMETER_ERRORS = [
+    (
+        ("bogus", 1, 2, 0, -1, True),
+        "unknown variant 'bogus'; pick one of "
+        "('two_three', 'three_three', 'four_four', 'nine_nine')",
+    ),
+    (("two_three", 1, 2, 1, -1, False), "two_three needs the unlabeled coproduct at parameter 0"),
+    (("four_four", 1, 3, 0, 1, False), "four_four needs both coproducts at parameter 0"),
+    (("four_four", 1, 3, 1, 0, False), "four_four needs both coproducts at parameter 0"),
+    (("nine_nine", 2, 1, -1, 0, True), "nine_nine needs one shared nonzero parameter"),
+    (
+        ("nine_nine", 2, 4, -1, -1, True),
+        "labeled operator must commute with the right convolution",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,message", PARAMETER_ERRORS)
+def test_parameter_errors_keep_their_messages(args, message):
+    variant, d, d1, t, t1, validate = args
+    setup = pq_chain_setup()
+    with pytest.raises(ValueError) as caught:
+        baxter_deformation(variant, setup[0], setup[d], setup[d1], t, t1, validate=validate)
+    assert str(caught.value) == message
+
+
+def test_a_failed_bialgebra_precondition_names_the_failing_check():
+    alg, dw, dch, _, _ = pq_chain_setup()
+    with pytest.raises(ValueError) as caught:
+        baxter_deformation("two_three", alg, dw, dch, 1, -1)
+    assert str(caught.value).startswith("precondition failed:\n[FAIL] t-twisted bialgebra (t=1)")
 
 
 def test_operator_level_equation_on_convolution_operators():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import oracles
 from splitalg import (
     NINE_OP_SYSTEM,
+    THREE_OP_SYSTEM,
     EpsilonBialgebra,
     Tensor3,
     WeightedDigraph,
@@ -30,6 +32,7 @@ from splitalg.unit_action import (
     augment_tensor,
     augmented_ops,
     check_coherence,
+    coherence_ops,
     op_unit_scalars,
     relation_skip_set,
 )
@@ -169,6 +172,71 @@ def test_coherence_requires_matching_parameters_and_unital_total():
     silent = unit_rules(NINE_OP_GENERATORS)  # all zero: total is not unital
     with pytest.raises(ValueError):
         check_coherence(NINE_OP_SYSTEM, a.ops, a.ops, a.t, silent, "starbar")
+
+
+THREE_OP_TABLES = {
+    "prec-right/succ-left": unit_rules(
+        THREE_OP_SYSTEM.generators, right_identity=("prec",), left_identity=("succ",)
+    ),
+    "circ-both": unit_rules(
+        THREE_OP_SYSTEM.generators, right_identity=("circ",), left_identity=("circ",)
+    ),
+    # scalars other than 0 and 1 that still sum to a unital total
+    "weighted": {"prec": (F(2), F(0)), "succ": (F(0), F(3, 2)), "circ": (F(-1), F(-1, 2))},
+}
+
+COHERENCE_CASES = [
+    (NINE_OP_SYSTEM, nine_op_unit_rules(), F(-1), "starbar", 2, 2),
+    (NINE_OP_SYSTEM, nine_op_unit_rules(), F(-1), "starbar", 1, 3),
+    (NINE_OP_SYSTEM, nine_op_unit_rules(), F(2, 3), "starbar", 3, 2),
+    *(
+        (THREE_OP_SYSTEM, rules, F(1), "star", p, q)
+        for rules in THREE_OP_TABLES.values()
+        for p, q in ((1, 3), (3, 1), (2, 2))
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(COHERENCE_CASES)))
+def test_coherence_ops_match_the_dense_mixed_space_product(case):
+    """The mixed-space tensors equal the product written out pair by pair,
+    on random tensors (the construction does not need the identities)."""
+    system, rules, t, total_name, p, q = COHERENCE_CASES[case]
+    rng = random.Random(1000 + case)
+    ops_a = {gen: oracles.random_tensor(rng, p, 4) for gen in system.generators}
+    ops_b = {gen: oracles.random_tensor(rng, q, 4) for gen in system.generators}
+    got = coherence_ops(system, ops_a, ops_b, t, rules, total_name)
+    want = oracles.dense_coherence(system, ops_a, ops_b, t, rules, total_name)
+    assert set(got) == set(system.generators)
+    for gen in system.generators:
+        assert got[gen].dim == p + q + p * q
+        assert got[gen].entries == oracles.frozen(want[gen]), gen
+
+
+@pytest.mark.parametrize(
+    "system,rules,total_name",
+    [
+        (THREE_OP_SYSTEM, unit_rules(THREE_OP_SYSTEM.generators, right_identity=("prec",)),
+         "star"),
+        (NINE_OP_SYSTEM, unit_rules(NINE_OP_GENERATORS, right_identity=("nw",)), "starbar"),
+    ],
+)
+def test_coherence_ops_refuse_a_non_unital_total(system, rules, total_name):
+    ops = {gen: Tensor3.zero(2) for gen in system.generators}
+    with pytest.raises(ValueError, match="does not make"):
+        coherence_ops(system, ops, ops, F(1), rules, total_name)
+
+
+def test_coherence_fails_with_a_witness_when_b_is_perturbed():
+    a = small_nine_op()
+    b = small_nine_op(use_column=True)
+    bent = dict(b.ops, nw=b.ops["nw"].add(Tensor3.from_sparse(b.dim, [(0, 1, 2, F(1))])))
+    report = check_coherence(NINE_OP_SYSTEM, a.ops, bent, a.t, nine_op_unit_rules(), "starbar")
+    assert not report.passed
+    assert report.checks_run == 49 * 15**3
+    assert len(report.witnesses) == 17
+    w = report.witnesses[0]
+    assert (w.context, w.args, w.lhs, w.rhs) == ("nine_op:1.1", (3, 3, 4), {5: F(1)}, {})
 
 
 def deformed_instance():
