@@ -163,33 +163,11 @@ def check_coassociative(delta: CoalgebraData, title: str = "coassociativity") ->
 # ---------------------------------------------------------------------------
 
 
-def full_matrix_algebra(n: int) -> FiniteAlgebra:
-    """All n-by-n matrix units under composition; unit is the identity."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    index = {(p, q): p * n + q for p in range(n) for q in range(n)}
-    items = []
-    for (p, q), a in index.items():
-        for (r, s), b in index.items():
-            if q == r:
-                items.append((a, b, index[(p, s)], 1))
-    unit = [ZERO] * (n * n)
-    for p in range(n):
-        unit[index[(p, p)]] = ONE
-    labels = tuple(f"E[{p},{q}]" for p in range(n) for q in range(n))
-    return FiniteAlgebra(
-        Tensor3.from_sparse(n * n, items), unit=tuple(unit), labels=labels
-    )
-
-
-def triangular_pairs(n: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j) with i <= j, in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def triangular_matrix_algebra(n: int) -> FiniteAlgebra:
-    """Upper-triangular n-by-n matrix units E_ij (i <= j) under composition."""
-    pairs = triangular_pairs(n)
+def _matrix_unit_algebra(n: int, pairs: list[tuple[int, int]]) -> FiniteAlgebra:
+    """Matrix units E[i,j] for the given index pairs under composition,
+    E[i,j] E[k,l] = [j == k] E[i,l], basis in the order of ``pairs``.  The
+    pairs must be closed under that product and hold every (i, i), i < n,
+    whose sum is the unit."""
     index = {pair: a for a, pair in enumerate(pairs)}
     items = []
     for (i, j), a in index.items():
@@ -203,6 +181,24 @@ def triangular_matrix_algebra(n: int) -> FiniteAlgebra:
     return FiniteAlgebra(
         Tensor3.from_sparse(len(pairs), items), unit=tuple(unit), labels=labels
     )
+
+
+def full_matrix_algebra(n: int) -> FiniteAlgebra:
+    """All n-by-n matrix units under composition; unit is the identity.
+    E[p,q] sits at index p*n + q."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _matrix_unit_algebra(n, [(p, q) for p in range(n) for q in range(n)])
+
+
+def triangular_pairs(n: int) -> list[tuple[int, int]]:
+    """Index pairs (i, j) with i <= j, in lexicographic order."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def triangular_matrix_algebra(n: int) -> FiniteAlgebra:
+    """Upper-triangular n-by-n matrix units E_ij (i <= j) under composition."""
+    return _matrix_unit_algebra(n, triangular_pairs(n))
 
 
 def triangular_matrix_coalgebra(n: int) -> CoalgebraData:

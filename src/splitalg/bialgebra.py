@@ -7,9 +7,8 @@ The compatibility studied here (for a parameter t) is
 Such structures canonically equip the endomorphism space End(A) with a
 commuting pair of t-Baxter operators (left and right convolution with the
 identity), and therefore with a nine-operation splitting of composition.
-This module builds all of that directly from convolution formulas, so the
-nine-op structure can be cross-checked against the generic commuting-pair
-construction.
+This module builds the convolution operators from the coproduct and hands
+them to the generic commuting-pair construction.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .exactlin import (
 )
 from .baxter import transpose_operator
 from .report import Report, Witness, compare_dual, compare_on_pairs, first_mismatch
-from .splitting import EnneaStructure, PreLieStructure
+from .splitting import EnneaStructure, PreLieStructure, ennea_from_commuting_pair
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,31 +182,12 @@ def ennea_on_end(b: EpsilonBialgebra) -> EnneaStructure:
     T nw S = T (id*S*id)       T up S = t T (S*id)      T down S = t (T*id) S
     T prec S = T (id*S)        T succ S = (id*T) S      T circ S = t T S
 
-    Each operation is a twist of composition by those operators (and t
-    enters through ``scale``).  These are the formulas of
+    These are the formulas of
     :func:`~splitalg.splitting.ennea_from_commuting_pair` for B = id*(-) and
-    G = (-)*id, written out from the convolution data without validating
-    the operators first.
+    G = (-)*id, applied without validating the operators first.
     """
     cs = convolution_structure(b)
-    comp = cs.end.mult
-    t = b.t
-    left, right = cs.left_conv, cs.right_conv
-    both = left.compose(right)  # id*T*id
-    return EnneaStructure(
-        t=t,
-        ops={
-            "se": twist(comp, left=both),
-            "ne": twist(comp, left=left, right=right),
-            "sw": twist(comp, left=right, right=left),
-            "nw": twist(comp, right=both),
-            "up": twist(comp, right=right).scale(t),
-            "down": twist(comp, left=right).scale(t),
-            "prec": twist(comp, right=left),
-            "succ": twist(comp, left=left),
-            "circ": comp.scale(t),
-        },
-    )
+    return ennea_from_commuting_pair(cs.end, cs.left_conv, cs.right_conv, b.t, validate=False)
 
 
 # ---------------------------------------------------------------------------

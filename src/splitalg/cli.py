@@ -48,15 +48,9 @@ EXPECTED_DIM3 = {
 
 def cross_systems() -> dict[str, tuple[AxiomSystem, tuple[str, ...]]]:
     """``deform derive`` variants: the base system and its deforming generators."""
-    from .relations import FOUR_OP_SYSTEM, NINE_OP_SYSTEM, THREE_OP_SYSTEM, TWO_OP_SYSTEM
+    from .relations import DEFORMATIONS
 
-    return {
-        "two_two": (TWO_OP_SYSTEM, ("prec", "succ")),
-        "two_three": (THREE_OP_SYSTEM, ("prec", "succ")),
-        "three_three": (THREE_OP_SYSTEM, ("prec", "succ", "circ")),
-        "four_four": (FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators),
-        "nine_nine": (NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators),
-    }
+    return dict(DEFORMATIONS)
 
 
 def _fraction(text: str) -> Fraction:

@@ -49,8 +49,7 @@ from .exactlin import (
     twist,
 )
 from .relations import (
-    FOUR_OP_SYSTEM,
-    NINE_OP_SYSTEM,
+    DEFORMATIONS,
     THREE_OP_SYSTEM,
     AxiomSystem,
     Relation,
@@ -258,79 +257,34 @@ def baxter_deformation(
         for rep in reports:
             if not rep.passed:
                 raise ValueError("precondition failed:\n" + rep.summary())
+    if variant == "two_three" and t != 0:
+        raise ValueError("two_three needs the unlabeled coproduct at parameter 0")
+    if variant == "four_four" and (t != 0 or t1 != 0):
+        raise ValueError("four_four needs both coproducts at parameter 0")
+    if variant == "nine_nine" and t != t1:
+        raise ValueError("nine_nine needs one shared nonzero parameter")
     cs = convolution_structure(b)
     cs1 = convolution_structure(b1)
     end = cs.end
-    n2 = end.dim
-    beta, gamma, beta1 = cs.left_conv, cs.right_conv, cs1.left_conv
-    zero = Tensor3.zero(n2)
-
-    if variant == "two_three":
-        if t != 0:
-            raise ValueError("two_three needs the unlabeled coproduct at parameter 0")
-        dsys = cross_term_system(THREE_OP_SYSTEM, ("prec", "succ"))
-        base_tri = trialgebra_from_baxter(end, beta, 0, validate=False)
-        lab_tri = trialgebra_from_baxter(end, beta1, t1, validate=False)
-        ops = {
-            "prec": base_tri.prec,
-            "succ": base_tri.succ,
-            "prec1": lab_tri.prec,
-            "succ1": lab_tri.succ,
-            "circ1": lab_tri.circ,
-        }
-        series = {
-            "prec": [base_tri.prec, lab_tri.prec],
-            "succ": [base_tri.succ, lab_tri.succ],
-            "circ": [zero, lab_tri.circ],
-        }
+    base, nonzero = DEFORMATIONS[variant]
+    if base is THREE_OP_SYSTEM:
+        unlabeled = trialgebra_from_baxter(end, cs.left_conv, t, validate=False).ops()
+        labeled = trialgebra_from_baxter(end, cs1.left_conv, t1, validate=False).ops()
         t_eval = ZERO
-    elif variant == "three_three":
-        dsys = cross_term_system(THREE_OP_SYSTEM, ("prec", "succ", "circ"))
-        base_tri = trialgebra_from_baxter(end, beta, t, validate=False)
-        lab_tri = trialgebra_from_baxter(end, beta1, t1, validate=False)
-        ops = {
-            "prec": base_tri.prec,
-            "succ": base_tri.succ,
-            "circ": base_tri.circ,
-            "prec1": lab_tri.prec,
-            "succ1": lab_tri.succ,
-            "circ1": lab_tri.circ,
-        }
-        series = {
-            "prec": [base_tri.prec, lab_tri.prec],
-            "succ": [base_tri.succ, lab_tri.succ],
-            "circ": [base_tri.circ, lab_tri.circ],
-        }
-        t_eval = ZERO
-    elif variant == "four_four":
-        if t != 0 or t1 != 0:
-            raise ValueError("four_four needs both coproducts at parameter 0")
-        if validate and not commute(beta1, gamma):
+    else:
+        right = cs.right_conv  # both structures share delta's right convolution
+        if validate and not commute(cs1.left_conv, right):
             raise ValueError("labeled operator must commute with the right convolution")
-        dsys = cross_term_system(FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators)
-        corners = ("nw", "ne", "sw", "se")
-        base_e = ennea_from_commuting_pair(end, beta, gamma, 0, validate=False)
-        lab_e = ennea_from_commuting_pair(end, beta1, gamma, 0, validate=False)
-        ops = {name: base_e.ops[name] for name in corners}
-        ops.update({_labeled(name): lab_e.ops[name] for name in corners})
-        series = {name: [base_e.ops[name], lab_e.ops[name]] for name in corners}
-        t_eval = ZERO
-    else:  # nine_nine
-        if t != t1:
-            raise ValueError("nine_nine needs one shared nonzero parameter")
-        if validate and not commute(beta1, gamma):
-            raise ValueError("labeled operator must commute with the right convolution")
-        dsys = cross_term_system(NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators)
-        base_e = ennea_from_commuting_pair(end, beta, gamma, t, validate=False)
-        lab_e = ennea_from_commuting_pair(end, beta1, gamma, t, validate=False)
-        ops = dict(base_e.ops)
-        ops.update({_labeled(name): tensor for name, tensor in lab_e.ops.items()})
-        series = {name: [base_e.ops[name], lab_e.ops[name]] for name in base_e.ops}
+        unlabeled = ennea_from_commuting_pair(end, cs.left_conv, right, t, validate=False).ops
+        labeled = ennea_from_commuting_pair(end, cs1.left_conv, right, t1, validate=False).ops
         t_eval = t
-
+    zero = Tensor3.zero(end.dim)
+    ops = {g: unlabeled[g] for g in base.generators if g in nonzero}
+    ops.update({_labeled(g): labeled[g] for g in base.generators})
+    series = {g: [unlabeled[g] if g in nonzero else zero, labeled[g]] for g in base.generators}
     return DeformationInstance(
         variant=variant,
-        deformed=dsys,
+        deformed=cross_term_system(base, nonzero),
         end=end,
         ops=ops,
         series=series,
@@ -380,8 +334,11 @@ def deformed_structure_check(
     ``series`` maps each base generator to its list of h-coefficients
     (missing orders are zero); ``tau`` rescales every order-1 coefficient,
     giving the one-parameter family op0 + (tau h) op1.  All coefficients of
-    h^m for m < order must vanish identically.
+    h^m for m < order must vanish identically; an order below 1 would check
+    nothing and raises ValueError.
     """
+    if order < 1:
+        raise ValueError(f"the series order must be at least 1, got {order}")
     t_eval, tau = rat(t_eval), rat(tau)
     dims = {s[0].dim for s in series.values() if s}
     if len(dims) != 1:

@@ -265,8 +265,8 @@ def chain_coproduct(pa: PathAlgebra, weights: Sequence[Scalar] | None = None) ->
     Writing u_v for the sum of the idempotents at or after vertex v in the
     chain order, a vertex row is  e_v (x) u_v + u_v (x) e_v - e_v (x) e_v,
     and a path p from s to t is flanked as  u_s (x) p + p (x) (u_t - e_t)
-    plus the weighted splits at each arc of p (same legs as the weighted
-    coproduct; ``weights`` defaults to the arc weights).
+    plus the legs of ``weighted_coproduct(pa, weights)`` (the weighted
+    splits at each arc of p; ``weights`` defaults to the arc weights).
 
     Together with the weighted coproduct this is the worked deformation
     pair: the identity-convolution operators of the two coproducts satisfy
@@ -283,18 +283,12 @@ def chain_coproduct(pa: PathAlgebra, weights: Sequence[Scalar] | None = None) ->
             "chain_coproduct needs a disjoint union of chain-shaped "
             "components; this graph branches"
         )
-    if weights is None:
-        w = [arc.weight for arc in graph.arcs]
-    else:
-        if len(weights) != len(graph.arcs):
-            raise ValueError("need one weight per arc")
-        w = [rat(v) for v in weights]
     nv = graph.vertices
     pos = [0] * nv
     for p, v in enumerate(order):
         pos[v] = p
     at_or_after = [[j for j in range(nv) if pos[j] >= pos[i]] for i in range(nv)]
-    items: list[tuple[int, int, int, Fraction]] = []
+    items = list(weighted_coproduct(pa, weights).items())
     for i in range(nv):
         for j in at_or_after[i]:
             items.append((i, i, j, ONE))
@@ -308,10 +302,4 @@ def chain_coproduct(pa: PathAlgebra, weights: Sequence[Scalar] | None = None) ->
         for j in at_or_after[t]:
             if j != t:
                 items.append((row, row, j, ONE))
-        for m in range(len(p)):
-            if w[p[m]] == 0:
-                continue
-            left = pa.index_of_path(p[:m]) if m > 0 else graph.arcs[p[m]].src
-            right = pa.index_of_path(p[m + 1 :]) if m + 1 < len(p) else graph.arcs[p[m]].dst
-            items.append((row, left, right, w[p[m]]))
     return CoalgebraData.from_items(pa.dim, items)

@@ -27,14 +27,7 @@ import dataclasses
 from fractions import Fraction
 
 from .exactlin import ZERO, Matrix, Scalar, integer_row, rank_int_rows, rat
-from .relations import (
-    FOUR_OP_SYSTEM,
-    NINE_OP_SYSTEM,
-    THREE_OP_SYSTEM,
-    TWO_OP_SYSTEM,
-    AxiomSystem,
-    expand_relation,
-)
+from .relations import DEFORMATIONS, SYSTEMS, AxiomSystem, expand_relation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,15 +101,8 @@ def degree3_dimension(system: AxiomSystem, t: Scalar = 0) -> Degree3Count:
 # name -> (base system, generators kept nonzero at h = 0 by its one-parameter
 # formal deformation, or None for the base system itself)
 _PRESETS: dict[str, tuple[AxiomSystem, tuple[str, ...] | None]] = {
-    "two_op": (TWO_OP_SYSTEM, None),
-    "three_op": (THREE_OP_SYSTEM, None),
-    "four_op": (FOUR_OP_SYSTEM, None),
-    "nine_op": (NINE_OP_SYSTEM, None),
-    "deformed_two_three": (THREE_OP_SYSTEM, ("prec", "succ")),
-    "deformed_two_two": (TWO_OP_SYSTEM, ("prec", "succ")),
-    "deformed_three_three": (THREE_OP_SYSTEM, ("prec", "succ", "circ")),
-    "deformed_four_four": (FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators),
-    "deformed_nine_nine": (NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators),
+    **{name: (system, None) for name, system in SYSTEMS.items()},
+    **{f"deformed_{name}": pair for name, pair in DEFORMATIONS.items()},
 }
 
 PRESET_NAMES = tuple(_PRESETS)

@@ -318,6 +318,17 @@ SYSTEMS = {
     for system in (TWO_OP_SYSTEM, THREE_OP_SYSTEM, FOUR_OP_SYSTEM, NINE_OP_SYSTEM)
 }
 
+# The one-parameter formal deformations op(h) = op0 + h op1 of
+# :mod:`splitalg.deformation`: name -> (base system, generators whose base
+# part op0 is kept; the others deform from zero).
+DEFORMATIONS: dict[str, tuple[AxiomSystem, tuple[str, ...]]] = {
+    "two_two": (TWO_OP_SYSTEM, ("prec", "succ")),
+    "two_three": (THREE_OP_SYSTEM, ("prec", "succ")),
+    "three_three": (THREE_OP_SYSTEM, ("prec", "succ", "circ")),
+    "four_four": (FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators),
+    "nine_nine": (NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators),
+}
+
 
 # ---------------------------------------------------------------------------
 # evaluation of systems on concrete structure tensors

@@ -40,7 +40,6 @@ from .exactlin import (
     ZERO,
     Scalar,
     Tensor3,
-    combine,
     first_nested_difference,
     rat,
 )
@@ -49,9 +48,10 @@ from .relations import (
     NINE_OP_SYSTEM,
     AxiomSystem,
     Relation,
+    resolve_tensor,
 )
 from .report import Report, Witness
-from .splitting import EnneaStructure, check_ennea
+from .splitting import EnneaStructure, _kron, check_ennea
 
 # Rule scalars: the unit acts as the identity, or kills the argument.
 IDENTITY: Scalar = ONE
@@ -191,14 +191,10 @@ def augmented_ops(
     """
     if scalars is None:
         scalars = unit_scalars(system, rules, t)
-    dim = next(iter(ops.values())).dim
-    out: dict[str, Tensor3] = {}
-    for name in system.operation_names():
-        interior = combine(
-            dim, [(poly.eval(t), ops[gen]) for poly, gen in system.resolve(name)]
-        )
-        out[name] = augment_tensor(interior, scalars[name])
-    return out
+    return {
+        name: augment_tensor(resolve_tensor(system, ops, t, name), scalars[name])
+        for name in system.operation_names()
+    }
 
 
 def relation_skip_set(
@@ -293,12 +289,13 @@ def coherence_ops(
 ) -> dict[str, Tensor3]:
     """Structure tensors on ``A⊗1 ⊕ 1⊗B ⊕ A⊗B`` for a unit action.
 
-    Products multiply the left factors with the total operation and the
-    right factors with the operation at hand, resolving units on the
-    right factors through the rule table — except that two unit right
-    factors flip the operation onto the left factors.  The rule table
-    must make the total operation unital, otherwise the mixed space has
-    no consistent product and a ValueError is raised.
+    Each operation is the Kronecker product of the augmented total
+    operation on ``k·1 ⊕ A`` with the operation augmented by its rule
+    scalars on ``k·1 ⊕ B``, restricted to the mixed space (inputs at
+    ``1⊗1`` dropped) — except that two unit right factors flip the
+    operation onto the left factors, so that block is the operation on A.
+    The rule table must make the total operation unital, otherwise the
+    mixed space has no consistent product and a ValueError is raised.
 
     Basis layout: ``x_i ⊗ 1`` at i, ``1 ⊗ y_j`` at p + j, and
     ``x_i ⊗ y_j`` at p + q + i*q + j.
@@ -311,67 +308,26 @@ def coherence_ops(
         )
     p = next(iter(ops_a.values())).dim
     q = next(iter(ops_b.values())).dim
-    dim = p + q + p * q
-
-    def pair(i: int, j: int) -> int:
-        return p + q + i * q + j
-
-    total_items = combine(
-        p, [(poly.eval(t), ops_a[gen]) for poly, gen in system.resolve(total_name)]
-    ).nonzeros()
+    total = augment_tensor(resolve_tensor(system, ops_a, t, total_name), s_total)
+    # Kronecker index a*(q+1) + b, with 0 the unit in either factor, to the
+    # mixed-space layout; 1⊗1 has no place there
+    place: list[int | None] = [None, *range(p, p + q)]
+    for i in range(p):
+        place += [i, *range(p + q + i * q, p + q + (i + 1) * q)]
 
     out: dict[str, Tensor3] = {}
     for gen in system.generators:
-        a_items, b_items = ops_a[gen].nonzeros(), ops_b[gen].nonzeros()
-        u, l = (rat(s) for s in rules[gen])
-        items: list[tuple[int, int, int, Scalar]] = []
-        # (x⊗1)(x'⊗1): both right factors are the unit, so op moves left.
-        items.extend((i, i2, k, c) for i, i2, k, c in a_items)
-        # (x⊗1)(1⊗y') = (x *total* 1) ⊗ (1 op y') = l * x⊗y'
-        if l != 0:
-            items.extend(
-                (i, p + j2, pair(i, j2), l) for i in range(p) for j2 in range(q)
-            )
-        # (x⊗1)(x'⊗y') = (x total x') ⊗ (1 op y')
-        if l != 0:
-            items.extend(
-                (i, pair(i2, j2), pair(m, j2), l * c)
-                for i, i2, m, c in total_items
-                for j2 in range(q)
-            )
-        # (1⊗y)(x'⊗1) = (1 total x') ⊗ (y op 1) = u * x'⊗y
-        if u != 0:
-            items.extend(
-                (p + j, i2, pair(i2, j), u) for j in range(q) for i2 in range(p)
-            )
-        # (1⊗y)(1⊗y') = (1 total 1) ⊗ (y op y') = 1 ⊗ (y op y')
-        items.extend((p + j, p + j2, p + k, c) for j, j2, k, c in b_items)
-        # (1⊗y)(x'⊗y') = (1 total x') ⊗ (y op y') = x' ⊗ (y op y')
+        kron = _kron(total, augment_tensor(ops_b[gen], op_unit_scalars(system, rules, t, gen)))
+        op_a = ops_a[gen]
+        denom = math.lcm(kron.denom, op_a.denom)
+        grow_a, grow_kron = denom // op_a.denom, denom // kron.denom
+        items = [(i, j, k, n * grow_a) for i, j, k, n in op_a.numerators]
         items.extend(
-            (p + j, pair(i2, j2), pair(i2, k), c)
-            for j, j2, k, c in b_items
-            for i2 in range(p)
+            (place[x], place[y], place[z], n * grow_kron)
+            for x, y, z, n in kron.numerators
+            if (x % (q + 1) or y % (q + 1)) and x and y
         )
-        # (x⊗y)(x'⊗1) = (x total x') ⊗ (y op 1)
-        if u != 0:
-            items.extend(
-                (pair(i, j), i2, pair(m, j), u * c)
-                for i, i2, m, c in total_items
-                for j in range(q)
-            )
-        # (x⊗y)(1⊗y') = (x total 1) ⊗ (y op y') = x ⊗ (y op y')
-        items.extend(
-            (pair(i, j), p + j2, pair(i, k), c)
-            for j, j2, k, c in b_items
-            for i in range(p)
-        )
-        # (x⊗y)(x'⊗y') = (x total x') ⊗ (y op y')
-        items.extend(
-            (pair(i, j), pair(i2, j2), pair(m, k), c1 * c2)
-            for i, i2, m, c1 in total_items
-            for j, j2, k, c2 in b_items
-        )
-        out[gen] = Tensor3.from_sparse(dim, items)
+        out[gen] = Tensor3.from_numerators(p + q + p * q, denom, items)
     return out
 
 

@@ -187,6 +187,14 @@ def test_deform_check_unsupported_variant(graph_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_deform_check_order_below_one_is_a_usage_error(graph_file, capsys, order):
+    assert main(["deform", "check", "--graph", graph_file, f"--order={order}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the series order must be at least 1, got {order}\n"
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["verify", "ennea", "--file", "/nonexistent/nope.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -391,6 +391,14 @@ def test_series_structure_check(tau, order):
     assert report.checks_run == 7 * order * 9**3
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_series_check_refuses_an_order_below_one(order):
+    alg, dw, dch = two_vertex_setup()
+    inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
+    with pytest.raises(ValueError, match=f"order must be at least 1, got {order}"):
+        deformed_structure_check(inst.deformed.base, inst.series, inst.t_eval, order=order)
+
+
 def test_tau_zero_equals_the_truncated_series():
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
