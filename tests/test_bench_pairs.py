@@ -79,3 +79,64 @@ def test_claim_fails_when_the_change_fails_a_larger_share_of_commands():
     # more failures in total
     more = dict(failing(1, 2), commands_attempted={"parent": [1000] * 10, "change": [2000] * 10})
     assert bench_pairs.claim_met(more, "pass_s")
+
+
+RECORDED_9 = json.loads((ROOT / "BENCH_9.json").read_text())
+
+
+def raw_runs(recorded: dict) -> dict:
+    """The per-run input of ``summarize`` rebuilt from a BENCH file's summary."""
+    raw = {}
+    for workload, record in recorded["workloads"].items():
+        runs = {
+            side: [
+                {
+                    "metrics": {
+                        name: {"value": result[side]["runs"][n], "unit": result["unit"]}
+                        for name, result in record["metrics"].items()
+                    },
+                    "attempted": record["commands_attempted"][side][n],
+                    "failed": record["commands_failed"][side][n],
+                }
+                for n in range(record["pairs"])
+            ]
+            for side in bench_pairs.SIDES
+        }
+        raw[workload] = {"seeds": record["seeds"], "first": record["first_in_pair"], "runs": runs}
+    return raw
+
+
+@pytest.mark.parametrize("recorded", [RECORDED, RECORDED_9], ids=["BENCH_8", "BENCH_9"])
+def test_summarize_gives_a_verdict_per_metric_and_workload(recorded):
+    bounds = {
+        name: result["bound"]
+        for name, result in next(iter(recorded["workloads"].values()))["metrics"].items()
+    }
+    summary = bench_pairs.summarize(raw_runs(recorded), bounds)
+    verdicts = {workload: record["verdicts"] for workload, record in summary.items()}
+    expected = {
+        workload: dict.fromkeys(bounds, "within_bound") for workload in recorded["workloads"]
+    }
+    if recorded is RECORDED_9:
+        # the change's key_cmd_s quartiles on deform_chain2 lie 0.0053 s
+        # apart, above the 25 % bound (0.0052 s), and its runs overlap the
+        # parent's
+        expected["deform_chain2"]["key_cmd_s"] = "unresolved"
+    assert verdicts == expected
+
+
+def test_verdict_worse_unresolved_and_within_bound():
+    def verdict(parent, change, bound=0.25):
+        return bench_pairs.verdict(bench_pairs.compare(parent, change, "s", bound))
+
+    steady = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    assert verdict(steady, steady) == "within_bound"
+    assert verdict(steady, [v * 1.24 for v in steady]) == "within_bound"
+    assert verdict(steady, [v * 1.26 for v in steady]) == "worse"
+    wide = [0.6, 1.4] * 5
+    assert verdict(steady, wide) == "unresolved"
+    assert verdict(wide, steady) == "unresolved"
+    # a spread wider than the bound is resolved when every run of the
+    # change beats every run of the parent
+    assert verdict(wide, [0.5] * 10) == "within_bound"
+    assert verdict([v + 1 for v in wide], wide) == "within_bound"

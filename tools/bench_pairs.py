@@ -13,7 +13,9 @@ pair runs both sides on the same seed, one run at a time, and the side
 that runs first alternates from pair to pair.  Every end-to-end metric is
 summarised per side (median, quartiles, every run), with the pairs the
 change won (lower is better), the parent's interquartile range and the
-gap between the medians.  The claim is met when the change wins at least
+gap between the medians, and a no-regression verdict (``worse``,
+``unresolved`` or ``within_bound``) against the metric's bound in
+``BENCHMARK.json``.  The claim is met when the change wins at least
 nine tenths of the pairs, its median beats the parent's by more than the
 parent's interquartile range, and no larger share of its commands failed
 than of the parent's.  Each run lasts as long as ``perfbench/run.py``'s
@@ -103,6 +105,22 @@ def compare(parent: list[float], change: list[float], unit: str, bound: float) -
     }
 
 
+def verdict(result: dict) -> str:
+    """No-regression verdict on one ``compare`` summary, lower being better:
+    ``worse`` when the change's median exceeds the parent's by more than the
+    bound; ``unresolved`` when either side's interquartile range exceeds the
+    bound (both relative to the parent's median) and not every run of the
+    change beats every run of the parent; ``within_bound`` otherwise."""
+    parent, change = result["parent"], result["change"]
+    limit = result["bound"] * parent["median"]
+    if change["median"] - parent["median"] > limit:
+        return "worse"
+    widest = max(side["q3"] - side["q1"] for side in (parent, change))
+    if widest > limit and max(change["runs"]) >= min(parent["runs"]):
+        return "unresolved"
+    return "within_bound"
+
+
 def claim_met(workload: dict, metric: str) -> bool:
     """Whether ``metric`` gained in one workload's summary: the change won
     nine tenths of the pairs, its median gain exceeds the parent's IQR and
@@ -137,6 +155,7 @@ def summarize(raw: dict, bounds: dict[str, float]) -> dict:
             "commands_attempted": {s: [r["attempted"] for r in runs[s]] for s in SIDES},
             "commands_failed": {s: [r["failed"] for r in runs[s]] for s in SIDES},
             "metrics": metrics,
+            "verdicts": {name: verdict(result) for name, result in metrics.items()},
         }
     return out
 
