@@ -321,6 +321,8 @@ def coherence_ops(
         op_a = ops_a[gen]
         denom = math.lcm(kron.denom, op_a.denom)
         grow_a, grow_kron = denom // op_a.denom, denom // kron.denom
+        # (x⊗1)(x'⊗1) = (x op x') ⊗ 1; the Kronecker product gives the
+        # rest, once its unit-right-factor pairs and 1⊗1 inputs are dropped
         items = [(i, j, k, n * grow_a) for i, j, k, n in op_a.numerators]
         items.extend(
             (place[x], place[y], place[z], n * grow_kron)
