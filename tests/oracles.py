@@ -341,6 +341,45 @@ def dense_twist(grid: Grid, left=None, right=None, post=None) -> Grid:
     return out
 
 
+# -- dense Fraction oracles for LinearOperator --------------------------------
+# An operator is read as dense rows, rows[i][j] being the e_i coefficient of
+# the image of e_j.  These transform row lists entry by entry with Fraction
+# arithmetic, never through LinearOperator's own storage or operations.
+
+Rows = list[list[Fraction]]
+
+
+def operator_rows(op) -> Rows:
+    """The dense rows of an operator, read one column image at a time."""
+    columns = [op.column(j) for j in range(op.dim)]
+    return [[columns[j][i] for j in range(op.dim)] for i in range(op.dim)]
+
+
+def dense_compose(a: Rows, b: Rows) -> Rows:
+    """a after b."""
+    n = len(a)
+    return [
+        [sum((a[i][j] * b[j][k] for j in range(n)), ZERO) for k in range(n)]
+        for i in range(n)
+    ]
+
+
+def dense_add(a: Rows, b: Rows) -> Rows:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(c: Fraction, a: Rows) -> Rows:
+    return [[Fraction(c) * x for x in row] for row in a]
+
+
+def dense_transpose(a: Rows) -> Rows:
+    return [list(col) for col in zip(*a)]
+
+
+def dense_apply(a: Rows, vector) -> list[Fraction]:
+    return [sum((x * v for x, v in zip(row, vector)), ZERO) for row in a]
+
+
 def dense_augment(grid: Grid, right: Fraction, left: Fraction) -> Grid:
     """The grid on k*1 (+) A with the unit at index 0: x op 1 = right*x,
     1 op x = left*x, and 1 op 1 = right when right == left, else zero."""
