@@ -74,7 +74,6 @@ _EXPORTS_BY_MODULE = {
     ),
     "exactlin": (
         "LinearOperator",
-        "Matrix",
         "Scalar",
         "Tensor3",
         "basis_vector",

@@ -23,9 +23,7 @@ from .algebra_core import (
 )
 from .exactlin import (
     ONE,
-    ZERO,
     LinearOperator,
-    Matrix,
     Scalar,
     Tensor3,
     combine,
@@ -77,7 +75,7 @@ def check_cobaxter(delta: CoalgebraData, op: LinearOperator, t: Scalar) -> Repor
 
 def transpose_operator(op: LinearOperator) -> LinearOperator:
     """The dual operator (matrix transpose)."""
-    return LinearOperator(op.matrix.transpose())
+    return op.transpose()
 
 
 def commute(a: LinearOperator, b: LinearOperator) -> bool:
@@ -95,26 +93,23 @@ def triangular_row_operator(n: int, t: Scalar) -> LinearOperator:
     On the basis E_ij this sends E_ij to t * E_ii.  Together with
     :func:`triangular_matrix_algebra` it satisfies the (-t)-Baxter identity.
     """
-    t = rat(t)
-    pairs = triangular_pairs(n)
-    index = {pair: a for a, pair in enumerate(pairs)}
-    dim = len(pairs)
-    grid = [[ZERO] * dim for _ in range(dim)]
-    for (i, j), a in index.items():
-        grid[index[(i, i)]][a] += t
-    return LinearOperator(Matrix(grid))
+    return _collapse_to_diagonal(n, t, row=True)
 
 
 def triangular_column_operator(n: int, t: Scalar) -> LinearOperator:
     """Collapse an upper-triangular matrix to t * (diagonal of column sums)."""
+    return _collapse_to_diagonal(n, t, row=False)
+
+
+def _collapse_to_diagonal(n: int, t: Scalar, row: bool) -> LinearOperator:
+    """E_ij -> t * E_ii (row) or t * E_jj (column) on the triangular basis."""
     t = rat(t)
-    pairs = triangular_pairs(n)
-    index = {pair: a for a, pair in enumerate(pairs)}
-    dim = len(pairs)
-    grid = [[ZERO] * dim for _ in range(dim)]
-    for (i, j), a in index.items():
-        grid[index[(j, j)]][a] += t
-    return LinearOperator(Matrix(grid))
+    index = {pair: a for a, pair in enumerate(triangular_pairs(n))}
+    return LinearOperator.from_numerators(
+        len(index),
+        t.denominator,
+        ((index[(i, i) if row else (j, j)], a, t.numerator) for (i, j), a in index.items()),
+    )
 
 
 def triangular_row_coproduct_operator(n: int, t: Scalar) -> LinearOperator:

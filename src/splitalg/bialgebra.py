@@ -142,14 +142,18 @@ def convolution_structure(b: EpsilonBialgebra) -> ConvolutionStructure:
             for a, a2, m, cm in products
         ),
     )
-    id_vec = end.unit
-    left = [[ZERO] * dim for _ in range(dim)]  # column a: id * E_a
-    right = [[ZERO] * dim for _ in range(dim)]  # column a: E_a * id
-    for p, q, k, c in conv.nonzeros():
-        left[k][q] += id_vec[p] * c
-        right[k][p] += c * id_vec[q]
+    # id = sum of the E[a,a], at indices a*(n+1): column q of id*(-) holds
+    # the entries id * E_q of conv, column p of (-)*id the entries E_p * id
+    diagonal = set(range(0, dim, n + 1))
+    nums = conv.numerators
+    left = ((k, q, c) for p, q, k, c in nums if p in diagonal)
+    right = ((k, p, c) for p, q, k, c in nums if q in diagonal)
     return ConvolutionStructure(
-        end, conv, LinearOperator(left), LinearOperator(right), id_vec
+        end,
+        conv,
+        LinearOperator.from_numerators(dim, conv.denom, left),
+        LinearOperator.from_numerators(dim, conv.denom, right),
+        end.unit,
     )
 
 
@@ -245,12 +249,14 @@ def check_derivations(b: EpsilonBialgebra, candidate: LinearOperator | None = No
     n = b.dim
     bowtie = prelie_from_bialgebra(b).op
     report = Report(title="derivation properties of bowtie", passed=True)
-    shifted = combine(n, [(ONE, bowtie), (b.t, b.algebra.mult)]).by_first()
+    shifted = combine(n, [(ONE, bowtie), (b.t, b.algebra.mult)])
+    runs = shifted.runs(0)
     for a in range(n):
-        grid = [[ZERO] * n for _ in range(n)]  # column j: a bowtie e_j + t a e_j
-        for j, k, c in shifted.get(a, ()):
-            grid[k][j] = c
-        sides = derivation_sides(b.algebra.mult, LinearOperator(grid))
+        # column j: a bowtie e_j + t a e_j
+        op = LinearOperator.from_numerators(
+            n, shifted.denom, ((k, j, c) for _, j, k, c in runs.get(a, ()))
+        )
+        sides = derivation_sides(b.algebra.mult, op)
         if not compare_on_pairs(report, f"bowtie-derivation[a={a}]", *sides):
             return report
     if candidate is not None:

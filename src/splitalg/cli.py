@@ -415,7 +415,7 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
     instance = baxter_deformation(args.variant, pa.algebra, delta, delta1, t, t1)
     reports = [
         check_deformation_instance(instance),
-        instance_operator_equation(pa.algebra, delta, delta1, t, t1),
+        instance_operator_equation(instance),
     ]
     for tau in args.taus:
         reports.append(

@@ -72,10 +72,6 @@ class DeformedSystem:
     degree2: tuple[str, ...]
     total_name: str | None  # unital total operation (base total + labeled total)
 
-    def degree1_relations(self) -> tuple[Relation, ...]:
-        wanted = set(self.degree1)
-        return tuple(r for r in self.system.relations if r.name in wanted)
-
 
 def _labeled(name: str) -> str:
     return name + "1"
@@ -178,6 +174,8 @@ class DeformationInstance:
     t_eval: Fraction                        # family parameter for coefficients
     r: Fraction
     r1: Fraction
+    left_conv: LinearOperator               # id * (-) for delta, at r
+    left_conv1: LinearOperator              # id * (-) for delta1, at r1
 
 
 def two_operator_equation(
@@ -291,6 +289,8 @@ def baxter_deformation(
         t_eval=t_eval,
         r=t,
         r1=t1,
+        left_conv=cs.left_conv,
+        left_conv1=cs1.left_conv,
     )
 
 
@@ -304,17 +304,12 @@ def check_deformation_instance(instance: DeformationInstance) -> Report:
     )
 
 
-def instance_operator_equation(
-    instance_algebra: FiniteAlgebra,
-    delta: CoalgebraData,
-    delta1: CoalgebraData,
-    t: Scalar,
-    t1: Scalar,
-) -> Report:
-    """The operator-level equation for the two left-convolution operators."""
-    cs = convolution_structure(EpsilonBialgebra(instance_algebra, delta, rat(t)))
-    cs1 = convolution_structure(EpsilonBialgebra(instance_algebra, delta1, rat(t1)))
-    return two_operator_equation(cs.end, cs.left_conv, cs1.left_conv, t, t1)
+def instance_operator_equation(instance: DeformationInstance) -> Report:
+    """The operator-level equation for the instance's two left-convolution
+    operators."""
+    return two_operator_equation(
+        instance.end, instance.left_conv, instance.left_conv1, instance.r, instance.r1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Exact rational linear algebra: vectors, matrices, structure-constant tensors.
+"""Exact rational linear algebra: ranks, linear operators, structure-constant tensors.
 
 Every value in this package is an exact rational, so all checks are exact —
-a failed identity is a real counterexample, never roundoff.  Vectors and
-matrices hold ``fractions.Fraction``; tensors hold integers.
+a failed identity is a real counterexample, never roundoff.  Operators and
+tensors hold integer numerators over one shared denominator; Fractions
+appear only in their views and in the coefficient vectors those views and
+``apply`` return.
 
 The two workhorses are:
 
@@ -10,22 +12,25 @@ The two workhorses are:
   over the integers (rows as ``{col: int}`` maps, a column→rows index,
   Markowitz-style pivots, each updated row divided by its content), used
   for the degree-3 dimension counts of quadratic presentations;
-  :func:`rank` clears a rational matrix's denominators row by row and
-  calls it;
+  :func:`rank` clears the denominators of dense rational rows one row at
+  a time and calls it;
 * :class:`Tensor3` — structure constants of a bilinear operation
   (``z = op(x, y)`` has coefficients ``z_k = sum x_i y_j c[i][j][k]``),
   stored as its sorted nonzero entries ``(i, j, k, n)`` with integer
   numerators over one shared denominator, in lowest terms.  Fractions
   appear only in its views (:meth:`Tensor3.nonzeros`, a dense
   ``entries[i][j][k]`` and the like), built on demand for witnesses, JSON
-  output and tests.
+  output and tests.  A :class:`LinearOperator` is stored the same way, as
+  its sorted nonzero entries ``(i, j, n)``.
 
-Every operation on tensors works on the numerators: :func:`combine` clears
-each term's scale to an integer weight over one common denominator,
-:meth:`Tensor3.scale` and :meth:`Tensor3.swap_args` rewrite the numerators,
-and :func:`twist`, the operation ``(x, y) -> P(op(M x, N y))`` from which
+Every operation on operators and tensors works on the numerators:
+:func:`combine` clears each term's scale to an integer weight over one
+common denominator, :meth:`Tensor3.scale` and :meth:`Tensor3.swap_args`
+rewrite the numerators, :meth:`LinearOperator.compose` sums integer
+products row by row, and
+:func:`twist`, the operation ``(x, y) -> P(op(M x, N y))`` from which
 every Baxter-operator construction and both sides of every operator
-identity are combined, clears each operator's denominators once.
+identity are combined, multiplies the operators' denominators once.
 The kernel of every quadratic-identity check clears the remaining
 denominators once per identity and sums integer products only, one slice
 of basis triples (x, ., .) at a time, in increasing x, from groupings
@@ -66,109 +71,15 @@ def rat(value: Scalar) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-# ---------------------------------------------------------------------------
-# vectors (plain tuples of Fraction)
-# ---------------------------------------------------------------------------
-
-
 def basis_vector(dim: int, index: int) -> tuple[Fraction, ...]:
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
     return tuple(ONE if i == index else ZERO for i in range(dim))
 
 
-def vec_add(*vectors: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if len({len(v) for v in vectors}) != 1:
-        raise ValueError("vector dimension mismatch")
-    return tuple(sum(col) for col in zip(*vectors))
-
-
-def vec_scale(c: Fraction, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * v for v in vector)
-
-
 # ---------------------------------------------------------------------------
-# matrices
+# ranks
 # ---------------------------------------------------------------------------
-
-
-class Matrix:
-    """Immutable exact matrix; rows of Fractions."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable[Scalar]]):
-        grid = tuple(tuple(rat(v) for v in row) for row in entries)
-        if grid and any(len(row) != len(grid[0]) for row in grid):
-            raise ValueError("ragged matrix rows")
-        self.entries: tuple[tuple[Fraction, ...], ...] = grid
-        self.rows = len(grid)
-        self.cols = len(grid[0]) if grid else 0
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix([[0] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    # -- algebra ------------------------------------------------------------
-
-    def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-vector product (columns index the input basis)."""
-        if len(vector) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum((row[j] * vector[j] for j in range(self.cols)), ZERO)
-            for row in self.entries
-        )
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix product dimension mismatch")
-        # sum over the nonzeros of each row of self and of the rows they pick
-        other_rows = [[(k, b) for k, b in enumerate(row) if b] for row in other.entries]
-        product = []
-        for row in self.entries:
-            out = [ZERO] * other.cols
-            for j, a in enumerate(row):
-                if a:
-                    for k, b in other_rows[j]:
-                        out[k] += a * b
-            product.append(out)
-        return Matrix(product)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix sum dimension mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def scale(self, c: Scalar) -> "Matrix":
-        c = rat(c)
-        return Matrix([[c * v for v in row] for row in self.entries])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries)) if self.entries else [])
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"Matrix({[list(map(str, row)) for row in self.entries]})"
 
 
 def integer_row(values: Mapping[int, Scalar]) -> dict[int, int]:
@@ -180,11 +91,10 @@ def integer_row(values: Mapping[int, Scalar]) -> dict[int, int]:
     return {c: q.numerator * (scale // q.denominator) for c, q in nonzero.items()}
 
 
-def rank(matrix: Union[Matrix, Sequence[Sequence[Scalar]]]) -> int:
-    """Exact rank over the rationals: clear each row's denominators, then
-    eliminate with :func:`rank_int_rows`."""
-    entries = matrix.entries if isinstance(matrix, Matrix) else matrix
-    return rank_int_rows([integer_row(dict(enumerate(row))) for row in entries])
+def rank(rows: Iterable[Sequence[Scalar]]) -> int:
+    """Exact rank over the rationals of dense rows: clear each row's
+    denominators, then eliminate with :func:`rank_int_rows`."""
+    return rank_int_rows([integer_row(dict(enumerate(row))) for row in rows])
 
 
 def _divide_content(row: dict[int, int]) -> None:
@@ -260,68 +170,168 @@ def rank_int_rows(rows: Iterable[Union[Sequence[int], Mapping[int, int]]]) -> in
     return found
 
 
+def _content(denom: int, numerators: Iterable[int]) -> int:
+    """gcd of a denominator and numerators, stopping once it reaches 1."""
+    g = denom
+    for n in numerators:
+        if g == 1:
+            break
+        g = math.gcd(g, n)
+    return g
+
+
+# ---------------------------------------------------------------------------
+# linear operators
+# ---------------------------------------------------------------------------
+
+OpEntry = tuple[int, int, int]
+
+
 class LinearOperator:
-    """A linear map given by its matrix; columns hold the images of basis vectors.
+    """A linear map on an n-dim space; column j holds the image of e_j.
 
-    Immutable; the integer lines that :func:`twist` reads are cached on the
-    operator (:meth:`integer_lines`)."""
+    Storage is that of :class:`Tensor3`: ``dim``, ``denom`` D > 0 and the
+    sorted tuple ``numerators`` of nonzero entries ``(i, j, n)``, each saying
+    that the image of e_j has coefficient n / D on e_i, in lowest terms, so
+    equal operators have equal storage and equal hashes.  The rows are runs
+    of ``numerators``; :func:`twist` and :meth:`compose` group rows or
+    columns from them on each call, and nothing else is kept.
 
-    __slots__ = ("matrix", "_lines")
+    ``LinearOperator(rows)`` reads dense rows of exact scalars (envelopes,
+    tests); :meth:`from_numerators` and :meth:`from_sorted` build from
+    integers.  :attr:`entries`, :meth:`column` and :meth:`apply` are Fraction
+    views, built on demand.
+    """
 
-    def __init__(self, matrix: Union[Matrix, Sequence[Sequence[Scalar]]]):
-        self.matrix = matrix if isinstance(matrix, Matrix) else Matrix(matrix)
-        if self.matrix.rows != self.matrix.cols:
+    __slots__ = ("dim", "denom", "numerators")
+
+    def __init__(self, rows: Sequence[Sequence[Scalar]]):
+        grid = [[rat(v) for v in row] for row in rows]
+        if any(len(row) != len(grid) for row in grid):
             raise ValueError("operators on a space must be square")
-        self._lines: dict[bool, tuple[int, list[list[tuple[int, int]]]]] = {}
+        nonzero = [(i, j, q) for i, row in enumerate(grid) for j, q in enumerate(row) if q]
+        # the lcm of reduced denominators leaves the numerators in lowest terms
+        d = self.denom = math.lcm(*(q.denominator for *_, q in nonzero))
+        self.dim = len(grid)
+        self.numerators = tuple((i, j, q.numerator * (d // q.denominator)) for i, j, q in nonzero)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.rows
+    # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def from_sorted(dim: int, denom: int, entries: Sequence[OpEntry]) -> "LinearOperator":
+        """Operator from sorted, distinct, nonzero numerators over ``denom``
+        > 0, with the common factor of the denominator and every numerator
+        divided out."""
+        g = _content(denom, (n for *_, n in entries))
+        op = object.__new__(LinearOperator)
+        op.dim = dim
+        op.denom = denom // g
+        op.numerators = tuple(entries if g == 1 else [(i, j, n // g) for i, j, n in entries])
+        return op
+
+    @staticmethod
+    def from_numerators(dim: int, denom: int, items: Iterable[OpEntry]) -> "LinearOperator":
+        """Sum integer entries ``(i, j, n)``, each standing for n / denom;
+        repeated indices accumulate.  The indices must be ints in ``[0, dim)``."""
+        acc: dict[tuple[int, int], int] = {}
+        get = acc.get
+        for i, j, n in items:
+            key = (i, j)
+            acc[key] = get(key, 0) + n
+        return LinearOperator.from_sorted(
+            dim, denom, [(i, j, n) for (i, j), n in sorted(acc.items()) if n]
+        )
 
     @staticmethod
     def identity(dim: int) -> "LinearOperator":
-        return LinearOperator(Matrix.identity(dim))
+        return LinearOperator.from_sorted(dim, 1, [(a, a, 1) for a in range(dim)])
 
-    def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return self.matrix.apply(vector)
+    # -- Fraction views -------------------------------------------------------
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense rows: ``entries[i][j]`` is the e_i coefficient of the image of e_j."""
+        grid = [[ZERO] * self.dim for _ in range(self.dim)]
+        for i, j, n in self.numerators:
+            grid[i][j] = Fraction(n, self.denom)
+        return tuple(map(tuple, grid))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         """Image of the j-th basis vector."""
-        return tuple(self.matrix.entries[i][j] for i in range(self.dim))
+        return tuple(row[j] for row in self.entries)
 
-    def integer_lines(self, columns: bool) -> tuple[int, list[list[tuple[int, int]]]]:
-        """The nonzeros ``(index, n)`` of each matrix row (or column) as
-        integers over one common denominator, returned with it; built on the
-        first call for each orientation and kept."""
-        lines = self._lines.get(columns)
-        if lines is None:
-            grid = zip(*self.matrix.entries) if columns else self.matrix.entries
-            sparse = [[(i, c) for i, c in enumerate(line) if c] for line in grid]
-            denom = math.lcm(*(c.denominator for line in sparse for _, c in line))
-            lines = self._lines[columns] = denom, [
-                [(i, c.numerator * (denom // c.denominator)) for i, c in line]
-                for line in sparse
-            ]
-        return lines
+    def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        if len(vector) != self.dim:
+            raise ValueError("dimension mismatch")
+        out = [ZERO] * self.dim
+        for i, j, n in self.numerators:
+            out[i] += n * vector[j]
+        return tuple(v / self.denom for v in out)
+
+    # -- algebra ------------------------------------------------------------
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self after other."""
-        return LinearOperator(self.matrix.matmul(other.matrix))
+        if other.dim != self.dim:
+            raise ValueError("operator product dimension mismatch")
+        rows = _lines(other, columns=False)
+        return LinearOperator.from_numerators(
+            self.dim,
+            self.denom * other.denom,
+            ((i, k, a * b) for i, j, a in self.numerators for k, b in rows[j]),
+        )
 
     def add(self, other: "LinearOperator") -> "LinearOperator":
-        return LinearOperator(self.matrix.add(other.matrix))
+        if other.dim != self.dim:
+            raise ValueError("operator sum dimension mismatch")
+        common = math.lcm(self.denom, other.denom)
+        return LinearOperator.from_numerators(
+            self.dim,
+            common,
+            ((i, j, n * (common // op.denom)) for op in (self, other) for i, j, n in op.numerators),
+        )
 
     def scale(self, c: Scalar) -> "LinearOperator":
-        return LinearOperator(self.matrix.scale(c))
+        c = rat(c)
+        p = c.numerator
+        return LinearOperator.from_sorted(
+            self.dim,
+            self.denom * c.denominator,
+            [(i, j, p * n) for i, j, n in self.numerators] if p else [],
+        )
+
+    def transpose(self) -> "LinearOperator":
+        """The dual operator: entry (i, j) moves to (j, i)."""
+        return LinearOperator.from_sorted(
+            self.dim, self.denom, sorted((j, i, n) for i, j, n in self.numerators)
+        )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LinearOperator) and self.matrix == other.matrix
+        return (
+            isinstance(other, LinearOperator)
+            and self.dim == other.dim
+            and self.denom == other.denom
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self) -> int:
-        return hash(self.matrix)
+        return hash((self.dim, self.denom, self.numerators))
 
     def __repr__(self) -> str:
-        return f"LinearOperator({self.matrix!r})"
+        return f"LinearOperator(dim={self.dim}, nonzeros={len(self.numerators)})"
+
+
+def _lines(op: LinearOperator, columns: bool) -> list[list[tuple[int, int]]]:
+    """The nonzero numerators ``(index, n)`` of each row of op (or each
+    column), grouped from its entries on every call."""
+    lines: list[list[tuple[int, int]]] = [[] for _ in range(op.dim)]
+    if columns:
+        for i, j, n in op.numerators:
+            lines[j].append((i, n))
+    else:
+        for i, j, n in op.numerators:
+            lines[i].append((j, n))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +421,7 @@ class Tensor3:
         """Tensor from sorted, distinct, nonzero numerators over ``denom``
         > 0, with the common factor of the denominator and every numerator
         divided out."""
-        g = denom
-        for *_, n in entries:
-            if g == 1:
-                break
-            g = math.gcd(g, n)
+        g = _content(denom, (n for *_, n in entries))
         if g != 1:
             entries = [(i, j, k, n // g) for i, j, k, n in entries]
         return Tensor3(dim, denom // g, tuple(entries))
@@ -596,12 +602,13 @@ def combine(dim: int, terms: Iterable[tuple[Scalar, Tensor3]]) -> Tensor3:
 def _integer_lines(
     op: LinearOperator | None, dim: int, columns: bool
 ) -> tuple[int, list[list[tuple[int, int]]]]:
-    """:meth:`LinearOperator.integer_lines` of op; None is the identity."""
+    """The denominator of op and the numerators of its rows (or columns);
+    None is the identity."""
     if op is None:
         return 1, [[(a, 1)] for a in range(dim)]
     if op.dim != dim:
         raise ValueError("operator/tensor dimension mismatch")
-    return op.integer_lines(columns)
+    return op.denom, _lines(op, columns)
 
 
 def twist(

@@ -47,14 +47,6 @@ class WeightedDigraph:
             vertices, tuple(Arc(s, d, rat(w)) for s, d, w in arcs)
         )
 
-    def reweighted(self, weights: Sequence[Scalar]) -> "WeightedDigraph":
-        if len(weights) != len(self.arcs):
-            raise ValueError("need one weight per arc")
-        return WeightedDigraph(
-            self.vertices,
-            tuple(Arc(a.src, a.dst, rat(w)) for a, w in zip(self.arcs, weights)),
-        )
-
     def is_acyclic(self) -> bool:
         color = [0] * self.vertices  # 0 new, 1 active, 2 done
         out: list[list[int]] = [[] for _ in range(self.vertices)]

@@ -269,10 +269,7 @@ def operator_to_json(op: LinearOperator) -> dict[str, Any]:
     return {
         "kind": "operator",
         "dim": op.dim,
-        "matrix": [
-            [scalar_to_json(op.matrix.entries[i][j]) for j in range(op.dim)]
-            for i in range(op.dim)
-        ],
+        "matrix": [[scalar_to_json(c) for c in row] for row in op.entries],
     }
 
 
@@ -314,7 +311,13 @@ def coproduct_from_json(data: Mapping[str, Any]) -> CoalgebraData:
         legs = tensor_from_json(dim, items, "coproduct")
     except ValueError as exc:
         raise ValueError(f"coproduct field 'items': {exc}") from None
-    return CoalgebraData.from_items(dim, legs.nonzeros())
+    # the decoded legs are summed, nonzero and sorted by (i, j, k): row i is
+    # one run of them, already in the order CoalgebraData keeps
+    rows: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(dim)]
+    d = legs.denom
+    for i, j, k, n in legs.numerators:
+        rows[i].append((j, k, Fraction(n, d)))
+    return CoalgebraData(dim, tuple(map(tuple, rows)))
 
 
 def operations_to_json(

@@ -13,8 +13,7 @@ identities of ``deformed_nine_nine`` touch 648 of its 147 x 648 slots), so
 :func:`relation_rows` builds each identity directly as a ``{column: int}``
 row with its denominators cleared, and the rank comes from the sparse
 fraction-free kernel :func:`splitalg.exactlin.rank_int_rows`; no dense matrix
-is built on the way.  :func:`relation_matrix` is the dense view of the same
-rows, for inspection.
+is built on the way.
 
 Monomial ordering (fixed, used by the JSON output too): left-nested monomials
 first, at index outer*g + inner; then right-nested at g^2 + outer*g + inner,
@@ -26,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from .exactlin import ZERO, Matrix, Scalar, integer_row, rank_int_rows, rat
+from .exactlin import ZERO, Scalar, integer_row, rank_int_rows, rat
 from .relations import DEFORMATIONS, SYSTEMS, AxiomSystem, expand_relation
 
 
@@ -71,14 +70,6 @@ def relation_rows(system: AxiomSystem, t: Scalar) -> list[dict[int, int]]:
             acc[key] = acc.get(key, ZERO) - poly.eval(t)
         rows.append(integer_row(acc))
     return rows
-
-
-def relation_matrix(system: AxiomSystem, t: Scalar) -> Matrix:
-    """Dense view of :func:`relation_rows`, one column per monomial."""
-    width = 2 * len(system.generators) ** 2
-    return Matrix(
-        [[row.get(c, 0) for c in range(width)] for row in relation_rows(system, t)]
-    )
 
 
 def degree3_dimension(system: AxiomSystem, t: Scalar = 0) -> Degree3Count:

@@ -485,10 +485,6 @@ def coproduct_cube(delta) -> Grid:
     return grid_from_items(delta.dim, delta.items())
 
 
-def _operator_rows(op) -> list[list[Fraction]]:
-    return [list(row) for row in op.matrix.entries]
-
-
 def _first_leg(lhs, rhs, shape: int, n: int):
     """The smallest leg (a tuple of ``shape`` indices) where two dense
     functions of the leg differ, with both values, or None."""
@@ -549,7 +545,7 @@ def _first_vector_failure(context, n, lhs_at, rhs_at) -> CoalgebraOutcome:
 
 def cobaxter_oracle(delta, op, t) -> CoalgebraOutcome:
     """(P (x) P) delta = t delta P + (id (x) P) delta P + (P (x) id) delta P."""
-    d, n, p, t = coproduct_cube(delta), delta.dim, _operator_rows(op), Fraction(t)
+    d, n, p, t = coproduct_cube(delta), delta.dim, operator_rows(op), Fraction(t)
 
     def image_coproduct(i, x, y):  # coefficient of e_x (x) e_y in delta(P e_i)
         return sum((p[a][i] * d[a][x][y] for a in range(n)), ZERO)
@@ -571,7 +567,7 @@ def cobaxter_oracle(delta, op, t) -> CoalgebraOutcome:
 
 def coderivation_oracle(delta, op) -> CoalgebraOutcome:
     """delta(D x) = (D (x) id) delta(x) + (id (x) D) delta(x)."""
-    d, n, D = coproduct_cube(delta), delta.dim, _operator_rows(op)
+    d, n, D = coproduct_cube(delta), delta.dim, operator_rows(op)
 
     def lhs(i, x, y):
         return sum((D[a][i] * d[a][x][y] for a in range(n)), ZERO)

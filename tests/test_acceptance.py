@@ -21,7 +21,6 @@ from splitalg import (
     EnneaStructure,
     EpsilonBialgebra,
     LinearOperator,
-    Matrix,
     WeightedDigraph,
     baxter_deformation,
     builtin_presentations,
@@ -198,10 +197,10 @@ def test_criterion_6_deformation_instances():
     alg, dw, dch = two_vertex_setup()
 
     # operator-level identity on the convolution operators
-    assert instance_operator_equation(alg, dw, dch, 0, -1).passed
+    inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
+    assert instance_operator_equation(inst).passed
 
     # the assignment satisfies every generated relation
-    inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
     report = check_deformation_instance(inst)
     assert report.passed and report.checks_run == 16 * 9**3
 
@@ -357,7 +356,7 @@ def test_criterion_9_randomized_invariants():
     # coproduct-side duality is a genuine equivalence for arbitrary operators
     delta = triangular_matrix_coalgebra(2)
     for _ in range(8):
-        op = LinearOperator(Matrix([[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]))
+        op = LinearOperator([[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)])
         s = F(rng.choice([-1, 0, 1, 2]))
         left = check_cobaxter(delta, op, s).passed
         right = check_baxter(delta.dual_algebra(), transpose_operator(op), s).passed

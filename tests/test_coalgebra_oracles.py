@@ -82,7 +82,7 @@ def operator(rng: random.Random, dim: int) -> LinearOperator:
 
 
 def perturbed(rng: random.Random, op: LinearOperator) -> LinearOperator:
-    grid = [list(row) for row in op.matrix.entries]
+    grid = [list(row) for row in op.entries]
     for _ in range(rng.randint(1, 3)):
         grid[rng.randrange(op.dim)][rng.randrange(op.dim)] += small_rational(rng)
     return LinearOperator(grid)

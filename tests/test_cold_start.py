@@ -40,7 +40,7 @@ EXPORTED = {
         "check_deformation_instance", "cross_term_system", "deformed_structure_check",
         "instance_operator_equation", "two_operator_equation",
     ),
-    "exactlin": ("LinearOperator", "Matrix", "Scalar", "Tensor3", "basis_vector", "combine", "rat"),
+    "exactlin": ("LinearOperator", "Scalar", "Tensor3", "basis_vector", "combine", "rat"),
     "graphalg": (
         "PathAlgebra", "WeightedDigraph", "chain_coproduct", "chain_order", "path_algebra",
         "splitting_coproduct", "weighted_coproduct",

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from splitalg import LinearOperator, Matrix, Tensor3, basis_vector, combine, rat
+from splitalg import LinearOperator, Tensor3, basis_vector, combine, rat
 from splitalg.exactlin import (
     accumulate,
     compose_left,
@@ -18,8 +18,6 @@ from splitalg.exactlin import (
     rank,
     rank_int_rows,
     twist,
-    vec_add,
-    vec_scale,
 )
 
 F = Fraction
@@ -35,8 +33,6 @@ def test_rat_accepts_exact_kinds_only():
 
 def test_vector_helpers():
     assert basis_vector(3, 1) == (F(0), F(1), F(0))
-    assert vec_add((F(1), F(2)), (F(3), F(-2))) == (F(4), F(0))
-    assert vec_scale(F(1, 2), (F(4), F(6))) == (F(2), F(3))
 
 
 def test_from_sparse_accumulates_duplicates():
@@ -51,12 +47,9 @@ def test_apply_is_bilinear():
     t = oracles.random_tensor(rng, 3)
     x = (F(1), F(2), F(-1))
     y = (F(0), F(1, 3), F(2))
-    lhs = t.apply(vec_scale(F(2), x), y)
-    rhs = vec_scale(F(2), t.apply(x, y))
-    assert lhs == rhs
-    lhs = t.apply(x, vec_add(y, y))
-    rhs = vec_scale(F(2), t.apply(x, y))
-    assert lhs == rhs
+    twice = tuple(2 * v for v in t.apply(x, y))
+    assert t.apply(tuple(2 * v for v in x), y) == twice
+    assert t.apply(x, tuple(a + b for a, b in zip(y, y))) == twice
 
 
 def test_combine_is_linear_in_entries():
@@ -155,8 +148,8 @@ def test_linear_operator_columns_and_composition():
     assert op.column(1) == (F(2), F(1))
     assert op.apply((F(1), F(1))) == (F(3), F(1))
     square = op.compose(op)
-    assert square.matrix.entries == ((F(1), F(4)), (F(0), F(1)))
-    assert op.add(op.scale(-1)).matrix.is_zero()
+    assert square.entries == ((F(1), F(4)), (F(0), F(1)))
+    assert op.add(op.scale(-1)).numerators == ()
     with pytest.raises(ValueError):
         LinearOperator([[1, 2, 3], [4, 5, 6]])
 
@@ -164,30 +157,30 @@ def test_linear_operator_columns_and_composition():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_matmul_matches_dense_dot_products(seed):
     rng = random.Random(seed)
-    shape = [rng.randint(1, 5) for _ in range(3)]
+    n = rng.randint(1, 5)
 
-    def sparse_grid(rows, cols):
+    def sparse_grid(size):
         return [
-            [F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else F(0) for _ in range(cols)]
-            for _ in range(rows)
+            [F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else F(0) for _ in range(size)]
+            for _ in range(size)
         ]
 
-    a, b = sparse_grid(shape[0], shape[1]), sparse_grid(shape[1], shape[2])
-    expected = [
-        [sum((a[i][j] * b[j][k] for j in range(shape[1])), F(0)) for k in range(shape[2])]
-        for i in range(shape[0])
-    ]
-    product = Matrix(a).matmul(Matrix(b))
-    assert (product.rows, product.cols) == (shape[0], shape[2])
-    assert product == Matrix(expected)
+    a, b = sparse_grid(n), sparse_grid(n)
+    expected = tuple(
+        tuple(sum((a[i][j] * b[j][k] for j in range(n)), F(0)) for k in range(n))
+        for i in range(n)
+    )
+    product = LinearOperator(a).compose(LinearOperator(b))
+    assert product.dim == n
+    assert product.entries == expected
     with pytest.raises(ValueError):
-        Matrix(a).matmul(Matrix(sparse_grid(shape[1] + 1, 2)))
+        LinearOperator(a).compose(LinearOperator(sparse_grid(n + 1)))
 
 
 def test_matrix_rank_on_known_cases():
-    assert rank(Matrix.identity(4)) == 4
-    assert rank(Matrix.zero(3, 5)) == 0
-    assert rank(Matrix([[1, 2], [2, 4]])) == 1
+    assert rank(LinearOperator.identity(4).entries) == 4
+    assert rank([[0] * 5 for _ in range(3)]) == 0
+    assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]]) == 2
 
 
@@ -208,17 +201,17 @@ def test_rank_int_rows_matches_fraction_rank():
 
 OPTIMIZED_CHECKS = """
 from fractions import Fraction as F
-from splitalg import LinearOperator, Matrix, Tensor3, basis_vector, combine
-from splitalg.exactlin import vec_add
+from splitalg import LinearOperator, Tensor3, basis_vector, combine
 
 if __debug__:
     raise SystemExit("must run under python -O")
 t2 = Tensor3.zero(2)
 cases = {
-    "vec_add": lambda: vec_add((F(1), F(2)), (F(3),)),
     "basis_vector": lambda: basis_vector(2, 2),
-    "Matrix.apply": lambda: Matrix.identity(2).apply((F(1),)),
-    "Matrix.add": lambda: Matrix.identity(2).add(Matrix.identity(3)),
+    "LinearOperator.apply": lambda: LinearOperator.identity(2).apply((F(1),)),
+    "LinearOperator.add": lambda: LinearOperator.identity(2).add(LinearOperator.identity(3)),
+    "LinearOperator.compose": lambda: LinearOperator.identity(2).compose(LinearOperator.identity(3)),
+    "LinearOperator": lambda: LinearOperator([[1, 2, 3], [4, 5, 6]]),
     "Tensor3.apply": lambda: t2.apply((F(1),), (F(1), F(0))),
     "combine": lambda: combine(3, [(F(1), t2)]),
 }

@@ -108,7 +108,7 @@ def _inner_derivation(algebra, a):
 
 
 def _perturbed(op, row, col, delta):
-    grid = [list(r) for r in op.matrix.entries]
+    grid = [list(r) for r in op.entries]
     grid[row][col] += delta
     return LinearOperator(grid)
 

@@ -24,11 +24,8 @@ F = Fraction
 
 
 def line_graph(n, weights=None):
-    arcs = [(i, i + 1, 1) for i in range(n - 1)]
-    g = WeightedDigraph.build(n, arcs)
-    if weights is not None:
-        g = g.reweighted(weights)
-    return g
+    weights = weights or [1] * (n - 1)
+    return WeightedDigraph.build(n, [(i, i + 1, weights[i]) for i in range(n - 1)])
 
 
 def test_path_algebra_of_a_line():

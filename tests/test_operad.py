@@ -8,8 +8,7 @@ import pytest
 
 import oracles
 from splitalg import builtin_presentations, degree3_dimension
-from splitalg.exactlin import Matrix
-from splitalg.operad import relation_matrix, relation_rows
+from splitalg.operad import relation_rows
 
 F = Fraction
 
@@ -58,9 +57,10 @@ def test_dimension_counts_match_independent_elimination(name):
 
 def test_relation_matrix_shape():
     system = builtin_presentations()["nine_op"]
-    mat = relation_matrix(system, F(1))
-    assert mat.rows == 49
-    assert mat.cols == 2 * 9 * 9
+    rows = relation_rows(system, F(1))
+    assert len(rows) == 49
+    assert all(0 <= c < 2 * 9 * 9 for row in rows for c in row)
+    assert sum(map(len, rows)) == 162
 
 
 def test_weighted_blocks_degenerate_at_parameter_zero():
@@ -87,18 +87,32 @@ def test_generating_function_prefix():
 def test_relation_rows_are_the_sparse_relation_matrix():
     system = builtin_presentations()["deformed_nine_nine"]
     rows = relation_rows(system, F(2, 3))
-    mat = relation_matrix(system, F(2, 3))
-    assert len(rows) == mat.rows == 147
+    dense = oracles.relation_rows(system, F(2, 3))
+    assert len(rows) == len(dense) == 147
     assert all(isinstance(v, int) and v for row in rows for v in row.values())
-    assert [{c: v for c, v in enumerate(row) if v} for row in mat.entries] == rows
+    # each integer row is its relation's dense row times one nonzero rational;
+    # the oracle's column (side, inner, outer) is column (side, outer, inner) here
+    g = len(system.generators)
+
+    def column(c):
+        side, rest = divmod(c, g * g)
+        inner, outer = divmod(rest, g)
+        return (side * g + outer) * g + inner
+
+    for row, want in zip(rows, dense):
+        support = {column(c): v for c, v in enumerate(want) if v}
+        assert row.keys() == support.keys()
+        assert len({F(row[c]) / v for c, v in support.items()}) == 1
     assert degree3_dimension(system, F(2, 3)).nonzeros == sum(map(len, rows)) == 648
 
 
 def test_degree3_dimension_builds_no_dense_matrix(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense Matrix built")
+    import splitalg.exactlin as exactlin
 
-    monkeypatch.setattr(Matrix, "__init__", refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense rows built")
+
+    monkeypatch.setattr(exactlin, "rank", refuse)
     count = degree3_dimension(builtin_presentations()["nine_op"], F(1))
     assert (count.rank, count.dim3, count.nonzeros) == (49, 113, 162)
 
