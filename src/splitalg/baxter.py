@@ -74,8 +74,10 @@ def check_cobaxter(delta: CoalgebraData, op: LinearOperator, t: Scalar) -> Repor
 
 
 def transpose_operator(op: LinearOperator) -> LinearOperator:
-    """The dual operator (matrix transpose)."""
-    return op.transpose()
+    """The dual operator (matrix transpose): entry (i, j) moves to (j, i)."""
+    return LinearOperator.from_sorted(
+        op.dim, op.denom, sorted((j, i, n) for i, j, n in op.numerators)
+    )
 
 
 def commute(a: LinearOperator, b: LinearOperator) -> bool:

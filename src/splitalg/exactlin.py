@@ -27,10 +27,10 @@ Every operation on operators and tensors works on the numerators:
 :func:`combine` clears each term's scale to an integer weight over one
 common denominator, :meth:`Tensor3.scale` and :meth:`Tensor3.swap_args`
 rewrite the numerators, :meth:`LinearOperator.compose` sums integer
-products row by row, and
-:func:`twist`, the operation ``(x, y) -> P(op(M x, N y))`` from which
-every Baxter-operator construction and both sides of every operator
-identity are combined, multiplies the operators' denominators once.
+products row by row, and :func:`twist`, the operation
+``(x, y) -> P(op(M x, N y))`` from which every Baxter-operator
+construction and both sides of every operator identity are combined,
+multiplies the operators' denominators once.
 The kernel of every quadratic-identity check clears the remaining
 denominators once per identity and sums integer products only, one slice
 of basis triples (x, ., .) at a time, in increasing x, from groupings
@@ -298,12 +298,6 @@ class LinearOperator:
             self.dim,
             self.denom * c.denominator,
             [(i, j, p * n) for i, j, n in self.numerators] if p else [],
-        )
-
-    def transpose(self) -> "LinearOperator":
-        """The dual operator: entry (i, j) moves to (j, i)."""
-        return LinearOperator.from_sorted(
-            self.dim, self.denom, sorted((j, i, n) for i, j, n in self.numerators)
         )
 
     def __eq__(self, other: object) -> bool:
