@@ -278,7 +278,7 @@ class LinearOperator:
         return LinearOperator.from_numerators(
             self.dim,
             self.denom * other.denom,
-            ((i, k, a * b) for i, j, a in self.numerators for k, b in rows[j]),
+            ((i, k, a * b) for i, j, a in self.numerators for _, k, b in rows[j]),
         )
 
     def add(self, other: "LinearOperator") -> "LinearOperator":
@@ -315,16 +315,13 @@ class LinearOperator:
         return f"LinearOperator(dim={self.dim}, nonzeros={len(self.numerators)})"
 
 
-def _lines(op: LinearOperator, columns: bool) -> list[list[tuple[int, int]]]:
-    """The nonzero numerators ``(index, n)`` of each row of op (or each
-    column), grouped from its entries on every call."""
-    lines: list[list[tuple[int, int]]] = [[] for _ in range(op.dim)]
-    if columns:
-        for i, j, n in op.numerators:
-            lines[j].append((i, n))
-    else:
-        for i, j, n in op.numerators:
-            lines[i].append((j, n))
+def _lines(op: LinearOperator, columns: bool) -> list[list[OpEntry]]:
+    """The entries ``(i, j, n)`` of op grouped by row i (or by column j),
+    as references to its own numerators, built on every call."""
+    lines: list[list[OpEntry]] = [[] for _ in range(op.dim)]
+    axis = 1 if columns else 0
+    for entry in op.numerators:
+        lines[entry[axis]].append(entry)
     return lines
 
 
@@ -595,11 +592,11 @@ def combine(dim: int, terms: Iterable[tuple[Scalar, Tensor3]]) -> Tensor3:
 
 def _integer_lines(
     op: LinearOperator | None, dim: int, columns: bool
-) -> tuple[int, list[list[tuple[int, int]]]]:
-    """The denominator of op and the numerators of its rows (or columns);
+) -> tuple[int, list[list[OpEntry]]]:
+    """The denominator of op and its entries grouped by row (or column);
     None is the identity."""
     if op is None:
-        return 1, [[(a, 1)] for a in range(dim)]
+        return 1, [[(a, a, 1)] for a in range(dim)]
     if op.dim != dim:
         raise ValueError("operator/tensor dimension mismatch")
     return op.denom, _lines(op, columns)
@@ -626,10 +623,10 @@ def twist(
     acc: dict[tuple[int, int, int], int] = {}
     get = acc.get
     for a, b, k, c in op.numerators:
-        for i, ci in from_left[a]:
-            for j, cj in from_right[b]:
+        for _, i, ci in from_left[a]:
+            for _, j, cj in from_right[b]:
                 cij = c * ci * cj
-                for m, cm in images[k]:
+                for m, _, cm in images[k]:
                     key = (i, j, m)
                     acc[key] = get(key, 0) + cij * cm
     return _from_accumulated(n, op.denom * d_left * d_right * d_post, acc)
