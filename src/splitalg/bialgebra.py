@@ -52,37 +52,28 @@ class EpsilonBialgebra:
         return self.algebra.dim
 
 
-def _delta_of_vector(
-    delta: CoalgebraData, vec: Sequence[Fraction]
-) -> dict[tuple[int, int], Fraction]:
-    out: dict[tuple[int, int], Fraction] = {}
-    for i, ci in enumerate(vec):
-        if ci == 0:
-            continue
-        for j, k, c in delta.rows[i]:
-            key = (j, k)
-            out[key] = out.get(key, ZERO) + ci * c
-    return out
-
-
 def check_eps_bialgebra(b: EpsilonBialgebra) -> Report:
     """Coassociativity plus the t-twisted product compatibility."""
     report = check_coassociative(b.delta, f"t-twisted bialgebra (t={b.t})")
     n = b.dim
-    delta, algebra, t = b.delta, b.algebra, b.t
-    mult = algebra.mult
+    delta, t = b.delta, b.t
+    # (i, j) -> the nonzero (k, c) of e_i e_j, in increasing k
+    products: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for i, j, k, c in b.algebra.mult.nonzeros():
+        products.setdefault((i, j), []).append((k, c))
     for i in range(n):
         for j in range(n):
-            lhs = _delta_of_vector(delta, mult.row(i, j))
+            lhs: dict[tuple[int, int], Fraction] = {}
+            for k, ck in products.get((i, j), ()):  # delta(x y)
+                for a, bb, c in delta.rows[k]:
+                    lhs[(a, bb)] = lhs.get((a, bb), ZERO) + ck * c
             rhs: dict[tuple[int, int], Fraction] = {}
             for a, bb, c in delta.rows[i]:  # x_(1) (x) x_(2) y
-                for m, cm in enumerate(mult.row(bb, j)):
-                    if cm != 0:
-                        rhs[(a, m)] = rhs.get((a, m), ZERO) + c * cm
+                for m, cm in products.get((bb, j), ()):
+                    rhs[(a, m)] = rhs.get((a, m), ZERO) + c * cm
             for a, bb, c in delta.rows[j]:  # x y_(1) (x) y_(2)
-                for m, cm in enumerate(mult.row(i, a)):
-                    if cm != 0:
-                        rhs[(m, bb)] = rhs.get((m, bb), ZERO) + c * cm
+                for m, cm in products.get((i, a), ()):
+                    rhs[(m, bb)] = rhs.get((m, bb), ZERO) + c * cm
             if t != 0:
                 rhs[(i, j)] = rhs.get((i, j), ZERO) + t
             report.checks_run += 1

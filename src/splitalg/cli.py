@@ -19,6 +19,7 @@ Exit status: 0 when every check passes, 1 when some identity fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -504,7 +505,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later
+    ``main`` call in the process (never at import, so a process that runs no
+    command pays nothing).  Parsing leaves it unchanged: each call gets a
+    fresh namespace, and every default is immutable."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON envelopes"
@@ -645,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--order", type=int, default=4, help="series truncation order")
     p.add_argument(
-        "--taus", type=_fraction_list, default=[Fraction(1)],
+        "--taus", type=_fraction_list, default=(Fraction(1),),
         help="rescalings of the degree-1 part to test (comma list)",
     )
     p.set_defaults(func=cmd_deform_check)

@@ -47,31 +47,29 @@ class WeightedDigraph:
             vertices, tuple(Arc(s, d, rat(w)) for s, d, w in arcs)
         )
 
-    def is_acyclic(self) -> bool:
-        color = [0] * self.vertices  # 0 new, 1 active, 2 done
+    def path_count(self) -> int | None:
+        """The number of directed paths of length >= 1, or None when a cycle
+        makes it infinite; a path algebra has dimension vertices + paths."""
         out: list[list[int]] = [[] for _ in range(self.vertices)]
+        indegree = [0] * self.vertices
         for arc in self.arcs:
             out[arc.src].append(arc.dst)
-        for start in range(self.vertices):
-            if color[start]:
-                continue
-            stack = [(start, iter(out[start]))]
-            color[start] = 1
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if color[w] == 1:
-                        return False
-                    if color[w] == 0:
-                        color[w] = 1
-                        stack.append((w, iter(out[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[v] = 2
-                    stack.pop()
-        return True
+            indegree[arc.dst] += 1
+        order = [v for v in range(self.vertices) if not indegree[v]]
+        for v in order:  # Kahn's topological order, extended while walked
+            for w in out[v]:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    order.append(w)
+        if len(order) < self.vertices:
+            return None
+        starting = [0] * self.vertices  # paths starting at each vertex
+        for v in reversed(order):
+            starting[v] = sum(1 + starting[w] for w in out[v])
+        return sum(starting)
+
+    def is_acyclic(self) -> bool:
+        return self.path_count() is not None
 
 
 @dataclasses.dataclass(frozen=True)

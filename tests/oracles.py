@@ -578,3 +578,30 @@ def coderivation_oracle(delta, op) -> CoalgebraOutcome:
         )
 
     return _first_vector_failure("coderivation", n, lhs, rhs)
+
+
+def eps_bialgebra_oracle(b) -> CoalgebraOutcome:
+    """Coassociativity, then the t-twisted compatibility
+    delta(x y) = x_(1) (x) x_(2) y + x y_(1) (x) y_(2) + t x (x) y
+    on the basis pairs (x, y) in order, stopping at the first failing pair."""
+    n, t = b.dim, Fraction(b.t)
+    m, d = grid_from_items(n, b.algebra.mult.nonzeros()), coproduct_cube(b.delta)
+    passed, checks, witnesses = coassociativity_oracle(b.delta)
+    for i, j in itertools.product(range(n), repeat=2):
+
+        def lhs(x, y):
+            return sum((m[i][j][k] * d[k][x][y] for k in range(n)), ZERO)
+
+        def rhs(x, y):
+            return (
+                sum((d[i][x][a] * m[a][j][y] for a in range(n)), ZERO)
+                + sum((m[i][a][x] * d[j][a][y] for a in range(n)), ZERO)
+                + (t if (x, y) == (i, j) else ZERO)
+            )
+
+        checks += 1
+        found = _first_leg(lhs, rhs, 2, n)
+        if found is not None:
+            leg, left, right = found
+            return False, checks, witnesses + [("product-compat", (i, j) + leg, left, right)]
+    return passed, checks, witnesses

@@ -1,7 +1,7 @@
 """The coalgebra-side checks against direct-summation oracles.
 
-Coassociativity, the coproduct exchange laws, the coBaxter identity and the
-coderivation identity are each recomputed by ``tests/oracles.py`` with
+Coassociativity, the coproduct exchange laws, the coBaxter identity, the
+coderivation identity and the t-twisted bialgebra compatibility are each recomputed by ``tests/oracles.py`` with
 explicit loops over basis vectors and tensor legs.  The package's report must
 agree with the oracle on the verdict, the witness arguments, the witness
 values and ``checks_run``, on random rational coproducts and operators: some
@@ -18,11 +18,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from splitalg import (
     CoalgebraData,
+    EpsilonBialgebra,
+    FiniteAlgebra,
     LinearOperator,
     WeightedDigraph,
     chain_coproduct,
     check_cobaxter,
     check_coassociative,
+    check_eps_bialgebra,
     check_hypercubic,
     path_algebra,
     transpose_operator,
@@ -168,6 +171,28 @@ def test_coderivation_matches_oracle(rng):
     assert outcome(is_coderivation(delta, op)) == expected
     if kind in ("inner", "zero"):
         assert expected[0]
+
+
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_eps_bialgebra_matches_oracle(rng):
+    kind = rng.choice(["chain", "weighted", "random"])
+    if kind == "random":
+        delta = coproduct(rng)
+        algebra = FiniteAlgebra(oracles.random_tensor(rng, delta.dim, rng.randint(1, 12)))
+        t = small_rational(rng)
+    else:
+        pa = path_algebra(WeightedDigraph.build(2, [(0, 1, small_rational(rng))]))
+        algebra = pa.algebra
+        delta, t = (chain_coproduct(pa), F(-1)) if kind == "chain" else (weighted_coproduct(pa), F(0))
+        change = rng.choice(["none", "t", "product"])
+        if change == "t":
+            t += small_rational(rng)
+        elif change == "product":  # one product entry off, so a later pair may fail first
+            algebra = FiniteAlgebra(algebra.mult.add(oracles.random_tensor(rng, algebra.dim, 1)))
+    b = EpsilonBialgebra(algebra, delta, t)
+    expected = oracles.eps_bialgebra_oracle(b)
+    assert outcome(check_eps_bialgebra(b)) == expected
 
 
 def test_generated_cases_fail_at_several_basis_vectors():

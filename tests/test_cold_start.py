@@ -1,8 +1,10 @@
 """Importing the package and building the CLI parser load no submodule.
 
 ``splitalg/__init__.py`` resolves its public names on first access, and
-each CLI command imports the modules it runs.  These tests pin that, in
-fresh interpreters where it matters, and pin the public names.
+each CLI command imports the modules it runs.  The parser is built on the
+first ``main`` call, never at import, and only once per process.  These
+tests pin that, in fresh interpreters where it matters, and pin the public
+names.
 """
 
 from __future__ import annotations
@@ -106,6 +108,36 @@ def test_cli_help_as_a_module_loads_no_other_submodule():
 def test_building_the_parser_loads_no_submodule():
     code = "from splitalg.cli import build_parser\nbuild_parser()"
     assert loaded_after(code) == ["splitalg", "splitalg.cli"]
+
+
+def test_the_parser_is_built_once_on_the_first_command_and_never_at_import():
+    """``main`` builds the parser on its first call and reuses it: a usage
+    error, ``--help`` and commands that pass or fail all share one build.
+    Builds are counted as constructions of the top-level parser."""
+    code = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    init(self, *args, **kwargs)\n"
+        "    if self.prog == 'splitalg':\n"
+        "        built.append(self)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "from splitalg import cli\n"
+        "assert built == [], built\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for argv in (['operad', 'dim3', '--preset', 'two_op'], ['operad', 'dim3'],\n"
+        "                 ['demo', '--help'], ['operad', 'dim3', '--preset', 'no_such'],\n"
+        "                 ['operad', 'dim3', '--preset', 'three_op', '--t', '1/2']):\n"
+        "        try:\n"
+        "            codes.append(cli.main(argv))\n"
+        "        except SystemExit as exc:\n"
+        "            codes.append(exc.code)\n"
+        "assert codes == [0, 2, 0, 2, 0], codes\n"
+        "assert len(built) == 1 and built[0] is cli.build_parser(), built\n"
+    )
+    loaded_after(code)
 
 
 def test_a_public_name_loads_its_submodule_and_what_that_imports():

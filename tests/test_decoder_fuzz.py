@@ -280,6 +280,30 @@ def test_malformed_graph_envelopes_exit_2_with_one_line(workdir, bad):
         assert "Traceback" not in err
 
 
+def test_a_graph_above_the_size_cap_exits_2_before_any_algebra_is_built(workdir, monkeypatch):
+    import splitalg.graphalg as graphalg
+    from splitalg.jsonio import MAX_GRAPH_BASIS
+
+    def no_algebra(*args, **kwargs):
+        raise AssertionError("path_algebra was called")
+
+    monkeypatch.setattr(graphalg, "path_algebra", no_algebra)
+    arcless = {"kind": "graph", "vertices": 2_000_000, "arcs": []}
+    # 13 vertices and 23 arcs (i -> i + 1, i -> i + 2) make 1,568 paths: the
+    # arcs fit the cap, the paths do not
+    fibonacci = {
+        "kind": "graph",
+        "vertices": 13,
+        "arcs": [{"src": i, "dst": j} for i in range(12) for j in (i + 1, i + 2) if j < 13],
+    }
+    for data in (arcless, fibonacci):
+        for command in GRAPH_COMMANDS:
+            code, out, err = run_graph_cli(workdir, data, command)
+            assert (code, out) == (2, ""), (command, err)
+            assert err.startswith("error: graph too large:") and err.count("\n") == 1
+            assert f"at most {MAX_GRAPH_BASIS} basis elements" in err
+
+
 def test_graph_weight_spellings_give_the_same_output(workdir):
     """Integer weights, unreduced fraction strings and an absent weight of 1
     read as the same graph."""

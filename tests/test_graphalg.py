@@ -56,6 +56,20 @@ def test_cyclic_graph_is_rejected():
         path_algebra(g)
 
 
+def test_path_count_is_the_path_algebra_basis_beyond_the_vertices():
+    graphs = [
+        line_graph(4),
+        WeightedDigraph.build(3, []),
+        WeightedDigraph.build(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)]),
+        WeightedDigraph.build(2, [(0, 1, 1), (0, 1, F(1, 2))]),  # parallel arcs
+        WeightedDigraph.build(4, [(3, 2, 1), (2, 1, 1), (1, 0, 1), (3, 1, 1)]),
+    ]
+    for g in graphs:
+        assert g.path_count() == len(path_algebra(g).paths), g
+    assert WeightedDigraph.build(1, [(0, 0, 1)]).path_count() is None
+    assert WeightedDigraph.build(3, [(0, 1, 1), (1, 2, 1), (2, 1, 1)]).path_count() is None
+
+
 def test_truncated_path_algebra_refuses_coproducts():
     g = line_graph(4)
     pa = path_algebra(g, max_len=1)

@@ -89,6 +89,25 @@ def test_graph_roundtrip_with_default_weight():
     assert graph_from_json(trimmed).arcs[0].weight == 1
 
 
+def test_graph_size_cap_counts_vertices_plus_paths():
+    from splitalg.jsonio import MAX_GRAPH_BASIS
+
+    def line(vertices):
+        return WeightedDigraph.build(vertices, [(v, v + 1, 1) for v in range(vertices - 1)])
+
+    # a chain on v vertices has v (v - 1) / 2 paths: 22 vertices give 253 in all
+    fits = [WeightedDigraph.build(MAX_GRAPH_BASIS, []), line(22)]
+    too_large = [WeightedDigraph.build(MAX_GRAPH_BASIS + 1, []), line(23)]
+    for g in fits:
+        assert graph_from_json(graph_to_json(g)) == g
+    for g in too_large:
+        with pytest.raises(ValueError, match="graph too large"):
+            graph_from_json(graph_to_json(g))
+    # a cyclic graph has no finite path count; building its algebra refuses it
+    cyclic = WeightedDigraph.build(2, [(0, 1, 1), (1, 0, 1)])
+    assert graph_from_json(graph_to_json(cyclic)) == cyclic
+
+
 def test_algebra_roundtrip_preserves_unit_and_labels():
     alg = triangular_matrix_algebra(2)
     back = algebra_from_json(algebra_to_json(alg))
