@@ -409,7 +409,7 @@ def test_operations_envelope_must_hold_the_family_generators(tmp_path, capsys):
 
 def test_graph_bialgebra_on_an_80_vertex_arcless_graph_is_quick(tmp_path, capsys):
     """The compatibility check walks each basis pair's nonzero products, not
-    dense rows: 80 vertices (6,400 pairs) took 37 s with dense rows."""
+    dense rows, which took 30 s on these 80 vertices (6,400 pairs)."""
     import time
 
     path = tmp_path / "arcless80.json"

@@ -291,12 +291,12 @@ def test_a_graph_above_the_size_cap_exits_2_before_any_algebra_is_built(workdir,
     arcless = {"kind": "graph", "vertices": 2_000_000, "arcs": []}
     # 13 vertices and 23 arcs (i -> i + 1, i -> i + 2) make 1,568 paths: the
     # arcs fit the cap, the paths do not
-    fibonacci = {
+    many_paths = {
         "kind": "graph",
         "vertices": 13,
         "arcs": [{"src": i, "dst": j} for i in range(12) for j in (i + 1, i + 2) if j < 13],
     }
-    for data in (arcless, fibonacci):
+    for data in (arcless, many_paths):
         for command in GRAPH_COMMANDS:
             code, out, err = run_graph_cli(workdir, data, command)
             assert (code, out) == (2, ""), (command, err)
