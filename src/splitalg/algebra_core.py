@@ -1,17 +1,18 @@
 """Finite-dimensional associative algebras and coalgebras over the rationals.
 
 An algebra is a structure-constant tensor plus an optional unit vector and
-optional basis labels.  A coalgebra is the transposed data: a sparse list of
-tensor legs for each basis vector.  Both come with exact axiom checkers that
-return :class:`~splitalg.report.Report` objects, and with the two matrix
-families used throughout the package: full matrix algebras (endomorphism
-spaces) and upper-triangular matrix algebras with their dual coalgebra.
+optional basis labels.  A coalgebra is stored as its dual product: one
+integer tensor holding each leg c * e_j (x) e_k of the coproduct of e_i as
+entry (j, k, i), so every coalgebra identity is checked as its transpose.
+Both come with exact axiom checkers that return
+:class:`~splitalg.report.Report` objects, and with the two matrix families
+used throughout the package: full matrix algebras (endomorphism spaces) and
+upper-triangular matrix algebras with their dual coalgebra.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -21,8 +22,7 @@ from .exactlin import (
     Scalar,
     Tensor3,
     basis_vector,
-    check_indices,
-    rat,
+    combine,
 )
 from .relations import P_ONE, AxiomSystem, Relation, Term, check_system
 from .report import Report, Witness, compare_dual
@@ -85,67 +85,49 @@ def check_algebra(algebra: FiniteAlgebra, title: str = "algebra axioms") -> Repo
 # coalgebras
 # ---------------------------------------------------------------------------
 
-SparseLegs = tuple[tuple[int, int, Fraction], ...]
-
-
 @dataclasses.dataclass(frozen=True)
 class CoalgebraData:
-    """A coproduct, stored row-sparsely: rows[i] lists (j, k, c) legs.
+    """A coproduct, stored as its dual product: entry (j, k, i) of ``dual``
+    says the coproduct of e_i contains that coefficient times e_j (x) e_k.
 
-    Row i says the coproduct of e_i contains c * e_j (x) e_k.
+    :meth:`items` and :attr:`rows` are Fraction views, built on every call
+    and never stored, as :meth:`Tensor3.nonzeros` is.
     """
 
-    dim: int
-    rows: tuple[SparseLegs, ...]
+    dual: Tensor3
 
-    def __post_init__(self):
-        if len(self.rows) != self.dim:
-            raise ValueError("row count must equal dimension")
-        for row in self.rows:
-            for j, k, _ in row:
-                if not (0 <= j < self.dim and 0 <= k < self.dim):
-                    raise ValueError("coproduct leg index out of range")
+    @property
+    def dim(self) -> int:
+        return self.dual.dim
 
     @staticmethod
     def from_items(dim: int, items: Iterable[tuple[int, int, int, Scalar]]) -> "CoalgebraData":
-        """Sum the given legs; every index must be an int in ``[0, dim)``."""
-        rows: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(dim)]
-        for i, j, k, c in items:
-            check_indices("coproduct", dim, i, j, k)
-            key = (j, k)
-            rows[i][key] = rows[i].get(key, ZERO) + rat(c)
-        return CoalgebraData(
-            dim,
-            tuple(
-                tuple((j, k, c) for (j, k), c in sorted(row.items()) if c != 0)
-                for row in rows
-            ),
-        )
+        """Sum the given legs (i, j, k, c); every index must be an int in ``[0, dim)``."""
+        return CoalgebraData(Tensor3.from_sparse(dim, ((j, k, i, c) for i, j, k, c in items)))
 
-    def items(self) -> Iterable[tuple[int, int, int, Fraction]]:
-        for i, row in enumerate(self.rows):
-            for j, k, c in row:
-                yield i, j, k, c
+    def items(self) -> tuple[tuple[int, int, int, Fraction], ...]:
+        """The legs (i, j, k, c) as exact rationals, sorted by (i, j, k)."""
+        d = self.dual.denom
+        legs = sorted((i, j, k, n) for j, k, i, n in self.dual.numerators)
+        return tuple((i, j, k, Fraction(n, d)) for i, j, k, n in legs)
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
+        """rows[i] lists the legs (j, k, c) of the coproduct of e_i, sorted."""
+        rows: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(self.dim)]
+        for i, j, k, c in self.items():
+            rows[i].append((j, k, c))
+        return tuple(map(tuple, rows))
 
     def scale(self, c: Scalar) -> "CoalgebraData":
-        c = rat(c)
-        return CoalgebraData.from_items(
-            self.dim, ((i, j, k, c * v) for i, j, k, v in self.items())
-        )
+        return CoalgebraData(self.dual.scale(c))
 
     def add(self, other: "CoalgebraData") -> "CoalgebraData":
-        if other.dim != self.dim:
-            raise ValueError("coalgebra dimension mismatch")
-        return CoalgebraData.from_items(
-            self.dim, itertools.chain(self.items(), other.items())
-        )
+        return CoalgebraData(combine(self.dim, [(ONE, self.dual), (ONE, other.dual)]))
 
     def dual_algebra(self, labels: tuple[str, ...] | None = None) -> FiniteAlgebra:
-        """The convolution product on the dual space: tensor legs transposed."""
-        mult = Tensor3.from_sparse(
-            self.dim, ((j, k, i, c) for i, j, k, c in self.items())
-        )
-        return FiniteAlgebra(mult, labels=labels)
+        """The convolution product on the dual space: the stored tensor."""
+        return FiniteAlgebra(self.dual, labels=labels)
 
 
 def check_coassociative(delta: CoalgebraData, title: str = "coassociativity") -> Report:
@@ -153,7 +135,7 @@ def check_coassociative(delta: CoalgebraData, title: str = "coassociativity") ->
     of the dual product.  Every basis vector is checked, and each failing
     one gets a witness."""
     report = Report(title=title, passed=True)
-    dual = delta.dual_algebra().mult
+    dual = delta.dual
     compare_dual(report, "coassoc", [(ONE, dual, dual)], [(ONE, dual, dual)], every_vector=True)
     return report
 

@@ -68,7 +68,7 @@ def check_cobaxter(delta: CoalgebraData, op: LinearOperator, t: Scalar) -> Repor
     if op.dim != delta.dim:
         raise ValueError("operator/coalgebra dimension mismatch")
     report = Report(title=f"{t}-coBaxter identity", passed=True)
-    sides = baxter_sides(delta.dual_algebra().mult, transpose_operator(op), t)
+    sides = baxter_sides(delta.dual, transpose_operator(op), t)
     compare_dual(report, "cobaxter", *sides)
     return report
 

@@ -56,7 +56,7 @@ def check_eps_bialgebra(b: EpsilonBialgebra) -> Report:
     """Coassociativity plus the t-twisted product compatibility."""
     report = check_coassociative(b.delta, f"t-twisted bialgebra (t={b.t})")
     n = b.dim
-    delta, t = b.delta, b.t
+    rows, t = b.delta.rows, b.t
     # (i, j) -> the nonzero (k, c) of e_i e_j, in increasing k
     products: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for i, j, k, c in b.algebra.mult.nonzeros():
@@ -65,13 +65,13 @@ def check_eps_bialgebra(b: EpsilonBialgebra) -> Report:
         for j in range(n):
             lhs: dict[tuple[int, int], Fraction] = {}
             for k, ck in products.get((i, j), ()):  # delta(x y)
-                for a, bb, c in delta.rows[k]:
+                for a, bb, c in rows[k]:
                     lhs[(a, bb)] = lhs.get((a, bb), ZERO) + ck * c
             rhs: dict[tuple[int, int], Fraction] = {}
-            for a, bb, c in delta.rows[i]:  # x_(1) (x) x_(2) y
+            for a, bb, c in rows[i]:  # x_(1) (x) x_(2) y
                 for m, cm in products.get((bb, j), ()):
                     rhs[(a, m)] = rhs.get((a, m), ZERO) + c * cm
-            for a, bb, c in delta.rows[j]:  # x y_(1) (x) y_(2)
+            for a, bb, c in rows[j]:  # x y_(1) (x) y_(2)
                 for m, cm in products.get((i, a), ()):
                     rhs[(m, bb)] = rhs.get((m, bb), ZERO) + c * cm
             if t != 0:
@@ -92,7 +92,7 @@ def check_hypercubic(deltas: Sequence[CoalgebraData]) -> Report:
     if len({d.dim for d in deltas}) != 1:
         raise ValueError("all coproducts must share one dimension")
     report = Report(title=f"coproduct exchange laws ({len(deltas)} coproducts)", passed=True)
-    duals = [delta.dual_algebra().mult for delta in deltas]
+    duals = [delta.dual for delta in deltas]
     for pi, p in enumerate(duals):
         for qi, q in enumerate(duals):
             if not compare_dual(report, f"exchange[{pi},{qi}]", [(ONE, p, q)], [(ONE, q, p)]):
@@ -124,13 +124,14 @@ def convolution_structure(b: EpsilonBialgebra) -> ConvolutionStructure:
     dim = n * n
     # (T * S)(e_i) = sum c * T(e_j) S(e_k); on matrix units T = E[a,j],
     # S = E[a2,k] this is c * e_a e_a2 as a column of E[.,i].
-    products = b.algebra.mult.nonzeros()
-    conv = Tensor3.from_sparse(
+    mult, dual = b.algebra.mult, b.delta.dual
+    conv = Tensor3.from_numerators(
         dim,
+        dual.denom * mult.denom,
         (
             (a * n + j, a2 * n + k, m * n + i, c * cm)
-            for i, j, k, c in b.delta.items()
-            for a, a2, m, cm in products
+            for j, k, i, c in dual.numerators
+            for a, a2, m, cm in mult.numerators
         ),
     )
     # id = sum of the E[a,a], at indices a*(n+1): column q of id*(-) holds
@@ -192,15 +193,17 @@ def ennea_on_end(b: EpsilonBialgebra) -> EnneaStructure:
 
 def prelie_from_bialgebra(b: EpsilonBialgebra) -> PreLieStructure:
     """x bowtie y = y_(1) x y_(2) (sandwich by the coproduct legs of y)."""
-    by_first = b.algebra.mult.by_first()
+    mult, dual = b.algebra.mult, b.delta.dual
+    runs = mult.runs(0)
     return PreLieStructure(
-        Tensor3.from_sparse(
+        Tensor3.from_numerators(
             b.dim,
+            dual.denom * mult.denom**2,
             (
                 (i, j, m, c * c1 * c2)
-                for j, p, q, c in b.delta.items()
-                for i, a, c1 in by_first.get(p, ())  # e_p e_i = c1 e_a
-                for q2, m, c2 in by_first.get(a, ())  # e_a e_q = c2 e_m
+                for p, q, j, c in dual.numerators
+                for _, i, a, c1 in runs.get(p, ())  # e_p e_i = c1 e_a
+                for _, q2, m, c2 in runs.get(a, ())  # e_a e_q = c2 e_m
                 if q2 == q
             ),
         )
@@ -224,7 +227,7 @@ def is_coderivation(delta: CoalgebraData, op: LinearOperator) -> Report:
     """delta(D(x)) = (D (x) id) delta(x) + (id (x) D) delta(x): the transpose
     of D is a derivation of the dual product."""
     report = Report(title="coderivation of the coproduct", passed=True)
-    sides = derivation_sides(delta.dual_algebra().mult, transpose_operator(op))
+    sides = derivation_sides(delta.dual, transpose_operator(op))
     compare_dual(report, "coderivation", *sides)
     return report
 
@@ -312,7 +315,8 @@ def extend_coproduct(
             f"base coproduct must have dimension {expected_dim} "
             f"({'unit + ' if with_unit else ''}generators)"
         )
-    if with_unit and base.rows[0] != ((0, 0, ONE),):
+    base_rows = base.rows
+    if with_unit and base_rows[0] != ((0, 0, ONE),):
         raise ValueError("unital base must send the unit to unit (x) unit")
     words = word_span(num_gens, cap, with_unit)
     index = {w: a for a, w in enumerate(words)}
@@ -337,12 +341,12 @@ def extend_coproduct(
             continue
         if len(word) == 1:
             base_index = word[0] + (1 if with_unit else 0)
-            for j, k, c in base.rows[base_index]:
+            for j, k, c in base_rows[base_index]:
                 add(a, gen_word(j), gen_word(k), c)
             continue
         x, rest = word[:1], word[1:]
         base_index = word[0] + (1 if with_unit else 0)
-        for j, k, c in base.rows[base_index]:  # delta(x) . (1 (x) w)
+        for j, k, c in base_rows[base_index]:  # delta(x) . (1 (x) w)
             add(a, gen_word(j), gen_word(k) + rest, c)
         for (j, k), c in rows[index[rest]].items():  # (x (x) 1) . delta(w)
             add(a, x + words[j], words[k], c)
@@ -377,33 +381,41 @@ def free_extension_report(
     for base, t in bases:
         words, data = extend_coproduct(num_gens, base, t, cap, with_unit)
         extended.append(data)
-    index = {w: a for a, w in enumerate(words)}
     report.notes.append(f"word span of size {len(words)}, products checked up to length {cap}")
-    for data, (base, t) in zip(extended, bases):
-        t = rat(t)
+    for data, (_, t) in zip(extended, bases):
         report.merge(check_coassociative(data, "extension coassociativity"))
-        for u in words:
-            for v in words:
-                if len(u) + len(v) > cap or (not with_unit and (not u or not v)):
-                    continue
-                uv = index[u + v]
-                lhs = dict(
-                    ((j, k), c) for j, k, c in data.rows[uv]
-                )
-                rhs: dict[tuple[int, int], Fraction] = {}
-                for j, k, c in data.rows[index[u]]:  # u_(1) (x) u_(2) v
-                    key = (j, index[words[k] + v])
-                    rhs[key] = rhs.get(key, ZERO) + c
-                for j, k, c in data.rows[index[v]]:  # u v_(1) (x) v_(2)
-                    key = (index[u + words[j]], k)
-                    rhs[key] = rhs.get(key, ZERO) + c
-                if t != 0:
-                    key = (index[u], index[v])
-                    rhs[key] = rhs.get(key, ZERO) + t
-                report.checks_run += 1
-                witness = first_mismatch(f"extension-compat(t={t})", (u, v), lhs, rhs)
-                if witness is not None:
-                    report.add_failure(witness)
-                    return extended, report
+        if not _check_word_compat(report, data, rat(t), words, cap, with_unit):
+            return extended, report
     report.merge(check_hypercubic(extended))
     return extended, report
+
+
+def _check_word_compat(
+    report: Report, data: CoalgebraData, t: Fraction, words: list, cap: int, with_unit: bool
+) -> bool:
+    """The t-twisted product compatibility of an extended coproduct on every
+    word pair whose concatenation stays inside the cap; False after the
+    first failure, which is added to the report."""
+    rows = data.rows
+    index = {w: a for a, w in enumerate(words)}
+    for u in words:
+        for v in words:
+            if len(u) + len(v) > cap or (not with_unit and (not u or not v)):
+                continue
+            lhs = {(j, k): c for j, k, c in rows[index[u + v]]}
+            rhs: dict[tuple[int, int], Fraction] = {}
+            for j, k, c in rows[index[u]]:  # u_(1) (x) u_(2) v
+                key = (j, index[words[k] + v])
+                rhs[key] = rhs.get(key, ZERO) + c
+            for j, k, c in rows[index[v]]:  # u v_(1) (x) v_(2)
+                key = (index[u + words[j]], k)
+                rhs[key] = rhs.get(key, ZERO) + c
+            if t != 0:
+                key = (index[u], index[v])
+                rhs[key] = rhs.get(key, ZERO) + t
+            report.checks_run += 1
+            witness = first_mismatch(f"extension-compat(t={t})", (u, v), lhs, rhs)
+            if witness is not None:
+                report.add_failure(witness)
+                return False
+    return True

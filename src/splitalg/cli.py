@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 
 # Each command imports the modules it runs, so a process loads only those.
 # The parser's choices are spelled out here for the same reason; the tests
-# pin them to ``deformation.VARIANTS`` and to ``cross_systems()``.
+# pin them to ``deformation.VARIANTS`` and to ``relations.DEFORMATIONS``.
 DERIVE_VARIANTS = ("four_four", "nine_nine", "three_three", "two_three", "two_two")
 CHECK_VARIANTS = ("four_four", "nine_nine", "three_three", "two_three")
 
@@ -45,13 +45,6 @@ EXPECTED_DIM3 = {
     "deformed_four_four": 101,
     "deformed_nine_nine": 501,
 }
-
-
-def cross_systems() -> dict[str, tuple[AxiomSystem, tuple[str, ...]]]:
-    """``deform derive`` variants: the base system and its deforming generators."""
-    from .relations import DEFORMATIONS
-
-    return dict(DEFORMATIONS)
 
 
 def _fraction(text: str) -> Fraction:
@@ -363,8 +356,9 @@ def format_relation(relation: Relation) -> str:
 
 def cmd_deform_derive(args: argparse.Namespace) -> int:
     from .deformation import cross_term_system
+    from .relations import DEFORMATIONS
 
-    base, nonzero = cross_systems()[args.variant]
+    base, nonzero = DEFORMATIONS[args.variant]
     deformed = cross_term_system(base, nonzero)
     if args.json:
         from . import jsonio

@@ -1,10 +1,11 @@
 """Exact rational linear algebra: ranks, linear operators, structure-constant tensors.
 
 Every value in this package is an exact rational, so all checks are exact —
-a failed identity is a real counterexample, never roundoff.  Operators and
-tensors hold integer numerators over one shared denominator; Fractions
-appear only in their views and in the coefficient vectors those views and
-``apply`` return.
+a failed identity is a real counterexample, never roundoff.  Operators,
+tensors and coproducts (each stored as its dual product, a tensor) hold
+integer numerators over one shared denominator; Fractions appear only in
+their views and in the coefficient vectors those views and ``apply``
+return.
 
 The two workhorses are:
 
@@ -43,7 +44,8 @@ of left-nested terms outer(inner(u, v), w) and one of right-nested terms
 outer(u, inner(v, w)), each term a coefficient, two tensors and optionally
 an argument order saying how (u, v, w) permutes the basis triple (x, y, z),
 so identities that permute their variables (pre-Lie, Jacobi) are data too.
-The coalgebra identities are checked on the dual products the same way.
+The coalgebra identities are checked the same way, on the stored dual
+products.
 Only the order-by-order deformation check still reads the Fraction
 composition maps (:func:`compose_left`, :func:`compose_right`).
 """
@@ -346,9 +348,9 @@ class Tensor3:
     immutable, and the integer index groupings read by the kernels
     (:meth:`runs` and :meth:`packed`) are cached lazily.
 
-    :meth:`nonzeros`, :meth:`by_first`, :meth:`row` and
-    :attr:`entries` are Fraction views for witnesses, JSON output and tests;
-    each is rebuilt on every call and never stored.
+    :meth:`nonzeros`, :meth:`row` and :attr:`entries` are Fraction views for
+    witnesses, JSON output and tests; each is rebuilt on every call and never
+    stored.
     """
 
     __slots__ = ("dim", "denom", "numerators", "_groupings")
@@ -443,14 +445,6 @@ class Tensor3:
             out[nums[p][2]] = Fraction(nums[p][3], self.denom)
             p += 1
         return tuple(out)
-
-    def by_first(self) -> dict[int, list[tuple[int, int, Fraction]]]:
-        """a -> [(j, k, c)] with op(e_a, e_j) having coefficient c on e_k."""
-        d = self.denom
-        groups: dict[int, list[tuple[int, int, Fraction]]] = {}
-        for i, j, k, c in self.numerators:
-            groups.setdefault(i, []).append((j, k, Fraction(c, d)))
-        return groups
 
     # -- integer groupings (cached) ------------------------------------------
 

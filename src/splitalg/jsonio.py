@@ -1,7 +1,8 @@
 """JSON envelopes for the workbench's objects.
 
 Every file is one JSON object with a ``kind`` tag; scalars are exact and
-travel as fraction strings ("-3/2"), never floats.  Kinds:
+travel as fraction strings ("-3/2"), never floats, and every ``dim`` is at
+most MAX_ENVELOPE_DIM.  Kinds:
 
 graph         vertices count + weighted arcs (at most MAX_GRAPH_BASIS
               vertices plus paths)
@@ -164,10 +165,14 @@ def _is_count(value: Any) -> bool:
 
 
 def _dim_from_json(data: Mapping[str, Any]) -> int:
-    """The envelope's ``dim``, which must be an int >= 1 (never a bool)."""
+    """The envelope's ``dim``, an int in 1..MAX_ENVELOPE_DIM (never a bool)."""
     dim = _field(data, "dim")
     if not _is_count(dim):
         raise ValueError(f"{data['kind']} field 'dim' must be an integer >= 1, got {dim!r}")
+    if dim > MAX_ENVELOPE_DIM:
+        raise ValueError(
+            f"{data['kind']} field 'dim' must be at most {MAX_ENVELOPE_DIM}, got {dim}"
+        )
     return dim
 
 
@@ -199,6 +204,9 @@ def graph_to_json(graph: WeightedDigraph) -> dict[str, Any]:
 # arcless graph takes 0.7 s at 80 vertices and 4.8 s at 160 (x86-64,
 # Python 3.11).
 MAX_GRAPH_BASIS = 256
+# The largest ``dim`` of the other envelopes, that of End of the largest path
+# algebra; `verify unit-action` costs time linear in ``dim`` on empty tensors.
+MAX_ENVELOPE_DIM = MAX_GRAPH_BASIS**2
 
 
 def graph_from_json(data: Mapping[str, Any]) -> WeightedDigraph:
@@ -261,10 +269,10 @@ def algebra_to_json(algebra: FiniteAlgebra) -> dict[str, Any]:
 
 
 def algebra_from_json(data: Mapping[str, Any]) -> FiniteAlgebra:
-    """An algebra envelope, validated in one place: ``dim`` is an int >= 1,
-    ``mult`` a list of ``[i, j, k, coeff]`` entries, and the optional
-    ``unit`` and ``labels`` lists of ``dim`` scalars and strings.  Every
-    violation raises one ValueError naming the field."""
+    """An algebra envelope, validated in one place: ``dim`` is an int in
+    1..MAX_ENVELOPE_DIM, ``mult`` a list of ``[i, j, k, coeff]`` entries, and
+    the optional ``unit`` and ``labels`` lists of ``dim`` scalars and
+    strings.  Every violation raises one ValueError naming the field."""
     from .algebra_core import FiniteAlgebra
 
     _expect_kind(data, "algebra")
@@ -298,9 +306,10 @@ def operator_to_json(op: LinearOperator) -> dict[str, Any]:
 
 
 def operator_from_json(data: Mapping[str, Any]) -> LinearOperator:
-    """An operator envelope, validated in one place: ``dim`` is an int >= 1
-    and ``matrix`` a list of ``dim`` rows, each a list of ``dim`` exact
-    scalars.  Every violation raises one ValueError naming the field."""
+    """An operator envelope, validated in one place: ``dim`` is an int in
+    1..MAX_ENVELOPE_DIM and ``matrix`` a list of ``dim`` rows, each a list of
+    ``dim`` exact scalars.  Every violation raises one ValueError naming the
+    field."""
     _expect_kind(data, "operator")
     dim = _dim_from_json(data)
     rows = _list_field(data, "matrix")
@@ -323,9 +332,10 @@ def coproduct_to_json(delta: CoalgebraData) -> dict[str, Any]:
 
 
 def coproduct_from_json(data: Mapping[str, Any]) -> CoalgebraData:
-    """A coproduct envelope, validated in one place: ``dim`` is an int >= 1
-    and ``items`` a list of ``[i, j, k, coeff]`` legs with indices in
-    ``[0, dim)``.  Every violation raises one ValueError naming the field."""
+    """A coproduct envelope, validated in one place: ``dim`` is an int in
+    1..MAX_ENVELOPE_DIM and ``items`` a list of ``[i, j, k, coeff]`` legs
+    with indices in ``[0, dim)``.  Every violation raises one ValueError
+    naming the field."""
     from .algebra_core import CoalgebraData
 
     _expect_kind(data, "coproduct")
@@ -335,13 +345,10 @@ def coproduct_from_json(data: Mapping[str, Any]) -> CoalgebraData:
         legs = tensor_from_json(dim, items, "coproduct")
     except ValueError as exc:
         raise ValueError(f"coproduct field 'items': {exc}") from None
-    # the decoded legs are summed, nonzero and sorted by (i, j, k): row i is
-    # one run of them, already in the order CoalgebraData keeps
-    rows: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(dim)]
-    d = legs.denom
-    for i, j, k, n in legs.numerators:
-        rows[i].append((j, k, Fraction(n, d)))
-    return CoalgebraData(dim, tuple(map(tuple, rows)))
+    # the decoded legs are summed, nonzero and in lowest terms: transposed,
+    # they are the dual product's entries
+    transposed = sorted((j, k, i, n) for i, j, k, n in legs.numerators)
+    return CoalgebraData(Tensor3(dim, legs.denom, tuple(transposed)))
 
 
 def operations_to_json(
@@ -364,10 +371,10 @@ def operations_from_json(
     data: Mapping[str, Any],
 ) -> tuple[str, Fraction, dict[str, Tensor3]]:
     """An operations envelope, validated in one place: ``family`` names a
-    known family, ``t`` is an exact scalar, ``dim`` an int >= 1, and ``ops``
-    an object holding one list of ``[i, j, k, coeff]`` entries for each
-    generator of the family and nothing else.  Every violation raises one
-    ValueError naming the field."""
+    known family, ``t`` is an exact scalar, ``dim`` an int in
+    1..MAX_ENVELOPE_DIM, and ``ops`` an object holding one list of
+    ``[i, j, k, coeff]`` entries for each generator of the family and
+    nothing else.  Every violation raises one ValueError naming the field."""
     _expect_kind(data, "operations")
     family = _field(data, "family")
     if not isinstance(family, str):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,19 @@ from splitalg import (
     CoalgebraData,
     FiniteAlgebra,
     Tensor3,
+    WeightedDigraph,
+    chain_coproduct,
     check_algebra,
     check_coassociative,
     full_matrix_algebra,
+    path_algebra,
+    splitting_coproduct,
     triangular_matrix_algebra,
     triangular_matrix_coalgebra,
+    weighted_coproduct,
 )
 from splitalg.algebra_core import triangular_pairs
+from splitalg.jsonio import coproduct_from_json
 
 F = Fraction
 
@@ -101,3 +108,84 @@ def test_opposite_algebra_swaps_arguments():
     for i in range(alg.dim):
         for j in range(alg.dim):
             assert opp.mult.entries[i][j] == alg.mult.entries[j][i]
+
+
+# ---------------------------------------------------------------------------
+# storage contract: one integer tensor, Fraction views built on demand
+# ---------------------------------------------------------------------------
+
+
+def assert_storage_contract(delta, legs):
+    """``delta`` holds exactly the given legs (i, j, k, c), summed, as its
+    dual product, and its views regroup them."""
+    summed = {}
+    for i, j, k, c in legs:
+        summed[(i, j, k)] = summed.get((i, j, k), 0) + Fraction(c)
+    expected = [(i, j, k, c) for (i, j, k), c in sorted(summed.items()) if c]
+    assert [field.name for field in dataclasses.fields(delta)] == ["dual"]
+    assert isinstance(delta.dual, Tensor3)
+    assert list(delta.items()) == expected
+    assert all(type(c) is Fraction for *_, c in delta.items())
+    rows = delta.rows
+    assert len(rows) == delta.dim
+    for i, row in enumerate(rows):
+        assert row == tuple((j, k, c) for i2, j, k, c in expected if i2 == i)
+    assert delta.dual_algebra().mult is delta.dual
+    assert CoalgebraData.from_items(delta.dim, expected) == delta
+
+
+def test_from_items_sums_repeated_and_cancelling_legs():
+    legs = [
+        (2, 0, 1, F(1, 2)),
+        (0, 1, 1, 3),
+        (2, 0, 1, F(1, 3)),  # repeated: 5/6 in all
+        (1, 2, 2, "4/3"),
+        (1, 2, 2, F(-4, 3)),  # cancels to nothing
+        (0, 0, 2, -1),
+    ]
+    delta = CoalgebraData.from_items(3, legs)
+    assert_storage_contract(delta, legs)
+    assert delta.rows[1] == ()
+    assert delta.dual.denom == 6
+
+
+def _recorded_legs(monkeypatch, build):
+    """The coproduct ``build()`` returns and the legs of its last
+    ``from_items`` call."""
+    calls = []
+    from_items = CoalgebraData.from_items
+
+    def recording(dim, items):
+        calls.append(list(items))
+        return from_items(dim, calls[-1])
+
+    monkeypatch.setattr(CoalgebraData, "from_items", staticmethod(recording))
+    delta = build()
+    monkeypatch.undo()
+    return delta, calls[-1]
+
+
+def _chain(n, weights):
+    return path_algebra(WeightedDigraph.build(n, [(v, v + 1, w) for v, w in enumerate(weights)]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: weighted_coproduct(_chain(3, [F(2, 3), -5])),
+        lambda: splitting_coproduct(_chain(3, [1, 1])),
+        lambda: chain_coproduct(_chain(3, [F(1, 2), 0])),
+        lambda: weighted_coproduct(path_algebra(WeightedDigraph.build(3, [(0, 1, 1), (0, 2, 3)]))),
+        lambda: triangular_matrix_coalgebra(3),
+    ],
+    ids=["weighted", "splitting", "chain", "weighted-branching", "triangular"],
+)
+def test_built_coproducts_keep_the_storage_contract(monkeypatch, build):
+    delta, legs = _recorded_legs(monkeypatch, build)
+    assert_storage_contract(delta, legs)
+
+
+def test_decoded_coproduct_keeps_the_storage_contract():
+    legs = [[2, 1, 0, "1/4"], [0, 2, 2, "3"], [2, 1, 0, "-1/4"], [1, 0, 2, "2/5"], [1, 0, 2, "1"]]
+    delta = coproduct_from_json({"kind": "coproduct", "dim": 3, "items": legs})
+    assert_storage_contract(delta, [(i, j, k, Fraction(c)) for i, j, k, c in legs])

@@ -234,6 +234,23 @@ def test_negative_coproduct_index_is_a_usage_error(tmp_path, capsys):
     _assert_one_line_usage_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        (10_000, "operator/coalgebra dimension mismatch"),
+        (2_000_000, "coproduct field 'dim' must be at most 65536, got 2000000"),
+    ],
+)
+def test_legless_coproduct_of_another_dim_is_a_usage_error(tmp_path, capsys, dim, message):
+    save(str(tmp_path / "delta.json"), {"kind": "coproduct", "dim": dim, "items": []})
+    save(str(tmp_path / "op.json"), operator_to_json(LinearOperator.identity(2)))
+    argv = ["verify", "baxter", "--coproduct", str(tmp_path / "delta.json"),
+            "--operator", str(tmp_path / "op.json"), "--t", "-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 def _empty_nine_op_envelope(dim):
     from splitalg.relations import NINE_OP_GENERATORS
 

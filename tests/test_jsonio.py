@@ -108,6 +108,52 @@ def test_graph_size_cap_counts_vertices_plus_paths():
     assert graph_from_json(graph_to_json(cyclic)) == cyclic
 
 
+def _empty_envelope(kind, dim):
+    body = {
+        "algebra": {"mult": []},
+        "operator": {"matrix": []},
+        "coproduct": {"items": []},
+        "operations": {"family": "two_op", "t": "1", "ops": {"prec": [], "succ": []}},
+    }[kind]
+    return {"kind": kind, "dim": dim, **body}
+
+
+DECODERS = {
+    "algebra": algebra_from_json,
+    "operator": operator_from_json,
+    "coproduct": coproduct_from_json,
+    "operations": operations_from_json,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DECODERS))
+def test_envelope_dim_above_the_bound_is_refused(kind):
+    from splitalg.jsonio import MAX_ENVELOPE_DIM, MAX_GRAPH_BASIS
+
+    assert MAX_ENVELOPE_DIM == MAX_GRAPH_BASIS**2 == 65536
+    with pytest.raises(ValueError) as err:
+        DECODERS[kind](_empty_envelope(kind, MAX_ENVELOPE_DIM + 1))
+    assert str(err.value) == f"{kind} field 'dim' must be at most 65536, got 65537"
+
+
+def test_legless_coproduct_at_the_bound_decodes_without_a_per_dim_allocation():
+    import tracemalloc
+
+    from splitalg.jsonio import MAX_ENVELOPE_DIM
+
+    data = _empty_envelope("coproduct", MAX_ENVELOPE_DIM)
+    coproduct_from_json(data)  # the first call imports algebra_core
+    tracemalloc.start()
+    try:
+        delta = coproduct_from_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert delta.dim == MAX_ENVELOPE_DIM and not delta.items()
+    # one list per basis vector would take at least 56 B each, 3.5 MiB here
+    assert peak < 64 * 1024
+
+
 def test_algebra_roundtrip_preserves_unit_and_labels():
     alg = triangular_matrix_algebra(2)
     back = algebra_from_json(algebra_to_json(alg))
