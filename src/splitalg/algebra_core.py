@@ -107,9 +107,7 @@ class CoalgebraData:
 
     def items(self) -> tuple[tuple[int, int, int, Fraction], ...]:
         """The legs (i, j, k, c) as exact rationals, sorted by (i, j, k)."""
-        d = self.dual.denom
-        legs = sorted((i, j, k, n) for j, k, i, n in self.dual.numerators)
-        return tuple((i, j, k, Fraction(n, d)) for i, j, k, n in legs)
+        return self.dual.permuted((2, 0, 1)).nonzeros()
 
     @property
     def rows(self) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:

@@ -13,10 +13,11 @@ them to the generic commuting-pair construction.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Container, Sequence
 
 from .algebra_core import CoalgebraData, FiniteAlgebra, check_coassociative, full_matrix_algebra
 from .exactlin import (
@@ -26,11 +27,12 @@ from .exactlin import (
     Scalar,
     Tensor3,
     combine,
+    first_nested_difference,
     rat,
     twist,
 )
 from .baxter import transpose_operator
-from .report import Report, Witness, compare_dual, compare_on_pairs, first_mismatch
+from .report import Report, Witness, compare_dual, compare_on_pairs
 from .splitting import EnneaStructure, PreLieStructure, ennea_from_commuting_pair
 
 
@@ -52,35 +54,43 @@ class EpsilonBialgebra:
         return self.algebra.dim
 
 
+def first_compat_failure(
+    mult: Tensor3, dual: Tensor3, t: Fraction, skip: Container[tuple[int, int, int]] = ()
+) -> tuple[tuple[int, int, int, int], Fraction, Fraction] | None:
+    """The smallest (i, j, a, b) outside ``skip`` where the t-twisted
+    compatibility fails, with both sides' e_a (x) e_b coefficients at
+    (e_i, e_j).  On the triples (i, j, a), output b, the left-nested terms
+    (read as (i, a, j)) sum to the right side and the right-nested one (read
+    as (a, i, j)) is delta(x y); ``legs`` and ``split`` hold the leg
+    e_a (x) e_b of delta(e_k) at (k, a, b) and at (a, k, b)."""
+    n = mult.dim
+    legs, split = dual.permuted((2, 0, 1)), dual.permuted((0, 2, 1))
+    diagonal = Tensor3(n, 1, tuple((u, u, 0, 1) for u in range(n)))  # u (x) u -> e_0
+    carry = Tensor3(n, 1, tuple((0, y, y, 1) for y in range(n)))  # (e_0, y) -> y
+    order = (0, 2, 1)
+    rhs_terms = [
+        (ONE, legs, mult, order),  # x_(1) (x) x_(2) y
+        (ONE, mult.permuted(order), split, order),  # x y_(1) (x) y_(2)
+        (t, diagonal, carry, order),  # t x (x) y
+    ]
+    diff = first_nested_difference(rhs_terms, [(ONE, mult, split, (2, 0, 1))], skip)
+    if diff is None:
+        return None
+    triple, rhs, lhs = diff
+    b = min(m for m in lhs.keys() | rhs.keys() if lhs.get(m) != rhs.get(m))
+    return triple + (b,), lhs.get(b, ZERO), rhs.get(b, ZERO)
+
+
 def check_eps_bialgebra(b: EpsilonBialgebra) -> Report:
     """Coassociativity plus the t-twisted product compatibility."""
     report = check_coassociative(b.delta, f"t-twisted bialgebra (t={b.t})")
-    n = b.dim
-    rows, t = b.delta.rows, b.t
-    # (i, j) -> the nonzero (k, c) of e_i e_j, in increasing k
-    products: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for i, j, k, c in b.algebra.mult.nonzeros():
-        products.setdefault((i, j), []).append((k, c))
-    for i in range(n):
-        for j in range(n):
-            lhs: dict[tuple[int, int], Fraction] = {}
-            for k, ck in products.get((i, j), ()):  # delta(x y)
-                for a, bb, c in rows[k]:
-                    lhs[(a, bb)] = lhs.get((a, bb), ZERO) + ck * c
-            rhs: dict[tuple[int, int], Fraction] = {}
-            for a, bb, c in rows[i]:  # x_(1) (x) x_(2) y
-                for m, cm in products.get((bb, j), ()):
-                    rhs[(a, m)] = rhs.get((a, m), ZERO) + c * cm
-            for a, bb, c in rows[j]:  # x y_(1) (x) y_(2)
-                for m, cm in products.get((i, a), ()):
-                    rhs[(m, bb)] = rhs.get((m, bb), ZERO) + c * cm
-            if t != 0:
-                rhs[(i, j)] = rhs.get((i, j), ZERO) + t
-            report.checks_run += 1
-            witness = first_mismatch("product-compat", (i, j), lhs, rhs)
-            if witness is not None:
-                report.add_failure(witness)
-                return report
+    failure = first_compat_failure(b.algebra.mult, b.delta.dual, b.t)
+    if failure is None:
+        report.checks_run += b.dim**2
+    else:
+        i, j, *_ = failure[0]
+        report.checks_run += i * b.dim + j + 1
+        report.add_failure(Witness("product-compat", *failure))
     return report
 
 
@@ -89,6 +99,8 @@ def check_hypercubic(deltas: Sequence[CoalgebraData]) -> Report:
 
     (delta_i (x) id) delta_j == (id (x) delta_j) delta_i   for all i, j.
     """
+    if not deltas:
+        raise ValueError("at least one coproduct is needed")
     if len({d.dim for d in deltas}) != 1:
         raise ValueError("all coproducts must share one dimension")
     report = Report(title=f"coproduct exchange laws ({len(deltas)} coproducts)", passed=True)
@@ -240,19 +252,22 @@ def check_derivations(b: EpsilonBialgebra, candidate: LinearOperator | None = No
     * any map that is both a derivation and a coderivation is a derivation
       of bowtie itself.
     """
-    n = b.dim
+    n, mult = b.dim, b.algebra.mult
     bowtie = prelie_from_bialgebra(b).op
     report = Report(title="derivation properties of bowtie", passed=True)
-    shifted = combine(n, [(ONE, bowtie), (b.t, b.algebra.mult)])
-    runs = shifted.runs(0)
-    for a in range(n):
-        # column j: a bowtie e_j + t a e_j
-        op = LinearOperator.from_numerators(
-            n, shifted.denom, ((k, j, c) for _, j, k, c in runs.get(a, ()))
-        )
-        sides = derivation_sides(b.algebra.mult, op)
-        if not compare_on_pairs(report, f"bowtie-derivation[a={a}]", *sides):
-            return report
+    shifted = combine(n, [(ONE, bowtie), (b.t, mult)])  # a bowtie x + t a x
+    # triples (a, x, y): shifted(a, x) y + x shifted(a, y) against shifted(a, x y)
+    diff = first_nested_difference(
+        [(ONE, shifted, mult), (ONE, shifted, mult.swap_args(), (0, 2, 1))],
+        [(ONE, mult, shifted)],
+    )
+    if diff is not None:
+        (a, x, y), rhs, lhs = diff
+        report.checks_run += (a * n + x) * n + y + 1
+        lvec, rvec = (tuple(side.get(m, ZERO) for m in range(n)) for side in (lhs, rhs))
+        report.add_failure(Witness(f"bowtie-derivation[a={a}]", (x, y), lvec, rvec))
+        return report
+    report.checks_run += n**3
     if candidate is not None:
         hyp1 = is_derivation(b.algebra, candidate)
         hyp2 = is_coderivation(b.delta, candidate)
@@ -309,10 +324,10 @@ def extend_coproduct(
     the unital case, where the unit row must be unit (x) unit).
     """
     t = rat(t)
-    expected_dim = num_gens + (1 if with_unit else 0)
-    if base.dim != expected_dim:
+    shift = 1 if with_unit else 0
+    if base.dim != num_gens + shift:
         raise ValueError(
-            f"base coproduct must have dimension {expected_dim} "
+            f"base coproduct must have dimension {num_gens + shift} "
             f"({'unit + ' if with_unit else ''}generators)"
         )
     base_rows = base.rows
@@ -320,43 +335,22 @@ def extend_coproduct(
         raise ValueError("unital base must send the unit to unit (x) unit")
     words = word_span(num_gens, cap, with_unit)
     index = {w: a for a, w in enumerate(words)}
-
-    def gen_word(base_index: int) -> tuple[int, ...]:
-        # base space indices -> generator words (unit = empty word)
-        if with_unit:
-            return () if base_index == 0 else (base_index - 1,)
-        return (base_index,)
-
-    rows: list[dict[tuple[int, int], Fraction]] = [dict() for _ in words]
-
-    def add(word_idx: int, left: tuple[int, ...], right: tuple[int, ...], c: Fraction) -> None:
-        if c == 0:
-            return
-        key = (index[left], index[right])
-        rows[word_idx][key] = rows[word_idx].get(key, ZERO) + c
-
-    for a, word in enumerate(words):
-        if len(word) == 0:
-            add(a, (), (), ONE)
-            continue
-        if len(word) == 1:
-            base_index = word[0] + (1 if with_unit else 0)
-            for j, k, c in base_rows[base_index]:
-                add(a, gen_word(j), gen_word(k), c)
-            continue
+    # base space indices -> generator words (unit = empty word)
+    gen = [()] * shift + [(g,) for g in range(num_gens)]
+    # the legs (j, k, c) of each word's coproduct; from_items sums repeats
+    rows: list[list[tuple[int, int, Fraction]]] = []
+    for word in words:
         x, rest = word[:1], word[1:]
-        base_index = word[0] + (1 if with_unit else 0)
-        for j, k, c in base_rows[base_index]:  # delta(x) . (1 (x) w)
-            add(a, gen_word(j), gen_word(k) + rest, c)
-        for (j, k), c in rows[index[rest]].items():  # (x (x) 1) . delta(w)
-            add(a, x + words[j], words[k], c)
-        add(a, x, rest, t)
-
-    data = CoalgebraData.from_items(
-        len(words),
-        ((i, j, k, c) for i, row in enumerate(rows) for (j, k), c in row.items()),
+        row = [(0, 0, ONE)] if not word else [  # delta(x) . (1 (x) w)
+            (index[gen[j]], index[gen[k] + rest], c) for j, k, c in base_rows[word[0] + shift]
+        ]
+        if rest:  # (x (x) 1) . delta(w) + t x (x) w
+            row += [(index[x + words[j]], k, c) for j, k, c in rows[index[rest]]]
+            row.append((index[x], index[rest], t))
+        rows.append(row)
+    return words, CoalgebraData.from_items(
+        len(words), ((i, j, k, c) for i, row in enumerate(rows) for j, k, c in row)
     )
-    return words, data
 
 
 def free_extension_report(
@@ -376,46 +370,47 @@ def free_extension_report(
     three checks are exact within the cap (nothing is truncated away).
     """
     report = Report(title=f"free extension (cap={cap})", passed=True)
-    extended: list[CoalgebraData] = []
-    words: list[tuple[int, ...]] = []
-    for base, t in bases:
-        words, data = extend_coproduct(num_gens, base, t, cap, with_unit)
-        extended.append(data)
+    words = word_span(num_gens, cap, with_unit)
+    extended = [extend_coproduct(num_gens, base, t, cap, with_unit)[1] for base, t in bases]
     report.notes.append(f"word span of size {len(words)}, products checked up to length {cap}")
     for data, (_, t) in zip(extended, bases):
         report.merge(check_coassociative(data, "extension coassociativity"))
-        if not _check_word_compat(report, data, rat(t), words, cap, with_unit):
+        if not _check_word_compat(report, data, rat(t), words, cap):
             return extended, report
     report.merge(check_hypercubic(extended))
     return extended, report
 
 
 def _check_word_compat(
-    report: Report, data: CoalgebraData, t: Fraction, words: list, cap: int, with_unit: bool
+    report: Report, data: CoalgebraData, t: Fraction, words: list, cap: int
 ) -> bool:
-    """The t-twisted product compatibility of an extended coproduct on every
-    word pair whose concatenation stays inside the cap; False after the
-    first failure, which is added to the report."""
-    rows = data.rows
+    """The t-twisted compatibility of an extended coproduct with
+    concatenation, on the word pairs in order whose concatenation stays
+    inside the cap, up to the first failure (added to the report)."""
     index = {w: a for a, w in enumerate(words)}
-    for u in words:
-        for v in words:
-            if len(u) + len(v) > cap or (not with_unit and (not u or not v)):
-                continue
-            lhs = {(j, k): c for j, k, c in rows[index[u + v]]}
-            rhs: dict[tuple[int, int], Fraction] = {}
-            for j, k, c in rows[index[u]]:  # u_(1) (x) u_(2) v
-                key = (j, index[words[k] + v])
-                rhs[key] = rhs.get(key, ZERO) + c
-            for j, k, c in rows[index[v]]:  # u v_(1) (x) v_(2)
-                key = (index[u + words[j]], k)
-                rhs[key] = rhs.get(key, ZERO) + c
-            if t != 0:
-                key = (index[u], index[v])
-                rhs[key] = rhs.get(key, ZERO) + t
-            report.checks_run += 1
-            witness = first_mismatch(f"extension-compat(t={t})", (u, v), lhs, rhs)
-            if witness is not None:
-                report.add_failure(witness)
-                return False
-    return True
+    lengths = [len(w) for w in words]
+    # the words run by length, so the v that fit after u are a prefix of them
+    concat = Tensor3(len(words), 1, tuple(
+        (a, c, index[u + v], 1)
+        for a, u in enumerate(words)
+        for c, v in enumerate(words[: bisect.bisect_right(lengths, cap - len(u))])
+    ))
+    failure = first_compat_failure(concat, data.dual, t, _OverCap(lengths, cap))
+    if failure is None:
+        report.checks_run += len(concat.numerators)
+        return True
+    (u, v, j, k), lhs, rhs = failure
+    report.checks_run += bisect.bisect_left(concat.numerators, (u, v + 1))
+    report.add_failure(Witness(f"extension-compat(t={t})", (words[u], words[v], j, k), lhs, rhs))
+    return False
+
+
+@dataclasses.dataclass(frozen=True)
+class _OverCap:
+    """Word index triples (u, v, .) with |u| + |v| over the cap."""
+
+    lengths: list[int]
+    cap: int
+
+    def __contains__(self, triple: tuple[int, int, int]) -> bool:
+        return self.lengths[triple[0]] + self.lengths[triple[1]] > self.cap

@@ -26,7 +26,7 @@ The two workhorses are:
 
 Every operation on operators and tensors works on the numerators:
 :func:`combine` clears each term's scale to an integer weight over one
-common denominator, :meth:`Tensor3.scale` and :meth:`Tensor3.swap_args`
+common denominator, :meth:`Tensor3.scale` and :meth:`Tensor3.permuted`
 rewrite the numerators, :meth:`LinearOperator.compose` sums integer
 products row by row, and :func:`twist`, the operation
 ``(x, y) -> P(op(M x, N y))`` from which every Baxter-operator
@@ -44,8 +44,9 @@ of left-nested terms outer(inner(u, v), w) and one of right-nested terms
 outer(u, inner(v, w)), each term a coefficient, two tensors and optionally
 an argument order saying how (u, v, w) permutes the basis triple (x, y, z),
 so identities that permute their variables (pre-Lie, Jacobi) are data too.
-The coalgebra identities are checked the same way, on the stored dual
-products.
+The coalgebra identities (on the stored dual products) and the t-twisted
+bialgebra compatibility (its indices (i, j, a, b) in the slots
+(x, y, z, m), through permuted tensors) are checked the same way.
 Only the order-by-order deformation check still reads the Fraction
 composition maps (:func:`compose_left`, :func:`compose_right`).
 """
@@ -512,13 +513,18 @@ class Tensor3:
             [(i, j, k, p * n) for i, j, k, n in self.numerators],
         )
 
+    def permuted(self, order: Sequence[int]) -> "Tensor3":
+        """The entry at e = (i, j, k) moved to (e[order[0]], e[order[1]],
+        e[order[2]]); (1, 0, 2) gives the opposite operation."""
+        if sorted(order) != [0, 1, 2]:
+            raise ValueError(f"{order!r} is not a permutation of (0, 1, 2)")
+        a, b, c = order
+        moved = sorted((e[a], e[b], e[c], e[3]) for e in self.numerators)
+        return Tensor3(self.dim, self.denom, tuple(moved))
+
     def swap_args(self) -> "Tensor3":
         """The opposite operation: op'(x, y) = op(y, x)."""
-        return Tensor3(
-            self.dim,
-            self.denom,
-            tuple(sorted((j, i, k, n) for i, j, k, n in self.numerators)),
-        )
+        return self.permuted((1, 0, 2))
 
     def is_zero(self) -> bool:
         return not self.numerators

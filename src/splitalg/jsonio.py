@@ -345,10 +345,8 @@ def coproduct_from_json(data: Mapping[str, Any]) -> CoalgebraData:
         legs = tensor_from_json(dim, items, "coproduct")
     except ValueError as exc:
         raise ValueError(f"coproduct field 'items': {exc}") from None
-    # the decoded legs are summed, nonzero and in lowest terms: transposed,
-    # they are the dual product's entries
-    transposed = sorted((j, k, i, n) for i, j, k, n in legs.numerators)
-    return CoalgebraData(Tensor3(dim, legs.denom, tuple(transposed)))
+    # the decoded legs (i, j, k), moved to (j, k, i), are the dual product
+    return CoalgebraData(legs.permuted((1, 2, 0)))
 
 
 def operations_to_json(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from .exactlin import (
     ONE, ZERO, Tensor3, combine, first_row_difference, nested_residual, nested_value
@@ -145,27 +145,6 @@ def compare_dual(
     for i in failed:
         report.add_failure(Witness(context, (i,) + smallest[i], *values(smallest[i], i)))
     return not failed
-
-
-def first_mismatch(
-    context: str,
-    prefix: tuple,
-    lhs: Mapping[Any, Any],
-    rhs: Mapping[Any, Any],
-    missing: Any = ZERO,
-) -> Witness | None:
-    """Witness at the smallest key where two coefficient maps disagree.
-
-    Absent keys read as ``missing``; the witness arguments are
-    ``prefix + key``.
-    """
-    key = min(
-        (k for k in lhs.keys() | rhs.keys() if lhs.get(k, missing) != rhs.get(k, missing)),
-        default=None,
-    )
-    if key is None:
-        return None
-    return Witness(context, prefix + key, lhs.get(key, missing), rhs.get(key, missing))
 
 
 def format_value(value: Any) -> str:

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Set
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactlin import (
     ONE,
@@ -197,6 +198,31 @@ def augmented_ops(
     }
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class SkipPattern(Set):
+    """Triples of the augmented cube (side ``dim + 1``, the unit at 0):
+    (0, 0, .) if ``left``, (., 0, 0) if ``right`` and (0, 0, 0) if
+    ``corner``.  Membership and size need no enumeration."""
+
+    dim: int
+    left: bool = False
+    right: bool = False
+    corner: bool = False
+
+    def __contains__(self, triple: tuple[int, int, int]) -> bool:
+        x, y, z = triple
+        ends = (self.left and x == 0) or (self.right and z == 0)
+        return y == 0 and (ends or (self.corner and x == z == 0))
+
+    def __len__(self) -> int:
+        lines = (self.left + self.right) * (self.dim + 1) - (self.left and self.right)
+        return lines or int(self.corner)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        side = range(self.dim + 1)
+        return (e for e in [(0, 0, k) for k in side] + [(i, 0, 0) for i in side[1:]] if e in self)
+
+
 def relation_skip_set(
     system: AxiomSystem,
     rules: UnitRules,
@@ -204,7 +230,7 @@ def relation_skip_set(
     relation: Relation,
     dim: int,
     scalars: Mapping[str, UnitScalars] | None = None,
-) -> set[tuple[int, int, int]]:
+) -> SkipPattern:
     """Augmented argument triples on which one identity is not defined.
 
     A left-nested term ``outer(inner(x, y), z)`` is undefined when
@@ -218,20 +244,17 @@ def relation_skip_set(
     """
     if scalars is None:
         scalars = unit_scalars(system, rules, t)
-    skip: set[tuple[int, int, int]] = set()
+    undefined = {"left": False, "right": False, "corner": False}
     for terms, left_nested in ((relation.lhs, True), (relation.rhs, False)):
         for coeff, inner_name, outer_name in terms:
             if coeff.eval(t) == 0:
                 continue
             s_inner, s_outer = scalars[inner_name], scalars[outer_name]
             if not s_inner.defined:
-                if left_nested:
-                    skip.update((0, 0, k) for k in range(dim + 1))
-                else:
-                    skip.update((i, 0, 0) for i in range(dim + 1))
+                undefined["left" if left_nested else "right"] = True
             elif s_inner.right != 0 and not s_outer.defined:
-                skip.add((0, 0, 0))
-    return skip
+                undefined["corner"] = True
+    return SkipPattern(dim, **undefined)
 
 
 def check_unit_compatibility(

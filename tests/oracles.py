@@ -312,6 +312,16 @@ def dense_swap(grid: Grid) -> Grid:
     return [[list(grid[j][i]) for j in range(n)] for i in range(n)]
 
 
+def dense_permute(grid: Grid, order: Sequence[int]) -> Grid:
+    """The grid with its index slots reordered: the entry at e = (i, j, k)
+    moves to (e[order[0]], e[order[1]], e[order[2]])."""
+    n = len(grid)
+    out = zero_grid(n)
+    for e in itertools.product(range(n), repeat=3):
+        out[e[order[0]]][e[order[1]]][e[order[2]]] = grid[e[0]][e[1]][e[2]]
+    return out
+
+
 def dense_twist(grid: Grid, left=None, right=None, post=None) -> Grid:
     """post(op(left e_i, right e_j)) for matrices given as row lists whose
     columns are the images of basis vectors; None is the identity."""
@@ -605,3 +615,64 @@ def eps_bialgebra_oracle(b) -> CoalgebraOutcome:
             leg, left, right = found
             return False, checks, witnesses + [("product-compat", (i, j) + leg, left, right)]
     return passed, checks, witnesses
+
+
+def word_compat_oracle(data, t, words, cap) -> CoalgebraOutcome:
+    """The t-twisted compatibility of a coproduct on words for concatenation,
+    delta(u v) = u_(1) (x) u_(2) v + u v_(1) (x) v_(2) + t u (x) v, on the
+    word pairs (u, v) with |u| + |v| <= cap in order, stopping at the first
+    failing pair.  The right side is built leg by leg by concatenating words."""
+    d, n, t = coproduct_cube(data), len(words), Fraction(t)
+    index = {w: a for a, w in enumerate(words)}
+    checks = 0
+    for iu, u in enumerate(words):
+        for iv, v in enumerate(words):
+            if len(u) + len(v) > cap:
+                continue
+            rhs = [[ZERO] * n for _ in range(n)]
+            rhs[iu][iv] += t
+            for j, k in itertools.product(range(n), repeat=2):
+                if d[iu][j][k]:  # u_(1) (x) u_(2) v
+                    rhs[j][index[words[k] + v]] += d[iu][j][k]
+                if d[iv][j][k]:  # u v_(1) (x) v_(2)
+                    rhs[index[u + words[j]]][k] += d[iv][j][k]
+            uv = index[u + v]
+            checks += 1
+            found = _first_leg(lambda j, k: d[uv][j][k], lambda j, k: rhs[j][k], 2, n)
+            if found is not None:
+                leg, left, right = found
+                return False, checks, [(f"extension-compat(t={t})", (u, v) + leg, left, right)]
+    return True, checks, []
+
+
+def bowtie_derivation_oracle(b) -> tuple[bool, int, list]:
+    """For every a, D_a(x) = a bowtie x + t a x is a derivation of the
+    product, where a bowtie x = x_(1) a x_(2): the triples (a, x, y) in order,
+    stopping at the first with D_a(x y) != D_a(x) y + x D_a(y), whose
+    witness carries both sides as dense vectors.  Every product is one
+    ``Tensor3.apply`` on coefficient vectors."""
+    n, t, mult = b.dim, Fraction(b.t), b.algebra.mult
+    d = coproduct_cube(b.delta)
+    basis = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
+
+    def add(*vectors):
+        return tuple(sum(parts, ZERO) for parts in zip(*vectors))
+
+    def shifted(a, x):  # a bowtie x + t a x, for a basis index a
+        out = tuple(t * c for c in mult.apply(basis[a], x))
+        for i, p, q in itertools.product(range(n), repeat=3):
+            c = x[i] * d[i][p][q]
+            if c:
+                sandwich = mult.apply(mult.apply(basis[p], basis[a]), basis[q])
+                out = add(out, tuple(c * v for v in sandwich))
+        return out
+
+    images = [[shifted(a, basis[x]) for x in range(n)] for a in range(n)]
+    checks = 0
+    for a, x, y in itertools.product(range(n), repeat=3):
+        checks += 1
+        lhs = shifted(a, mult.apply(basis[x], basis[y]))
+        rhs = add(mult.apply(images[a][x], basis[y]), mult.apply(basis[x], images[a][y]))
+        if lhs != rhs:
+            return False, checks, [(f"bowtie-derivation[a={a}]", (x, y), lhs, rhs)]
+    return True, checks, []

@@ -14,6 +14,7 @@ from splitalg import (
     chain_coproduct,
     check_ennea,
     check_eps_bialgebra,
+    check_hypercubic,
     check_prelie,
     convolution_report,
     convolution_structure,
@@ -148,3 +149,10 @@ def test_free_extension_checks_exchange_laws_for_pairs():
     _, report = free_extension_report(2, [(zero_base, F(-1)), (singleton, F(-1))], cap=2)
     assert report.passed
     assert report.checks_run == 44
+
+
+def test_no_coproduct_is_refused_as_such():
+    with pytest.raises(ValueError, match="at least one coproduct is needed"):
+        check_hypercubic([])
+    with pytest.raises(ValueError, match="at least one coproduct is needed"):
+        free_extension_report(2, [], cap=2)

@@ -1,7 +1,9 @@
 """The coalgebra-side checks against direct-summation oracles.
 
 Coassociativity, the coproduct exchange laws, the coBaxter identity, the
-coderivation identity and the t-twisted bialgebra compatibility are each recomputed by ``tests/oracles.py`` with
+coderivation identity, the t-twisted bialgebra compatibility (for an
+algebra's product and for concatenation of words) and the bowtie
+derivation property are each recomputed by ``tests/oracles.py`` with
 explicit loops over basis vectors and tensor legs.  The package's report must
 agree with the oracle on the verdict, the witness arguments, the witness
 values and ``checks_run``, on random rational coproducts and operators: some
@@ -21,6 +23,7 @@ from splitalg import (
     EpsilonBialgebra,
     FiniteAlgebra,
     LinearOperator,
+    Tensor3,
     WeightedDigraph,
     chain_coproduct,
     check_cobaxter,
@@ -33,7 +36,14 @@ from splitalg import (
     triangular_row_coproduct_operator,
     weighted_coproduct,
 )
-from splitalg.bialgebra import deconcatenation_base, is_coderivation
+from splitalg.bialgebra import (
+    _check_word_compat,
+    check_derivations,
+    deconcatenation_base,
+    extend_coproduct,
+    is_coderivation,
+)
+from splitalg.report import Report
 
 F = Fraction
 
@@ -193,6 +203,81 @@ def test_eps_bialgebra_matches_oracle(rng):
     b = EpsilonBialgebra(algebra, delta, t)
     expected = oracles.eps_bialgebra_oracle(b)
     assert outcome(check_eps_bialgebra(b)) == expected
+
+
+def parameter(rng: random.Random) -> Fraction:
+    return rng.choice([F(-1), F(0), F(1), small_rational(rng)])
+
+
+def word_case(rng: random.Random):
+    """An extended coproduct on words, the parameter to check it at and the
+    cap; unital or not, sometimes checked at another parameter, sometimes
+    perturbed on the longest words, so the first failing pair comes late."""
+    num_gens, cap, with_unit = rng.randint(1, 2), rng.randint(1, 3), rng.random() < 0.5
+    if with_unit:
+        base = deconcatenation_base(num_gens)
+        if rng.random() < 0.3:  # the unit row must stay unit (x) unit
+            legs = [(rng.randint(1, num_gens), j, k, c) for _, j, k, c in random_legs(rng, num_gens + 1, 2)]
+            base = base.add(CoalgebraData.from_items(num_gens + 1, legs))
+    else:
+        base = CoalgebraData.from_items(num_gens, random_legs(rng, num_gens, rng.randint(0, 4)))
+    t = parameter(rng)
+    words, data = extend_coproduct(num_gens, base, t, cap, with_unit)
+    change = rng.choice(["none", "t", "late"])
+    if change == "t":
+        t += small_rational(rng)
+    elif change == "late":
+        longest = [a for a, w in enumerate(words) if len(w) == cap]
+        legs = [(rng.choice(longest), j, k, c) for _, j, k, c in random_legs(rng, len(words), 1)]
+        data = data.add(CoalgebraData.from_items(len(words), legs))
+    return data, t, words, cap
+
+
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_word_compatibility_matches_oracle(rng):
+    data, t, words, cap = word_case(rng)
+    report = Report(title="word compatibility", passed=True)
+    passed = _check_word_compat(report, data, t, words, cap)
+    assert outcome(report) == oracles.word_compat_oracle(data, t, words, cap)
+    assert passed == report.passed
+
+
+def test_word_cases_pass_and_fail_late():
+    """The generated word cases include passing ones and failures after
+    the first half of the eligible pairs."""
+    rng = random.Random(7)
+    results = set()
+    for _ in range(60):
+        data, t, words, cap = word_case(rng)
+        eligible = sum(1 for u in words for v in words if len(u) + len(v) <= cap)
+        passed, checks, _ = oracles.word_compat_oracle(data, t, words, cap)
+        results.add((passed, checks > eligible // 2))
+    assert (True, True) in results and (False, True) in results
+
+
+@SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_bowtie_derivation_matches_oracle(rng):
+    kind = rng.choice(["chain", "weighted", "random"])
+    if kind == "random":
+        delta = coproduct(rng)
+        algebra = FiniteAlgebra(oracles.random_tensor(rng, delta.dim, rng.randint(1, 12)))
+        t = parameter(rng)
+    else:
+        arcs = [(v, v + 1, small_rational(rng)) for v in range(rng.randint(0, 2))]
+        pa = path_algebra(WeightedDigraph.build(len(arcs) + 1, arcs))
+        algebra = pa.algebra
+        delta, t = (chain_coproduct(pa), F(-1)) if kind == "chain" else (weighted_coproduct(pa), F(0))
+        change = rng.choice(["none", "t", "late"])
+        if change == "t":
+            t = parameter(rng)
+        elif change == "late":  # one product entry off at the last a, so triples fail late
+            n = algebra.dim
+            extra = [(n - 1, rng.randrange(n), rng.randrange(n), small_rational(rng))]
+            algebra = FiniteAlgebra(algebra.mult.add(Tensor3.from_sparse(n, extra)))
+    b = EpsilonBialgebra(algebra, delta, t)
+    assert outcome(check_derivations(b)) == oracles.bowtie_derivation_oracle(b)
 
 
 def test_generated_cases_fail_at_several_basis_vectors():

@@ -201,3 +201,26 @@ def test_operad_dim3_json_loads_five_library_modules():
         "splitalg", "splitalg.cli", "splitalg.exactlin", "splitalg.jsonio",
         "splitalg.operad", "splitalg.relations", "splitalg.report",
     ]
+
+
+def test_verify_graph_bialgebra_json_loads_eleven_modules(tmp_path):
+    """The chain-variant graph bialgebra check, as the deformation workload
+    runs it, loads the modules of the path algebra, the coproducts, the
+    compatibility check and the JSON report, and nothing more."""
+    from splitalg.graphalg import WeightedDigraph
+    from splitalg.jsonio import graph_to_json, save
+
+    path = str(tmp_path / "chain2.json")
+    save(path, graph_to_json(WeightedDigraph.build(2, [(0, 1, 3)])))
+    code = (
+        "import contextlib, io\n"
+        "from splitalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['verify', 'graph-bialgebra', '--file', {path!r},"
+        " '--variant', 'chain', '--json']) == 0\n"
+    )
+    assert loaded_after(code) == [
+        "splitalg", "splitalg.algebra_core", "splitalg.baxter", "splitalg.bialgebra",
+        "splitalg.cli", "splitalg.exactlin", "splitalg.graphalg", "splitalg.jsonio",
+        "splitalg.relations", "splitalg.report", "splitalg.splitting",
+    ]

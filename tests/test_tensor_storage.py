@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -99,6 +100,31 @@ def test_scale_and_swap_args_match_dense_oracle(case):
     grid = oracles.grid_from_items(dim, items)
     assert_matches(tensor.scale(c), oracles.dense_combine(dim, [(c, grid)]))
     assert_matches(tensor.swap_args(), oracles.dense_swap(grid))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    dims.flatmap(lambda d: st.tuples(st.just(d), items_for(d))),
+    st.permutations((0, 1, 2)),
+)
+def test_permuted_matches_dense_oracle_and_inverts(case, order):
+    dim, items = case
+    tensor = Tensor3.from_sparse(dim, items)
+    grid = oracles.grid_from_items(dim, items)
+    moved = tensor.permuted(order)
+    assert_matches(moved, oracles.dense_permute(grid, order))
+    inverse = tuple(order.index(slot) for slot in range(3))
+    assert moved.permuted(inverse) == tensor
+    # (1, 0, 2) is the opposite operation, as swap_args always gave it
+    assert_matches(tensor.permuted((1, 0, 2)), oracles.dense_swap(grid))
+    assert tensor.permuted((1, 0, 2)) == tensor.swap_args()
+
+
+def test_permuted_refuses_what_is_not_a_permutation():
+    tensor = Tensor3.from_sparse(2, [(0, 1, 1, 1)])
+    for order in ((0, 0, 1), (0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            tensor.permuted(order)
 
 
 def matrices(dim):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -132,6 +133,40 @@ def test_skip_sets_match_the_independent_pattern_count():
     assert sum(per_relation.values()) == 312
     assert per_relation["1.1"] == e.dim + 1
     assert sum(1 for v in per_relation.values() if v) == 24
+
+
+SKIP_RULES = (
+    (NINE_OP_SYSTEM, nine_op_unit_rules()),
+    (NINE_OP_SYSTEM, unit_rules(NINE_OP_GENERATORS, right_identity=("nw", "ne"), left_identity=("se",))),
+    (THREE_OP_SYSTEM, unit_rules(("prec", "succ", "circ"), right_identity=("prec",), left_identity=("succ",))),
+    # prec and succ both defined at the corner, circ not: every pattern kind occurs
+    (THREE_OP_SYSTEM, {"prec": (F(1), F(1)), "succ": (F(1), F(1)), "circ": (F(1), F(0))}),
+)
+
+
+@pytest.mark.parametrize("system,rules", SKIP_RULES)
+def test_skip_pattern_matches_the_enumerated_triples(system, rules):
+    """Membership and size of each relation's skip pattern agree with the
+    enumerated skip set, on every triple of the augmented cube."""
+    for t, dim in itertools.product((F(0), F(1), F(-2, 3)), range(1, 6)):
+        cube = list(itertools.product(range(dim + 1), repeat=3))
+        for relation in system.relations:
+            got = relation_skip_set(system, rules, t, relation, dim)
+            want = oracles.skip_triples(system, rules, t, relation, dim)
+            assert len(got) == len(want), (relation.name, t, dim)
+            assert [triple in got for triple in cube] == [triple in want for triple in cube]
+            assert set(got) == want
+
+
+def test_skip_patterns_cover_every_kind():
+    system, rules = SKIP_RULES[-1]
+    kinds = {
+        (p.left, p.right, p.corner)
+        for relation in system.relations
+        for p in (relation_skip_set(system, rules, t, relation, 2) for t in (F(0), F(1)))
+    }
+    assert {(True, False, False), (False, True, False), (True, True, False)} <= kinds
+    assert {(False, False, True), (True, False, True), (False, True, True)} <= kinds
 
 
 def test_small_structure_is_unit_compatible():
