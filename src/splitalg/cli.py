@@ -509,9 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON envelopes"
     )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized spot checks"
-    )
 
     parser = argparse.ArgumentParser(
         prog="splitalg",
@@ -653,6 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "demo", parents=[common], help="expected-vs-computed dimension table"
     )
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     p.set_defaults(func=cmd_demo)
 
     return parser

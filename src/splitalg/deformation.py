@@ -23,16 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .algebra_core import CoalgebraData, FiniteAlgebra
-from .bialgebra import (
-    EpsilonBialgebra,
-    check_eps_bialgebra,
-    check_hypercubic,
-    convolution_structure,
-)
-from .baxter import commute
 from .exactlin import (
     ONE,
     ZERO,
@@ -57,7 +49,9 @@ from .relations import (
     check_system,
 )
 from .report import Report, Witness, compare_on_pairs
-from .splitting import ennea_from_commuting_pair, trialgebra_from_baxter
+
+if TYPE_CHECKING:  # baxter_deformation imports what it builds with
+    from .algebra_core import CoalgebraData, FiniteAlgebra
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,6 +235,15 @@ def baxter_deformation(
     * ``nine_nine``   full nine-op base (t = t1, nonzero recommended),
                       labeled ops swap in delta1.
     """
+    from .baxter import commute
+    from .bialgebra import (
+        EpsilonBialgebra,
+        check_eps_bialgebra,
+        check_hypercubic,
+        convolution_structure,
+    )
+    from .splitting import ennea_from_commuting_pair, trialgebra_from_baxter
+
     t, t1 = rat(t), rat(t1)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {VARIANTS}")

@@ -24,14 +24,19 @@ The two workhorses are:
   output and tests.  A :class:`LinearOperator` is stored the same way, as
   its sorted nonzero entries ``(i, j, n)``.
 
-Every operation on operators and tensors works on the numerators:
-:func:`combine` clears each term's scale to an integer weight over one
-common denominator, :meth:`Tensor3.scale` and :meth:`Tensor3.permuted`
-rewrite the numerators, :meth:`LinearOperator.compose` sums integer
-products row by row, and :func:`twist`, the operation
-``(x, y) -> P(op(M x, N y))`` from which every Baxter-operator
-construction and both sides of every operator identity are combined,
-multiplies the operators' denominators once.
+That format is implemented once, in :class:`IntegerSparse`, the base of
+both classes: lowest terms (:meth:`~IntegerSparse.from_sorted`), the sum of
+repeated indices (:meth:`~IntegerSparse.from_numerators`), ``scale``,
+equality, hashing and ``repr``.  Every operation on operators and tensors
+works on the numerators: :func:`combine` clears each term's scale to an
+integer weight over one common denominator, ``scale`` and
+:meth:`Tensor3.permuted` rewrite the numerators,
+:meth:`LinearOperator.compose` sums integer products row by row, and
+:func:`twist`, the operation ``(x, y) -> P(op(M x, N y))`` from which
+every Baxter-operator construction and both sides of every operator
+identity are combined, multiplies the operators' denominators once.  Two
+operations differ exactly where their difference ``lhs.sub(rhs)`` has
+entries, and its first entry is the smallest basis pair that fails.
 The kernel of every quadratic-identity check clears the remaining
 denominators once per identity and sums integer products only, one slice
 of basis triples (x, ., .) at a time, in increasing x, from groupings
@@ -184,70 +189,125 @@ def _content(denom: int, numerators: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the integer sparse format
+# ---------------------------------------------------------------------------
+
+
+class IntegerSparse:
+    """The exact storage of operators and tensors: ``dim``, a denominator
+    ``denom`` D > 0 and the sorted tuple ``numerators`` of nonzero entries
+    ``(*index, n)`` with integer n, each standing for n / D.  The form is
+    kept in lowest terms (D is the lcm of the entries' reduced denominators,
+    1 for zero), so equal objects have equal storage and equal hashes.
+
+    ``cls(dim, denom, numerators)`` wraps that complete form;
+    :meth:`from_sorted` divides out a common factor and
+    :meth:`from_numerators` sums repeated indices first.  Instances are
+    immutable.
+    """
+
+    __slots__ = ("dim", "denom", "numerators")
+
+    def __init__(self, dim: int, denom: int, numerators: tuple):
+        """Wrap numerators that are already sorted, in range, nonzero and in
+        lowest terms with ``denom``."""
+        self.dim = dim
+        self.denom = denom
+        self.numerators = numerators
+
+    @classmethod
+    def from_sorted(cls, dim: int, denom: int, entries: Sequence[tuple]):
+        """From sorted, distinct, nonzero numerators over ``denom`` > 0, with
+        the common factor of the denominator and every numerator divided
+        out."""
+        g = _content(denom, (entry[-1] for entry in entries))
+        if g != 1:
+            entries = [entry[:-1] + (entry[-1] // g,) for entry in entries]
+        return cls(dim, denom // g, tuple(entries))
+
+    @classmethod
+    def from_numerators(cls, dim: int, denom: int, items: Iterable[tuple]):
+        """Sum integer entries ``(*index, n)``, each standing for n / denom
+        (denom > 0); repeated indices accumulate.  The indices must already
+        be ints in ``[0, dim)``: outside data goes through
+        :meth:`Tensor3.from_sparse` or :meth:`LinearOperator.from_rows`."""
+        acc: dict[tuple, int] = {}
+        get = acc.get
+        for entry in items:
+            key = entry[:-1]
+            acc[key] = get(key, 0) + entry[-1]
+        return cls._from_sums(dim, denom, acc)
+
+    @classmethod
+    def _from_sums(cls, dim: int, denom: int, acc: Mapping[tuple, int]):
+        """From integer sums over ``denom`` keyed by index; zero sums drop."""
+        return cls.from_sorted(dim, denom, [key + (n,) for key, n in sorted(acc.items()) if n])
+
+    def scale(self, c: Scalar):
+        c = rat(c)
+        p = c.numerator
+        return self.from_sorted(
+            self.dim,
+            self.denom * c.denominator,
+            [entry[:-1] + (p * entry[-1],) for entry in self.numerators] if p else [],
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.dim == other.dim
+            and self.denom == other.denom
+            and self.numerators == other.numerators
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.denom, self.numerators))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim}, nonzeros={len(self.numerators)})"
+
+
+# ---------------------------------------------------------------------------
 # linear operators
 # ---------------------------------------------------------------------------
 
 OpEntry = tuple[int, int, int]
 
 
-class LinearOperator:
+class LinearOperator(IntegerSparse):
     """A linear map on an n-dim space; column j holds the image of e_j.
 
-    Storage is that of :class:`Tensor3`: ``dim``, ``denom`` D > 0 and the
-    sorted tuple ``numerators`` of nonzero entries ``(i, j, n)``, each saying
-    that the image of e_j has coefficient n / D on e_i, in lowest terms, so
-    equal operators have equal storage and equal hashes.  The rows are runs
-    of ``numerators``; :func:`twist` and :meth:`compose` group rows or
-    columns from them on each call, and nothing else is kept.
+    Its entries ``(i, j, n)`` say that the image of e_j has coefficient n / D
+    on e_i.  The rows are runs of ``numerators``; :func:`twist` and
+    :meth:`compose` group rows or columns from them on each call, and
+    nothing else is kept.
 
-    ``LinearOperator(rows)`` reads dense rows of exact scalars (envelopes,
-    tests); :meth:`from_numerators` and :meth:`from_sorted` build from
-    integers.  :attr:`entries`, :meth:`column` and :meth:`apply` are Fraction
-    views, built on demand.
+    :meth:`from_rows` reads dense rows of exact scalars (envelopes, tests).
+    :attr:`entries`, :meth:`column` and :meth:`apply` are Fraction views,
+    built on demand.
     """
 
-    __slots__ = ("dim", "denom", "numerators")
+    __slots__ = ()
 
-    def __init__(self, rows: Sequence[Sequence[Scalar]]):
+    # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "LinearOperator":
+        """Operator from dense square rows of exact scalars, ``rows[i][j]``
+        being the e_i coefficient of the image of e_j."""
         grid = [[rat(v) for v in row] for row in rows]
         if any(len(row) != len(grid) for row in grid):
             raise ValueError("operators on a space must be square")
         nonzero = [(i, j, q) for i, row in enumerate(grid) for j, q in enumerate(row) if q]
         # the lcm of reduced denominators leaves the numerators in lowest terms
-        d = self.denom = math.lcm(*(q.denominator for *_, q in nonzero))
-        self.dim = len(grid)
-        self.numerators = tuple((i, j, q.numerator * (d // q.denominator)) for i, j, q in nonzero)
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_sorted(dim: int, denom: int, entries: Sequence[OpEntry]) -> "LinearOperator":
-        """Operator from sorted, distinct, nonzero numerators over ``denom``
-        > 0, with the common factor of the denominator and every numerator
-        divided out."""
-        g = _content(denom, (n for *_, n in entries))
-        op = object.__new__(LinearOperator)
-        op.dim = dim
-        op.denom = denom // g
-        op.numerators = tuple(entries if g == 1 else [(i, j, n // g) for i, j, n in entries])
-        return op
-
-    @staticmethod
-    def from_numerators(dim: int, denom: int, items: Iterable[OpEntry]) -> "LinearOperator":
-        """Sum integer entries ``(i, j, n)``, each standing for n / denom;
-        repeated indices accumulate.  The indices must be ints in ``[0, dim)``."""
-        acc: dict[tuple[int, int], int] = {}
-        get = acc.get
-        for i, j, n in items:
-            key = (i, j)
-            acc[key] = get(key, 0) + n
-        return LinearOperator.from_sorted(
-            dim, denom, [(i, j, n) for (i, j), n in sorted(acc.items()) if n]
+        d = math.lcm(*(q.denominator for *_, q in nonzero))
+        return LinearOperator(
+            len(grid), d, tuple((i, j, q.numerator * (d // q.denominator)) for i, j, q in nonzero)
         )
 
     @staticmethod
     def identity(dim: int) -> "LinearOperator":
-        return LinearOperator.from_sorted(dim, 1, [(a, a, 1) for a in range(dim)])
+        return LinearOperator(dim, 1, tuple((a, a, 1) for a in range(dim)))
 
     # -- Fraction views -------------------------------------------------------
 
@@ -294,29 +354,6 @@ class LinearOperator:
             ((i, j, n * (common // op.denom)) for op in (self, other) for i, j, n in op.numerators),
         )
 
-    def scale(self, c: Scalar) -> "LinearOperator":
-        c = rat(c)
-        p = c.numerator
-        return LinearOperator.from_sorted(
-            self.dim,
-            self.denom * c.denominator,
-            [(i, j, p * n) for i, j, n in self.numerators] if p else [],
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LinearOperator)
-            and self.dim == other.dim
-            and self.denom == other.denom
-            and self.numerators == other.numerators
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.denom, self.numerators))
-
-    def __repr__(self) -> str:
-        return f"LinearOperator(dim={self.dim}, nonzeros={len(self.numerators)})"
-
 
 def _lines(op: LinearOperator, columns: bool) -> list[list[OpEntry]]:
     """The entries ``(i, j, n)`` of op grouped by row i (or by column j),
@@ -336,17 +373,13 @@ Entry = tuple[int, int, int, Fraction]
 IntEntry = tuple[int, int, int, int]
 
 
-class Tensor3:
+class Tensor3(IntegerSparse):
     """Structure constants of one bilinear operation on an n-dim space.
 
-    Storage is integers over one shared denominator: ``denom`` D > 0 and the
-    sorted tuple ``numerators`` of nonzero entries ``(i, j, k, n)``, each
-    saying that op(e_i, e_j) has coefficient n / D on e_k.  The form is kept
-    in lowest terms (D is the lcm of the entries' reduced denominators, 1 for
-    the zero tensor), so equal tensors have equal storage and equal hashes.
-    Build instances with :meth:`from_sparse`, :meth:`from_numerators` or
-    :meth:`from_sorted` (or :func:`combine` / :func:`twist`); they are
-    immutable, and the integer index groupings read by the kernels
+    Its entries ``(i, j, k, n)`` say that op(e_i, e_j) has coefficient n / D
+    on e_k.  Build instances with :meth:`from_sparse`,
+    :meth:`from_numerators` or :meth:`from_sorted` (or :func:`combine` /
+    :func:`twist`); the integer index groupings read by the kernels
     (:meth:`runs` and :meth:`packed`) are cached lazily.
 
     :meth:`nonzeros`, :meth:`row` and :attr:`entries` are Fraction views for
@@ -354,11 +387,10 @@ class Tensor3:
     stored.
     """
 
-    __slots__ = ("dim", "denom", "numerators", "_groupings")
+    __slots__ = ("_groupings",)
 
     def __init__(self, dim: int, denom: int, numerators: tuple[IntEntry, ...]):
-        """Wrap numerators that are already sorted, in range, nonzero and in
-        lowest terms with ``denom``."""
+        """Wrap numerators that are already in the stored form."""
         self.dim = dim
         self.denom = denom
         self.numerators = numerators
@@ -396,29 +428,7 @@ class Tensor3:
                         acc[key] *= grow
             key = (i, j, k)
             acc[key] = acc.get(key, 0) + num * (denom // den)
-        return _from_accumulated(dim, denom, acc)
-
-    @staticmethod
-    def from_numerators(dim: int, denom: int, items: Iterable[IntEntry]) -> "Tensor3":
-        """Sum integer entries ``(i, j, k, n)``, each standing for n / denom
-        (denom > 0); repeated indices accumulate.  The indices must already be
-        ints in ``[0, dim)``: outside data goes through :meth:`from_sparse`."""
-        acc: dict[tuple[int, int, int], int] = {}
-        get = acc.get
-        for i, j, k, n in items:
-            key = (i, j, k)
-            acc[key] = get(key, 0) + n
-        return _from_accumulated(dim, denom, acc)
-
-    @staticmethod
-    def from_sorted(dim: int, denom: int, entries: Sequence[IntEntry]) -> "Tensor3":
-        """Tensor from sorted, distinct, nonzero numerators over ``denom``
-        > 0, with the common factor of the denominator and every numerator
-        divided out."""
-        g = _content(denom, (n for *_, n in entries))
-        if g != 1:
-            entries = [(i, j, k, n // g) for i, j, k, n in entries]
-        return Tensor3(dim, denom // g, tuple(entries))
+        return Tensor3._from_sums(dim, denom, acc)
 
     # -- Fraction views -------------------------------------------------------
 
@@ -502,17 +512,6 @@ class Tensor3:
     def sub(self, other: "Tensor3") -> "Tensor3":
         return combine(self.dim, [(ONE, self), (-ONE, other)])
 
-    def scale(self, c: Scalar) -> "Tensor3":
-        c = rat(c)
-        if c == 0:
-            return Tensor3.zero(self.dim)
-        p = c.numerator
-        return Tensor3.from_sorted(
-            self.dim,
-            self.denom * c.denominator,
-            [(i, j, k, p * n) for i, j, k, n in self.numerators],
-        )
-
     def permuted(self, order: Sequence[int]) -> "Tensor3":
         """The entry at e = (i, j, k) moved to (e[order[0]], e[order[1]],
         e[order[2]]); (1, 0, 2) gives the opposite operation."""
@@ -529,34 +528,12 @@ class Tensor3:
     def is_zero(self) -> bool:
         return not self.numerators
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Tensor3)
-            and self.dim == other.dim
-            and self.denom == other.denom
-            and self.numerators == other.numerators
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.denom, self.numerators))
-
-    def __repr__(self) -> str:
-        return f"Tensor3(dim={self.dim}, nonzeros={len(self.numerators)})"
-
 
 def check_indices(what: str, dim: int, *indices: object) -> None:
     """Raise ValueError unless every index is an int in ``[0, dim)``."""
     for index in indices:
         if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < dim:
             raise ValueError(f"{what} index {index!r} out of range for dimension {dim}")
-
-
-def _from_accumulated(
-    dim: int, denom: int, acc: dict[tuple[int, int, int], int]
-) -> Tensor3:
-    return Tensor3.from_sorted(
-        dim, denom, [(i, j, k, n) for (i, j, k), n in sorted(acc.items()) if n]
-    )
 
 
 def combine(dim: int, terms: Iterable[tuple[Scalar, Tensor3]]) -> Tensor3:
@@ -587,7 +564,7 @@ def combine(dim: int, terms: Iterable[tuple[Scalar, Tensor3]]) -> Tensor3:
         for i, j, k, n in numerators:
             key = (i, j, k)
             acc[key] = get(key, 0) + w * n
-    return _from_accumulated(dim, common, acc)
+    return Tensor3._from_sums(dim, common, acc)
 
 
 def _integer_lines(
@@ -629,34 +606,7 @@ def twist(
                 for m, _, cm in images[k]:
                     key = (i, j, m)
                     acc[key] = get(key, 0) + cij * cm
-    return _from_accumulated(n, op.denom * d_left * d_right * d_post, acc)
-
-
-def first_row_difference(
-    lhs: Tensor3, rhs: Tensor3
-) -> tuple[tuple[int, int], tuple[Fraction, ...], tuple[Fraction, ...]] | None:
-    """Smallest basis pair (i, j) on which two operations differ, if any,
-    with the dense values op(e_i, e_j) of both sides."""
-    if lhs.dim != rhs.dim:
-        raise ValueError("dimension mismatch in comparison")
-    if lhs == rhs:
-        return None
-    # both sides over one denominator, so equal entries have equal numerators
-    common = math.lcm(lhs.denom, rhs.denom)
-    left, right = (
-        t.numerators
-        if t.denom == common
-        else tuple((i, j, k, n * (common // t.denom)) for i, j, k, n in t.numerators)
-        for t in (lhs, rhs)
-    )
-    # entries are sorted by (i, j, k): the first position where the two
-    # lists disagree lies in the first row that differs
-    p = next(
-        (q for q, (a, b) in enumerate(zip(left, right)) if a != b),
-        min(len(left), len(right)),
-    )
-    pair = min(entry[:2] for entry in left[p:p + 1] + right[p:p + 1])
-    return pair, lhs.row(*pair), rhs.row(*pair)
+    return Tensor3._from_sums(n, op.denom * d_left * d_right * d_post, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def path_algebra(graph: WeightedDigraph, max_len: int | None = None) -> PathAlge
     """Build the path algebra; cyclic graphs need a length cap (quotient)."""
     if max_len is None:
         if not graph.is_acyclic():
-            raise ValueError("a cyclic graph has infinitely many paths; pass max_len")
+            raise ValueError("the graph has a cycle, so its path algebra is infinite")
     elif max_len < 1:
         raise ValueError("max_len must be at least 1")
 

@@ -315,7 +315,7 @@ def operator_from_json(data: Mapping[str, Any]) -> LinearOperator:
     rows = _list_field(data, "matrix")
     if len(rows) != dim:
         raise ValueError(f"operator field 'matrix' must be a list of {dim} rows, got {len(rows)}")
-    return LinearOperator(
+    return LinearOperator.from_rows(
         [
             _scalars_from_json(row, dim, f"operator field 'matrix': row {i}")
             for i, row in enumerate(rows)
@@ -327,7 +327,7 @@ def coproduct_to_json(delta: CoalgebraData) -> dict[str, Any]:
     return {
         "kind": "coproduct",
         "dim": delta.dim,
-        "items": [[i, j, k, scalar_to_json(c)] for i, j, k, c in delta.items()],
+        "items": tensor_to_json(delta.dual.permuted((2, 0, 1))),
     }
 
 

@@ -12,9 +12,7 @@ import dataclasses
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .exactlin import (
-    ONE, ZERO, Tensor3, combine, first_row_difference, nested_residual, nested_value
-)
+from .exactlin import ZERO, Tensor3, nested_residual, nested_value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,17 +85,17 @@ def compare_on_pairs(report: Report, context: str, lhs: Tensor3, rhs: Tensor3) -
     """Record whether two bilinear maps agree on every basis pair.
 
     Pairs count as checked in lexicographic order up to the first failing
-    one (n*n when all agree); that pair becomes the witness, carrying the
-    dense values of both sides.
+    one (n*n when all agree): the first entry of the difference tensor.
+    That pair becomes the witness, carrying the dense values of both sides.
     """
-    diff = first_row_difference(lhs, rhs)
     n = lhs.dim
-    if diff is None:
+    difference = lhs.sub(rhs)
+    if difference.is_zero():
         report.checks_run += n * n
         return True
-    (i, j), lvec, rvec = diff
+    i, j = difference.numerators[0][:2]
     report.checks_run += i * n + j + 1
-    report.add_failure(Witness(context, (i, j), lvec, rvec))
+    report.add_failure(Witness(context, (i, j), lhs.row(i, j), rhs.row(i, j)))
     return False
 
 
@@ -119,8 +117,7 @@ def compare_dual(
     """
     if isinstance(lhs, Tensor3):
         dim = lhs.dim
-        difference = combine(dim, [(ONE, lhs), (-ONE, rhs)])
-        failing: Iterable = (entry[:3] for entry in difference.numerators)
+        failing: Iterable = (entry[:3] for entry in lhs.sub(rhs).numerators)
 
         def values(pair: tuple[int, ...], i: int) -> tuple[Any, Any]:
             return lhs.row(*pair)[i], rhs.row(*pair)[i]

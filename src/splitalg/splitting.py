@@ -20,7 +20,6 @@ import dataclasses
 from fractions import Fraction
 
 from .algebra_core import FiniteAlgebra
-from .baxter import baxter_sides, check_baxter, commute
 from .exactlin import (
     ONE,
     ZERO,
@@ -152,6 +151,8 @@ def trialgebra_from_baxter(
     """
     t = rat(t)
     if validate:
+        from .baxter import check_baxter
+
         _require(check_baxter(algebra, op, t))
     mult = algebra.mult
     return TrialgebraStructure(
@@ -180,6 +181,8 @@ def is_baxter_on_trialgebra(
     s: TrialgebraStructure, op: LinearOperator, t: Scalar
 ) -> Report:
     """The t-Baxter identity, operation by operation, on a three-op structure."""
+    from .baxter import baxter_sides
+
     t = rat(t)
     if op.dim != s.dim:
         raise ValueError("operator/structure dimension mismatch")
@@ -235,6 +238,8 @@ def ennea_from_commuting_pair(
     """
     t = rat(t)
     if validate:
+        from .baxter import check_baxter, commute
+
         _require(check_baxter(algebra, first, t))
         _require(check_baxter(algebra, second, t))
         if not commute(first, second):

@@ -356,7 +356,7 @@ def test_criterion_9_randomized_invariants():
     # coproduct-side duality is a genuine equivalence for arbitrary operators
     delta = triangular_matrix_coalgebra(2)
     for _ in range(8):
-        op = LinearOperator([[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)])
+        op = LinearOperator.from_rows([[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)])
         s = F(rng.choice([-1, 0, 1, 2]))
         left = check_cobaxter(delta, op, s).passed
         right = check_baxter(delta.dual_algebra(), transpose_operator(op), s).passed

@@ -438,3 +438,15 @@ def test_graph_bialgebra_on_an_80_vertex_arcless_graph_is_quick(tmp_path, capsys
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] and report["checks_run"] == 80 + 80 * 80
     assert elapsed < 10, f"{elapsed:.2f} s"
+
+
+def test_a_cyclic_graph_is_a_usage_error_naming_the_cycle(tmp_path, capsys):
+    """No command takes a length cap, so the error names the cycle and
+    nothing a command line cannot pass."""
+    path = tmp_path / "cycle3.json"
+    save(str(path), graph_to_json(WeightedDigraph.build(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])))
+    assert main(["construct", "end-ennea", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the graph has a cycle, so its path algebra is infinite\n"
+    assert "max_len" not in captured.err

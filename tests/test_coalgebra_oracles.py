@@ -91,14 +91,14 @@ def operator(rng: random.Random, dim: int) -> LinearOperator:
     grid = [[F(0)] * dim for _ in range(dim)]
     for _ in range(rng.randint(0, 2 * dim)):
         grid[rng.randrange(dim)][rng.randrange(dim)] = small_rational(rng)
-    return LinearOperator(grid)
+    return LinearOperator.from_rows(grid)
 
 
 def perturbed(rng: random.Random, op: LinearOperator) -> LinearOperator:
     grid = [list(row) for row in op.entries]
     for _ in range(rng.randint(1, 3)):
         grid[rng.randrange(op.dim)][rng.randrange(op.dim)] += small_rational(rng)
-    return LinearOperator(grid)
+    return LinearOperator.from_rows(grid)
 
 
 def inner_coderivation(delta: CoalgebraData, a: int) -> LinearOperator:
@@ -111,7 +111,7 @@ def inner_coderivation(delta: CoalgebraData, a: int) -> LinearOperator:
             grid[k][j] += c
         if j == a:
             grid[k][i] -= c
-    return transpose_operator(LinearOperator(grid))
+    return transpose_operator(LinearOperator.from_rows(grid))
 
 
 def outcome(report) -> oracles.CoalgebraOutcome:

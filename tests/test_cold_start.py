@@ -203,6 +203,23 @@ def test_operad_dim3_json_loads_five_library_modules():
     ]
 
 
+def test_operad_dim3_deformed_preset_loads_no_construction_module():
+    """A deformed preset builds its cross-term system in ``deformation``,
+    which imports ``bialgebra``, ``baxter``, ``splitting`` and
+    ``algebra_core`` only inside ``baxter_deformation``, so none of them
+    loads."""
+    code = (
+        "import contextlib, io\n"
+        "from splitalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['operad', 'dim3', '--preset', 'deformed_two_two', '--json']) == 0\n"
+    )
+    assert loaded_after(code) == [
+        "splitalg", "splitalg.cli", "splitalg.deformation", "splitalg.exactlin",
+        "splitalg.jsonio", "splitalg.operad", "splitalg.relations", "splitalg.report",
+    ]
+
+
 def test_verify_graph_bialgebra_json_loads_eleven_modules(tmp_path):
     """The chain-variant graph bialgebra check, as the deformation workload
     runs it, loads the modules of the path algebra, the coproducts, the

@@ -14,11 +14,11 @@ from splitalg.exactlin import (
     compose_left,
     compose_right,
     first_discrepancy,
-    first_row_difference,
     rank,
     rank_int_rows,
     twist,
 )
+from splitalg.report import Report, Witness, compare_on_pairs
 
 F = Fraction
 
@@ -112,7 +112,7 @@ def test_first_discrepancy_reports_smallest_key():
 
 
 def _random_operator(rng, n):
-    return LinearOperator(
+    return LinearOperator.from_rows(
         [[F(rng.choice([0, 0, 1, -2]), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
     )
 
@@ -131,27 +131,31 @@ def test_twist_matches_dense_evaluation(seed):
     assert twist(op, left=m) == twist(op, left=m, right=LinearOperator.identity(4))
 
 
-def test_first_row_difference_reports_smallest_pair():
+def test_compare_on_pairs_reports_smallest_pair():
     a = Tensor3.from_sparse(3, [(0, 1, 2, F(1)), (2, 0, 1, F(3))])
-    assert first_row_difference(a, a) is None
+    report = Report("pairs", passed=True)
+    assert compare_on_pairs(report, "pairs", a, a)
+    assert report.passed and report.checks_run == 9 and report.witnesses == []
     b = Tensor3.from_sparse(3, [(0, 1, 2, F(1)), (1, 2, 0, F(5)), (2, 0, 1, F(2))])
-    pair, lrow, rrow = first_row_difference(a, b)
-    assert pair == (1, 2)
-    assert lrow == (F(0), F(0), F(0)) and rrow == (F(5), F(0), F(0))
-    pair, lrow, rrow = first_row_difference(a, Tensor3.from_sparse(3, [(0, 1, 0, F(1))]))
-    assert pair == (0, 1)
-    assert lrow == (F(0), F(0), F(1)) and rrow == (F(1), F(0), F(0))
+    report = Report("pairs", passed=True)
+    assert not compare_on_pairs(report, "pairs", a, b)
+    assert not report.passed and report.checks_run == 6
+    assert report.witnesses == [Witness("pairs", (1, 2), (F(0), F(0), F(0)), (F(5), F(0), F(0)))]
+    report = Report("pairs", passed=True)
+    assert not compare_on_pairs(report, "pairs", a, Tensor3.from_sparse(3, [(0, 1, 0, F(1))]))
+    assert report.checks_run == 2
+    assert report.witnesses == [Witness("pairs", (0, 1), (F(0), F(0), F(1)), (F(1), F(0), F(0)))]
 
 
 def test_linear_operator_columns_and_composition():
-    op = LinearOperator([[1, 2], [0, 1]])
+    op = LinearOperator.from_rows([[1, 2], [0, 1]])
     assert op.column(1) == (F(2), F(1))
     assert op.apply((F(1), F(1))) == (F(3), F(1))
     square = op.compose(op)
     assert square.entries == ((F(1), F(4)), (F(0), F(1)))
     assert op.add(op.scale(-1)).numerators == ()
     with pytest.raises(ValueError):
-        LinearOperator([[1, 2, 3], [4, 5, 6]])
+        LinearOperator.from_rows([[1, 2, 3], [4, 5, 6]])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -170,11 +174,11 @@ def test_matmul_matches_dense_dot_products(seed):
         tuple(sum((a[i][j] * b[j][k] for j in range(n)), F(0)) for k in range(n))
         for i in range(n)
     )
-    product = LinearOperator(a).compose(LinearOperator(b))
+    product = LinearOperator.from_rows(a).compose(LinearOperator.from_rows(b))
     assert product.dim == n
     assert product.entries == expected
     with pytest.raises(ValueError):
-        LinearOperator(a).compose(LinearOperator(sparse_grid(n + 1)))
+        LinearOperator.from_rows(a).compose(LinearOperator.from_rows(sparse_grid(n + 1)))
 
 
 def test_matrix_rank_on_known_cases():
@@ -211,7 +215,7 @@ cases = {
     "LinearOperator.apply": lambda: LinearOperator.identity(2).apply((F(1),)),
     "LinearOperator.add": lambda: LinearOperator.identity(2).add(LinearOperator.identity(3)),
     "LinearOperator.compose": lambda: LinearOperator.identity(2).compose(LinearOperator.identity(3)),
-    "LinearOperator": lambda: LinearOperator([[1, 2, 3], [4, 5, 6]]),
+    "LinearOperator.from_rows": lambda: LinearOperator.from_rows([[1, 2, 3], [4, 5, 6]]),
     "Tensor3.apply": lambda: t2.apply((F(1),), (F(1), F(0))),
     "combine": lambda: combine(3, [(F(1), t2)]),
 }

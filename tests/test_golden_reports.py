@@ -104,13 +104,13 @@ def _inner_derivation(algebra, a):
             grid[k][j] += c
         if j == a:
             grid[k][i] -= c
-    return LinearOperator(grid)
+    return LinearOperator.from_rows(grid)
 
 
 def _perturbed(op, row, col, delta):
     grid = [list(r) for r in op.entries]
     grid[row][col] += delta
-    return LinearOperator(grid)
+    return LinearOperator.from_rows(grid)
 
 
 def _baxter_cases():

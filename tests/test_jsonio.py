@@ -20,7 +20,9 @@ from splitalg import (
     EpsilonBialgebra,
     chain_coproduct,
     path_algebra,
+    splitting_coproduct,
     triangular_matrix_algebra,
+    weighted_coproduct,
 )
 from splitalg.jsonio import (
     algebra_from_json,
@@ -164,7 +166,7 @@ def test_algebra_roundtrip_preserves_unit_and_labels():
 
 
 def test_operator_roundtrip_and_shape_validation():
-    op = LinearOperator([[1, F(1, 2)], [0, 2]])
+    op = LinearOperator.from_rows([[1, F(1, 2)], [0, 2]])
     data = operator_to_json(op)
     assert operator_from_json(data) == op
     bad = dict(data)
@@ -177,6 +179,23 @@ def test_coproduct_roundtrip():
     delta = CoalgebraData.from_items(2, [(0, 0, 1, F(2)), (1, 1, 1, F(-1, 3))])
     back = coproduct_from_json(coproduct_to_json(delta))
     assert set(back.items()) == set(delta.items())
+
+
+def test_coproduct_envelope_lists_the_legs_in_order():
+    """The envelope's items are the sorted legs (i, j, k, coeff), written by
+    the tensor encoder from the stored dual product."""
+    pa = path_algebra(WeightedDigraph.build(3, [(0, 1, F(2, 3)), (1, 2, -3)]))
+    for delta in (
+        weighted_coproduct(pa),
+        chain_coproduct(pa, [F(1, 2), F(-5, 7)]),
+        splitting_coproduct(pa),
+    ):
+        data = coproduct_to_json(delta)
+        assert data == {
+            "kind": "coproduct",
+            "dim": delta.dim,
+            "items": [[i, j, k, str(c)] for i, j, k, c in delta.items()],
+        }
 
 
 def test_operations_envelope_roundtrip():

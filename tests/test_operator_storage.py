@@ -51,7 +51,7 @@ def operators(dim):
 def assert_matches(op: LinearOperator, rows) -> None:
     assert op.dim == len(rows)
     assert oracles.operator_rows(op) == rows
-    rebuilt = LinearOperator(rows)
+    rebuilt = LinearOperator.from_rows(rows)
     assert op == rebuilt
     assert hash(op) == hash(rebuilt)
 
@@ -60,7 +60,7 @@ def assert_matches(op: LinearOperator, rows) -> None:
 @given(dims.flatmap(lambda d: st.tuples(operators(d), operators(d), small_rationals)))
 def test_compose_add_scale_match_dense_oracle(case):
     a, b, c = case
-    op_a, op_b = LinearOperator(a), LinearOperator(b)
+    op_a, op_b = LinearOperator.from_rows(a), LinearOperator.from_rows(b)
     assert_matches(op_a, a)
     assert_matches(op_a.compose(op_b), oracles.dense_compose(a, b))
     assert_matches(op_b.compose(op_a), oracles.dense_compose(b, a))
@@ -78,7 +78,7 @@ def test_compose_add_scale_match_dense_oracle(case):
 )
 def test_apply_and_column_match_dense_oracle(case):
     a, vector = case
-    op = LinearOperator(a)
+    op = LinearOperator.from_rows(a)
     assert op.apply(tuple(vector)) == tuple(oracles.dense_apply(a, vector))
     for j in range(op.dim):
         assert op.column(j) == tuple(row[j] for row in a)
@@ -88,7 +88,7 @@ def test_apply_and_column_match_dense_oracle(case):
 @given(dims.flatmap(lambda d: st.tuples(operators(d), operators(d))))
 def test_commute_matches_dense_oracle(case):
     a, b = case
-    op_a, op_b = LinearOperator(a), LinearOperator(b)
+    op_a, op_b = LinearOperator.from_rows(a), LinearOperator.from_rows(b)
     expected = oracles.dense_compose(a, b) == oracles.dense_compose(b, a)
     assert commute(op_a, op_b) is expected
     # a polynomial in an operator commutes with it
@@ -113,34 +113,34 @@ def test_twist_matches_dense_oracle_with_blank_lines(case):
     dim, items, left, right, post = case
     got = twist(
         Tensor3.from_sparse(dim, items),
-        left=LinearOperator(left),
-        right=LinearOperator(right),
-        post=LinearOperator(post),
+        left=LinearOperator.from_rows(left),
+        right=LinearOperator.from_rows(right),
+        post=LinearOperator.from_rows(post),
     )
     want = oracles.dense_twist(oracles.grid_from_items(dim, items), left, right, post)
     assert got.entries == oracles.frozen(want)
 
 
 def test_equal_operators_over_different_denominators_are_one_operator():
-    half = LinearOperator([[F(1, 2), 0], [0, F(1, 3)]])
+    half = LinearOperator.from_rows([[F(1, 2), 0], [0, F(1, 3)]])
     routes = [
-        LinearOperator([["1/2", "0"], ["0", "2/6"]]),
-        LinearOperator([[F(1, 4), 0], [0, F(1, 6)]]).scale(2),
-        LinearOperator([[3, 0], [0, 2]]).scale(F(1, 6)),
-        LinearOperator([[F(1, 6), 0], [0, F(1, 6)]]).add(LinearOperator([[F(1, 3), 0], [0, F(1, 6)]])),
+        LinearOperator.from_rows([["1/2", "0"], ["0", "2/6"]]),
+        LinearOperator.from_rows([[F(1, 4), 0], [0, F(1, 6)]]).scale(2),
+        LinearOperator.from_rows([[3, 0], [0, 2]]).scale(F(1, 6)),
+        LinearOperator.from_rows([[F(1, 6), 0], [0, F(1, 6)]]).add(LinearOperator.from_rows([[F(1, 3), 0], [0, F(1, 6)]])),
         half.scale(F(5, 7)).scale(F(7, 5)),
         half.compose(LinearOperator.identity(2)),
-        LinearOperator.identity(2).scale(F(1, 2)).compose(LinearOperator([[1, 0], [0, F(2, 3)]])),
+        LinearOperator.identity(2).scale(F(1, 2)).compose(LinearOperator.from_rows([[1, 0], [0, F(2, 3)]])),
         transpose_operator(transpose_operator(half)),
     ]
     for op in routes:
         assert op == half
         assert hash(op) == hash(half)
     # cancellation leaves the zero operator, whatever the denominators were
-    zero = LinearOperator([[0, 0], [0, 0]])
+    zero = LinearOperator.from_rows([[0, 0], [0, 0]])
     for cancelled in (
         half.add(half.scale(-1)),
-        LinearOperator([[F(1, 6), F(5, 6)], [0, 0]]).add(LinearOperator([[F(-1, 6), F(-5, 6)], [0, 0]])),
+        LinearOperator.from_rows([[F(1, 6), F(5, 6)], [0, 0]]).add(LinearOperator.from_rows([[F(-1, 6), F(-5, 6)], [0, 0]])),
         half.scale(0),
     ):
         assert cancelled == zero
@@ -151,7 +151,7 @@ def test_equal_operators_over_different_denominators_are_one_operator():
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(dims.flatmap(operators))
 def test_operator_envelope_round_trips_to_the_same_bytes(rows):
-    op = LinearOperator(rows)
+    op = LinearOperator.from_rows(rows)
     text = dump_json(operator_to_json(op))
     back = operator_from_json(json.loads(text))
     assert back == op

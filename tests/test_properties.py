@@ -148,7 +148,7 @@ def test_cobaxter_duality_is_an_equivalence(rows, s):
     when the transposed operator satisfies the product-side identity on the
     dual algebra."""
     delta = triangular_matrix_coalgebra(2)
-    op = LinearOperator(rows)
+    op = LinearOperator.from_rows(rows)
     left = check_cobaxter(delta, op, s).passed
     right = check_baxter(delta.dual_algebra(), transpose_operator(op), s).passed
     assert left == right

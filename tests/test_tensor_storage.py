@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from splitalg import LinearOperator, Tensor3, combine
-from splitalg.exactlin import first_row_difference, twist
+from splitalg.exactlin import twist
 from splitalg.jsonio import tensor_from_json
+from splitalg.report import Report, Witness, compare_on_pairs
 from splitalg.unit_action import UnitScalars, augment_tensor
 
 F = Fraction
@@ -142,7 +143,7 @@ def test_twist_matches_dense_oracle(case):
     dim, items, left, right, post = case
 
     def operator(rows):
-        return None if rows is None else LinearOperator(rows)
+        return None if rows is None else LinearOperator.from_rows(rows)
 
     got = twist(
         Tensor3.from_sparse(dim, items),
@@ -168,7 +169,7 @@ def test_augment_tensor_matches_dense_oracle(case):
 
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(dims.flatmap(lambda d: st.tuples(st.just(d), items_for(d), items_for(d))))
-def test_first_row_difference_matches_dense_scan(case):
+def test_compare_on_pairs_matches_dense_scan(case):
     # the right side holds the left side's entries and more, so most rows
     # agree, often over two different denominators
     dim, left_items, extra_items = case
@@ -176,18 +177,27 @@ def test_first_row_difference_matches_dense_scan(case):
     lhs, rhs = Tensor3.from_sparse(dim, left_items), Tensor3.from_sparse(dim, right_items)
     left, right = (oracles.grid_from_items(dim, items) for items in (left_items, right_items))
     pairs = [(i, j) for i in range(dim) for j in range(dim) if left[i][j] != right[i][j]]
-    got = first_row_difference(lhs, rhs)
+    report = Report("pairs", passed=True)
+    agreed = compare_on_pairs(report, "pairs", lhs, rhs)
     if not pairs:
-        assert got is None
+        assert agreed and report.passed and report.witnesses == []
+        assert report.checks_run == dim * dim
     else:
         i, j = pairs[0]
-        assert got == ((i, j), tuple(left[i][j]), tuple(right[i][j]))
+        assert not agreed and not report.passed
+        assert report.checks_run == i * dim + j + 1
+        assert report.witnesses == [
+            Witness("pairs", (i, j), tuple(left[i][j]), tuple(right[i][j]))
+        ]
 
 
-def test_first_row_difference_across_denominators():
+def test_compare_on_pairs_across_denominators():
     lhs = Tensor3.from_sparse(2, [(0, 0, 0, F(1, 2)), (1, 1, 1, F(1, 2))])
     rhs = Tensor3.from_sparse(2, [(0, 0, 0, F(1, 2)), (1, 1, 1, F(1, 3))])
-    assert first_row_difference(lhs, rhs) == ((1, 1), (0, F(1, 2)), (0, F(1, 3)))
+    report = Report("pairs", passed=True)
+    assert not compare_on_pairs(report, "pairs", lhs, rhs)
+    assert report.checks_run == 4
+    assert report.witnesses == [Witness("pairs", (1, 1), (0, F(1, 2)), (0, F(1, 3)))]
 
 
 def test_one_half_by_every_route_is_one_tensor():
