@@ -26,10 +26,10 @@ The two workhorses are:
 
 That format is implemented once, in :class:`IntegerSparse`, the base of
 both classes: lowest terms (:meth:`~IntegerSparse.from_sorted`), the sum of
-repeated indices (:meth:`~IntegerSparse.from_numerators`), ``scale``,
-equality, hashing and ``repr``.  Every operation on operators and tensors
-works on the numerators: :func:`combine` clears each term's scale to an
-integer weight over one common denominator, ``scale`` and
+repeated indices (:meth:`~IntegerSparse.from_numerators`), ``add``,
+``scale``, equality, hashing and ``repr``.  Every operation on operators
+and tensors works on the numerators: :func:`combine` clears each term's
+scale to an integer weight over one common denominator, ``scale`` and
 :meth:`Tensor3.permuted` rewrite the numerators,
 :meth:`LinearOperator.compose` sums integer products row by row, and
 :func:`twist`, the operation ``(x, y) -> P(op(M x, N y))`` from which
@@ -243,6 +243,17 @@ class IntegerSparse:
         """From integer sums over ``denom`` keyed by index; zero sums drop."""
         return cls.from_sorted(dim, denom, [key + (n,) for key, n in sorted(acc.items()) if n])
 
+    def add(self, other: "IntegerSparse"):
+        """The entrywise sum, over the lcm of the two denominators."""
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch in sum")
+        common = math.lcm(self.denom, other.denom)
+        return self.from_numerators(
+            self.dim,
+            common,
+            (e[:-1] + (e[-1] * (common // x.denom),) for x in (self, other) for e in x.numerators),
+        )
+
     def scale(self, c: Scalar):
         c = rat(c)
         p = c.numerator
@@ -342,16 +353,6 @@ class LinearOperator(IntegerSparse):
             self.dim,
             self.denom * other.denom,
             ((i, k, a * b) for i, j, a in self.numerators for _, k, b in rows[j]),
-        )
-
-    def add(self, other: "LinearOperator") -> "LinearOperator":
-        if other.dim != self.dim:
-            raise ValueError("operator sum dimension mismatch")
-        common = math.lcm(self.denom, other.denom)
-        return LinearOperator.from_numerators(
-            self.dim,
-            common,
-            ((i, j, n * (common // op.denom)) for op in (self, other) for i, j, n in op.numerators),
         )
 
 
@@ -505,9 +506,6 @@ class Tensor3(IntegerSparse):
             if xi and yj:
                 out[k] += xi * yj * c
         return tuple(v / self.denom for v in out)
-
-    def add(self, other: "Tensor3") -> "Tensor3":
-        return combine(self.dim, [(ONE, self), (ONE, other)])
 
     def sub(self, other: "Tensor3") -> "Tensor3":
         return combine(self.dim, [(ONE, self), (-ONE, other)])

@@ -77,16 +77,12 @@ class PathAlgebra:
     """A path algebra: its graph, path list, and the algebra itself.
 
     ``paths`` holds arc-index tuples (length >= 1); basis index i < vertices
-    is the vertex idempotent e_i, index vertices + p is paths[p].  When
-    ``truncated`` is set, products longer than the cap were sent to zero, so
-    the algebra is a proper quotient and coproduct compatibility checks on it
-    would be meaningless (the builders below refuse).
+    is the vertex idempotent e_i, index vertices + p is paths[p].
     """
 
     graph: WeightedDigraph
     paths: tuple[tuple[int, ...], ...]
     algebra: FiniteAlgebra
-    truncated: bool
 
     @property
     def dim(self) -> int:
@@ -102,18 +98,14 @@ class PathAlgebra:
         return self.graph.arcs[arcs[-1]].dst
 
 
-def path_algebra(graph: WeightedDigraph, max_len: int | None = None) -> PathAlgebra:
-    """Build the path algebra; cyclic graphs need a length cap (quotient)."""
-    if max_len is None:
-        if not graph.is_acyclic():
-            raise ValueError("the graph has a cycle, so its path algebra is infinite")
-    elif max_len < 1:
-        raise ValueError("max_len must be at least 1")
+def path_algebra(graph: WeightedDigraph) -> PathAlgebra:
+    """Build the path algebra of an acyclic graph; a cycle raises ValueError."""
+    if not graph.is_acyclic():
+        raise ValueError("the graph has a cycle, so its path algebra is infinite")
 
     paths: list[tuple[int, ...]] = []
     frontier = [(i,) for i in range(len(graph.arcs))]
-    length = 1
-    while frontier and (max_len is None or length <= max_len):
+    while frontier:
         frontier.sort()
         paths.extend(frontier)
         nxt = []
@@ -123,8 +115,6 @@ def path_algebra(graph: WeightedDigraph, max_len: int | None = None) -> PathAlge
                 if arc.src == dst:
                     nxt.append(p + (a,))
         frontier = nxt
-        length += 1
-    truncated = bool(frontier)  # some composable extension was cut off
 
     nv = graph.vertices
     dim = nv + len(paths)
@@ -139,23 +129,13 @@ def path_algebra(graph: WeightedDigraph, max_len: int | None = None) -> PathAlge
         items.append((a, dst[p], a, ONE))  # p . e_dst = p
         for q, b in index.items():
             if dst[p] == src[q]:
-                joined = p + q
-                if joined in index:
-                    items.append((a, b, index[joined], ONE))
-                # else: cut off by the cap (quotient sends it to zero)
+                items.append((a, b, index[p + q], ONE))
     unit = tuple(ONE if i < nv else ZERO for i in range(dim))
     labels = tuple(f"e{i}" for i in range(nv)) + tuple(
         "*".join(f"a{a}" for a in p) for p in paths
     )
     algebra = FiniteAlgebra(Tensor3.from_sparse(dim, items), unit=unit, labels=labels)
-    return PathAlgebra(graph, tuple(paths), algebra, truncated)
-
-
-def _refuse_truncated(pa: PathAlgebra) -> None:
-    if pa.truncated:
-        raise ValueError(
-            "coproducts need the full path algebra; this one is a truncated quotient"
-        )
+    return PathAlgebra(graph, tuple(paths), algebra)
 
 
 def weighted_coproduct(pa: PathAlgebra, weights: Sequence[Scalar] | None = None) -> CoalgebraData:
@@ -165,7 +145,6 @@ def weighted_coproduct(pa: PathAlgebra, weights: Sequence[Scalar] | None = None)
     weight, prefix tensor suffix, vertex idempotents standing in for empty
     prefixes/suffixes.
     """
-    _refuse_truncated(pa)
     graph = pa.graph
     if weights is None:
         w = [arc.weight for arc in graph.arcs]
@@ -200,7 +179,6 @@ def splitting_coproduct(pa: PathAlgebra) -> CoalgebraData:
     twisted product rule itself fails there, so the deformation machinery
     uses ``chain_coproduct`` instead.
     """
-    _refuse_truncated(pa)
     graph = pa.graph
     items: list[tuple[int, int, int, Fraction]] = []
     for i in range(graph.vertices):
@@ -265,7 +243,6 @@ def chain_coproduct(pa: PathAlgebra, weights: Sequence[Scalar] | None = None) ->
     makes the defining constraints unsolvable -- so other graphs are
     refused.
     """
-    _refuse_truncated(pa)
     graph = pa.graph
     order = chain_order(graph)
     if order is None:

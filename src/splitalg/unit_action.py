@@ -9,11 +9,17 @@ scalars linearly, so a well-chosen rule table can make the associative
 total operation genuinely unital even though every single generator is
 one-sided.
 
-Two corner evaluations may stay undefined: ``1 op 1`` only makes sense
-when both one-sided scalars agree.  The compatibility check below runs
-every identity on the augmented space ``k·1 ⊕ A`` and skips exactly the
-argument triples whose expansion would evaluate an undefined corner,
-counting them in the report.
+The compatibility check runs every identity on ``k·1 ⊕ A`` without
+building that space.  Its cube of argument triples (x, y, z), the unit at
+index 0, splits by which arguments are the unit.  On the interior (none)
+an identity is the identity on A.  On each of the three faces (one unit)
+every term is a scalar times an operation on the other two arguments, so
+a face equates two combinations of operations; it holds for every
+structure when both resolve to the same generator coefficients.  On the
+three edges (two units) and the corner it is an identity of scalars.
+``1 op 1`` only makes sense when both one-sided scalars agree; an edge or
+the corner where some term would evaluate an undefined one is skipped,
+and its triples are counted in the report.
 
 The coherence check goes one step further: given unit actions on two
 structures A and B of the same kind, it builds the standard structure on
@@ -32,15 +38,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Set
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exactlin import (
     ONE,
     ZERO,
     Scalar,
     Tensor3,
+    combine,
     first_nested_difference,
     rat,
 )
@@ -48,7 +54,7 @@ from .relations import (
     NINE_OP_GENERATORS,
     NINE_OP_SYSTEM,
     AxiomSystem,
-    Relation,
+    _side_terms,
     resolve_tensor,
 )
 from .report import Report, Witness
@@ -144,8 +150,9 @@ def unit_scalars(
 def augment_tensor(tensor: Tensor3, scalars: UnitScalars) -> Tensor3:
     """Structure tensor of one operation on ``k·1 ⊕ A`` (unit at index 0).
 
-    The undefined corner (both arguments the unit) is stored as zero; the
-    compatibility check never reads it because it skips those triples.
+    The undefined corner (both arguments the unit) is stored as zero;
+    :func:`coherence_ops` never reads it, since it drops the products whose
+    right factors are both the unit.
     The sorted entries are written in order, not re-summed: the corner,
     the unit row ``1 op e_j``, then for each i the unit column entry
     ``e_i op 1`` ahead of the shifted entries of row i.
@@ -172,89 +179,71 @@ def augment_tensor(tensor: Tensor3, scalars: UnitScalars) -> Tensor3:
     return Tensor3.from_sorted(n + 1, denom, items)
 
 
-def augmented_ops(
-    system: AxiomSystem,
-    ops: dict[str, Tensor3],
-    t: Fraction,
-    rules: UnitRules,
-    scalars: Mapping[str, UnitScalars] | None = None,
-) -> dict[str, Tensor3]:
-    """Augment every operation — composites included — by the unit action.
+def _regions(left_nested: bool, s_in: UnitScalars, s_out: UnitScalars, inner: str, outer: str):
+    """One term with the unit in some of its arguments.  On the faces
+    x, y, z = 1 it is a scalar times an operation on the other two arguments,
+    in order; on the edges x = y, x = z, y = z = 1 a scalar times the
+    remaining argument, and at the corner a scalar times the unit, or None
+    where the term reads an undefined ``1 op 1``: the inner one on the edge
+    x = y = 1 (left-nested) or y = z = 1 (right-nested) and at the corner,
+    and the outer one at the corner when the inner one is not zero."""
+    ri, li, ro, lo = s_in.right, s_in.left, s_out.right, s_out.left
+    corner = ri * ro if s_in.defined and (s_out.defined or not ri) else None
+    if left_nested:  # outer(inner(x, y), z)
+        xy = ri * lo if s_in.defined else None
+        return ((li, outer), (ri, outer), (ro, inner)), (xy, li * ro, ri * ro, corner)
+    yz = ri * ro if s_in.defined else None
+    return ((lo, inner), (li, outer), (ri, outer)), (li * lo, ri * lo, yz, corner)
 
-    Composites must be augmented as wholes, not resolved from augmented
-    generators: a composite can be defined at the unit-by-unit corner
-    even though its constituents are not (the total operation is the
-    standard example, with both one-sided sums equal to 1), and only the
-    composite's own scalars put the right value there.  Away from that
-    corner the two readings agree, since the one-sided scalars combine
-    linearly.  ``scalars``, the table of :func:`unit_scalars`, is computed
-    here when not given.
+
+# the smallest augmented triple of each edge and of the corner
+_EDGE_TRIPLES = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0))
+
+
+def _boundary(ops, dim, resolved, terms):
+    """The number of skipped triples and (triple, lhs, rhs) at the first
+    failure of each failing face, edge and corner.  ``resolved`` maps each
+    operation to its (coefficient, generator) pairs at t; ``terms`` are
+    (left_nested, c, faces, edges), the last two from :func:`_regions`.
+
+    An edge or the corner is skipped when a term there is undefined, and is
+    otherwise an identity of scalars.  A face resolves both sides to
+    generator coefficients at t: when those agree it holds for every
+    structure, otherwise its first failure is the first entry of their
+    difference tensor.
     """
-    if scalars is None:
-        scalars = unit_scalars(system, rules, t)
-    return {
-        name: augment_tensor(resolve_tensor(system, ops, t, name), scalars[name])
-        for name in system.operation_names()
-    }
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class SkipPattern(Set):
-    """Triples of the augmented cube (side ``dim + 1``, the unit at 0):
-    (0, 0, .) if ``left``, (., 0, 0) if ``right`` and (0, 0, 0) if
-    ``corner``.  Membership and size need no enumeration."""
-
-    dim: int
-    left: bool = False
-    right: bool = False
-    corner: bool = False
-
-    def __contains__(self, triple: tuple[int, int, int]) -> bool:
-        x, y, z = triple
-        ends = (self.left and x == 0) or (self.right and z == 0)
-        return y == 0 and (ends or (self.corner and x == z == 0))
-
-    def __len__(self) -> int:
-        lines = (self.left + self.right) * (self.dim + 1) - (self.left and self.right)
-        return lines or int(self.corner)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        side = range(self.dim + 1)
-        return (e for e in [(0, 0, k) for k in side] + [(i, 0, 0) for i in side[1:]] if e in self)
-
-
-def relation_skip_set(
-    system: AxiomSystem,
-    rules: UnitRules,
-    t: Fraction,
-    relation: Relation,
-    dim: int,
-    scalars: Mapping[str, UnitScalars] | None = None,
-) -> SkipPattern:
-    """Augmented argument triples on which one identity is not defined.
-
-    A left-nested term ``outer(inner(x, y), z)`` is undefined when
-    ``inner`` has no unit-by-unit value and (x, y) is (unit, unit) — any
-    z — or when ``inner(1, 1)`` is a nonzero multiple of the unit but
-    ``outer`` has no unit-by-unit value, which pins (x, y, z) to the all-
-    unit triple.  Right-nested terms mirror this in the last two slots.
-    An identity instance is skipped when any of its terms is undefined.
-    ``scalars``, the table of :func:`unit_scalars`, is computed here when
-    not given.
-    """
-    if scalars is None:
-        scalars = unit_scalars(system, rules, t)
-    undefined = {"left": False, "right": False, "corner": False}
-    for terms, left_nested in ((relation.lhs, True), (relation.rhs, False)):
-        for coeff, inner_name, outer_name in terms:
-            if coeff.eval(t) == 0:
-                continue
-            s_inner, s_outer = scalars[inner_name], scalars[outer_name]
-            if not s_inner.defined:
-                undefined["left" if left_nested else "right"] = True
-            elif s_inner.right != 0 and not s_outer.defined:
-                undefined["corner"] = True
-    return SkipPattern(dim, **undefined)
+    skipped, failures = 0, []
+    for r, triple in enumerate(_EDGE_TRIPLES):
+        if any(edges[r] is None for *_, edges in terms):
+            skipped += dim if any(triple) else 1
+            continue
+        lhs, rhs = (
+            sum((c * e[r] for n, c, _, e in terms if n is side), ZERO) for side in (True, False)
+        )
+        if lhs != rhs:
+            index = 1 if any(triple) else 0  # e_1 of A, or the unit
+            failures.append((triple, {index: lhs} if lhs else {}, {index: rhs} if rhs else {}))
+    for slot in range(3):
+        coeffs: list[dict[str, Fraction]] = [{}, {}]
+        for n, c, faces, _ in terms:
+            scalar, name = faces[slot]
+            if scalar:
+                acc = coeffs[not n]
+                for value, gen in resolved[name]:
+                    acc[gen] = acc.get(gen, ZERO) + c * scalar * value
+        lhs, rhs = ({gen: v for gen, v in acc.items() if v} for acc in coeffs)
+        if lhs == rhs:
+            continue
+        gens = lhs.keys() | rhs.keys()
+        diff = combine(dim, [(lhs.get(g, ZERO) - rhs.get(g, ZERO), ops[g]) for g in gens])
+        if diff.numerators:
+            a, b = diff.numerators[0][:2]
+            triple = [a + 1, b + 1]
+            triple.insert(slot, 0)
+            sums = (combine(dim, [(c, ops[g]) for g, c in side.items()]) for side in (lhs, rhs))
+            vecs = ({k + 1: v for i, j, k, v in s.nonzeros() if (i, j) == (a, b)} for s in sums)
+            failures.append((tuple(triple), *vecs))
+    return skipped, failures
 
 
 def check_unit_compatibility(
@@ -264,41 +253,47 @@ def check_unit_compatibility(
     rules: UnitRules,
     title: str | None = None,
 ) -> Report:
-    """Verify every identity of a system on the unit-augmented space.
+    """Verify every identity of a system on the unit-augmented space,
+    region by region (see the module docstring).
 
-    Argument triples whose expansion hits an undefined unit-by-unit
-    corner are skipped and counted in ``skipped_undefined``; everything
-    else must hold exactly.
+    Edges and corners that read an undefined ``1 op 1`` are skipped and
+    counted in ``skipped_undefined``.  The witness of a failing identity is
+    its smallest failing triple over all regions, the unit at index 0.
     """
     dims = {tensor.dim for tensor in ops.values()}
     if len(dims) != 1:
         raise ValueError("all operation tensors must share one dimension")
     dim = dims.pop()
     scalars = unit_scalars(system, rules, t)
-    aug = augmented_ops(system, ops, t, rules, scalars)
-    report = Report(
-        title=title or f"{system.name} unit compatibility", passed=True
-    )
-
+    resolved = {
+        name: [(poly.eval(t), gen) for poly, gen in system.resolve(name)]
+        for name in system.operation_names()
+    }
+    report = Report(title=title or f"{system.name} unit compatibility", passed=True)
+    cache: dict[str, Tensor3] = {}
     for relation in system.relations:
-        skip = relation_skip_set(system, rules, t, relation, dim, scalars)
-        # terms read the augmented table directly, so composite corner
-        # values are used as stored, never re-resolved from generators
-        lhs, rhs = (
-            [
-                (coeff.eval(t), aug[inner_name], aug[outer_name])
-                for coeff, inner_name, outer_name in terms
-            ]
-            for terms in (relation.lhs, relation.rhs)
-        )
-        report.checks_run += (dim + 1) ** 3 - len(skip)
-        report.skipped_undefined += len(skip)
-        diff = first_nested_difference(lhs, rhs, skip)
-        if diff is not None:
-            key, lvec, rvec = diff
-            report.add_failure(
-                Witness(f"{system.name}:{relation.name}+unit", key, lvec, rvec)
+        terms = [
+            (left_nested, c, *_regions(left_nested, scalars[inner], scalars[outer], inner, outer))
+            for side, left_nested in ((relation.lhs, True), (relation.rhs, False))
+            for coeff, inner, outer in side
+            if (c := coeff.eval(t)) != 0
+        ]
+        skipped, failures = _boundary(ops, dim, resolved, terms)
+        report.checks_run += (dim + 1) ** 3 - skipped
+        report.skipped_undefined += skipped
+        # no interior triple has x = 0, so such a failure comes first
+        if all(triple[0] for triple, *_ in failures):
+            diff = first_nested_difference(
+                _side_terms(system, ops, t, relation.lhs, cache),
+                _side_terms(system, ops, t, relation.rhs, cache),
             )
+            if diff is not None:
+                (x, y, z), lvec, rvec = diff
+                shifted = ({m + 1: v for m, v in vec.items()} for vec in (lvec, rvec))
+                failures.append(((x + 1, y + 1, z + 1), *shifted))
+        if failures:
+            context = f"{system.name}:{relation.name}+unit"
+            report.add_failure(Witness(context, *min(failures, key=lambda f: f[0])))
     return report
 
 

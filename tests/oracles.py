@@ -406,6 +406,55 @@ def dense_augment(grid: Grid, right: Fraction, left: Fraction) -> Grid:
     return out
 
 
+def unit_compatibility_oracle(
+    system: AxiomSystem,
+    ops: Mapping[str, Tensor3],
+    t: Fraction,
+    rules: Mapping[str, tuple[Fraction, Fraction]],
+) -> tuple[bool, int, int, list[tuple[str, Triple, VecMap, VecMap]]]:
+    """(passed, checks run, skipped, witnesses) of every identity on the
+    augmented cube, triple by triple.
+
+    Every operation, composites as wholes, is resolved entry by entry and
+    augmented densely (:func:`dense_augment`); each identity skips the
+    triples of :func:`skip_triples` and reports its smallest failing triple
+    with both sides' nonzero coefficients there.
+    """
+    dim = next(iter(ops.values())).dim
+    n = dim + 1
+    aug = {}
+    for name in system.operation_names():
+        grid = dense_augment(expand_named(system, ops, t, name).entries, *unit_scalars(system, rules, t, name))
+        aug[name] = {
+            (i, j): [(k, c) for k, c in enumerate(grid[i][j]) if c] for i in range(n) for j in range(n)
+        }
+    checks = skipped = 0
+    witnesses = []
+    for relation in system.relations:
+        skip = skip_triples(system, rules, t, relation, dim)
+        checks += n**3 - len(skip)
+        skipped += len(skip)
+        sides = [
+            [(c, aug[inner], aug[outer]) for coeff, inner, outer in terms if (c := coeff.eval(t))]
+            for terms in (relation.lhs, relation.rhs)
+        ]
+        for x, y, z in itertools.product(range(n), repeat=3):
+            if (x, y, z) in skip:
+                continue
+            values = []
+            for terms, left_nested in zip(sides, (True, False)):
+                total = [ZERO] * n
+                for c, inner, outer in terms:
+                    for a, ca in inner[(x, y) if left_nested else (y, z)]:
+                        for m, cm in outer[(a, z) if left_nested else (x, a)]:
+                            total[m] += c * ca * cm
+                values.append({m: v for m, v in enumerate(total) if v})
+            if values[0] != values[1]:
+                witnesses.append((f"{system.name}:{relation.name}+unit", (x, y, z), *values))
+                break
+    return not witnesses, checks, skipped, witnesses
+
+
 def dense_coherence(
     system: AxiomSystem,
     ops_a: Mapping[str, Tensor3],

@@ -70,15 +70,6 @@ def test_path_count_is_the_path_algebra_basis_beyond_the_vertices():
     assert WeightedDigraph.build(3, [(0, 1, 1), (1, 2, 1), (2, 1, 1)]).path_count() is None
 
 
-def test_truncated_path_algebra_refuses_coproducts():
-    g = line_graph(4)
-    pa = path_algebra(g, max_len=1)
-    assert pa.truncated
-    for builder in (weighted_coproduct, splitting_coproduct, chain_coproduct):
-        with pytest.raises(ValueError):
-            builder(pa)
-
-
 # -- chain-shape detection ---------------------------------------------------
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from splitalg import (
     ennea_on_end,
     nine_op_unit_rules,
     path_algebra,
+    trialgebra_from_baxter,
     triangular_baxter_example,
     unit_rules,
     weighted_coproduct,
@@ -31,11 +34,9 @@ from splitalg.relations import NINE_OP_GENERATORS
 from splitalg.unit_action import (
     UnitScalars,
     augment_tensor,
-    augmented_ops,
     check_coherence,
     coherence_ops,
     op_unit_scalars,
-    relation_skip_set,
 )
 
 F = Fraction
@@ -102,16 +103,6 @@ def test_augment_tensor_layout():
     assert whole.entries[0][0][0] == F(2)
 
 
-def test_augmented_ops_cover_composites_with_joint_scalars():
-    e = small_nine_op()
-    rules = nine_op_unit_rules()
-    table = augmented_ops(NINE_OP_SYSTEM, e.ops, e.t, rules)
-    assert set(table) == set(NINE_OP_SYSTEM.operation_names())
-    # the grand total is unital even though its corner generators are not
-    assert table["starbar"].entries[0][0][0] == F(1)
-    assert table["nw"].entries[0][0][0] == 0
-
-
 def test_end_structure_is_unit_compatible_with_frozen_counts():
     e = end_nine_op()
     rules = nine_op_unit_rules()
@@ -121,15 +112,23 @@ def test_end_structure_is_unit_compatible_with_frozen_counts():
     assert report.skipped_undefined == 312
 
 
+def skipped_per_relation(system, ops, t, rules):
+    """relation name -> skipped triples, each identity checked on its own."""
+    return {
+        relation.name: check_unit_compatibility(
+            dataclasses.replace(system, relations=(relation,)), ops, t, rules
+        ).skipped_undefined
+        for relation in system.relations
+    }
+
+
 def test_skip_sets_match_the_independent_pattern_count():
     e = end_nine_op()
     rules = nine_op_unit_rules()
-    per_relation = {}
+    per_relation = skipped_per_relation(NINE_OP_SYSTEM, e.ops, e.t, rules)
     for relation in NINE_OP_SYSTEM.relations:
-        got = relation_skip_set(NINE_OP_SYSTEM, rules, e.t, relation, e.dim)
         want = oracles.skip_triples(NINE_OP_SYSTEM, rules, e.t, relation, e.dim)
-        assert got == want, relation.name
-        per_relation[relation.name] = len(got)
+        assert per_relation[relation.name] == len(want), relation.name
     assert sum(per_relation.values()) == 312
     assert per_relation["1.1"] == e.dim + 1
     assert sum(1 for v in per_relation.values() if v) == 24
@@ -144,29 +143,170 @@ SKIP_RULES = (
 )
 
 
+T_VALUES = (F(0), F(1), F(-2, 3))
+
+
 @pytest.mark.parametrize("system,rules", SKIP_RULES)
 def test_skip_pattern_matches_the_enumerated_triples(system, rules):
-    """Membership and size of each relation's skip pattern agree with the
-    enumerated skip set, on every triple of the augmented cube."""
-    for t, dim in itertools.product((F(0), F(1), F(-2, 3)), range(1, 6)):
-        cube = list(itertools.product(range(dim + 1), repeat=3))
+    """Each identity skips as many triples as the augmented cube has
+    undefined ones, at every t and dimension."""
+    for t, dim in itertools.product(T_VALUES, range(1, 6)):
+        ops = {gen: Tensor3.zero(dim) for gen in system.generators}
+        per_relation = skipped_per_relation(system, ops, t, rules)
         for relation in system.relations:
-            got = relation_skip_set(system, rules, t, relation, dim)
             want = oracles.skip_triples(system, rules, t, relation, dim)
-            assert len(got) == len(want), (relation.name, t, dim)
-            assert [triple in got for triple in cube] == [triple in want for triple in cube]
-            assert set(got) == want
+            assert per_relation[relation.name] == len(want), (relation.name, t, dim)
+
+
+def skip_kind(system, rules, t, relation):
+    """(left, right, corner): whether some nonzero term of the identity
+    leaves its inner 1 op 1 undefined, left- or right-nested, or reads an
+    undefined outer 1 op 1 after a nonzero inner one."""
+    kind = [False, False, False]
+    for terms, left_nested in ((relation.lhs, True), (relation.rhs, False)):
+        for coeff, inner, outer in terms:
+            if coeff.eval(t):
+                inner_right, inner_left = oracles.unit_scalars(system, rules, t, inner)
+                outer_right, outer_left = oracles.unit_scalars(system, rules, t, outer)
+                if inner_right != inner_left:
+                    kind[0 if left_nested else 1] = True
+                elif inner_right and outer_right != outer_left:
+                    kind[2] = True
+    return tuple(kind)
+
+
+def genuine_ops(system, n, t):
+    """A structure of the system at t, of dim 1 (n = 1) or 3 (n = 2): the
+    splitting of the triangular matrices along their row operator."""
+    alg, row, _, param = triangular_baxter_example(n, -t)
+    if system is NINE_OP_SYSTEM:
+        return ennea_from_commuting_pair(alg, row, row, param).ops
+    return trialgebra_from_baxter(alg, row, param).ops()
+
+
+def random_rules(seed, system):
+    """A seeded rule table with scalars in {0, 1, -1, 1/2}; about half the
+    generators get two equal scalars, so that their 1 op 1 is defined."""
+    rng = random.Random(seed)
+    values = (F(0), F(1), F(-1), F(1, 2))
+    rules = {}
+    for gen in system.generators:
+        right = rng.choice(values)
+        rules[gen] = (right, right if rng.random() < 0.5 else rng.choice(values))
+    return rules
+
+
+def oracle_cases():
+    """(system, rules, t, ops): every SKIP_RULES table and four seeded ones
+    at every t, each on a seeded random structure of dim 1 to 4 and on a
+    genuine structure of dim 1 or 3."""
+    tables = [
+        *SKIP_RULES,
+        *((system, random_rules(seed, system))
+          for seed, system in enumerate((NINE_OP_SYSTEM, THREE_OP_SYSTEM) * 2)),
+    ]
+    cases = []
+    for k, ((system, rules), t) in enumerate(itertools.product(tables, T_VALUES)):
+        rng = random.Random(k)
+        dim = 1 + k % 4
+        ops = {gen: oracles.random_tensor(rng, dim, rng.randint(0, 8)) for gen in system.generators}
+        cases += [(system, rules, t, ops), (system, rules, t, genuine_ops(system, 1 + k % 2, t))]
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+
+
+def region(triple):
+    """The slots of an augmented triple that hold the unit (index 0)."""
+    return tuple(slot for slot, index in enumerate(triple) if index == 0)
+
+
+# a rule table or a structure perturbed so that some identity first fails in
+# the named region: (region, system, t, rule-table seed or None for the
+# standard table, structure bump (generator, i, j, k, delta) or None)
+PERTURBED = [
+    ((), NINE_OP_SYSTEM, F(-2, 3), None, ("nw", 2, 1, 0, F(5, 6))),
+    ((), THREE_OP_SYSTEM, F(1), None, ("succ", 1, 1, 2, F(-4, 3))),
+    ((0,), NINE_OP_SYSTEM, F(-2, 3), 2, None),
+    ((1,), THREE_OP_SYSTEM, F(1), 1, None),
+    ((2,), NINE_OP_SYSTEM, F(1), 4, None),
+    ((0, 1), NINE_OP_SYSTEM, F(0), 0, None),
+    ((0, 2), NINE_OP_SYSTEM, F(0), 0, None),
+    ((1, 2), NINE_OP_SYSTEM, F(-2, 3), 2, None),
+    ((0, 1, 2), NINE_OP_SYSTEM, F(1), 4, None),
+]
+
+
+def perturbed_case(system, t, seed, bump):
+    """(system, rules, t, ops) for one PERTURBED entry, on the genuine
+    structure of dim 3."""
+    if seed is None:
+        rules = nine_op_unit_rules() if system is NINE_OP_SYSTEM else unit_rules(
+            system.generators, right_identity=("prec",), left_identity=("succ",)
+        )
+    else:
+        rules = random_rules(seed, system)
+    ops = genuine_ops(system, 2, t)
+    if bump is not None:
+        gen, *entry = bump
+        ops[gen] = ops[gen].add(Tensor3.from_sparse(ops[gen].dim, [tuple(entry)]))
+    return system, rules, t, ops
+
+
+def assert_matches_oracle(system, rules, t, ops):
+    """The report equals the brute-force augmented-cube oracle's, witnesses
+    included; returns the oracle's witnesses."""
+    report = check_unit_compatibility(system, ops, t, rules)
+    passed, checks, skipped, witnesses = oracles.unit_compatibility_oracle(system, ops, t, rules)
+    assert (report.passed, report.checks_run, report.skipped_undefined) == (passed, checks, skipped)
+    assert [(w.context, w.args, w.lhs, w.rhs) for w in report.witnesses] == witnesses
+    return witnesses
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_unit_compatibility_matches_the_augmented_cube_oracle(case):
+    assert_matches_oracle(*ORACLE_CASES[case])
+
+
+@pytest.mark.parametrize("case", range(len(PERTURBED)))
+def test_perturbations_fail_first_in_each_region_as_the_oracle_does(case):
+    where, *spec = PERTURBED[case]
+    witnesses = assert_matches_oracle(*perturbed_case(*spec))
+    assert where in {region(args) for _, args, _, _ in witnesses}
+
+
+def test_perturbations_reach_every_region():
+    assert {where for where, *_ in PERTURBED} == {
+        region(triple) for triple in itertools.product((0, 1), repeat=3)
+    }
 
 
 def test_skip_patterns_cover_every_kind():
-    system, rules = SKIP_RULES[-1]
+    """The oracle cases reach every kind of undefined triple: the lines
+    (0, 0, .) and (., 0, 0), alone or together, each with or without an
+    undefined outer corner, and that corner alone."""
     kinds = {
-        (p.left, p.right, p.corner)
+        skip_kind(system, rules, t, relation)
+        for system, rules, t, _ in ORACLE_CASES
         for relation in system.relations
-        for p in (relation_skip_set(system, rules, t, relation, 2) for t in (F(0), F(1)))
     }
     assert {(True, False, False), (False, True, False), (True, True, False)} <= kinds
     assert {(False, False, True), (True, False, True), (False, True, True)} <= kinds
+
+
+def test_empty_operations_at_dim_65536_need_no_augmented_copy():
+    dim = 65536
+    ops = {gen: Tensor3.zero(dim) for gen in NINE_OP_GENERATORS}
+    tracemalloc.start()
+    try:
+        report = check_unit_compatibility(NINE_OP_SYSTEM, ops, F(-1), nine_op_unit_rules())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.summary()
+    assert report.checks_run + report.skipped_undefined == 49 * (dim + 1) ** 3
+    assert peak < 8_000_000
 
 
 def test_small_structure_is_unit_compatible():
