@@ -172,12 +172,10 @@ def splitting_coproduct(pa: PathAlgebra) -> CoalgebraData:
     path splits at every visited vertex, endpoints included (idempotents
     standing in for empty ends).
 
-    On a one-vertex graph (a free loop algebra) this obeys the twisted
-    product rule at parameter -1.  On graphs with several vertices it is
-    still coassociative and it exchanges with the weighted coproduct (the
-    hypercubic laws), which is what the multi-vertex checks exercise; the
-    twisted product rule itself fails there, so the deformation machinery
-    uses ``chain_coproduct`` instead.
+    On graphs with several vertices it is coassociative and it exchanges
+    with the weighted coproduct (the hypercubic laws), which is what the
+    multi-vertex checks exercise; the twisted product rule itself fails
+    there, so the deformation machinery uses ``chain_coproduct`` instead.
     """
     graph = pa.graph
     items: list[tuple[int, int, int, Fraction]] = []
