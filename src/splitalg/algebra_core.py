@@ -123,10 +123,6 @@ class CoalgebraData:
     def add(self, other: "CoalgebraData") -> "CoalgebraData":
         return CoalgebraData(combine(self.dim, [(ONE, self.dual), (ONE, other.dual)]))
 
-    def dual_algebra(self, labels: tuple[str, ...] | None = None) -> FiniteAlgebra:
-        """The convolution product on the dual space: the stored tensor."""
-        return FiniteAlgebra(self.dual, labels=labels)
-
 
 def check_coassociative(delta: CoalgebraData, title: str = "coassociativity") -> Report:
     """(delta (x) id) delta == (id (x) delta) delta, exactly: associativity

@@ -13,18 +13,15 @@ them to the generic commuting-pair construction.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-import itertools
 from fractions import Fraction
-from typing import Container, Sequence
+from typing import Sequence
 
 from .algebra_core import CoalgebraData, FiniteAlgebra, check_coassociative, full_matrix_algebra
 from .exactlin import (
     ONE,
     ZERO,
     LinearOperator,
-    Scalar,
     Tensor3,
     combine,
     first_nested_difference,
@@ -55,13 +52,14 @@ class EpsilonBialgebra:
 
 
 def first_compat_failure(
-    mult: Tensor3, dual: Tensor3, t: Fraction, skip: Container[tuple[int, int, int]] = ()
+    mult: Tensor3, dual: Tensor3, t: Fraction
 ) -> tuple[tuple[int, int, int, int], Fraction, Fraction] | None:
-    """The smallest (i, j, a, b) outside ``skip`` where the t-twisted
-    compatibility fails, with both sides' e_a (x) e_b coefficients at
-    (e_i, e_j).  On the triples (i, j, a), output b, the left-nested terms
-    (read as (i, a, j)) sum to the right side and the right-nested one (read
-    as (a, i, j)) is delta(x y); ``legs`` and ``split`` hold the leg
+    """The smallest (i, j, a, b) where the t-twisted compatibility fails,
+    with both sides' e_a (x) e_b coefficients at (e_i, e_j), or None when it
+    holds on every basis pair.  This is the one place its terms are written.
+    On the triples (i, j, a), output b, the left-nested terms (read as
+    (i, a, j)) sum to the right side and the right-nested one (read as
+    (a, i, j)) is delta(x y); ``legs`` and ``split`` hold the leg
     e_a (x) e_b of delta(e_k) at (k, a, b) and at (a, k, b)."""
     n = mult.dim
     legs, split = dual.permuted((2, 0, 1)), dual.permuted((0, 2, 1))
@@ -73,7 +71,7 @@ def first_compat_failure(
         (ONE, mult.permuted(order), split, order),  # x y_(1) (x) y_(2)
         (t, diagonal, carry, order),  # t x (x) y
     ]
-    diff = first_nested_difference(rhs_terms, [(ONE, mult, split, (2, 0, 1))], skip)
+    diff = first_nested_difference(rhs_terms, [(ONE, mult, split, (2, 0, 1))])
     if diff is None:
         return None
     triple, rhs, lhs = diff
@@ -280,137 +278,3 @@ def check_derivations(b: EpsilonBialgebra, candidate: LinearOperator | None = No
                 "candidate is not a bi-derivation; bowtie conclusion not applicable"
             )
     return report
-
-
-# ---------------------------------------------------------------------------
-# free extension of coproducts from generators to words
-# ---------------------------------------------------------------------------
-
-
-def word_span(num_gens: int, cap: int, with_unit: bool) -> list[tuple[int, ...]]:
-    """All generator words of length <= cap (length >= 1 unless with_unit),
-    ordered by length then lexicographically."""
-    words: list[tuple[int, ...]] = [()] if with_unit else []
-    for length in range(1, cap + 1):
-        words.extend(itertools.product(range(num_gens), repeat=length))
-    return words
-
-
-def deconcatenation_base(num_gens: int) -> CoalgebraData:
-    """Unit-extended base: unit -> unit (x) unit, X -> unit (x) X + X (x) unit."""
-    items = [(0, 0, 0, 1)]
-    for g in range(1, num_gens + 1):
-        items.append((g, 0, g, 1))
-        items.append((g, g, 0, 1))
-    return CoalgebraData.from_items(num_gens + 1, items)
-
-
-def extend_coproduct(
-    num_gens: int,
-    base: CoalgebraData,
-    t: Scalar,
-    cap: int,
-    with_unit: bool = False,
-) -> tuple[list[tuple[int, ...]], CoalgebraData]:
-    """Extend a coproduct from generators to all words of length <= cap.
-
-    The extension peels the first letter x off a word x w and applies the
-    t-twisted compatibility as a recursion:
-
-        delta(x w) = delta(x) . (1 (x) w) + (x (x) 1) . delta(w) + t x (x) w
-
-    where the dot is letterwise concatenation on each tensor leg.  The base
-    coproduct is indexed over [unit +] generators (dimension num_gens + 1 in
-    the unital case, where the unit row must be unit (x) unit).
-    """
-    t = rat(t)
-    shift = 1 if with_unit else 0
-    if base.dim != num_gens + shift:
-        raise ValueError(
-            f"base coproduct must have dimension {num_gens + shift} "
-            f"({'unit + ' if with_unit else ''}generators)"
-        )
-    base_rows = base.rows
-    if with_unit and base_rows[0] != ((0, 0, ONE),):
-        raise ValueError("unital base must send the unit to unit (x) unit")
-    words = word_span(num_gens, cap, with_unit)
-    index = {w: a for a, w in enumerate(words)}
-    # base space indices -> generator words (unit = empty word)
-    gen = [()] * shift + [(g,) for g in range(num_gens)]
-    # the legs (j, k, c) of each word's coproduct; from_items sums repeats
-    rows: list[list[tuple[int, int, Fraction]]] = []
-    for word in words:
-        x, rest = word[:1], word[1:]
-        row = [(0, 0, ONE)] if not word else [  # delta(x) . (1 (x) w)
-            (index[gen[j]], index[gen[k] + rest], c) for j, k, c in base_rows[word[0] + shift]
-        ]
-        if rest:  # (x (x) 1) . delta(w) + t x (x) w
-            row += [(index[x + words[j]], k, c) for j, k, c in rows[index[rest]]]
-            row.append((index[x], index[rest], t))
-        rows.append(row)
-    return words, CoalgebraData.from_items(
-        len(words), ((i, j, k, c) for i, row in enumerate(rows) for j, k, c in row)
-    )
-
-
-def free_extension_report(
-    num_gens: int,
-    bases: Sequence[tuple[CoalgebraData, Scalar]],
-    cap: int,
-    with_unit: bool = False,
-) -> tuple[list[CoalgebraData], Report]:
-    """Extend one or more base coproducts to words and verify, within the cap:
-
-    * each extension is coassociative,
-    * each satisfies its own t-twisted product compatibility on all word
-      pairs whose concatenation stays inside the cap,
-    * all pairs satisfy the coproduct exchange laws.
-
-    Every coproduct leg of a length-L word has legs of length <= L, so all
-    three checks are exact within the cap (nothing is truncated away).
-    """
-    report = Report(title=f"free extension (cap={cap})", passed=True)
-    words = word_span(num_gens, cap, with_unit)
-    extended = [extend_coproduct(num_gens, base, t, cap, with_unit)[1] for base, t in bases]
-    report.notes.append(f"word span of size {len(words)}, products checked up to length {cap}")
-    for data, (_, t) in zip(extended, bases):
-        report.merge(check_coassociative(data, "extension coassociativity"))
-        if not _check_word_compat(report, data, rat(t), words, cap):
-            return extended, report
-    report.merge(check_hypercubic(extended))
-    return extended, report
-
-
-def _check_word_compat(
-    report: Report, data: CoalgebraData, t: Fraction, words: list, cap: int
-) -> bool:
-    """The t-twisted compatibility of an extended coproduct with
-    concatenation, on the word pairs in order whose concatenation stays
-    inside the cap, up to the first failure (added to the report)."""
-    index = {w: a for a, w in enumerate(words)}
-    lengths = [len(w) for w in words]
-    # the words run by length, so the v that fit after u are a prefix of them
-    concat = Tensor3(len(words), 1, tuple(
-        (a, c, index[u + v], 1)
-        for a, u in enumerate(words)
-        for c, v in enumerate(words[: bisect.bisect_right(lengths, cap - len(u))])
-    ))
-    failure = first_compat_failure(concat, data.dual, t, _OverCap(lengths, cap))
-    if failure is None:
-        report.checks_run += len(concat.numerators)
-        return True
-    (u, v, j, k), lhs, rhs = failure
-    report.checks_run += bisect.bisect_left(concat.numerators, (u, v + 1))
-    report.add_failure(Witness(f"extension-compat(t={t})", (words[u], words[v], j, k), lhs, rhs))
-    return False
-
-
-@dataclasses.dataclass(frozen=True)
-class _OverCap:
-    """Word index triples (u, v, .) with |u| + |v| over the cap."""
-
-    lengths: list[int]
-    cap: int
-
-    def __contains__(self, triple: tuple[int, int, int]) -> bool:
-        return self.lengths[triple[0]] + self.lengths[triple[1]] > self.cap

@@ -62,6 +62,12 @@ def _name_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _refuse_unread_weights2(args: argparse.Namespace, reader: str) -> None:
+    """``--weights2`` is read by one variant only; with any other it is refused."""
+    if args.weights2 is not None and args.variant != reader:
+        raise ValueError(f"--weights2 is read only with --variant {reader}")
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -184,6 +190,7 @@ def cmd_verify_graph_bialgebra(args: argparse.Namespace) -> int:
     from .bialgebra import EpsilonBialgebra, check_eps_bialgebra, check_hypercubic
     from .graphalg import chain_coproduct, path_algebra, splitting_coproduct, weighted_coproduct
 
+    _refuse_unread_weights2(args, "weighted")
     graph = jsonio.graph_from_json(jsonio.load(args.file))
     pa = path_algebra(graph)
     weighted = weighted_coproduct(pa)
@@ -392,6 +399,7 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
     )
     from .graphalg import chain_coproduct, path_algebra, weighted_coproduct
 
+    _refuse_unread_weights2(args, "four_four")
     graph = jsonio.graph_from_json(jsonio.load(args.graph))
     pa = path_algebra(graph)
     weighted = weighted_coproduct(pa)
@@ -399,7 +407,7 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
         delta, delta1 = weighted, chain_coproduct(pa)
         t, t1 = Fraction(0), Fraction(-1)
     elif args.variant == "four_four":
-        weights2 = args.weights2 or [Fraction(1)] * len(graph.arcs)
+        weights2 = [Fraction(1)] * len(graph.arcs) if args.weights2 is None else args.weights2
         delta, delta1 = weighted, weighted_coproduct(pa, weights2)
         t, t1 = Fraction(0), Fraction(0)
     else:

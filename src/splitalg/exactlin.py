@@ -62,7 +62,7 @@ import bisect
 import heapq
 import math
 from fractions import Fraction
-from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 
@@ -766,23 +766,20 @@ def nested_value(
 
 
 def first_nested_difference(
-    left_terms: Sequence[NestedTerm],
-    right_terms: Sequence[NestedTerm],
-    skip: Container[tuple[int, int, int]] = (),
+    left_terms: Sequence[NestedTerm], right_terms: Sequence[NestedTerm]
 ) -> tuple[tuple[int, int, int], dict[int, Fraction], dict[int, Fraction]] | None:
-    """Smallest basis triple outside ``skip`` where the two sides differ,
-    with the exact values of both sides there, if any.  Slices are summed
-    in increasing x and the scan stops at the first one with a failing
-    triple outside ``skip``."""
+    """Smallest basis triple where the two sides differ, with the exact
+    values of both sides there, if any.  Slices are summed in increasing x
+    and the scan stops at the first failing one: the triple is its smallest
+    failing (y, z)."""
     for n, x, acc in _failing_slices(left_terms, right_terms):
-        for yz in sorted({key // n for key, value in acc.items() if value}):
-            triple = (x, *divmod(yz, n))
-            if triple not in skip:
-                return (
-                    triple,
-                    nested_value(left_terms, True, triple),
-                    nested_value(right_terms, False, triple),
-                )
+        yz = min(key for key, value in acc.items() if value) // n
+        triple = (x, *divmod(yz, n))
+        return (
+            triple,
+            nested_value(left_terms, True, triple),
+            nested_value(right_terms, False, triple),
+        )
     return None
 
 

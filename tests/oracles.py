@@ -243,19 +243,6 @@ def skip_triples(
     return skip
 
 
-def total_skip_count(
-    system: AxiomSystem,
-    rules: Mapping[str, tuple[Fraction, Fraction]],
-    t: Fraction,
-    interior_dim: int,
-) -> int:
-    """Sum of undefined-triple counts over every identity of a system."""
-    return sum(
-        len(skip_triples(system, rules, t, relation, interior_dim))
-        for relation in system.relations
-    )
-
-
 def random_tensor(rng: random.Random, dim: int, entries: int = 12) -> Tensor3:
     """A sparse random structure tensor with small rational entries."""
     items = []
@@ -664,34 +651,6 @@ def eps_bialgebra_oracle(b) -> CoalgebraOutcome:
             leg, left, right = found
             return False, checks, witnesses + [("product-compat", (i, j) + leg, left, right)]
     return passed, checks, witnesses
-
-
-def word_compat_oracle(data, t, words, cap) -> CoalgebraOutcome:
-    """The t-twisted compatibility of a coproduct on words for concatenation,
-    delta(u v) = u_(1) (x) u_(2) v + u v_(1) (x) v_(2) + t u (x) v, on the
-    word pairs (u, v) with |u| + |v| <= cap in order, stopping at the first
-    failing pair.  The right side is built leg by leg by concatenating words."""
-    d, n, t = coproduct_cube(data), len(words), Fraction(t)
-    index = {w: a for a, w in enumerate(words)}
-    checks = 0
-    for iu, u in enumerate(words):
-        for iv, v in enumerate(words):
-            if len(u) + len(v) > cap:
-                continue
-            rhs = [[ZERO] * n for _ in range(n)]
-            rhs[iu][iv] += t
-            for j, k in itertools.product(range(n), repeat=2):
-                if d[iu][j][k]:  # u_(1) (x) u_(2) v
-                    rhs[j][index[words[k] + v]] += d[iu][j][k]
-                if d[iv][j][k]:  # u v_(1) (x) v_(2)
-                    rhs[index[u + words[j]]][k] += d[iv][j][k]
-            uv = index[u + v]
-            checks += 1
-            found = _first_leg(lambda j, k: d[uv][j][k], lambda j, k: rhs[j][k], 2, n)
-            if found is not None:
-                leg, left, right = found
-                return False, checks, [(f"extension-compat(t={t})", (u, v) + leg, left, right)]
-    return True, checks, []
 
 
 def bowtie_derivation_oracle(b) -> tuple[bool, int, list]:

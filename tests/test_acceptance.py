@@ -20,6 +20,7 @@ from splitalg import (
     THREE_OP_SYSTEM,
     EnneaStructure,
     EpsilonBialgebra,
+    FiniteAlgebra,
     LinearOperator,
     WeightedDigraph,
     baxter_deformation,
@@ -359,6 +360,6 @@ def test_criterion_9_randomized_invariants():
         op = LinearOperator.from_rows([[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)])
         s = F(rng.choice([-1, 0, 1, 2]))
         left = check_cobaxter(delta, op, s).passed
-        right = check_baxter(delta.dual_algebra(), transpose_operator(op), s).passed
+        right = check_baxter(FiniteAlgebra(delta.dual), transpose_operator(op), s).passed
         assert left == right
     stamp("criterion 9 (randomized invariants)", started)

@@ -77,7 +77,7 @@ def test_triangular_matrix_coalgebra_is_coassociative(n):
 def test_coalgebra_dual_of_triangular_coalgebra_is_triangular_algebra():
     n = 3
     delta = triangular_matrix_coalgebra(n)
-    dual = delta.dual_algebra()
+    dual = FiniteAlgebra(delta.dual)
     alg = triangular_matrix_algebra(n)
     assert dual.mult.entries == alg.mult.entries
 
@@ -130,7 +130,6 @@ def assert_storage_contract(delta, legs):
     assert len(rows) == delta.dim
     for i, row in enumerate(rows):
         assert row == tuple((j, k, c) for i2, j, k, c in expected if i2 == i)
-    assert delta.dual_algebra().mult is delta.dual
     assert CoalgebraData.from_items(delta.dim, expected) == delta
 
 

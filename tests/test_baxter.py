@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from splitalg import (
+    FiniteAlgebra,
     LinearOperator,
     check_baxter,
     check_cobaxter,
@@ -89,7 +90,7 @@ def test_cobaxter_is_baxter_on_the_dual(n):
     t = F(2, 3)
     delta = triangular_matrix_coalgebra(n)
     psi = triangular_row_coproduct_operator(n, t)
-    dual = delta.dual_algebra()
+    dual = FiniteAlgebra(delta.dual)
     assert check_baxter(dual, transpose_operator(psi), -t).passed
     # and a perturbed operator fails on both sides of the duality
     bad = psi.add(LinearOperator.identity(psi.dim))

@@ -24,14 +24,7 @@ from splitalg import (
     prelie_from_bialgebra,
     weighted_coproduct,
 )
-from splitalg.bialgebra import (
-    check_derivations,
-    deconcatenation_base,
-    free_extension_report,
-    is_coderivation,
-    is_derivation,
-    word_span,
-)
+from splitalg.bialgebra import check_derivations, is_coderivation, is_derivation
 
 F = Fraction
 
@@ -119,40 +112,6 @@ def test_derivation_and_coderivation_checks():
     assert not is_derivation(b.algebra, LinearOperator.identity(b.dim)).passed
 
 
-def test_word_span_orders_words_by_length():
-    words = word_span(2, 2, with_unit=False)
-    assert words == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
-    assert word_span(2, 1, with_unit=True)[0] == ()
-
-
-def test_free_extension_of_zero_base_is_consistent():
-    zero_base = CoalgebraData.from_items(2, [])
-    _, report = free_extension_report(2, [(zero_base, F(-1))], cap=3)
-    assert report.passed, report.summary()
-    assert report.checks_run == 48
-
-
-def test_free_extension_of_unital_base_needs_minus_one():
-    base = deconcatenation_base(2)
-    _, good = free_extension_report(2, [(base, F(-1))], cap=3, with_unit=True)
-    assert good.passed
-    assert good.checks_run == 79
-    _, bad = free_extension_report(2, [(base, F(0))], cap=3, with_unit=True)
-    assert not bad.passed
-    _, bad = free_extension_report(2, [(base, F(1))], cap=3, with_unit=True)
-    assert not bad.passed
-
-
-def test_free_extension_checks_exchange_laws_for_pairs():
-    zero_base = CoalgebraData.from_items(2, [])
-    singleton = CoalgebraData.from_items(2, [(0, 0, 0, F(1))])
-    _, report = free_extension_report(2, [(zero_base, F(-1)), (singleton, F(-1))], cap=2)
-    assert report.passed
-    assert report.checks_run == 44
-
-
 def test_no_coproduct_is_refused_as_such():
     with pytest.raises(ValueError, match="at least one coproduct is needed"):
         check_hypercubic([])
-    with pytest.raises(ValueError, match="at least one coproduct is needed"):
-        free_extension_report(2, [], cap=2)

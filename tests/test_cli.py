@@ -91,6 +91,14 @@ def test_verify_graph_bialgebra_variants(graph_file, graph3_file, capsys):
     capsys.readouterr()
 
 
+def test_verify_graph_bialgebra_refuses_weights2_it_would_not_read(graph_file, capsys):
+    # malformed for a 1-arc graph, and never read by the chain variant
+    assert main(["verify", "graph-bialgebra", "--file", graph_file, "--weights2", "1,2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --weights2 is read only with --variant weighted\n"
+
+
 def test_verify_graph_bialgebra_rejects_branching_chain(tmp_path, capsys):
     path = tmp_path / "branch.json"
     save(str(path), graph_to_json(WeightedDigraph.build(3, [(0, 1, 1), (0, 2, 1)])))
@@ -180,6 +188,22 @@ def test_deform_check_four_four(graph_file, capsys):
         == 0
     )
     capsys.readouterr()
+
+
+def test_deform_check_refuses_weights2_it_would_not_read(graph_file, capsys):
+    assert main(["deform", "check", "--graph", graph_file, "--weights2", "3/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --weights2 is read only with --variant four_four\n"
+
+
+def test_deform_check_four_four_refuses_empty_weights2(graph_file, capsys):
+    # an empty list is one weight short for a 1-arc graph, not the default
+    args = ["deform", "check", "--graph", graph_file, "--variant", "four_four", "--weights2="]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need one weight per arc\n"
 
 
 def test_deform_check_unsupported_variant(graph_file, capsys):

@@ -59,13 +59,7 @@ from splitalg import (
     two_operator_equation,
     weighted_coproduct,
 )
-from splitalg.bialgebra import (
-    check_derivations,
-    deconcatenation_base,
-    free_extension_report,
-    is_coderivation,
-    is_derivation,
-)
+from splitalg.bialgebra import check_derivations, is_coderivation, is_derivation
 from splitalg.cli import main
 from splitalg.jsonio import dump_json, graph_to_json, report_to_json, save
 from splitalg.relations import NINE_OP_SYSTEM, THREE_OP_SYSTEM
@@ -215,14 +209,6 @@ def _coalgebra_cases():
     yield "coalgebra/coderivation_fail_late", is_coderivation(
         b.delta, _perturbed(LinearOperator.identity(b.dim).scale(0), 2, 2, F(1))
     )
-    yield "coalgebra/free_extension_fail", free_extension_report(
-        2, [(deconcatenation_base(2), F(0))], cap=3, with_unit=True
-    )[1]
-    yield "coalgebra/free_extension_pair", free_extension_report(
-        2,
-        [(CoalgebraData.from_items(2, []), F(-1)), (CoalgebraData.from_items(2, [(0, 0, 0, F(1))]), F(-1))],
-        cap=2,
-    )[1]
     skew = Tensor3.from_sparse(
         3, [(0, 1, 2, F(1)), (1, 2, 0, F(2, 3)), (2, 2, 1, F(-1)), (1, 0, 1, F(1))]
     )
