@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from splitalg import (
-    CoalgebraData,
     EpsilonBialgebra,
     LinearOperator,
     WeightedDigraph,
