@@ -22,6 +22,14 @@ no floats, no tolerances.  The package covers:
 * kind-tagged JSON envelopes and a command-line driver
   (:mod:`splitalg.jsonio`, :mod:`splitalg.cli`).
 
+Every function, class and method here is run by a ``splitalg`` command,
+read by the benchmark, or one of a few kept on purpose: the paper's
+propositions that no command routes yet (nested splitting, the star
+morphism, the refinement along a Baxter operator on a three-operation
+structure, tensor products, transposes, opposites, pre-Lie and Jacobi,
+the convolution report and the bowtie derivations), the triangular
+coBaxter examples, and the graph and operator envelope writers.
+
 Importing the package loads none of its submodules.  Each public name is
 imported from its submodule on first access (PEP 562, module
 ``__getattr__``), so a program pays only for the modules it uses.
@@ -36,7 +44,6 @@ _EXPORTS_BY_MODULE = {
     "algebra_core": (
         "CoalgebraData",
         "FiniteAlgebra",
-        "check_algebra",
         "check_coassociative",
         "full_matrix_algebra",
         "triangular_matrix_algebra",
@@ -72,14 +79,7 @@ _EXPORTS_BY_MODULE = {
         "instance_operator_equation",
         "two_operator_equation",
     ),
-    "exactlin": (
-        "LinearOperator",
-        "Scalar",
-        "Tensor3",
-        "basis_vector",
-        "combine",
-        "rat",
-    ),
+    "exactlin": ("LinearOperator", "Scalar", "Tensor3", "combine", "rat"),
     "graphalg": (
         "PathAlgebra",
         "WeightedDigraph",
@@ -107,31 +107,21 @@ _EXPORTS_BY_MODULE = {
         "EnneaStructure",
         "PreLieStructure",
         "TrialgebraStructure",
-        "check_dialgebra",
         "check_ennea",
         "check_jacobi",
         "check_prelie",
-        "check_quadri",
         "check_trialgebra",
         "ennea_from_baxter_on_trialgebra",
         "ennea_from_commuting_pair",
         "horizontal_trialgebra",
         "opposite_ennea",
         "prelie_pair_from_ennea",
-        "quadri_from_commuting_pair",
         "tensor_ennea",
         "transpose_ennea",
         "trialgebra_from_baxter",
         "vertical_trialgebra",
     ),
-    "unit_action": (
-        "check_coherence",
-        "check_ennea_coherence",
-        "check_unit_compatibility",
-        "ennea_coherence",
-        "nine_op_unit_rules",
-        "unit_rules",
-    ),
+    "unit_action": ("check_coherence", "check_unit_compatibility", "unit_rules"),
 }
 _EXPORTS = {name: module for module, names in _EXPORTS_BY_MODULE.items() for name in names}
 

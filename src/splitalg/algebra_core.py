@@ -3,38 +3,20 @@
 An algebra is a structure-constant tensor plus an optional unit vector and
 optional basis labels.  A coalgebra is stored as its dual product: one
 integer tensor holding each leg c * e_j (x) e_k of the coproduct of e_i as
-entry (j, k, i), so every coalgebra identity is checked as its transpose.
-Both come with exact axiom checkers that return
-:class:`~splitalg.report.Report` objects, and with the two matrix families
-used throughout the package: full matrix algebras (endomorphism spaces) and
-upper-triangular matrix algebras with their dual coalgebra.
+entry (j, k, i), so every coalgebra identity is checked as its transpose,
+as :func:`check_coassociative` does.  The two matrix families used
+throughout the package are here too: full matrix algebras (endomorphism
+spaces) and upper-triangular matrix algebras with their dual coalgebra.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .exactlin import (
-    ONE,
-    ZERO,
-    Scalar,
-    Tensor3,
-    basis_vector,
-    combine,
-)
-from .relations import P_ONE, AxiomSystem, Relation, Term, check_system
-from .report import Report, Witness, compare_dual
-
-ASSOCIATIVITY = AxiomSystem(
-    name="assoc",
-    generators=("mul",),
-    composites={},
-    relations=(
-        Relation("assoc", (Term(P_ONE, "mul", "mul"),), (Term(P_ONE, "mul", "mul"),)),
-    ),
-)
+from .exactlin import ONE, ZERO, Scalar, Tensor3
+from .report import Report, compare_dual
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,31 +36,6 @@ class FiniteAlgebra:
     @property
     def dim(self) -> int:
         return self.mult.dim
-
-    def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return self.mult.apply(x, y)
-
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else f"e{i}"
-
-    def opposite(self) -> "FiniteAlgebra":
-        return FiniteAlgebra(self.mult.swap_args(), self.unit, self.labels)
-
-
-def check_algebra(algebra: FiniteAlgebra, title: str = "algebra axioms") -> Report:
-    """Associativity, plus two-sided unit axioms when a unit is present."""
-    report = check_system(ASSOCIATIVITY, {"mul": algebra.mult}, ZERO, title)
-    if algebra.unit is not None:
-        for i in range(algebra.dim):
-            e = basis_vector(algebra.dim, i)
-            report.checks_run += 2
-            left = algebra.multiply(algebra.unit, e)
-            if left != e:
-                report.add_failure(Witness("unit:left", (i,), left, e))
-            right = algebra.multiply(e, algebra.unit)
-            if right != e:
-                report.add_failure(Witness("unit:right", (i,), right, e))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +73,6 @@ class CoalgebraData:
         for i, j, k, c in self.items():
             rows[i].append((j, k, c))
         return tuple(map(tuple, rows))
-
-    def scale(self, c: Scalar) -> "CoalgebraData":
-        return CoalgebraData(self.dual.scale(c))
-
-    def add(self, other: "CoalgebraData") -> "CoalgebraData":
-        return CoalgebraData(combine(self.dim, [(ONE, self.dual), (ONE, other.dual)]))
 
 
 def check_coassociative(delta: CoalgebraData, title: str = "coassociativity") -> Report:

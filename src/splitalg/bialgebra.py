@@ -124,7 +124,6 @@ class ConvolutionStructure:
     conv: Tensor3
     left_conv: LinearOperator  # T  ->  id * T
     right_conv: LinearOperator  # T  ->  T * id
-    id_vec: tuple[Fraction, ...]
 
 
 def convolution_structure(b: EpsilonBialgebra) -> ConvolutionStructure:
@@ -155,7 +154,6 @@ def convolution_structure(b: EpsilonBialgebra) -> ConvolutionStructure:
         conv,
         LinearOperator.from_numerators(dim, conv.denom, left),
         LinearOperator.from_numerators(dim, conv.denom, right),
-        end.unit,
     )
 
 
@@ -165,9 +163,8 @@ def convolution_report(b: EpsilonBialgebra) -> Report:
     convolution is associative, and both one-sided convolutions with the
     identity are t-Baxter operators for composition, and they commute.
     """
-    from .algebra_core import ASSOCIATIVITY
     from .baxter import check_baxter, commute
-    from .relations import check_system
+    from .relations import ASSOCIATIVITY, check_system
 
     cs = convolution_structure(b)
     report = Report(title="convolution structure", passed=True)

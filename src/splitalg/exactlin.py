@@ -4,36 +4,35 @@ Every value in this package is an exact rational, so all checks are exact —
 a failed identity is a real counterexample, never roundoff.  Operators,
 tensors and coproducts (each stored as its dual product, a tensor) hold
 integer numerators over one shared denominator; Fractions appear only in
-their views and in the coefficient vectors those views and ``apply``
-return.
+their views and in the witness values read from them.
 
 The two workhorses are:
 
 * :func:`rank_int_rows` — exact rank by sparse fraction-free elimination
   over the integers (rows as ``{col: int}`` maps, a column→rows index,
   Markowitz-style pivots, each updated row divided by its content), used
-  for the degree-3 dimension counts of quadratic presentations;
-  :func:`rank` clears the denominators of dense rational rows one row at
-  a time and calls it;
+  for the degree-3 dimension counts of quadratic presentations, whose
+  rational rows :func:`integer_row` clears of denominators;
 * :class:`Tensor3` — structure constants of a bilinear operation
   (``z = op(x, y)`` has coefficients ``z_k = sum x_i y_j c[i][j][k]``),
   stored as its sorted nonzero entries ``(i, j, k, n)`` with integer
   numerators over one shared denominator, in lowest terms.  Fractions
-  appear only in its views (:meth:`Tensor3.nonzeros`, a dense
-  ``entries[i][j][k]`` and the like), built on demand for witnesses, JSON
+  appear only in its views (:meth:`Tensor3.nonzeros`, :meth:`Tensor3.row`
+  and a dense ``entries[i][j][k]``), built on demand for witnesses, JSON
   output and tests.  A :class:`LinearOperator` is stored the same way, as
-  its sorted nonzero entries ``(i, j, n)``.
+  its sorted nonzero entries ``(i, j, n)``, with a dense ``entries`` view
+  for its envelope.
 
 That format is implemented once, in :class:`IntegerSparse`, the base of
 both classes: lowest terms (:meth:`~IntegerSparse.from_sorted`), the sum of
-repeated indices (:meth:`~IntegerSparse.from_numerators`), ``add``,
-``scale``, equality, hashing and ``repr``.  Every operation on operators
-and tensors works on the numerators: :func:`combine` clears each term's
+repeated indices (:meth:`~IntegerSparse.from_numerators`), ``scale``,
+equality, hashing and ``repr``.  Every operation on operators and tensors
+works on the numerators: :func:`combine`, the one sum, clears each term's
 scale to an integer weight over one common denominator, ``scale`` and
-:meth:`Tensor3.permuted` rewrite the numerators,
-:meth:`LinearOperator.compose` sums integer products row by row, and
-:func:`twist`, the operation ``(x, y) -> P(op(M x, N y))`` from which
-every Baxter-operator construction and both sides of every operator
+:meth:`Tensor3.permuted` rewrite the numerators, :func:`kron` multiplies
+them pairwise, :meth:`LinearOperator.compose` sums integer products row by
+row, and :func:`twist`, the operation ``(x, y) -> P(op(M x, N y))`` from
+which every Baxter-operator construction and both sides of every operator
 identity are combined, multiplies the operators' denominators once.  Two
 operations differ exactly where their difference ``lhs.sub(rhs)`` has
 entries, and its first entry is the smallest basis pair that fails.
@@ -79,12 +78,6 @@ def rat(value: Scalar) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def basis_vector(dim: int, index: int) -> tuple[Fraction, ...]:
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dimension {dim}")
-    return tuple(ONE if i == index else ZERO for i in range(dim))
-
-
 # ---------------------------------------------------------------------------
 # ranks
 # ---------------------------------------------------------------------------
@@ -97,12 +90,6 @@ def integer_row(values: Mapping[int, Scalar]) -> dict[int, int]:
     nonzero = {c: q for c, v in values.items() if (q := rat(v))}
     scale = math.lcm(*(q.denominator for q in nonzero.values()))
     return {c: q.numerator * (scale // q.denominator) for c, q in nonzero.items()}
-
-
-def rank(rows: Iterable[Sequence[Scalar]]) -> int:
-    """Exact rank over the rationals of dense rows: clear each row's
-    denominators, then eliminate with :func:`rank_int_rows`."""
-    return rank_int_rows([integer_row(dict(enumerate(row))) for row in rows])
 
 
 def _divide_content(row: dict[int, int]) -> None:
@@ -243,17 +230,6 @@ class IntegerSparse:
         """From integer sums over ``denom`` keyed by index; zero sums drop."""
         return cls.from_sorted(dim, denom, [key + (n,) for key, n in sorted(acc.items()) if n])
 
-    def add(self, other: "IntegerSparse"):
-        """The entrywise sum, over the lcm of the two denominators."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in sum")
-        common = math.lcm(self.denom, other.denom)
-        return self.from_numerators(
-            self.dim,
-            common,
-            (e[:-1] + (e[-1] * (common // x.denom),) for x in (self, other) for e in x.numerators),
-        )
-
     def scale(self, c: Scalar):
         c = rat(c)
         p = c.numerator
@@ -294,8 +270,7 @@ class LinearOperator(IntegerSparse):
     nothing else is kept.
 
     :meth:`from_rows` reads dense rows of exact scalars (envelopes, tests).
-    :attr:`entries`, :meth:`column` and :meth:`apply` are Fraction views,
-    built on demand.
+    :attr:`entries` is a dense Fraction view, built on demand.
     """
 
     __slots__ = ()
@@ -316,10 +291,6 @@ class LinearOperator(IntegerSparse):
             len(grid), d, tuple((i, j, q.numerator * (d // q.denominator)) for i, j, q in nonzero)
         )
 
-    @staticmethod
-    def identity(dim: int) -> "LinearOperator":
-        return LinearOperator(dim, 1, tuple((a, a, 1) for a in range(dim)))
-
     # -- Fraction views -------------------------------------------------------
 
     @property
@@ -329,18 +300,6 @@ class LinearOperator(IntegerSparse):
         for i, j, n in self.numerators:
             grid[i][j] = Fraction(n, self.denom)
         return tuple(map(tuple, grid))
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        """Image of the j-th basis vector."""
-        return tuple(row[j] for row in self.entries)
-
-    def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vector) != self.dim:
-            raise ValueError("dimension mismatch")
-        out = [ZERO] * self.dim
-        for i, j, n in self.numerators:
-            out[i] += n * vector[j]
-        return tuple(v / self.denom for v in out)
 
     # -- algebra ------------------------------------------------------------
 
@@ -494,19 +453,6 @@ class Tensor3(IntegerSparse):
 
     # -- algebra -------------------------------------------------------------
 
-    def apply(
-        self, x: Sequence[Fraction], y: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]:
-        """Evaluate the bilinear operation on two coefficient vectors."""
-        if not len(x) == len(y) == self.dim:
-            raise ValueError("dimension mismatch")
-        out = [ZERO] * self.dim
-        for i, j, k, c in self.numerators:
-            xi, yj = x[i], y[j]
-            if xi and yj:
-                out[k] += xi * yj * c
-        return tuple(v / self.denom for v in out)
-
     def sub(self, other: "Tensor3") -> "Tensor3":
         return combine(self.dim, [(ONE, self), (-ONE, other)])
 
@@ -563,6 +509,17 @@ def combine(dim: int, terms: Iterable[tuple[Scalar, Tensor3]]) -> Tensor3:
             key = (i, j, k)
             acc[key] = get(key, 0) + w * n
     return Tensor3._from_sums(dim, common, acc)
+
+
+def kron(a: Tensor3, b: Tensor3) -> Tensor3:
+    """Kronecker product tensor; pair (p, q) sits at index p * b.dim + q."""
+    nb = b.dim
+    items = [
+        (i1 * nb + i2, j1 * nb + j2, k1 * nb + k2, c1 * c2)
+        for i1, j1, k1, c1 in a.numerators
+        for i2, j2, k2, c2 in b.numerators
+    ]
+    return Tensor3.from_numerators(a.dim * nb, a.denom * b.denom, items)
 
 
 def _integer_lines(

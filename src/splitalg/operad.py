@@ -40,14 +40,6 @@ class Degree3Count:
     rank: int
     dim3: int               # monomials - rank
 
-    def generating_function_prefix(self, signed: bool = False) -> list[Fraction]:
-        """First three coefficients of the dimension series, by arity.
-
-        Unsigned: [1, g, dim3]; signed alternating: [-1, g, -dim3].
-        """
-        one, g, d3 = rat(1), rat(self.generators), rat(self.dim3)
-        return [-one, g, -d3] if signed else [one, g, d3]
-
 
 def relation_rows(system: AxiomSystem, t: Scalar) -> list[dict[int, int]]:
     """One sparse integer row per identity, in relation order: +lhs

@@ -135,6 +135,16 @@ def _rel(name: str, coeff: TPoly, left: tuple[str, str], right: tuple[str, str])
     return Relation(name, (Term(coeff, li, lo),), (Term(coeff, ri, ro),))
 
 
+# the associativity of one product
+ASSOCIATIVITY = AxiomSystem(
+    name="assoc",
+    generators=("mul",),
+    composites={},
+    relations=(
+        Relation("assoc", (Term(P_ONE, "mul", "mul"),), (Term(P_ONE, "mul", "mul"),)),
+    ),
+)
+
 # ---------------------------------------------------------------------------
 # two operations / 3 identities  (associative splitting in two parts)
 # ---------------------------------------------------------------------------

@@ -28,15 +28,14 @@ from .exactlin import (
     Tensor3,
     combine,
     first_nested_difference,
+    kron,
     rat,
     twist,
 )
 from .relations import (
-    FOUR_OP_SYSTEM,
     NINE_OP_GENERATORS,
     NINE_OP_SYSTEM,
     THREE_OP_SYSTEM,
-    TWO_OP_SYSTEM,
     check_system,
     resolve_tensor,
 )
@@ -66,34 +65,9 @@ class TrialgebraStructure:
         """The recovered total product prec + succ + circ."""
         return combine(self.dim, [(ONE, self.prec), (ONE, self.succ), (ONE, self.circ)])
 
-    def weighted_star(self, t: Scalar) -> Tensor3:
-        """prec + succ + t*circ (the total used by Baxter-built structures)."""
-        return combine(
-            self.dim, [(ONE, self.prec), (ONE, self.succ), (rat(t), self.circ)]
-        )
-
-    def opposite(self) -> "TrialgebraStructure":
-        return TrialgebraStructure(
-            prec=self.succ.swap_args(),
-            succ=self.prec.swap_args(),
-            circ=self.circ.swap_args(),
-        )
-
-
-def check_dialgebra(prec: Tensor3, succ: Tensor3) -> Report:
-    """The two-operation identities (circ-free splitting)."""
-    return check_system(
-        TWO_OP_SYSTEM, {"prec": prec, "succ": succ}, ZERO, "two-op splitting"
-    )
-
 
 def check_trialgebra(s: TrialgebraStructure) -> Report:
     return check_system(THREE_OP_SYSTEM, s.ops(), ZERO, "three-op splitting")
-
-
-def check_quadri(ops: dict[str, Tensor3]) -> Report:
-    """The four-operation (corner) identities; ops needs nw/ne/sw/se."""
-    return check_system(FOUR_OP_SYSTEM, ops, ZERO, "four-op splitting")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,28 +236,6 @@ def ennea_from_commuting_pair(
     )
 
 
-def quadri_from_commuting_pair(
-    algebra: FiniteAlgebra,
-    first: LinearOperator,
-    second: LinearOperator,
-    validate: bool = True,
-) -> dict[str, Tensor3]:
-    """Four-corner splitting from two commuting 0-Baxter operators."""
-    e = ennea_from_commuting_pair(algebra, first, second, 0, validate=validate)
-    return {name: e.ops[name] for name in ("nw", "ne", "sw", "se")}
-
-
-def _kron(a: Tensor3, b: Tensor3) -> Tensor3:
-    """Kronecker product tensor; pair (p, q) sits at index p * b.dim + q."""
-    nb = b.dim
-    items = [
-        (i1 * nb + i2, j1 * nb + j2, k1 * nb + k2, c1 * c2)
-        for i1, j1, k1, c1 in a.numerators
-        for i2, j2, k2, c2 in b.numerators
-    ]
-    return Tensor3.from_numerators(a.dim * nb, a.denom * b.denom, items)
-
-
 def tensor_ennea(a: TrialgebraStructure, b: TrialgebraStructure, t: Scalar) -> EnneaStructure:
     """Nine-op structure on the tensor product of two three-op structures.
 
@@ -299,15 +251,15 @@ def tensor_ennea(a: TrialgebraStructure, b: TrialgebraStructure, t: Scalar) -> E
     return EnneaStructure(
         t=t,
         ops={
-            "nw": _kron(a.prec, b.prec),
-            "ne": _kron(a.succ, b.prec),
-            "sw": _kron(a.prec, b.succ),
-            "se": _kron(a.succ, b.succ),
-            "up": _kron(a.circ, b.prec),
-            "down": _kron(a.circ, b.succ),
-            "prec": _kron(a.prec, b.circ).scale(inv),
-            "succ": _kron(a.succ, b.circ).scale(inv),
-            "circ": _kron(a.circ, b.circ).scale(inv),
+            "nw": kron(a.prec, b.prec),
+            "ne": kron(a.succ, b.prec),
+            "sw": kron(a.prec, b.succ),
+            "se": kron(a.succ, b.succ),
+            "up": kron(a.circ, b.prec),
+            "down": kron(a.circ, b.succ),
+            "prec": kron(a.prec, b.circ).scale(inv),
+            "succ": kron(a.succ, b.circ).scale(inv),
+            "circ": kron(a.circ, b.circ).scale(inv),
         },
     )
 
@@ -369,9 +321,9 @@ def nested_splitting_report(e: EnneaStructure) -> Report:
 
     grand = e.derived("starbar")
     report.checks_run += 2
-    if horizontal.weighted_star(1) != grand:
+    if horizontal.star() != grand:
         report.add_failure(Witness("nested:horizontal-total", (), "lhd+rhd+cbar", "starbar"))
-    if vertical.weighted_star(1) != grand:
+    if vertical.star() != grand:
         report.add_failure(Witness("nested:vertical-total", (), "wedge+vee+t*star", "starbar"))
     return report
 

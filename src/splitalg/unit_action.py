@@ -48,17 +48,11 @@ from .exactlin import (
     Tensor3,
     combine,
     first_nested_difference,
+    kron,
     rat,
 )
-from .relations import (
-    NINE_OP_GENERATORS,
-    NINE_OP_SYSTEM,
-    AxiomSystem,
-    _side_terms,
-    resolve_tensor,
-)
+from .relations import AxiomSystem, _side_terms, check_system, resolve_tensor
 from .report import Report, Witness
-from .splitting import EnneaStructure, _kron, check_ennea
 
 # Rule scalars: the unit acts as the identity, or kills the argument.
 IDENTITY: Scalar = ONE
@@ -93,18 +87,6 @@ def unit_rules(
         )
         for gen in generators
     }
-
-
-def nine_op_unit_rules() -> dict[str, tuple[Scalar, Scalar]]:
-    """The standard unit action for the nine-operation family.
-
-    The north-west operation absorbs the unit on the right and the
-    south-east one on the left; all other unit actions are zero.  Then
-    the left and right halves, the vertical splittings, and the total
-    operation all absorb the unit on their natural sides, and the total
-    operation is genuinely unital.
-    """
-    return unit_rules(NINE_OP_GENERATORS, right_identity=("nw",), left_identity=("se",))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -335,16 +317,16 @@ def coherence_ops(
 
     out: dict[str, Tensor3] = {}
     for gen in system.generators:
-        kron = _kron(total, augment_tensor(ops_b[gen], op_unit_scalars(system, rules, t, gen)))
+        pair = kron(total, augment_tensor(ops_b[gen], op_unit_scalars(system, rules, t, gen)))
         op_a = ops_a[gen]
-        denom = math.lcm(kron.denom, op_a.denom)
-        grow_a, grow_kron = denom // op_a.denom, denom // kron.denom
+        denom = math.lcm(pair.denom, op_a.denom)
+        grow_a, grow_pair = denom // op_a.denom, denom // pair.denom
         # (x⊗1)(x'⊗1) = (x op x') ⊗ 1; the Kronecker product gives the
         # rest, once its unit-right-factor pairs and 1⊗1 inputs are dropped
         items = [(i, j, k, n * grow_a) for i, j, k, n in op_a.numerators]
         items.extend(
-            (place[x], place[y], place[z], n * grow_kron)
-            for x, y, z, n in kron.numerators
+            (place[x], place[y], place[z], n * grow_pair)
+            for x, y, z, n in pair.numerators
             if (x % (q + 1) or y % (q + 1)) and x and y
         )
         out[gen] = Tensor3.from_numerators(p + q + p * q, denom, items)
@@ -362,8 +344,6 @@ def check_coherence(
 ) -> Report:
     """Verify that a unit action is coherent: the mixed space on
     ``A⊗1 ⊕ 1⊗B ⊕ A⊗B`` satisfies all the identities again."""
-    from .relations import check_system
-
     mixed = coherence_ops(system, ops_a, ops_b, t, rules, total_name)
     report = check_system(
         system, mixed, t, title=title or f"{system.name} coherence"
@@ -372,25 +352,4 @@ def check_coherence(
         f"mixed space of dimensions {next(iter(ops_a.values())).dim} and "
         f"{next(iter(ops_b.values())).dim}"
     )
-    return report
-
-
-def ennea_coherence(
-    a: EnneaStructure, b: EnneaStructure, rules: UnitRules | None = None
-) -> EnneaStructure:
-    """The mixed-space nine-operation structure for two structures."""
-    if a.t != b.t:
-        raise ValueError("both structures must share the family parameter t")
-    mixed = coherence_ops(
-        NINE_OP_SYSTEM, a.ops, b.ops, a.t, rules or nine_op_unit_rules(), "starbar"
-    )
-    return EnneaStructure(t=a.t, ops=mixed)
-
-
-def check_ennea_coherence(
-    a: EnneaStructure, b: EnneaStructure, rules: UnitRules | None = None
-) -> Report:
-    """Coherence of a unit action for two nine-operation structures."""
-    report = check_ennea(ennea_coherence(a, b, rules))
-    report.title = "nine-operation coherence on the mixed space"
     return report

@@ -15,9 +15,15 @@ from typing import Mapping, Sequence
 
 import sympy
 
-from splitalg import AxiomSystem, Relation, Tensor3
+from splitalg import NINE_OP_SYSTEM, AxiomSystem, LinearOperator, Relation, Tensor3
 
 ZERO = Fraction(0)
+
+# the unit action ``verify unit-action`` and ``verify coherence`` default to
+# on the nine-op family: x nw 1 = x and 1 se x = x, every other action zero
+NINE_OP_RULES = {
+    gen: (Fraction(gen == "nw"), Fraction(gen == "se")) for gen in NINE_OP_SYSTEM.generators
+}
 
 Triple = tuple[int, int, int]
 VecMap = dict[int, Fraction]
@@ -294,6 +300,34 @@ def dense_combine(dim: int, terms) -> Grid:
     return out
 
 
+def dense_product(grid: Grid, x, y) -> tuple[Fraction, ...]:
+    """op(x, y) on two coefficient vectors, summed entry by entry."""
+    n = len(grid)
+    out = [ZERO] * n
+    for i, j in itertools.product(range(n), repeat=2):
+        if x[i] and y[j]:
+            for k in range(n):
+                out[k] += x[i] * y[j] * grid[i][j][k]
+    return tuple(out)
+
+
+def associative_and_unital(algebra) -> bool:
+    """Whether the product is associative on every basis triple and, when
+    the algebra has a unit, the unit acts as the identity on both sides of
+    every basis vector, from the dense grid."""
+    mult = algebra.mult
+    if brute_left(mult, mult) != brute_right(mult, mult):
+        return False
+    if algebra.unit is None:
+        return True
+    grid, n = mult.entries, algebra.dim
+    basis = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
+    return all(
+        dense_product(grid, algebra.unit, e) == e == dense_product(grid, e, algebra.unit)
+        for e in basis
+    )
+
+
 def dense_swap(grid: Grid) -> Grid:
     n = len(grid)
     return [[list(grid[j][i]) for j in range(n)] for i in range(n)]
@@ -347,9 +381,16 @@ Rows = list[list[Fraction]]
 
 
 def operator_rows(op) -> Rows:
-    """The dense rows of an operator, read one column image at a time."""
-    columns = [op.column(j) for j in range(op.dim)]
-    return [[columns[j][i] for j in range(op.dim)] for i in range(op.dim)]
+    """The dense rows of an operator, read from its entries one at a time."""
+    rows = [[ZERO] * op.dim for _ in range(op.dim)]
+    for i, j, n in op.numerators:
+        rows[i][j] = Fraction(n, op.denom)
+    return rows
+
+
+def identity_operator(dim: int) -> LinearOperator:
+    """The identity operator, from its dense rows."""
+    return LinearOperator.from_rows([[int(i == j) for j in range(dim)] for i in range(dim)])
 
 
 def dense_compose(a: Rows, b: Rows) -> Rows:
@@ -361,20 +402,12 @@ def dense_compose(a: Rows, b: Rows) -> Rows:
     ]
 
 
-def dense_add(a: Rows, b: Rows) -> Rows:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def dense_scale(c: Fraction, a: Rows) -> Rows:
     return [[Fraction(c) * x for x in row] for row in a]
 
 
 def dense_transpose(a: Rows) -> Rows:
     return [list(col) for col in zip(*a)]
-
-
-def dense_apply(a: Rows, vector) -> list[Fraction]:
-    return [sum((x * v for x, v in zip(row, vector)), ZERO) for row in a]
 
 
 def dense_augment(grid: Grid, right: Fraction, left: Fraction) -> Grid:
@@ -658,8 +691,8 @@ def bowtie_derivation_oracle(b) -> tuple[bool, int, list]:
     product, where a bowtie x = x_(1) a x_(2): the triples (a, x, y) in order,
     stopping at the first with D_a(x y) != D_a(x) y + x D_a(y), whose
     witness carries both sides as dense vectors.  Every product is one
-    ``Tensor3.apply`` on coefficient vectors."""
-    n, t, mult = b.dim, Fraction(b.t), b.algebra.mult
+    :func:`dense_product` on coefficient vectors."""
+    n, t, m = b.dim, Fraction(b.t), b.algebra.mult.entries
     d = coproduct_cube(b.delta)
     basis = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
 
@@ -667,11 +700,11 @@ def bowtie_derivation_oracle(b) -> tuple[bool, int, list]:
         return tuple(sum(parts, ZERO) for parts in zip(*vectors))
 
     def shifted(a, x):  # a bowtie x + t a x, for a basis index a
-        out = tuple(t * c for c in mult.apply(basis[a], x))
+        out = tuple(t * c for c in dense_product(m, basis[a], x))
         for i, p, q in itertools.product(range(n), repeat=3):
             c = x[i] * d[i][p][q]
             if c:
-                sandwich = mult.apply(mult.apply(basis[p], basis[a]), basis[q])
+                sandwich = dense_product(m, dense_product(m, basis[p], basis[a]), basis[q])
                 out = add(out, tuple(c * v for v in sandwich))
         return out
 
@@ -679,8 +712,8 @@ def bowtie_derivation_oracle(b) -> tuple[bool, int, list]:
     checks = 0
     for a, x, y in itertools.product(range(n), repeat=3):
         checks += 1
-        lhs = shifted(a, mult.apply(basis[x], basis[y]))
-        rhs = add(mult.apply(images[a][x], basis[y]), mult.apply(basis[x], images[a][y]))
+        lhs = shifted(a, dense_product(m, basis[x], basis[y]))
+        rhs = add(dense_product(m, images[a][x], basis[y]), dense_product(m, basis[x], images[a][y]))
         if lhs != rhs:
             return False, checks, [(f"bowtie-derivation[a={a}]", (x, y), lhs, rhs)]
     return True, checks, []

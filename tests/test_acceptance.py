@@ -28,9 +28,9 @@ from splitalg import (
     chain_coproduct,
     check_baxter,
     check_cobaxter,
+    check_coherence,
     check_deformation_instance,
     check_ennea,
-    check_ennea_coherence,
     check_eps_bialgebra,
     check_hypercubic,
     check_jacobi,
@@ -46,7 +46,6 @@ from splitalg import (
     ennea_on_end,
     horizontal_trialgebra,
     instance_operator_equation,
-    nine_op_unit_rules,
     opposite_ennea,
     path_algebra,
     prelie_pair_from_ennea,
@@ -262,7 +261,7 @@ def test_criterion_8_unit_action():
     pa = path_algebra(line_graph(2))
     b = EpsilonBialgebra(pa.algebra, chain_coproduct(pa), F(-1))
     e = ennea_on_end(b)
-    rules = nine_op_unit_rules()
+    rules = oracles.NINE_OP_RULES
 
     report = check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, rules)
     assert report.passed
@@ -279,7 +278,8 @@ def test_criterion_8_unit_action():
     small_a = ennea_from_commuting_pair(alg, row, row, param)
     small_b = ennea_from_commuting_pair(alg, col, col, param)
     for pair in ((small_a, small_b), (small_b, small_a)):
-        coherence = check_ennea_coherence(*pair)
+        a, b = (structure.ops for structure in pair)
+        coherence = check_coherence(NINE_OP_SYSTEM, a, b, param, rules, "starbar")
         assert coherence.passed and coherence.checks_run == 49 * 15**3
 
     # both unit choices on the deformed structure

@@ -3,13 +3,29 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from splitalg import LinearOperator, Tensor3, WeightedDigraph
+import oracles
+from splitalg import (
+    LinearOperator,
+    Tensor3,
+    WeightedDigraph,
+    ennea_from_commuting_pair,
+    trialgebra_from_baxter,
+    triangular_baxter_example,
+)
 from splitalg.cli import main
-from splitalg.jsonio import dump_json, graph_to_json, load, operator_to_json, save
+from splitalg.jsonio import (
+    dump_json,
+    graph_to_json,
+    load,
+    operations_to_json,
+    operator_to_json,
+    save,
+)
 
 F = Fraction
 
@@ -114,9 +130,80 @@ def test_construct_and_verify_roundtrip(graph_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
 
-    # unit action and coherence on the same envelope
+    # unit action on the same envelope
     assert main(["verify", "unit-action", "--file", str(ops_path)]) == 0
     capsys.readouterr()
+
+
+def save_operations(path, family, t, ops):
+    save(str(path), operations_to_json(family, t, ops))
+    return str(path)
+
+
+def small_structures(tmp_path):
+    """Operations envelopes of the three- and nine-op structures that the
+    row operator of the 2-by-2 triangular matrices gives: (three, nine)."""
+    alg, row, _, param = triangular_baxter_example(2, F(1))
+    tri = trialgebra_from_baxter(alg, row, param)
+    nine = ennea_from_commuting_pair(alg, row, row, param)
+    return (
+        save_operations(tmp_path / "three.json", "three_op", 0, tri.ops()),
+        save_operations(tmp_path / "nine.json", "nine_op", nine.t, nine.ops),
+    )
+
+
+def test_verify_coherence_on_the_end_envelope(graph_file, tmp_path, capsys):
+    ops_path = str(tmp_path / "end9.json")
+    assert main(["construct", "end-ennea", "--graph", graph_file, "-o", ops_path]) == 0
+    capsys.readouterr()
+    assert main(["verify", "coherence", "--file", ops_path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True
+    assert payload["checks_run"] == 49 * (9 + 9 + 81) ** 3 == 47_544_651
+    assert payload["notes"] == ["mixed space of dimensions 9 and 9"]
+
+
+def test_verify_coherence_fails_on_a_perturbed_second_factor(tmp_path, capsys):
+    _, nine = small_structures(tmp_path)
+    data = load(nine)
+    data["ops"]["nw"].append([2, 2, 0, "1"])
+    bent = str(tmp_path / "bent.json")
+    save(bent, data)
+    assert main(["verify", "coherence", "--file", nine, "--file2", bent]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("[FAIL] nine_op coherence: 165375 checks")
+    assert "nine_op:1.1 fails at basis tuple" in out
+
+
+def test_verify_coherence_refuses_mismatched_files(tmp_path, capsys):
+    three, nine = small_structures(tmp_path)
+    data = load(nine)
+    data["t"] = "2"
+    other_t = str(tmp_path / "other_t.json")
+    save(other_t, data)
+    for second in (three, other_t):
+        assert main(["verify", "coherence", "--file", nine, "--file2", second]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: both operations files must share family and t\n"
+
+
+def test_verify_trialgebra_passes_fails_and_refuses_another_family(tmp_path, capsys):
+    three, nine = small_structures(tmp_path)
+    assert main(["verify", "trialgebra", "--file", three]) == 0
+    assert capsys.readouterr().out == "[PASS] three-op splitting: 189 checks\n"
+    data = load(three)
+    data["ops"]["circ"].append([0, 0, 0, "1/2"])
+    bent = str(tmp_path / "bent.json")
+    save(bent, data)
+    assert main(["verify", "trialgebra", "--file", bent]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("[FAIL] three-op splitting: 189 checks")
+    assert "three_op:tri:" in out and "fails at basis tuple" in out
+    assert main(["verify", "trialgebra", "--file", nine]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected a three_op operations file, got 'nine_op'\n"
 
 
 def test_verify_ennea_fails_on_perturbed_envelope(graph_file, tmp_path, capsys):
@@ -207,8 +294,24 @@ def test_deform_check_four_four_refuses_empty_weights2(graph_file, capsys):
 
 
 def test_deform_check_unsupported_variant(graph_file, capsys):
-    assert main(["deform", "check", "--graph", graph_file, "--variant", "nine_nine"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # only two_three and four_four have a graph recipe, so the parser refuses
+    # the others as it refuses any unknown choice
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", "check", "--graph", graph_file, "--variant", "nine_nine"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nine_nine'" in capsys.readouterr().err
+
+
+def test_deform_check_order_one_million_counts_the_zero_orders(graph_file, capsys):
+    # the series has two orders, so from order 3 on every product is zero
+    started = time.perf_counter()
+    assert main(["deform", "check", "--graph", graph_file, "--order", "1000000", "--json"]) == 0
+    elapsed = time.perf_counter() - started
+    series = json.loads(capsys.readouterr().out)["reports"][2]
+    assert series["title"] == "order-by-order deformation check (order<1000000, tau=1)"
+    assert series["passed"] is True
+    assert series["checks_run"] == 7 * 1_000_000 * 9**3
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("order", ["0", "-3"])
@@ -241,7 +344,7 @@ def _assert_one_line_usage_error(capsys):
 def test_out_of_range_tensor_index_is_a_usage_error(tmp_path, capsys):
     algebra = {"kind": "algebra", "dim": 2, "mult": [[0, 0, 0, "1"], [1, 5, 1, "1"]]}
     save(str(tmp_path / "alg.json"), algebra)
-    save(str(tmp_path / "op.json"), operator_to_json(LinearOperator.identity(2)))
+    save(str(tmp_path / "op.json"), operator_to_json(oracles.identity_operator(2)))
     argv = ["verify", "baxter", "--algebra", str(tmp_path / "alg.json"),
             "--operator", str(tmp_path / "op.json"), "--t", "-1"]
     assert main(argv) == 2
@@ -251,7 +354,7 @@ def test_out_of_range_tensor_index_is_a_usage_error(tmp_path, capsys):
 def test_negative_coproduct_index_is_a_usage_error(tmp_path, capsys):
     coproduct = {"kind": "coproduct", "dim": 2, "items": [[-1, 0, 1, "1"]]}
     save(str(tmp_path / "delta.json"), coproduct)
-    save(str(tmp_path / "op.json"), operator_to_json(LinearOperator.identity(2)))
+    save(str(tmp_path / "op.json"), operator_to_json(oracles.identity_operator(2)))
     argv = ["verify", "baxter", "--coproduct", str(tmp_path / "delta.json"),
             "--operator", str(tmp_path / "op.json"), "--t", "-1"]
     assert main(argv) == 2
@@ -267,7 +370,7 @@ def test_negative_coproduct_index_is_a_usage_error(tmp_path, capsys):
 )
 def test_legless_coproduct_of_another_dim_is_a_usage_error(tmp_path, capsys, dim, message):
     save(str(tmp_path / "delta.json"), {"kind": "coproduct", "dim": dim, "items": []})
-    save(str(tmp_path / "op.json"), operator_to_json(LinearOperator.identity(2)))
+    save(str(tmp_path / "op.json"), operator_to_json(oracles.identity_operator(2)))
     argv = ["verify", "baxter", "--coproduct", str(tmp_path / "delta.json"),
             "--operator", str(tmp_path / "op.json"), "--t", "-1"]
     assert main(argv) == 2

@@ -43,7 +43,6 @@ from splitalg.jsonio import (
     system_to_json,
 )
 from splitalg.relations import NINE_OP_GENERATORS, NINE_OP_SYSTEM
-from splitalg.unit_action import nine_op_unit_rules
 
 F = Fraction
 VERBS = ("ennea", "unit-action")
@@ -195,7 +194,7 @@ def oracle_reports(data):
     }
     return {
         "ennea": check_ennea(EnneaStructure(t=t, ops=ops)),
-        "unit-action": check_unit_compatibility(NINE_OP_SYSTEM, ops, t, nine_op_unit_rules()),
+        "unit-action": check_unit_compatibility(NINE_OP_SYSTEM, ops, t, oracles.NINE_OP_RULES),
     }
 
 

@@ -426,6 +426,28 @@ def test_broken_series_is_caught():
     assert report.witnesses
 
 
+@pytest.mark.parametrize("order", range(1, 7))
+def test_orders_past_the_last_nonzero_product_are_counted_not_summed(order):
+    """Orders m >= 2L - 1 (L the longest coefficient list) hold as they
+    stand: the report equals the one that sums every order, which padding
+    each list with zero tensors forces."""
+    alg, dw, dch = two_vertex_setup()
+    inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
+    series = dict(inst.series)
+    series["prec"] = [series["prec"][0], series["succ"][1]]  # wrong order-1 part
+    series["circ"] = [*series["circ"], series["succ"][1]]  # a nonzero order-2 part: L = 3
+    zero = Tensor3.zero(inst.end.dim)
+    padded = {name: [*s, *[zero] * order] for name, s in series.items()}
+    for tau in (F(1), F(-2, 3)):
+        got = deformed_structure_check(inst.deformed.base, series, inst.t_eval, order, tau)
+        want = deformed_structure_check(inst.deformed.base, padded, inst.t_eval, order, tau)
+        assert got == want
+        assert got.checks_run == 7 * order * 9**3
+    # the order-2 part makes order 4 fail, which 2L - 1 = 5 still sums
+    failing_orders = {int(w.context.rsplit("^", 1)[1]) for w in got.witnesses}
+    assert failing_orders == set(range(1, min(order, 5)))
+
+
 def test_instance_tensors_satisfy_relations_via_check_system_directly():
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)

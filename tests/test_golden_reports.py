@@ -22,35 +22,31 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import oracles
 from splitalg import (
     CoalgebraData,
     EnneaStructure,
     EpsilonBialgebra,
-    FiniteAlgebra,
     LinearOperator,
     Tensor3,
     TrialgebraStructure,
     WeightedDigraph,
     baxter_deformation,
     chain_coproduct,
-    check_algebra,
     check_baxter,
     check_cobaxter,
     check_coassociative,
     check_deformation_instance,
-    check_dialgebra,
     check_ennea,
     check_eps_bialgebra,
     check_hypercubic,
     check_prelie,
-    check_quadri,
     check_trialgebra,
     check_unit_compatibility,
     convolution_structure,
     deformed_structure_check,
     ennea_from_commuting_pair,
     ennea_on_end,
-    nine_op_unit_rules,
     path_algebra,
     splitting_coproduct,
     triangular_baxter_example,
@@ -62,7 +58,14 @@ from splitalg import (
 from splitalg.bialgebra import check_derivations, is_coderivation, is_derivation
 from splitalg.cli import main
 from splitalg.jsonio import dump_json, graph_to_json, report_to_json, save
-from splitalg.relations import NINE_OP_SYSTEM, THREE_OP_SYSTEM
+from splitalg.relations import (
+    ASSOCIATIVITY,
+    FOUR_OP_SYSTEM,
+    NINE_OP_SYSTEM,
+    THREE_OP_SYSTEM,
+    TWO_OP_SYSTEM,
+    check_system,
+)
 from splitalg.splitting import (
     PreLieStructure,
     is_baxter_on_trialgebra,
@@ -151,7 +154,7 @@ def _derivation_cases():
     b = _chain_bialgebra()
     alg, _, _, _ = triangular_baxter_example(3, F(1))
     n = b.dim
-    ident = LinearOperator.identity(n)
+    ident = oracles.identity_operator(n)
     zero = ident.scale(0)
     yield "derivation/inner", is_derivation(alg, _inner_derivation(alg, 1))
     yield "derivation/inner_perturbed", is_derivation(
@@ -204,10 +207,10 @@ def _coalgebra_cases():
         [chain_coproduct(pa), chain_coproduct(pa, weights=[F(3, 2)])]
     )
     yield "coalgebra/coderivation_fail", is_coderivation(
-        b.delta, LinearOperator.identity(b.dim)
+        b.delta, oracles.identity_operator(b.dim)
     )
     yield "coalgebra/coderivation_fail_late", is_coderivation(
-        b.delta, _perturbed(LinearOperator.identity(b.dim).scale(0), 2, 2, F(1))
+        b.delta, _perturbed(oracles.identity_operator(b.dim).scale(0), 2, 2, F(1))
     )
     skew = Tensor3.from_sparse(
         3, [(0, 1, 2, F(1)), (1, 2, 0, F(2, 3)), (2, 2, 1, F(-1)), (1, 0, 1, F(1))]
@@ -230,7 +233,7 @@ def _coalgebra_cases():
 
 def _unit_cases():
     e = ennea_on_end(_chain_bialgebra())
-    rules = nine_op_unit_rules()
+    rules = oracles.NINE_OP_RULES
     yield "unit/nine_op", check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, rules)
     swapped = dict(rules, nw=rules["se"], se=rules["nw"])
     yield "unit/nine_op_swapped", check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, swapped)
@@ -260,14 +263,20 @@ def _identity_system_cases():
     yield "trialgebra/check_fail", check_trialgebra(
         TrialgebraStructure(prec=_bump(tri.prec, 0, 0, 0, F(1, 5)), succ=tri.succ, circ=tri.circ)
     )
-    yield "dialgebra/check_fail", check_dialgebra(tri.prec, tri.succ)
+    yield "dialgebra/check_fail", check_system(
+        TWO_OP_SYSTEM, {"prec": tri.prec, "succ": tri.succ}, F(0), "two-op splitting"
+    )
     corners = {name: pair.ops[name] for name in ("nw", "ne", "sw", "se")}
-    yield "quadri/check_fail", check_quadri(_bumped_ops(corners, "sw", 1, 2, 0, F(-2, 9)))
+    yield "quadri/check_fail", check_system(
+        FOUR_OP_SYSTEM, _bumped_ops(corners, "sw", 1, 2, 0, F(-2, 9)), F(0), "four-op splitting"
+    )
     skew = Tensor3.from_sparse(
         3, [(0, 1, 2, F(1, 2)), (1, 2, 0, F(2, 3)), (2, 2, 1, F(-1)), (1, 0, 1, F(1))]
     )
-    yield "algebra/associativity_fail", check_algebra(FiniteAlgebra(skew))
-    rules = nine_op_unit_rules()
+    yield "algebra/associativity_fail", check_system(
+        ASSOCIATIVITY, {"mul": skew}, F(0), "algebra axioms"
+    )
+    rules = oracles.NINE_OP_RULES
     yield "unit/nine_op_perturbed_rational", check_unit_compatibility(
         NINE_OP_SYSTEM, _bumped_ops(end.ops, "nw", 2, 1, 3, F(5, 6)), end.t, rules
     )

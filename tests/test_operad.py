@@ -76,14 +76,6 @@ def test_weighted_blocks_degenerate_at_parameter_zero():
     assert (flat.rank, flat.dim3) == (27, 101)
 
 
-def test_generating_function_prefix():
-    count = degree3_dimension(builtin_presentations()["two_op"], F(0))
-    assert count.generating_function_prefix() == [F(1), F(2), F(5)]
-    assert count.generating_function_prefix(signed=True) == [F(-1), F(2), F(-5)]
-    three = degree3_dimension(builtin_presentations()["three_op"], F(1))
-    assert three.generating_function_prefix() == [F(1), F(3), F(11)]
-
-
 def test_relation_rows_are_the_sparse_relation_matrix():
     system = builtin_presentations()["deformed_nine_nine"]
     rows = relation_rows(system, F(2, 3))
@@ -107,12 +99,16 @@ def test_relation_rows_are_the_sparse_relation_matrix():
 
 
 def test_degree3_dimension_builds_no_dense_matrix(monkeypatch):
-    import splitalg.exactlin as exactlin
+    import splitalg.operad as operad
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense rows built")
+    real = operad.rank_int_rows
 
-    monkeypatch.setattr(exactlin, "rank", refuse)
+    def sparse_only(rows):
+        # every row is a {column: int} map of its nonzero entries
+        assert all(isinstance(row, dict) and all(row.values()) for row in rows), "dense rows built"
+        return real(rows)
+
+    monkeypatch.setattr(operad, "rank_int_rows", sparse_only)
     count = degree3_dimension(builtin_presentations()["nine_op"], F(1))
     assert (count.rank, count.dim3, count.nonzeros) == (49, 113, 162)
 

@@ -6,27 +6,26 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from splitalg import (
     LinearOperator,
     combine,
-    check_dialgebra,
     check_ennea,
     check_jacobi,
     check_prelie,
-    check_quadri,
     check_trialgebra,
     ennea_from_baxter_on_trialgebra,
     ennea_from_commuting_pair,
     horizontal_trialgebra,
     opposite_ennea,
     prelie_pair_from_ennea,
-    quadri_from_commuting_pair,
     tensor_ennea,
     transpose_ennea,
     trialgebra_from_baxter,
     triangular_baxter_example,
     vertical_trialgebra,
 )
+from splitalg.relations import FOUR_OP_SYSTEM, TWO_OP_SYSTEM, check_system
 from splitalg.splitting import nested_splitting_report, star_morphism_report
 
 F = Fraction
@@ -56,13 +55,13 @@ def test_zero_weight_splitting_gives_two_op_structure():
     s, param = row_trialgebra(3, F(0))
     assert param == 0
     assert s.circ.entries == s.circ.scale(0).entries  # circ vanishes at weight 0
-    assert check_dialgebra(s.prec, s.succ).passed
+    assert check_system(TWO_OP_SYSTEM, {"prec": s.prec, "succ": s.succ}, F(0)).passed
 
 
 def test_splitting_from_non_operator_raises():
     alg, _, _, _ = triangular_baxter_example(2, F(1))
     with pytest.raises(ValueError):
-        trialgebra_from_baxter(alg, LinearOperator.identity(alg.dim), F(1))
+        trialgebra_from_baxter(alg, oracles.identity_operator(alg.dim), F(1))
 
 
 @pytest.mark.parametrize("t", PARAMS)
@@ -90,10 +89,10 @@ def test_nine_op_from_refining_operator_on_three_op():
 
 
 def test_quadri_from_commuting_pair_at_weight_zero():
-    alg, row, _, _ = triangular_baxter_example(3, F(0))
-    ops = quadri_from_commuting_pair(alg, row, row)
-    assert sorted(ops) == ["ne", "nw", "se", "sw"]
-    assert check_quadri(ops).passed
+    alg, row, _, param = triangular_baxter_example(3, F(0))
+    e = ennea_from_commuting_pair(alg, row, row, param)
+    corners = {name: e.ops[name] for name in FOUR_OP_SYSTEM.generators}
+    assert check_system(FOUR_OP_SYSTEM, corners, param).passed
 
 
 @pytest.mark.parametrize("t", [F(1), F(-1), F(2, 3)])

@@ -212,7 +212,7 @@ def test_one_half_by_every_route_is_one_tensor():
         combine(2, [(F(1, 4), ones), (F(1, 4), ones)]),
         combine(2, [(F(1), ones), (F(-1, 2), ones)]),
         Tensor3.from_sparse(2, [(1, 0, 1, "2/4")]).swap_args(),
-        twist(ones, post=LinearOperator.identity(2).scale(F(1, 2))),
+        twist(ones, post=oracles.identity_operator(2).scale(F(1, 2))),
         tensor_from_json(2, [[0, 1, 1, "2/4"]]),
         tensor_from_json(2, [[0, 1, 1, "1/4"], [0, 1, 1, "1/4"]]),
         tensor_from_json(2, [[0, 1, 1, "1"], [0, 1, 1, "-1/2"]]),
@@ -235,7 +235,6 @@ def test_cancellation_gives_the_zero_tensor(case):
         tensor.sub(tensor),
         tensor.scale(0),
         Tensor3.from_sparse(dim, items + negated),
-        tensor.add(Tensor3.from_sparse(dim, negated)),
     ):
         assert cancelled == zero
         assert hash(cancelled) == hash(zero)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import itertools
 import random
@@ -19,17 +20,18 @@ from splitalg import (
     WeightedDigraph,
     baxter_deformation,
     chain_coproduct,
-    check_ennea_coherence,
     check_unit_compatibility,
+    combine,
     ennea_from_commuting_pair,
     ennea_on_end,
-    nine_op_unit_rules,
     path_algebra,
     trialgebra_from_baxter,
     triangular_baxter_example,
     unit_rules,
     weighted_coproduct,
 )
+from splitalg.cli import _rules_from_args, main
+from splitalg.jsonio import operations_to_json, save
 from splitalg.relations import NINE_OP_GENERATORS
 from splitalg.unit_action import (
     UnitScalars,
@@ -62,7 +64,9 @@ def test_unit_rules_constructor():
 
 
 def test_standard_nine_op_rules():
-    rules = nine_op_unit_rules()
+    """The unit action the CLI defaults to on the nine-op family."""
+    rules = _rules_from_args(NINE_OP_SYSTEM, argparse.Namespace(right=None, left=None))
+    assert rules == oracles.NINE_OP_RULES
     assert rules["nw"] == (F(1), F(0))
     assert rules["se"] == (F(0), F(1))
     for name in ("ne", "sw", "up", "down", "prec", "succ", "circ"):
@@ -70,7 +74,7 @@ def test_standard_nine_op_rules():
 
 
 def test_composite_scalars_at_minus_one():
-    rules = nine_op_unit_rules()
+    rules = oracles.NINE_OP_RULES
     expected = {
         "lhd": (F(1), F(0), False),
         "rhd": (F(0), F(1), False),
@@ -105,7 +109,7 @@ def test_augment_tensor_layout():
 
 def test_end_structure_is_unit_compatible_with_frozen_counts():
     e = end_nine_op()
-    rules = nine_op_unit_rules()
+    rules = oracles.NINE_OP_RULES
     report = check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, rules)
     assert report.passed, report.summary()
     assert report.checks_run == 48688
@@ -124,7 +128,7 @@ def skipped_per_relation(system, ops, t, rules):
 
 def test_skip_sets_match_the_independent_pattern_count():
     e = end_nine_op()
-    rules = nine_op_unit_rules()
+    rules = oracles.NINE_OP_RULES
     per_relation = skipped_per_relation(NINE_OP_SYSTEM, e.ops, e.t, rules)
     for relation in NINE_OP_SYSTEM.relations:
         want = oracles.skip_triples(NINE_OP_SYSTEM, rules, e.t, relation, e.dim)
@@ -135,7 +139,7 @@ def test_skip_sets_match_the_independent_pattern_count():
 
 
 SKIP_RULES = (
-    (NINE_OP_SYSTEM, nine_op_unit_rules()),
+    (NINE_OP_SYSTEM, oracles.NINE_OP_RULES),
     (NINE_OP_SYSTEM, unit_rules(NINE_OP_GENERATORS, right_identity=("nw", "ne"), left_identity=("se",))),
     (THREE_OP_SYSTEM, unit_rules(("prec", "succ", "circ"), right_identity=("prec",), left_identity=("succ",))),
     # prec and succ both defined at the corner, circ not: every pattern kind occurs
@@ -242,7 +246,7 @@ def perturbed_case(system, t, seed, bump):
     """(system, rules, t, ops) for one PERTURBED entry, on the genuine
     structure of dim 3."""
     if seed is None:
-        rules = nine_op_unit_rules() if system is NINE_OP_SYSTEM else unit_rules(
+        rules = oracles.NINE_OP_RULES if system is NINE_OP_SYSTEM else unit_rules(
             system.generators, right_identity=("prec",), left_identity=("succ",)
         )
     else:
@@ -250,7 +254,7 @@ def perturbed_case(system, t, seed, bump):
     ops = genuine_ops(system, 2, t)
     if bump is not None:
         gen, *entry = bump
-        ops[gen] = ops[gen].add(Tensor3.from_sparse(ops[gen].dim, [tuple(entry)]))
+        ops[gen] = combine(ops[gen].dim, [(1, ops[gen]), (1, Tensor3.from_sparse(ops[gen].dim, [tuple(entry)]))])
     return system, rules, t, ops
 
 
@@ -300,7 +304,7 @@ def test_empty_operations_at_dim_65536_need_no_augmented_copy():
     ops = {gen: Tensor3.zero(dim) for gen in NINE_OP_GENERATORS}
     tracemalloc.start()
     try:
-        report = check_unit_compatibility(NINE_OP_SYSTEM, ops, F(-1), nine_op_unit_rules())
+        report = check_unit_compatibility(NINE_OP_SYSTEM, ops, F(-1), oracles.NINE_OP_RULES)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,7 +315,7 @@ def test_empty_operations_at_dim_65536_need_no_augmented_copy():
 
 def test_small_structure_is_unit_compatible():
     e = small_nine_op()
-    report = check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, nine_op_unit_rules())
+    report = check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, oracles.NINE_OP_RULES)
     assert report.passed
     assert report.checks_run + report.skipped_undefined == 49 * (e.dim + 1) ** 3
 
@@ -331,19 +335,23 @@ def test_perturbed_rules_fail_with_witness():
 def test_coherence_on_mixed_two_factor_space():
     a = small_nine_op()
     b = small_nine_op(use_column=True)
-    report = check_ennea_coherence(a, b)
+    rules = oracles.NINE_OP_RULES
+    report = check_coherence(NINE_OP_SYSTEM, a.ops, b.ops, a.t, rules, "starbar")
     assert report.passed, report.summary()
     assert report.checks_run == 49 * 15**3
     # swapping the factors works too
-    assert check_ennea_coherence(b, a).passed
+    assert check_coherence(NINE_OP_SYSTEM, b.ops, a.ops, a.t, rules, "starbar").passed
 
 
-def test_coherence_requires_matching_parameters_and_unital_total():
+def test_coherence_requires_matching_parameters_and_unital_total(tmp_path, capsys):
     a = small_nine_op()
     alg, row, _, param = triangular_baxter_example(2, F(2, 3))
     other = ennea_from_commuting_pair(alg, row, row, param)
-    with pytest.raises(ValueError):
-        check_ennea_coherence(a, other)
+    paths = [str(tmp_path / f"{name}.json") for name in ("a", "other")]
+    for path, e in zip(paths, (a, other)):
+        save(path, operations_to_json("nine_op", e.t, e.ops))
+    assert main(["verify", "coherence", "--file", paths[0], "--file2", paths[1]]) == 2
+    assert capsys.readouterr().err == "error: both operations files must share family and t\n"
     silent = unit_rules(NINE_OP_GENERATORS)  # all zero: total is not unital
     with pytest.raises(ValueError):
         check_coherence(NINE_OP_SYSTEM, a.ops, a.ops, a.t, silent, "starbar")
@@ -361,9 +369,9 @@ THREE_OP_TABLES = {
 }
 
 COHERENCE_CASES = [
-    (NINE_OP_SYSTEM, nine_op_unit_rules(), F(-1), "starbar", 2, 2),
-    (NINE_OP_SYSTEM, nine_op_unit_rules(), F(-1), "starbar", 1, 3),
-    (NINE_OP_SYSTEM, nine_op_unit_rules(), F(2, 3), "starbar", 3, 2),
+    (NINE_OP_SYSTEM, oracles.NINE_OP_RULES, F(-1), "starbar", 2, 2),
+    (NINE_OP_SYSTEM, oracles.NINE_OP_RULES, F(-1), "starbar", 1, 3),
+    (NINE_OP_SYSTEM, oracles.NINE_OP_RULES, F(2, 3), "starbar", 3, 2),
     *(
         (THREE_OP_SYSTEM, rules, F(1), "star", p, q)
         for rules in THREE_OP_TABLES.values()
@@ -405,8 +413,8 @@ def test_coherence_ops_refuse_a_non_unital_total(system, rules, total_name):
 def test_coherence_fails_with_a_witness_when_b_is_perturbed():
     a = small_nine_op()
     b = small_nine_op(use_column=True)
-    bent = dict(b.ops, nw=b.ops["nw"].add(Tensor3.from_sparse(b.dim, [(0, 1, 2, F(1))])))
-    report = check_coherence(NINE_OP_SYSTEM, a.ops, bent, a.t, nine_op_unit_rules(), "starbar")
+    bent = dict(b.ops, nw=combine(b.dim, [(1, b.ops["nw"]), (1, Tensor3.from_sparse(b.dim, [(0, 1, 2, F(1))]))]))
+    report = check_coherence(NINE_OP_SYSTEM, a.ops, bent, a.t, oracles.NINE_OP_RULES, "starbar")
     assert not report.passed
     assert report.checks_run == 49 * 15**3
     assert len(report.witnesses) == 17
