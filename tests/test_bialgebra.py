@@ -9,7 +9,6 @@ import pytest
 import oracles
 from splitalg import (
     EpsilonBialgebra,
-    LinearOperator,
     WeightedDigraph,
     chain_coproduct,
     check_ennea,

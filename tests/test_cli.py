@@ -10,7 +10,6 @@ import pytest
 
 import oracles
 from splitalg import (
-    LinearOperator,
     Tensor3,
     WeightedDigraph,
     ennea_from_commuting_pair,
@@ -19,7 +18,6 @@ from splitalg import (
 )
 from splitalg.cli import main
 from splitalg.jsonio import (
-    dump_json,
     graph_to_json,
     load,
     operations_to_json,

@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from splitalg import (
-    LinearOperator,
     combine,
     check_ennea,
     check_jacobi,
