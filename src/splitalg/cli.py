@@ -156,12 +156,12 @@ def cmd_verify_baxter(args: argparse.Namespace) -> int:
     from . import jsonio
     from .baxter import check_baxter, check_cobaxter
 
+    if bool(args.algebra) == bool(args.coproduct):
+        raise ValueError("give exactly one of --algebra and --coproduct (the transposed check)")
     operator = jsonio.operator_from_json(jsonio.load(args.operator))
     if args.coproduct:
         delta = jsonio.coproduct_from_json(jsonio.load(args.coproduct))
         return _emit_reports(args, [check_cobaxter(delta, operator, args.t)])
-    if not args.algebra:
-        raise ValueError("give --algebra (or --coproduct for the transposed check)")
     algebra = jsonio.algebra_from_json(jsonio.load(args.algebra))
     return _emit_reports(args, [check_baxter(algebra, operator, args.t)])
 

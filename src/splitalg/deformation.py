@@ -342,32 +342,18 @@ def deformed_structure_check(
     if len(dims) != 1:
         raise ValueError("series tensors must share one dimension")
     dim = dims.pop()
-    zero = Tensor3.zero(dim)
 
-    # One cache for the generators' scaled coefficients and the composites
-    # built from them; neither closure refers to itself, so no reference
-    # cycle keeps the cache alive after the check returns.
+    at = base.at(t_eval)
+    # The closure does not refer to itself, so no reference cycle keeps its
+    # cache alive after the check returns.
     cache: dict[tuple[str, int], Tensor3] = {}
 
-    def scaled(name: str, m: int) -> Tensor3:
-        key = (name, m)
-        if key not in cache:
-            coeffs = series.get(name, ())
-            if m >= len(coeffs):
-                cache[key] = zero
-            else:
-                cache[key] = coeffs[m].scale(tau**m) if m > 0 else coeffs[m]
-        return cache[key]
-
     def op_series(name: str, m: int) -> Tensor3:
-        parts = base.composites.get(name)
-        if parts is None:
-            return scaled(name, m)
+        """The h^m coefficient of an operation, generators included."""
         key = (name, m)
         if key not in cache:
-            cache[key] = combine(
-                dim, [(poly.eval(t_eval), scaled(gen, m)) for poly, gen in parts]
-            )
+            parts = [(c * tau**m, series.get(gen, ())) for c, gen in at.ops[name]]
+            cache[key] = combine(dim, [(w, coeffs[m]) for w, coeffs in parts if m < len(coeffs)])
         return cache[key]
 
     report = Report(
@@ -379,17 +365,12 @@ def deformed_structure_check(
     # stand and are counted without being summed
     summed = min(order, 2 * max(map(len, series.values())) - 1)
     report.checks_run += (order - summed) * len(base.relations) * dim**3
-    for rel in base.relations:
+    for rel, (lhs, rhs) in zip(base.relations, at.relations):
         for m in range(summed):
             total: CompositionMap = {}
-            for sign, terms, composer in (
-                (ONE, rel.lhs, compose_left),
-                (-ONE, rel.rhs, compose_right),
-            ):
-                for coeff, inner, outer in terms:
-                    value = coeff.eval(t_eval) * sign
-                    if value == 0:
-                        continue
+            for sign, terms, composer in ((ONE, lhs, compose_left), (-ONE, rhs, compose_right)):
+                for c, inner, outer in terms:
+                    value = c * sign
                     for p in range(m + 1):
                         part = composer(op_series(inner, p), op_series(outer, m - p))
                         accumulate(total, part, value)

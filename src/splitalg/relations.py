@@ -12,7 +12,9 @@ read the same data.
 Coefficients are polynomials in t (:class:`TPoly`); named composite
 operations (sums of generators, possibly t-weighted) are part of the system
 and are kept *unexpanded* in the tables, because the unit-action checks need
-to evaluate composites as single slots.
+to evaluate composites as single slots.  :meth:`AxiomSystem.at` turns every
+coefficient into a number once per t, and every tensor check reads that
+table.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ class TPoly(tuple):
                 out[i + j] += a * b
         return TPoly(out)
 
-    def scale(self, c: Scalar) -> "TPoly":
-        return TPoly([rat(c) * a for a in self])
-
     def eval(self, t: Fraction) -> Fraction:
         value = ZERO
         for coeff in reversed(self):
@@ -107,6 +106,28 @@ class Relation:
     rhs: tuple[Term, ...]
 
 
+# one side of an identity at a concrete t: (coefficient, inner, outer) terms
+SideAt = tuple[tuple[Fraction, str, str], ...]
+
+
+@dataclasses.dataclass(frozen=True)
+class SystemAt:
+    """An axiom system at one value of t, every coefficient a Fraction and
+    every zero term dropped.  ``ops`` maps each operation, generators
+    included, to its (coefficient, generator) combination; ``relations``
+    holds each identity's two sides, in the system's order."""
+
+    t: Fraction
+    ops: dict[str, tuple[tuple[Fraction, str], ...]]
+    relations: tuple[tuple[SideAt, SideAt], ...]
+
+    def at(self, t: Fraction) -> SystemAt:
+        """The table itself, which holds at its own t only."""
+        if t != self.t:
+            raise ValueError(f"a table evaluated at t = {self.t} read at t = {t}")
+        return self
+
+
 @dataclasses.dataclass(frozen=True)
 class AxiomSystem:
     """Generators, named composite operations, and identities of a structure."""
@@ -126,6 +147,18 @@ class AxiomSystem:
 
     def operation_names(self) -> tuple[str, ...]:
         return self.generators + tuple(self.composites)
+
+    def at(self, t: Fraction) -> SystemAt:
+        """The system at t: each coefficient evaluated once, zero terms dropped."""
+
+        def nonzero(terms):
+            return tuple((c, *names) for poly, *names in terms if (c := poly.eval(t)))
+
+        return SystemAt(
+            t,
+            {name: nonzero(self.resolve(name)) for name in self.operation_names()},
+            tuple((nonzero(rel.lhs), nonzero(rel.rhs)) for rel in self.relations),
+        )
 
 
 def _rel(name: str, coeff: TPoly, left: tuple[str, str], right: tuple[str, str]) -> Relation:
@@ -346,39 +379,37 @@ DEFORMATIONS: dict[str, tuple[AxiomSystem, tuple[str, ...]]] = {
 
 
 def resolve_tensor(
-    system: AxiomSystem,
+    system: AxiomSystem | SystemAt,
     ops: dict[str, Tensor3],
     t: Fraction,
     op_name: str,
     cache: dict[str, Tensor3] | None = None,
 ) -> Tensor3:
-    """Structure tensor of a (possibly composite) operation at a concrete t."""
+    """Structure tensor of a (possibly composite) operation at a concrete t;
+    ``system`` is an axiom system or its table at t."""
     if cache is not None and op_name in cache:
         return cache[op_name]
-    parts = system.resolve(op_name)
     dim = next(iter(ops.values())).dim
-    tensor = combine(dim, [(poly.eval(t), ops[gen]) for poly, gen in parts])
+    tensor = combine(dim, [(c, ops[gen]) for c, gen in system.at(t).ops[op_name]])
     if cache is not None:
         cache[op_name] = tensor
     return tensor
 
 
 def _side_terms(
-    system: AxiomSystem,
+    at: SystemAt,
     ops: dict[str, Tensor3],
-    t: Fraction,
-    terms: Sequence[Term],
+    terms: SideAt,
     cache: dict[str, Tensor3],
 ) -> list[NestedTerm]:
-    """One identity side as (coefficient, inner, outer) tensor terms at t."""
+    """One identity side of a table as (coefficient, inner, outer) tensor terms."""
     return [
         (
-            value,
-            resolve_tensor(system, ops, t, inner_name, cache),
-            resolve_tensor(system, ops, t, outer_name, cache),
+            c,
+            resolve_tensor(at, ops, at.t, inner_name, cache),
+            resolve_tensor(at, ops, at.t, outer_name, cache),
         )
-        for coeff, inner_name, outer_name in terms
-        if (value := coeff.eval(t)) != 0
+        for c, inner_name, outer_name in terms
     ]
 
 
@@ -390,7 +421,8 @@ def check_system(
 ) -> Report:
     """Verify every identity of a system on concrete structure tensors.
 
-    Missing generators raise KeyError; all tensors must share one dimension.
+    A generator that the identities read at t but ``ops`` lacks raises
+    KeyError; all tensors must share one dimension.
     The witness for a failing identity is its lexicographically smallest
     failing basis triple.
     """
@@ -399,12 +431,13 @@ def check_system(
         raise ValueError("all operation tensors must share one dimension")
     dim = dims.pop()
     report = Report(title=title or f"{system.name} identities", passed=True)
+    at = system.at(t)
     cache: dict[str, Tensor3] = {}
-    for relation in system.relations:
-        lhs = _side_terms(system, ops, t, relation.lhs, cache)
-        rhs = _side_terms(system, ops, t, relation.rhs, cache)
+    for relation, (lhs, rhs) in zip(system.relations, at.relations):
         report.checks_run += dim**3
-        diff = first_nested_difference(lhs, rhs)
+        diff = first_nested_difference(
+            _side_terms(at, ops, lhs, cache), _side_terms(at, ops, rhs, cache)
+        )
         if diff is not None:
             key, lvec, rvec = diff
             report.add_failure(

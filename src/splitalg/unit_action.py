@@ -51,7 +51,7 @@ from .exactlin import (
     kron,
     rat,
 )
-from .relations import AxiomSystem, _side_terms, check_system, resolve_tensor
+from .relations import AxiomSystem, SystemAt, _side_terms, check_system, resolve_tensor
 from .report import Report, Witness
 
 # Rule scalars: the unit acts as the identity, or kills the argument.
@@ -102,30 +102,18 @@ class UnitScalars:
         return self.right == self.left
 
 
-def op_unit_scalars(
-    system: AxiomSystem, rules: UnitRules, t: Fraction, name: str
-) -> UnitScalars:
-    """Unit-action scalars of a possibly composite operation at parameter t."""
-    right = ZERO
-    left = ZERO
-    for poly, gen in system.resolve(name):
-        value = poly.eval(t)
-        r, l = rules[gen]
-        right += value * rat(r)
-        left += value * rat(l)
-    return UnitScalars(right, left)
-
-
-def unit_scalars(
-    system: AxiomSystem, rules: UnitRules, t: Fraction
-) -> dict[str, UnitScalars]:
+def unit_scalars(at: SystemAt, rules: UnitRules) -> dict[str, UnitScalars]:
     """Unit-action scalars of every operation of a system, composites
-    included, at parameter t."""
-    missing = set(system.generators) - set(rules)
+    included, from its table at t."""
+    missing = {gen for parts in at.ops.values() for _, gen in parts} - set(rules)
     if missing:
         raise KeyError(f"unit rules missing for generators: {sorted(missing)}")
     return {
-        name: op_unit_scalars(system, rules, t, name) for name in system.operation_names()
+        name: UnitScalars(
+            sum((c * rat(rules[gen][0]) for c, gen in parts), ZERO),
+            sum((c * rat(rules[gen][1]) for c, gen in parts), ZERO),
+        )
+        for name, parts in at.ops.items()
     }
 
 
@@ -182,11 +170,11 @@ def _regions(left_nested: bool, s_in: UnitScalars, s_out: UnitScalars, inner: st
 _EDGE_TRIPLES = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0))
 
 
-def _boundary(ops, dim, resolved, terms):
+def _boundary(ops, dim, at, terms):
     """The number of skipped triples and (triple, lhs, rhs) at the first
-    failure of each failing face, edge and corner.  ``resolved`` maps each
-    operation to its (coefficient, generator) pairs at t; ``terms`` are
-    (left_nested, c, faces, edges), the last two from :func:`_regions`.
+    failure of each failing face, edge and corner.  ``at`` is the system's
+    table at t; ``terms`` are (left_nested, c, faces, edges), the last two
+    from :func:`_regions`.
 
     An edge or the corner is skipped when a term there is undefined, and is
     otherwise an identity of scalars.  A face resolves both sides to
@@ -211,7 +199,7 @@ def _boundary(ops, dim, resolved, terms):
             scalar, name = faces[slot]
             if scalar:
                 acc = coeffs[not n]
-                for value, gen in resolved[name]:
+                for value, gen in at.ops[name]:
                     acc[gen] = acc.get(gen, ZERO) + c * scalar * value
         lhs, rhs = ({gen: v for gen, v in acc.items() if v} for acc in coeffs)
         if lhs == rhs:
@@ -246,28 +234,23 @@ def check_unit_compatibility(
     if len(dims) != 1:
         raise ValueError("all operation tensors must share one dimension")
     dim = dims.pop()
-    scalars = unit_scalars(system, rules, t)
-    resolved = {
-        name: [(poly.eval(t), gen) for poly, gen in system.resolve(name)]
-        for name in system.operation_names()
-    }
+    at = system.at(t)
+    scalars = unit_scalars(at, rules)
     report = Report(title=title or f"{system.name} unit compatibility", passed=True)
     cache: dict[str, Tensor3] = {}
-    for relation in system.relations:
+    for relation, (lhs, rhs) in zip(system.relations, at.relations):
         terms = [
             (left_nested, c, *_regions(left_nested, scalars[inner], scalars[outer], inner, outer))
-            for side, left_nested in ((relation.lhs, True), (relation.rhs, False))
-            for coeff, inner, outer in side
-            if (c := coeff.eval(t)) != 0
+            for side, left_nested in ((lhs, True), (rhs, False))
+            for c, inner, outer in side
         ]
-        skipped, failures = _boundary(ops, dim, resolved, terms)
+        skipped, failures = _boundary(ops, dim, at, terms)
         report.checks_run += (dim + 1) ** 3 - skipped
         report.skipped_undefined += skipped
         # no interior triple has x = 0, so such a failure comes first
         if all(triple[0] for triple, *_ in failures):
             diff = first_nested_difference(
-                _side_terms(system, ops, t, relation.lhs, cache),
-                _side_terms(system, ops, t, relation.rhs, cache),
+                _side_terms(at, ops, lhs, cache), _side_terms(at, ops, rhs, cache)
             )
             if diff is not None:
                 (x, y, z), lvec, rvec = diff
@@ -300,7 +283,9 @@ def coherence_ops(
     Basis layout: ``x_i ⊗ 1`` at i, ``1 ⊗ y_j`` at p + j, and
     ``x_i ⊗ y_j`` at p + q + i*q + j.
     """
-    s_total = op_unit_scalars(system, rules, t, total_name)
+    at = system.at(t)
+    scalars = unit_scalars(at, rules)
+    s_total = scalars[total_name]
     if not (s_total.defined and s_total.right == ONE):
         raise ValueError(
             f"the rule table does not make {total_name!r} unital; "
@@ -308,7 +293,7 @@ def coherence_ops(
         )
     p = next(iter(ops_a.values())).dim
     q = next(iter(ops_b.values())).dim
-    total = augment_tensor(resolve_tensor(system, ops_a, t, total_name), s_total)
+    total = augment_tensor(resolve_tensor(at, ops_a, t, total_name), s_total)
     # Kronecker index a*(q+1) + b, with 0 the unit in either factor, to the
     # mixed-space layout; 1⊗1 has no place there
     place: list[int | None] = [None, *range(p, p + q)]
@@ -317,7 +302,7 @@ def coherence_ops(
 
     out: dict[str, Tensor3] = {}
     for gen in system.generators:
-        pair = kron(total, augment_tensor(ops_b[gen], op_unit_scalars(system, rules, t, gen)))
+        pair = kron(total, augment_tensor(ops_b[gen], scalars[gen]))
         op_a = ops_a[gen]
         denom = math.lcm(pair.denom, op_a.denom)
         grow_a, grow_pair = denom // op_a.denom, denom // pair.denom

@@ -62,7 +62,7 @@ from splitalg import (
     weighted_coproduct,
 )
 from splitalg.relations import NINE_OP_GENERATORS, TPoly
-from splitalg.unit_action import op_unit_scalars
+from splitalg.unit_action import unit_scalars
 
 F = Fraction
 
@@ -297,7 +297,7 @@ def test_criterion_8_unit_action():
         assert deformed.passed
         assert deformed.checks_run == 15883
         assert deformed.skipped_undefined == 117
-        total = op_unit_scalars(system, choice, inst.t_eval, "star_total")
+        total = unit_scalars(system.at(inst.t_eval), choice)["star_total"]
         assert (total.right, total.left) == (F(1), F(1))
     stamp("criterion 8 (unit action and coherence)", started)
 

@@ -24,6 +24,7 @@ from splitalg.jsonio import (
     operator_to_json,
     save,
 )
+from splitalg.relations import TPoly
 
 F = Fraction
 
@@ -130,6 +131,36 @@ def test_construct_and_verify_roundtrip(graph_file, tmp_path, capsys):
 
     # unit action on the same envelope
     assert main(["verify", "unit-action", "--file", str(ops_path)]) == 0
+    capsys.readouterr()
+
+
+# Each command turns every coefficient of each table it reads into a number
+# once: the nine-op table holds 134 (9 generators, 27 composite parts and 98
+# identity terms); `deform check` reads its deformed table (53 for two_three,
+# 112 for four_four), then the base table (20 and 34) once per tau.
+DEFORM_CHECK = ["deform", "check", "--graph", "GRAPH", "--order", "4", "--taus=2/3,-5/4"]
+
+
+@pytest.mark.parametrize(
+    "argv, evaluations",
+    [
+        (["verify", "ennea", "--file", "ENVELOPE"], 134),
+        (["verify", "unit-action", "--file", "ENVELOPE"], 134),
+        ([*DEFORM_CHECK, "--variant", "two_three"], 53 + 2 * 20),
+        ([*DEFORM_CHECK, "--variant", "four_four"], 112 + 2 * 34),
+    ],
+)
+def test_each_command_evaluates_each_table_coefficient_once(
+    graph_file, tmp_path, capsys, monkeypatch, argv, evaluations
+):
+    envelope = str(tmp_path / "end9.json")
+    assert main(["construct", "end-ennea", "--graph", graph_file, "-o", envelope]) == 0
+    calls = []
+    evaluate = TPoly.eval
+    monkeypatch.setattr(TPoly, "eval", lambda poly, t: calls.append(t) or evaluate(poly, t))
+    paths = {"ENVELOPE": envelope, "GRAPH": graph_file}
+    assert main([paths.get(arg, arg) for arg in argv]) == 0
+    assert len(calls) == evaluations
     capsys.readouterr()
 
 
@@ -357,6 +388,24 @@ def test_negative_coproduct_index_is_a_usage_error(tmp_path, capsys):
             "--operator", str(tmp_path / "op.json"), "--t", "-1"]
     assert main(argv) == 2
     _assert_one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("both", [True, False])
+def test_verify_baxter_takes_exactly_one_of_algebra_and_coproduct(tmp_path, capsys, both):
+    # with a coproduct the transposed check runs, which would not read the
+    # algebra: a missing algebra file goes unnoticed unless the pair is refused
+    save(str(tmp_path / "delta.json"), {"kind": "coproduct", "dim": 2, "items": []})
+    save(str(tmp_path / "op.json"), operator_to_json(oracles.identity_operator(2)))
+    argv = ["verify", "baxter", "--operator", str(tmp_path / "op.json"), "--t=1"]
+    if both:
+        argv += ["--algebra", str(tmp_path / "no-such-file.json"),
+                 "--coproduct", str(tmp_path / "delta.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: give exactly one of --algebra and --coproduct (the transposed check)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,7 @@ from splitalg.unit_action import (
     augment_tensor,
     check_coherence,
     coherence_ops,
-    op_unit_scalars,
+    unit_scalars,
 )
 
 F = Fraction
@@ -84,8 +84,9 @@ def test_composite_scalars_at_minus_one():
         "star": (F(0), F(0), True),
         "starbar": (F(1), F(1), True),
     }
+    scalars = unit_scalars(NINE_OP_SYSTEM.at(F(-1)), rules)
     for name, (right, left, defined) in expected.items():
-        s = op_unit_scalars(NINE_OP_SYSTEM, rules, F(-1), name)
+        s = scalars[name]
         assert (s.right, s.left, s.defined) == (right, left, defined), name
         # and the independent recomputation agrees
         assert oracles.unit_scalars(NINE_OP_SYSTEM, rules, F(-1), name) == (right, left)
@@ -446,5 +447,5 @@ def test_deformed_unit_choices(labeled):
     assert report.passed, report.summary()
     assert report.checks_run == 15883
     assert report.skipped_undefined == 117
-    total = op_unit_scalars(system, rules, inst.t_eval, "star_total")
+    total = unit_scalars(system.at(inst.t_eval), rules)["star_total"]
     assert (total.right, total.left) == (F(1), F(1))
