@@ -5,9 +5,13 @@ no floats, no tolerances.  The package covers:
 
 * modified Baxter operators and their transposed coalgebra version
   (:mod:`splitalg.baxter`);
+* the identity tables of every splitting family, and one
+  :class:`Structure` type for a family's operations at a value of t,
+  which every identity check takes (:mod:`splitalg.relations`);
 * two-, three-, four-, and nine-operation splittings of associative
   products, with tensor products, opposites, transposes, and the
-  derived pre-Lie and Lie structures (:mod:`splitalg.splitting`);
+  derived pre-Lie products (plain tensors) and Lie brackets
+  (:mod:`splitalg.splitting`);
 * twisted bialgebras, convolution on endomorphism spaces, and the
   nine-operation structure living there (:mod:`splitalg.bialgebra`);
 * path algebras of weighted acyclic graphs and their coproducts
@@ -97,6 +101,7 @@ _EXPORTS_BY_MODULE = {
         "TWO_OP_SYSTEM",
         "AxiomSystem",
         "Relation",
+        "Structure",
         "Term",
         "TPoly",
         "check_system",
@@ -104,9 +109,6 @@ _EXPORTS_BY_MODULE = {
     ),
     "report": ("Report", "Witness"),
     "splitting": (
-        "EnneaStructure",
-        "PreLieStructure",
-        "TrialgebraStructure",
         "check_ennea",
         "check_jacobi",
         "check_prelie",

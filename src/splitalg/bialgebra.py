@@ -30,7 +30,8 @@ from .exactlin import (
 )
 from .baxter import transpose_operator
 from .report import Report, Witness, compare_dual, compare_on_pairs
-from .splitting import EnneaStructure, PreLieStructure, ennea_from_commuting_pair
+from .relations import ASSOCIATIVITY, Structure, check_system
+from .splitting import ennea_from_commuting_pair
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,11 +165,10 @@ def convolution_report(b: EpsilonBialgebra) -> Report:
     identity are t-Baxter operators for composition, and they commute.
     """
     from .baxter import check_baxter, commute
-    from .relations import ASSOCIATIVITY, check_system
 
     cs = convolution_structure(b)
     report = Report(title="convolution structure", passed=True)
-    report.merge(check_system(ASSOCIATIVITY, {"mul": cs.conv}, ZERO, "conv assoc"))
+    report.merge(check_system(Structure(ASSOCIATIVITY, ZERO, {"mul": cs.conv}), "conv assoc"))
     report.merge(check_baxter(cs.end, cs.left_conv, b.t))
     report.merge(check_baxter(cs.end, cs.right_conv, b.t))
     report.checks_run += 1
@@ -177,7 +177,7 @@ def convolution_report(b: EpsilonBialgebra) -> Report:
     return report
 
 
-def ennea_on_end(b: EpsilonBialgebra) -> EnneaStructure:
+def ennea_on_end(b: EpsilonBialgebra) -> Structure:
     """The nine-operation splitting of composition on End(A), written with
     the two one-sided convolutions with the identity, id*T and T*id:
 
@@ -198,22 +198,20 @@ def ennea_on_end(b: EpsilonBialgebra) -> EnneaStructure:
 # ---------------------------------------------------------------------------
 
 
-def prelie_from_bialgebra(b: EpsilonBialgebra) -> PreLieStructure:
+def prelie_from_bialgebra(b: EpsilonBialgebra) -> Tensor3:
     """x bowtie y = y_(1) x y_(2) (sandwich by the coproduct legs of y)."""
     mult, dual = b.algebra.mult, b.delta.dual
     runs = mult.runs(0)
-    return PreLieStructure(
-        Tensor3.from_numerators(
-            b.dim,
-            dual.denom * mult.denom**2,
-            (
-                (i, j, m, c * c1 * c2)
-                for p, q, j, c in dual.numerators
-                for _, i, a, c1 in runs.get(p, ())  # e_p e_i = c1 e_a
-                for _, q2, m, c2 in runs.get(a, ())  # e_a e_q = c2 e_m
-                if q2 == q
-            ),
-        )
+    return Tensor3.from_numerators(
+        b.dim,
+        dual.denom * mult.denom**2,
+        (
+            (i, j, m, c * c1 * c2)
+            for p, q, j, c in dual.numerators
+            for _, i, a, c1 in runs.get(p, ())  # e_p e_i = c1 e_a
+            for _, q2, m, c2 in runs.get(a, ())  # e_a e_q = c2 e_m
+            if q2 == q
+        ),
     )
 
 
@@ -248,7 +246,7 @@ def check_derivations(b: EpsilonBialgebra, candidate: LinearOperator | None = No
       of bowtie itself.
     """
     n, mult = b.dim, b.algebra.mult
-    bowtie = prelie_from_bialgebra(b).op
+    bowtie = prelie_from_bialgebra(b)
     report = Report(title="derivation properties of bowtie", passed=True)
     shifted = combine(n, [(ONE, bowtie), (b.t, mult)])  # a bowtie x + t a x
     # triples (a, x, y): shifted(a, x) y + x shifted(a, y) against shifted(a, x y)

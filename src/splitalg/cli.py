@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
-    from .relations import AxiomSystem, Relation, TPoly
+    from .relations import AxiomSystem, Relation, Structure, TPoly
     from .report import Report
 
 # Each command imports the modules it runs, so a process loads only those.
@@ -114,11 +114,12 @@ def _write_or_print(args: argparse.Namespace, data: dict) -> int:
     return 0
 
 
-def _load_operations(path: str) -> tuple[AxiomSystem, Fraction, dict]:
+def _load_operations(path: str) -> Structure:
     from . import jsonio
+    from .relations import Structure
 
     family, t, ops = jsonio.operations_from_json(jsonio.load(path))
-    return jsonio.system_for_family(family), t, ops
+    return Structure(jsonio.system_for_family(family), t, ops)
 
 
 def _rules_from_args(system: AxiomSystem, args: argparse.Namespace) -> dict:
@@ -167,22 +168,21 @@ def cmd_verify_baxter(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_trialgebra(args: argparse.Namespace) -> int:
-    from .splitting import TrialgebraStructure, check_trialgebra
+    from .splitting import check_trialgebra
 
-    system, t, ops = _load_operations(args.file)
-    if system.name != "three_op":
-        raise ValueError(f"expected a three_op operations file, got {system.name!r}")
-    structure = TrialgebraStructure(prec=ops["prec"], succ=ops["succ"], circ=ops["circ"])
+    structure = _load_operations(args.file)
+    if structure.system.name != "three_op":
+        raise ValueError(f"expected a three_op operations file, got {structure.system.name!r}")
     return _emit_reports(args, [check_trialgebra(structure)])
 
 
 def cmd_verify_ennea(args: argparse.Namespace) -> int:
-    from .splitting import EnneaStructure, check_ennea
+    from .splitting import check_ennea
 
-    system, t, ops = _load_operations(args.file)
-    if system.name != "nine_op":
-        raise ValueError(f"expected a nine_op operations file, got {system.name!r}")
-    return _emit_reports(args, [check_ennea(EnneaStructure(t=t, ops=ops))])
+    structure = _load_operations(args.file)
+    if structure.system.name != "nine_op":
+        raise ValueError(f"expected a nine_op operations file, got {structure.system.name!r}")
+    return _emit_reports(args, [check_ennea(structure)])
 
 
 def cmd_verify_graph_bialgebra(args: argparse.Namespace) -> int:
@@ -222,23 +222,20 @@ def cmd_verify_graph_bialgebra(args: argparse.Namespace) -> int:
 def cmd_verify_unit_action(args: argparse.Namespace) -> int:
     from .unit_action import check_unit_compatibility
 
-    system, t, ops = _load_operations(args.file)
-    rules = _rules_from_args(system, args)
-    return _emit_reports(args, [check_unit_compatibility(system, ops, t, rules)])
+    structure = _load_operations(args.file)
+    rules = _rules_from_args(structure.system, args)
+    return _emit_reports(args, [check_unit_compatibility(structure, rules)])
 
 
 def cmd_verify_coherence(args: argparse.Namespace) -> int:
     from .unit_action import check_coherence
 
-    system, t, ops = _load_operations(args.file)
-    if args.file2:
-        system2, t2, ops2 = _load_operations(args.file2)
-        if system2.name != system.name or t2 != t:
-            raise ValueError("both operations files must share family and t")
-    else:
-        ops2 = ops
-    rules = _rules_from_args(system, args)
-    report = check_coherence(system, ops, ops2, t, rules, _total_name(system))
+    a = _load_operations(args.file)
+    b = _load_operations(args.file2) if args.file2 else a
+    if b.system.name != a.system.name or b.t != a.t:
+        raise ValueError("both operations files must share family and t")
+    rules = _rules_from_args(a.system, args)
+    report = check_coherence(a, b, rules, _total_name(a.system))
     return _emit_reports(args, [report])
 
 

@@ -45,6 +45,7 @@ from .relations import (
     THREE_OP_SYSTEM,
     AxiomSystem,
     Relation,
+    Structure,
     Term,
     check_system,
 )
@@ -269,8 +270,8 @@ def baxter_deformation(
     end = cs.end
     base, nonzero = DEFORMATIONS[variant]
     if base is THREE_OP_SYSTEM:
-        unlabeled = trialgebra_from_baxter(end, cs.left_conv, t, validate=False).ops()
-        labeled = trialgebra_from_baxter(end, cs1.left_conv, t1, validate=False).ops()
+        unlabeled = trialgebra_from_baxter(end, cs.left_conv, t, validate=False).ops
+        labeled = trialgebra_from_baxter(end, cs1.left_conv, t1, validate=False).ops
         t_eval = ZERO
     else:
         right = cs.right_conv  # both structures share delta's right convolution
@@ -299,12 +300,8 @@ def baxter_deformation(
 
 def check_deformation_instance(instance: DeformationInstance) -> Report:
     """All generated relations (degrees 0, 1, 2) on the instance tensors."""
-    return check_system(
-        instance.deformed.system,
-        instance.ops,
-        instance.t_eval,
-        f"deformed system ({instance.variant})",
-    )
+    structure = Structure(instance.deformed.system, instance.t_eval, instance.ops)
+    return check_system(structure, f"deformed system ({instance.variant})")
 
 
 def instance_operator_equation(instance: DeformationInstance) -> Report:

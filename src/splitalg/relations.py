@@ -14,7 +14,8 @@ operations (sums of generators, possibly t-weighted) are part of the system
 and are kept *unexpanded* in the tables, because the unit-action checks need
 to evaluate composites as single slots.  :meth:`AxiomSystem.at` turns every
 coefficient into a number once per t, and every tensor check reads that
-table.
+table.  A :class:`Structure` is one family's generator tensors at one t;
+every identity check takes one.
 """
 
 from __future__ import annotations
@@ -121,12 +122,6 @@ class SystemAt:
     ops: dict[str, tuple[tuple[Fraction, str], ...]]
     relations: tuple[tuple[SideAt, SideAt], ...]
 
-    def at(self, t: Fraction) -> SystemAt:
-        """The table itself, which holds at its own t only."""
-        if t != self.t:
-            raise ValueError(f"a table evaluated at t = {self.t} read at t = {t}")
-        return self
-
 
 @dataclasses.dataclass(frozen=True)
 class AxiomSystem:
@@ -159,6 +154,41 @@ class AxiomSystem:
             {name: nonzero(self.resolve(name)) for name in self.operation_names()},
             tuple((nonzero(rel.lhs), nonzero(rel.rhs)) for rel in self.relations),
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class Structure:
+    """Concrete tensors for the generators of a system at one value of t.
+
+    The constructor is the one place that checks ``ops``: it holds exactly
+    the system's generators, all of one dimension.  Composite operations are
+    resolved on demand by :meth:`tensor`.
+    """
+
+    system: AxiomSystem
+    t: Fraction
+    ops: dict[str, Tensor3]
+
+    def __post_init__(self):
+        generators = self.system.generators
+        missing = [name for name in generators if name not in self.ops]
+        extra = sorted(set(self.ops) - set(generators))
+        if missing or extra:
+            raise ValueError(
+                f"a {self.system.name} structure needs exactly its generators: "
+                f"missing {missing}, extra {extra}"
+            )
+        if len({tensor.dim for tensor in self.ops.values()}) != 1:
+            raise ValueError("operation tensors must share one dimension")
+        object.__setattr__(self, "t", rat(self.t))
+
+    @property
+    def dim(self) -> int:
+        return next(iter(self.ops.values())).dim
+
+    def tensor(self, name: str) -> Tensor3:
+        """Tensor of any named operation, composite or generator."""
+        return resolve_tensor(self.system.at(self.t), self.ops, self.t, name)
 
 
 def _rel(name: str, coeff: TPoly, left: tuple[str, str], right: tuple[str, str]) -> Relation:
@@ -379,18 +409,20 @@ DEFORMATIONS: dict[str, tuple[AxiomSystem, tuple[str, ...]]] = {
 
 
 def resolve_tensor(
-    system: AxiomSystem | SystemAt,
+    at: SystemAt,
     ops: dict[str, Tensor3],
     t: Fraction,
     op_name: str,
     cache: dict[str, Tensor3] | None = None,
 ) -> Tensor3:
-    """Structure tensor of a (possibly composite) operation at a concrete t;
-    ``system`` is an axiom system or its table at t."""
+    """Structure tensor of a (possibly composite) operation, from a system's
+    table at t; a table read at another t raises ValueError."""
     if cache is not None and op_name in cache:
         return cache[op_name]
+    if t != at.t:
+        raise ValueError(f"a table evaluated at t = {at.t} read at t = {t}")
     dim = next(iter(ops.values())).dim
-    tensor = combine(dim, [(c, ops[gen]) for c, gen in system.at(t).ops[op_name]])
+    tensor = combine(dim, [(c, ops[gen]) for c, gen in at.ops[op_name]])
     if cache is not None:
         cache[op_name] = tensor
     return tensor
@@ -413,30 +445,20 @@ def _side_terms(
     ]
 
 
-def check_system(
-    system: AxiomSystem,
-    ops: dict[str, Tensor3],
-    t: Fraction,
-    title: str | None = None,
-) -> Report:
-    """Verify every identity of a system on concrete structure tensors.
+def check_system(s: Structure, title: str | None = None) -> Report:
+    """Verify every identity of a structure's system on its tensors.
 
-    A generator that the identities read at t but ``ops`` lacks raises
-    KeyError; all tensors must share one dimension.
     The witness for a failing identity is its lexicographically smallest
     failing basis triple.
     """
-    dims = {tensor.dim for tensor in ops.values()}
-    if len(dims) != 1:
-        raise ValueError("all operation tensors must share one dimension")
-    dim = dims.pop()
+    system = s.system
     report = Report(title=title or f"{system.name} identities", passed=True)
-    at = system.at(t)
+    at, dim = system.at(s.t), s.dim
     cache: dict[str, Tensor3] = {}
     for relation, (lhs, rhs) in zip(system.relations, at.relations):
         report.checks_run += dim**3
         diff = first_nested_difference(
-            _side_terms(at, ops, lhs, cache), _side_terms(at, ops, rhs, cache)
+            _side_terms(at, s.ops, lhs, cache), _side_terms(at, s.ops, rhs, cache)
         )
         if diff is not None:
             key, lvec, rvec = diff

@@ -1,8 +1,9 @@
 """Splitting structures: families of operations refining one associative product.
 
-The three families implemented here split an associative product into two,
-three, four, or nine operations (see :mod:`splitalg.relations` for the
-identity tables).  The main constructions:
+The families split an associative product into two, three, four, or nine
+operations.  A structure of any family is a :class:`splitalg.relations.Structure`,
+its generator tensors at one value of t, checked against that family's
+identity table (see :mod:`splitalg.relations`).  The main constructions:
 
 * a t-Baxter operator on an algebra induces a three-operation splitting
   (x before y = x B(y), x after y = B(x) y, x middle y = t x y);
@@ -10,14 +11,12 @@ identity tables).  The main constructions:
   nine-operation family, and a *commuting pair* of t-Baxter operators on an
   algebra does the same in one step;
 * two three-operation structures tensor into a nine-operation one;
-* every three- or nine-operation structure yields pre-Lie products whose
-  commutator brackets all agree with the commutator of the total product.
+* every three- or nine-operation structure yields pre-Lie products (each a
+  plain tensor) whose commutator brackets all agree with the commutator of
+  the total product.
 """
 
 from __future__ import annotations
-
-import dataclasses
-from fractions import Fraction
 
 from .algebra_core import FiniteAlgebra
 from .exactlin import (
@@ -32,78 +31,23 @@ from .exactlin import (
     rat,
     twist,
 )
-from .relations import (
-    NINE_OP_GENERATORS,
-    NINE_OP_SYSTEM,
-    THREE_OP_SYSTEM,
-    check_system,
-    resolve_tensor,
-)
+from .relations import NINE_OP_SYSTEM, THREE_OP_SYSTEM, Structure, check_system
 from .report import Report, Witness, compare_on_pairs
 
 
-@dataclasses.dataclass(frozen=True)
-class TrialgebraStructure:
-    """Three operations (prec, succ, circ) splitting an associative product."""
-
-    prec: Tensor3
-    succ: Tensor3
-    circ: Tensor3
-
-    def __post_init__(self):
-        if not (self.prec.dim == self.succ.dim == self.circ.dim):
-            raise ValueError("operation tensors must share one dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.prec.dim
-
-    def ops(self) -> dict[str, Tensor3]:
-        return {"prec": self.prec, "succ": self.succ, "circ": self.circ}
-
-    def star(self) -> Tensor3:
-        """The recovered total product prec + succ + circ."""
-        return combine(self.dim, [(ONE, self.prec), (ONE, self.succ), (ONE, self.circ)])
+def _trialgebra(prec: Tensor3, succ: Tensor3, circ: Tensor3) -> Structure:
+    """A three-operation structure; its identities read no t."""
+    return Structure(THREE_OP_SYSTEM, ZERO, {"prec": prec, "succ": succ, "circ": circ})
 
 
-def check_trialgebra(s: TrialgebraStructure) -> Report:
-    return check_system(THREE_OP_SYSTEM, s.ops(), ZERO, "three-op splitting")
+def check_trialgebra(s: Structure) -> Report:
+    """All seven identities of a three-operation structure."""
+    return check_system(s, "three-op splitting")
 
 
-@dataclasses.dataclass(frozen=True)
-class EnneaStructure:
-    """Nine operations with family parameter t.
-
-    ``ops`` holds the generator tensors (nw ne sw se up down prec succ circ);
-    composite operations (lhd, rhd, cbar, vee, wedge, star, starbar) are
-    derived on demand via :meth:`derived`.
-    """
-
-    t: Fraction
-    ops: dict[str, Tensor3]
-
-    def __post_init__(self):
-        missing = set(NINE_OP_GENERATORS) - set(self.ops)
-        extra = set(self.ops) - set(NINE_OP_GENERATORS)
-        if missing or extra:
-            raise ValueError(f"need exactly the nine generators, missing={missing}, extra={extra}")
-        dims = {tensor.dim for tensor in self.ops.values()}
-        if len(dims) != 1:
-            raise ValueError("operation tensors must share one dimension")
-        object.__setattr__(self, "t", rat(self.t))
-
-    @property
-    def dim(self) -> int:
-        return self.ops["nw"].dim
-
-    def derived(self, name: str) -> Tensor3:
-        """Tensor of any named operation, composite or generator."""
-        return resolve_tensor(NINE_OP_SYSTEM, self.ops, self.t, name)
-
-
-def check_ennea(e: EnneaStructure) -> Report:
-    """All forty-nine identities of the nine-operation family."""
-    return check_system(NINE_OP_SYSTEM, e.ops, e.t, f"nine-op splitting (t={e.t})")
+def check_ennea(e: Structure) -> Report:
+    """All forty-nine identities of a nine-operation structure."""
+    return check_system(e, f"nine-op splitting (t={e.t})")
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +62,7 @@ def _require(report: Report) -> None:
 
 def trialgebra_from_baxter(
     algebra: FiniteAlgebra, op: LinearOperator, t: Scalar, validate: bool = True
-) -> TrialgebraStructure:
+) -> Structure:
     """Split a product along a t-Baxter operator B:
 
     x prec y = x B(y),   x succ y = B(x) y,   x circ y = t x y.
@@ -129,13 +73,11 @@ def trialgebra_from_baxter(
 
         _require(check_baxter(algebra, op, t))
     mult = algebra.mult
-    return TrialgebraStructure(
-        prec=twist(mult, right=op), succ=twist(mult, left=op), circ=mult.scale(t)
-    )
+    return _trialgebra(twist(mult, right=op), twist(mult, left=op), mult.scale(t))
 
 
 def star_morphism_report(
-    algebra: FiniteAlgebra, op: LinearOperator, s: TrialgebraStructure, t: Scalar
+    algebra: FiniteAlgebra, op: LinearOperator, s: Structure, t: Scalar
 ) -> Report:
     """B maps the split total product to the original product:
     B(x star_t y) = B(x) B(y), with star_t = prec + succ + t*circ... the
@@ -145,15 +87,13 @@ def star_morphism_report(
     compare_on_pairs(
         report,
         "star-morphism",
-        twist(s.star(), post=op),
+        twist(s.tensor("star"), post=op),
         twist(algebra.mult, left=op, right=op),
     )
     return report
 
 
-def is_baxter_on_trialgebra(
-    s: TrialgebraStructure, op: LinearOperator, t: Scalar
-) -> Report:
+def is_baxter_on_trialgebra(s: Structure, op: LinearOperator, t: Scalar) -> Report:
     """The t-Baxter identity, operation by operation, on a three-op structure."""
     from .baxter import baxter_sides
 
@@ -161,15 +101,15 @@ def is_baxter_on_trialgebra(
     if op.dim != s.dim:
         raise ValueError("operator/structure dimension mismatch")
     report = Report(title=f"{t}-Baxter on three-op structure", passed=True)
-    for name, tensor in s.ops().items():
+    for name, tensor in s.ops.items():
         if not compare_on_pairs(report, f"baxter[{name}]", *baxter_sides(tensor, op, t)):
             break
     return report
 
 
 def ennea_from_baxter_on_trialgebra(
-    s: TrialgebraStructure, op: LinearOperator, t: Scalar, validate: bool = True
-) -> EnneaStructure:
+    s: Structure, op: LinearOperator, t: Scalar, validate: bool = True
+) -> Structure:
     """Refine a three-op structure along a t-Baxter operator G on it:
 
     x se y = G(x) succ y      x ne y = x succ G(y)
@@ -181,18 +121,20 @@ def ennea_from_baxter_on_trialgebra(
     t = rat(t)
     if validate:
         _require(is_baxter_on_trialgebra(s, op, t))
-    return EnneaStructure(
-        t=t,
-        ops={
-            "se": twist(s.succ, left=op),
-            "ne": twist(s.succ, right=op),
-            "sw": twist(s.prec, left=op),
-            "nw": twist(s.prec, right=op),
-            "down": twist(s.circ, left=op),
-            "up": twist(s.circ, right=op),
-            "prec": s.prec,
-            "succ": s.succ,
-            "circ": s.circ,
+    prec, succ, circ = s.ops["prec"], s.ops["succ"], s.ops["circ"]
+    return Structure(
+        NINE_OP_SYSTEM,
+        t,
+        {
+            "se": twist(succ, left=op),
+            "ne": twist(succ, right=op),
+            "sw": twist(prec, left=op),
+            "nw": twist(prec, right=op),
+            "down": twist(circ, left=op),
+            "up": twist(circ, right=op),
+            "prec": prec,
+            "succ": succ,
+            "circ": circ,
         },
     )
 
@@ -203,7 +145,7 @@ def ennea_from_commuting_pair(
     second: LinearOperator,
     t: Scalar,
     validate: bool = True,
-) -> EnneaStructure:
+) -> Structure:
     """Nine-way splitting from two commuting t-Baxter operators B, G:
 
     x se y = B(G(x)) y    x ne y = B(x) G(y)    x sw y = G(x) B(y)
@@ -220,9 +162,10 @@ def ennea_from_commuting_pair(
             raise ValueError("precondition failed: the two operators do not commute")
     mult = algebra.mult
     both = first.compose(second)
-    return EnneaStructure(
-        t=t,
-        ops={
+    return Structure(
+        NINE_OP_SYSTEM,
+        t,
+        {
             "se": twist(mult, left=both),
             "ne": twist(mult, left=first, right=second),
             "sw": twist(mult, left=second, right=first),
@@ -236,7 +179,7 @@ def ennea_from_commuting_pair(
     )
 
 
-def tensor_ennea(a: TrialgebraStructure, b: TrialgebraStructure, t: Scalar) -> EnneaStructure:
+def tensor_ennea(a: Structure, b: Structure, t: Scalar) -> Structure:
     """Nine-op structure on the tensor product of two three-op structures.
 
     Each of the nine operations pairs one operation of ``a`` with one of
@@ -248,18 +191,21 @@ def tensor_ennea(a: TrialgebraStructure, b: TrialgebraStructure, t: Scalar) -> E
     if t == 0:
         raise ValueError("the tensor construction needs a nonzero parameter t")
     inv = ONE / t
-    return EnneaStructure(
-        t=t,
-        ops={
-            "nw": kron(a.prec, b.prec),
-            "ne": kron(a.succ, b.prec),
-            "sw": kron(a.prec, b.succ),
-            "se": kron(a.succ, b.succ),
-            "up": kron(a.circ, b.prec),
-            "down": kron(a.circ, b.succ),
-            "prec": kron(a.prec, b.circ).scale(inv),
-            "succ": kron(a.succ, b.circ).scale(inv),
-            "circ": kron(a.circ, b.circ).scale(inv),
+    pa, sa, ca = a.ops["prec"], a.ops["succ"], a.ops["circ"]
+    pb, sb, cb = b.ops["prec"], b.ops["succ"], b.ops["circ"]
+    return Structure(
+        NINE_OP_SYSTEM,
+        t,
+        {
+            "nw": kron(pa, pb),
+            "ne": kron(sa, pb),
+            "sw": kron(pa, sb),
+            "se": kron(sa, sb),
+            "up": kron(ca, pb),
+            "down": kron(ca, sb),
+            "prec": kron(pa, cb).scale(inv),
+            "succ": kron(sa, cb).scale(inv),
+            "circ": kron(ca, cb).scale(inv),
         },
     )
 
@@ -269,23 +215,17 @@ def tensor_ennea(a: TrialgebraStructure, b: TrialgebraStructure, t: Scalar) -> E
 # ---------------------------------------------------------------------------
 
 
-def horizontal_trialgebra(e: EnneaStructure) -> TrialgebraStructure:
+def horizontal_trialgebra(e: Structure) -> Structure:
     """Column sums (lhd, rhd, cbar) form a three-op structure."""
-    return TrialgebraStructure(
-        prec=e.derived("lhd"), succ=e.derived("rhd"), circ=e.derived("cbar")
-    )
+    return _trialgebra(e.tensor("lhd"), e.tensor("rhd"), e.tensor("cbar"))
 
 
-def vertical_trialgebra(e: EnneaStructure) -> TrialgebraStructure:
+def vertical_trialgebra(e: Structure) -> Structure:
     """Row sums (wedge, vee, t*star) form a three-op structure."""
-    return TrialgebraStructure(
-        prec=e.derived("wedge"),
-        succ=e.derived("vee"),
-        circ=e.derived("star").scale(e.t),
-    )
+    return _trialgebra(e.tensor("wedge"), e.tensor("vee"), e.tensor("star").scale(e.t))
 
 
-def nested_splitting_report(e: EnneaStructure) -> Report:
+def nested_splitting_report(e: Structure) -> Report:
     """The middle operation of each projection splits again into three.
 
     Horizontally, cbar = up + down + t*circ is itself a three-op structure;
@@ -296,47 +236,42 @@ def nested_splitting_report(e: EnneaStructure) -> Report:
     t = e.t
 
     horizontal = horizontal_trialgebra(e)
-    inner_h = TrialgebraStructure(
-        prec=e.ops["up"], succ=e.ops["down"], circ=e.ops["circ"].scale(t)
-    )
+    inner_h = _trialgebra(e.ops["up"], e.ops["down"], e.ops["circ"].scale(t))
     report.checks_run += 1
-    if inner_h.star() != horizontal.circ:
+    if inner_h.tensor("star") != horizontal.ops["circ"]:
         report.add_failure(
             Witness("nested:horizontal-sum", (), "up+down+t*circ", "cbar")
         )
     report.merge(check_trialgebra(inner_h))
 
     vertical = vertical_trialgebra(e)
-    inner_v = TrialgebraStructure(
-        prec=e.ops["prec"].scale(t),
-        succ=e.ops["succ"].scale(t),
-        circ=e.ops["circ"].scale(t),
-    )
+    inner_v = _trialgebra(*(e.ops[name].scale(t) for name in ("prec", "succ", "circ")))
     report.checks_run += 1
-    if inner_v.star() != vertical.circ:
+    if inner_v.tensor("star") != vertical.ops["circ"]:
         report.add_failure(
             Witness("nested:vertical-sum", (), "t*(prec+succ+circ)", "t*star")
         )
     report.merge(check_trialgebra(inner_v))
 
-    grand = e.derived("starbar")
+    grand = e.tensor("starbar")
     report.checks_run += 2
-    if horizontal.star() != grand:
+    if horizontal.tensor("star") != grand:
         report.add_failure(Witness("nested:horizontal-total", (), "lhd+rhd+cbar", "starbar"))
-    if vertical.star() != grand:
+    if vertical.tensor("star") != grand:
         report.add_failure(Witness("nested:vertical-total", (), "wedge+vee+t*star", "starbar"))
     return report
 
 
-def transpose_ennea(e: EnneaStructure) -> EnneaStructure:
+def transpose_ennea(e: Structure) -> Structure:
     """Swap the two splitting directions (needs t != 0); an involution."""
     t = e.t
     if t == 0:
         raise ValueError("the transpose needs a nonzero family parameter")
     inv = ONE / t
-    return EnneaStructure(
-        t=t,
-        ops={
+    return Structure(
+        NINE_OP_SYSTEM,
+        t,
+        {
             "nw": e.ops["nw"],
             "se": e.ops["se"],
             "circ": e.ops["circ"],
@@ -350,7 +285,7 @@ def transpose_ennea(e: EnneaStructure) -> EnneaStructure:
     )
 
 
-def opposite_ennea(e: EnneaStructure) -> EnneaStructure:
+def opposite_ennea(e: Structure) -> Structure:
     """Reverse all arguments; diagonal arrows trade places."""
     swap = {
         "nw": "se",
@@ -363,33 +298,17 @@ def opposite_ennea(e: EnneaStructure) -> EnneaStructure:
         "succ": "prec",
         "circ": "circ",
     }
-    return EnneaStructure(
-        t=e.t,
-        ops={name: e.ops[source].swap_args() for name, source in swap.items()},
+    return Structure(
+        NINE_OP_SYSTEM, e.t, {name: e.ops[source].swap_args() for name, source in swap.items()}
     )
 
 
 # ---------------------------------------------------------------------------
-# pre-Lie products
+# pre-Lie products, each one bilinear operation as a tensor
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class PreLieStructure:
-    """One bilinear operation with left-symmetric associator."""
-
-    op: Tensor3
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-    def bracket(self) -> Tensor3:
-        """The commutator op(x,y) - op(y,x); a Lie bracket when op is pre-Lie."""
-        return self.op.sub(self.op.swap_args())
-
-
-def check_prelie(p: PreLieStructure) -> Report:
+def check_prelie(op: Tensor3) -> Report:
     """Left symmetry of the associator: a(x,y,z) = a(y,x,z).
 
     The left side is a(x,y,z) = (xy)z - x(yz) and the right side
@@ -397,10 +316,10 @@ def check_prelie(p: PreLieStructure) -> Report:
     x(yz) is the opposite product applied to (yz, x), and (yx)z the opposite
     product applied to (z, yx).
     """
-    op, opposite = p.op, p.op.swap_args()
+    opposite = op.swap_args()
     left = [(ONE, op, op), (-ONE, op, opposite, (1, 2, 0))]
     right = [(ONE, op, opposite, (2, 1, 0)), (-ONE, op, op, (1, 0, 2))]
-    return _nested_report("pre-Lie (left-symmetric associator)", "prelie", p.dim, left, right)
+    return _nested_report("pre-Lie (left-symmetric associator)", "prelie", op.dim, left, right)
 
 
 def check_jacobi(bracket: Tensor3) -> Report:
@@ -420,18 +339,18 @@ def _nested_report(title: str, context: str, dim: int, left, right) -> Report:
     return report
 
 
-def prelie_from_trialgebra(s: TrialgebraStructure) -> PreLieStructure:
+def prelie_from_trialgebra(s: Structure) -> Tensor3:
     """x bowtie y = x succ y + x circ y - y prec x.
 
     Folding circ into succ turns any three-op structure into a two-op one,
     and the standard pre-Lie product of a two-op splitting is
     succ' - swap(prec); this is that product.
     """
-    op = combine(s.dim, [(ONE, s.succ), (ONE, s.circ), (-ONE, s.prec.swap_args())])
-    return PreLieStructure(op)
+    prec, succ, circ = s.ops["prec"], s.ops["succ"], s.ops["circ"]
+    return combine(s.dim, [(ONE, succ), (ONE, circ), (-ONE, prec.swap_args())])
 
 
-def prelie_pair_from_ennea(e: EnneaStructure) -> tuple[PreLieStructure, PreLieStructure]:
+def prelie_pair_from_ennea(e: Structure) -> tuple[Tensor3, Tensor3]:
     """Two pre-Lie products from the two projections of a nine-op structure.
 
     The first comes from the column sums (rhd/lhd/cbar), the second from the

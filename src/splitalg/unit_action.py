@@ -51,7 +51,7 @@ from .exactlin import (
     kron,
     rat,
 )
-from .relations import AxiomSystem, SystemAt, _side_terms, check_system, resolve_tensor
+from .relations import Structure, SystemAt, _side_terms, check_system, resolve_tensor
 from .report import Report, Witness
 
 # Rule scalars: the unit acts as the identity, or kills the argument.
@@ -217,24 +217,17 @@ def _boundary(ops, dim, at, terms):
 
 
 def check_unit_compatibility(
-    system: AxiomSystem,
-    ops: dict[str, Tensor3],
-    t: Fraction,
-    rules: UnitRules,
-    title: str | None = None,
+    s: Structure, rules: UnitRules, title: str | None = None
 ) -> Report:
-    """Verify every identity of a system on the unit-augmented space,
-    region by region (see the module docstring).
+    """Verify every identity of a structure's system on the unit-augmented
+    space, region by region (see the module docstring).
 
     Edges and corners that read an undefined ``1 op 1`` are skipped and
     counted in ``skipped_undefined``.  The witness of a failing identity is
     its smallest failing triple over all regions, the unit at index 0.
     """
-    dims = {tensor.dim for tensor in ops.values()}
-    if len(dims) != 1:
-        raise ValueError("all operation tensors must share one dimension")
-    dim = dims.pop()
-    at = system.at(t)
+    system, ops, dim = s.system, s.ops, s.dim
+    at = system.at(s.t)
     scalars = unit_scalars(at, rules)
     report = Report(title=title or f"{system.name} unit compatibility", passed=True)
     cache: dict[str, Tensor3] = {}
@@ -262,27 +255,24 @@ def check_unit_compatibility(
     return report
 
 
-def coherence_ops(
-    system: AxiomSystem,
-    ops_a: dict[str, Tensor3],
-    ops_b: dict[str, Tensor3],
-    t: Fraction,
-    rules: UnitRules,
-    total_name: str,
-) -> dict[str, Tensor3]:
-    """Structure tensors on ``A⊗1 ⊕ 1⊗B ⊕ A⊗B`` for a unit action.
+def coherence_ops(a: Structure, b: Structure, rules: UnitRules, total_name: str) -> Structure:
+    """The structure on ``A⊗1 ⊕ 1⊗B ⊕ A⊗B`` for a unit action.
 
     Each operation is the Kronecker product of the augmented total
     operation on ``k·1 ⊕ A`` with the operation augmented by its rule
     scalars on ``k·1 ⊕ B``, restricted to the mixed space (inputs at
     ``1⊗1`` dropped) — except that two unit right factors flip the
     operation onto the left factors, so that block is the operation on A.
-    The rule table must make the total operation unital, otherwise the
-    mixed space has no consistent product and a ValueError is raised.
+    ``a`` and ``b`` must share one system and t, and the rule table must
+    make the total operation unital, otherwise the mixed space has no
+    consistent product; either failure raises ValueError.
 
     Basis layout: ``x_i ⊗ 1`` at i, ``1 ⊗ y_j`` at p + j, and
     ``x_i ⊗ y_j`` at p + q + i*q + j.
     """
+    if a.system != b.system or a.t != b.t:
+        raise ValueError("a mixed space needs two structures of one system and one t")
+    system, t = a.system, a.t
     at = system.at(t)
     scalars = unit_scalars(at, rules)
     s_total = scalars[total_name]
@@ -291,9 +281,8 @@ def coherence_ops(
             f"the rule table does not make {total_name!r} unital; "
             "the mixed-space construction needs a genuine unit"
         )
-    p = next(iter(ops_a.values())).dim
-    q = next(iter(ops_b.values())).dim
-    total = augment_tensor(resolve_tensor(at, ops_a, t, total_name), s_total)
+    p, q = a.dim, b.dim
+    total = augment_tensor(resolve_tensor(at, a.ops, t, total_name), s_total)
     # Kronecker index a*(q+1) + b, with 0 the unit in either factor, to the
     # mixed-space layout; 1⊗1 has no place there
     place: list[int | None] = [None, *range(p, p + q)]
@@ -302,8 +291,8 @@ def coherence_ops(
 
     out: dict[str, Tensor3] = {}
     for gen in system.generators:
-        pair = kron(total, augment_tensor(ops_b[gen], scalars[gen]))
-        op_a = ops_a[gen]
+        pair = kron(total, augment_tensor(b.ops[gen], scalars[gen]))
+        op_a = a.ops[gen]
         denom = math.lcm(pair.denom, op_a.denom)
         grow_a, grow_pair = denom // op_a.denom, denom // pair.denom
         # (x⊗1)(x'⊗1) = (x op x') ⊗ 1; the Kronecker product gives the
@@ -315,26 +304,19 @@ def coherence_ops(
             if (x % (q + 1) or y % (q + 1)) and x and y
         )
         out[gen] = Tensor3.from_numerators(p + q + p * q, denom, items)
-    return out
+    return Structure(system, t, out)
 
 
 def check_coherence(
-    system: AxiomSystem,
-    ops_a: dict[str, Tensor3],
-    ops_b: dict[str, Tensor3],
-    t: Fraction,
+    a: Structure,
+    b: Structure,
     rules: UnitRules,
     total_name: str,
     title: str | None = None,
 ) -> Report:
     """Verify that a unit action is coherent: the mixed space on
     ``A⊗1 ⊕ 1⊗B ⊕ A⊗B`` satisfies all the identities again."""
-    mixed = coherence_ops(system, ops_a, ops_b, t, rules, total_name)
-    report = check_system(
-        system, mixed, t, title=title or f"{system.name} coherence"
-    )
-    report.notes.append(
-        f"mixed space of dimensions {next(iter(ops_a.values())).dim} and "
-        f"{next(iter(ops_b.values())).dim}"
-    )
+    mixed = coherence_ops(a, b, rules, total_name)
+    report = check_system(mixed, title or f"{a.system.name} coherence")
+    report.notes.append(f"mixed space of dimensions {a.dim} and {b.dim}")
     return report

@@ -25,7 +25,7 @@ from splitalg import (
 )
 from splitalg.algebra_core import triangular_pairs
 from splitalg.jsonio import coproduct_from_json
-from splitalg.relations import ASSOCIATIVITY, check_system
+from splitalg.relations import ASSOCIATIVITY, Structure, check_system
 
 F = Fraction
 
@@ -65,7 +65,7 @@ def test_check_algebra_fails_with_witness_on_broken_product():
         mult=Tensor3.from_sparse(2, [(0, 0, 1, F(1)), (1, 0, 0, F(1))]), unit=None
     )
     assert not oracles.associative_and_unital(bad)
-    report = check_system(ASSOCIATIVITY, {"mul": bad.mult}, F(0), "algebra axioms")
+    report = check_system(Structure(ASSOCIATIVITY, F(0), {"mul": bad.mult}), "algebra axioms")
     assert not report.passed
     assert report.witnesses
 

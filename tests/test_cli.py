@@ -176,7 +176,7 @@ def small_structures(tmp_path):
     tri = trialgebra_from_baxter(alg, row, param)
     nine = ennea_from_commuting_pair(alg, row, row, param)
     return (
-        save_operations(tmp_path / "three.json", "three_op", 0, tri.ops()),
+        save_operations(tmp_path / "three.json", "three_op", 0, tri.ops),
         save_operations(tmp_path / "nine.json", "nine_op", nine.t, nine.ops),
     )
 

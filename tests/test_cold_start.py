@@ -23,7 +23,8 @@ SRC = str(Path(splitalg.__file__).resolve().parents[1])
 
 # Every public name the package exports, by submodule: those it exported
 # when it still imported all its submodules eagerly, less the definitions
-# since deleted because no command reached them.
+# since deleted because no command reached them, with the three structure
+# classes of ``splitting`` replaced by the one ``relations.Structure``.
 EXPORTED = {
     "algebra_core": (
         "CoalgebraData", "FiniteAlgebra", "check_coassociative",
@@ -51,15 +52,14 @@ EXPORTED = {
     "operad": ("Degree3Count", "builtin_presentations", "degree3_dimension"),
     "relations": (
         "FOUR_OP_SYSTEM", "NINE_OP_SYSTEM", "THREE_OP_SYSTEM", "TWO_OP_SYSTEM", "AxiomSystem",
-        "Relation", "Term", "TPoly", "check_system", "resolve_tensor",
+        "Relation", "Structure", "Term", "TPoly", "check_system", "resolve_tensor",
     ),
     "report": ("Report", "Witness"),
     "splitting": (
-        "EnneaStructure", "PreLieStructure", "TrialgebraStructure", "check_ennea",
-        "check_jacobi", "check_prelie", "check_trialgebra", "ennea_from_baxter_on_trialgebra",
-        "ennea_from_commuting_pair", "horizontal_trialgebra", "opposite_ennea",
-        "prelie_pair_from_ennea", "tensor_ennea", "transpose_ennea", "trialgebra_from_baxter",
-        "vertical_trialgebra",
+        "check_ennea", "check_jacobi", "check_prelie", "check_trialgebra",
+        "ennea_from_baxter_on_trialgebra", "ennea_from_commuting_pair", "horizontal_trialgebra",
+        "opposite_ennea", "prelie_pair_from_ennea", "tensor_ennea", "transpose_ennea",
+        "trialgebra_from_baxter", "vertical_trialgebra",
     ),
     "unit_action": ("check_coherence", "check_unit_compatibility", "unit_rules"),
 }

@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from splitalg import (
-    EnneaStructure,
     WeightedDigraph,
     builtin_presentations,
     check_ennea,
@@ -42,7 +41,7 @@ from splitalg.jsonio import (
     save,
     system_to_json,
 )
-from splitalg.relations import NINE_OP_GENERATORS, NINE_OP_SYSTEM
+from splitalg.relations import NINE_OP_GENERATORS, NINE_OP_SYSTEM, Structure
 
 F = Fraction
 VERBS = ("ennea", "unit-action")
@@ -192,9 +191,10 @@ def oracle_reports(data):
         name: oracles.fraction_decoded_tensor(data["dim"], items)
         for name, items in data["ops"].items()
     }
+    structure = Structure(NINE_OP_SYSTEM, t, ops)
     return {
-        "ennea": check_ennea(EnneaStructure(t=t, ops=ops)),
-        "unit-action": check_unit_compatibility(NINE_OP_SYSTEM, ops, t, oracles.NINE_OP_RULES),
+        "ennea": check_ennea(structure),
+        "unit-action": check_unit_compatibility(structure, oracles.NINE_OP_RULES),
     }
 
 

@@ -5,8 +5,9 @@ The roots are ``cli.main`` (every command), what the benchmark harness
 reads beside the commands, and three short lists of definitions kept on
 purpose though no command runs them.  Reachability is by name: a reached
 body reaches every module-level definition (and every constant) whose name
-it reads, and every method of a reached class whose name it reads as an
-attribute; dunder methods come with their class.  Import statements and
+it reads, bare or as an attribute, and every method of a reached class whose
+name it reads as an attribute; a bare name, such as a local variable, reaches
+no method, and dunder methods come with their class.  Import statements and
 annotations reach nothing, and ``__init__`` is not read, so an export alone
 keeps nothing alive.  A definition that no reached code names is dead.
 Each listed name must be one that the command and benchmark roots leave
@@ -67,19 +68,20 @@ KEPT = PROPOSITIONS | COBAXTER_EXAMPLES | ENVELOPE_WRITERS
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def names_read(nodes: Iterable[ast.AST]) -> set[str]:
-    """Every name the nodes read or take as an attribute, outside import
-    statements and annotations."""
-    found: set[str] = set()
+def names_read(nodes: Iterable[ast.AST]) -> tuple[set[str], set[str]]:
+    """The bare names the nodes read and the names they take as attributes,
+    outside import statements and annotations."""
+    names: set[str] = set()
+    attributes: set[str] = set()
     stack = list(nodes)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attributes.add(node.attr)
         for field, value in ast.iter_fields(node):
             if field in ("annotation", "returns"):
                 continue
@@ -87,7 +89,7 @@ def names_read(nodes: Iterable[ast.AST]) -> set[str]:
                 stack.append(value)
             elif isinstance(value, list):
                 stack.extend(item for item in value if isinstance(item, ast.AST))
-    return found
+    return names, attributes
 
 
 def _bound(stmt: ast.stmt) -> list[str]:
@@ -97,11 +99,11 @@ def _bound(stmt: ast.stmt) -> list[str]:
 
 
 class Definitions:
-    """The definitions of some modules, by qualified name, with the names
-    each one's code reads."""
+    """The definitions of some modules, by qualified name, with the bare
+    and attribute names each one's code reads."""
 
     def __init__(self, sources: Mapping[str, str]):
-        self.reads: dict[str, set[str]] = {}
+        self.reads: dict[str, tuple[set[str], set[str]]] = {}
         self.by_name: dict[str, list[str]] = {}  # module-level name -> qualified names
         self.methods: dict[str, dict[str, str]] = {}  # class -> method name -> qualified
         self.kinds: dict[str, str] = {}  # qualified name -> "def" or "constant"
@@ -133,6 +135,7 @@ class Definitions:
         """Qualified names reached from the roots (a fixed point)."""
         reached: set[str] = set()
         names: set[str] = set()
+        attributes: set[str] = set()
         todo = list(roots)
         while todo:
             new = {q for q in todo if q not in reached}
@@ -140,13 +143,15 @@ class Definitions:
                 break
             reached |= new
             for qualified in new:
-                names |= self.reads[qualified]
-            todo = [q for name in names for q in self.by_name.get(name, ())]
+                bare, attrs = self.reads[qualified]
+                names |= bare
+                attributes |= attrs
+            todo = [q for name in names | attributes for q in self.by_name.get(name, ())]
             for cls in reached & self.methods.keys():
                 todo += [
                     q
                     for method, q in self.methods[cls].items()
-                    if method in names or method.startswith("__") and method.endswith("__")
+                    if method in attributes or method.startswith("__") and method.endswith("__")
                 ]
         return reached
 
@@ -193,9 +198,10 @@ def test_unnamed_definition_is_caught():
         ),
         "b": (
             "from .a import used, recursive\n\n\n"
-            "def main():\n    return Box(used(1)).value()\n\n\n"
+            "def main():\n    label = 1\n    return Box(used(label)).value()\n\n\n"
             "class Box:\n    def __init__(self, v):\n        self.v = v\n\n"
             "    def value(self):\n        return self.v\n\n"
+            "    def label(self):\n        return 'box'\n\n"
             "    def unused(self):\n        return 0\n\n\n"
             "class Dead:\n    def value(self):\n        return 1\n"
         ),
@@ -203,7 +209,8 @@ def test_unnamed_definition_is_caught():
     definitions = Definitions(sources)
     # an import or an annotation reaches nothing, nor does a call to itself;
     # a method comes with its class only when some reached code reads its name
-    dead = ["b.Box.unused", "b.Dead", "b.Dead.value"]
+    # as an attribute, so the local name ``label`` leaves ``Box.label`` dead
+    dead = ["b.Box.label", "b.Box.unused", "b.Dead", "b.Dead.value"]
     assert definitions.unreached({"b.main"}) == ["a.recursive", *dead]
     assert definitions.unreached({"b.main", "a.recursive"}) == dead
 

@@ -20,6 +20,7 @@ from splitalg import (
     THREE_OP_SYSTEM,
     TWO_OP_SYSTEM,
     EpsilonBialgebra,
+    Structure,
     Tensor3,
     WeightedDigraph,
     baxter_deformation,
@@ -308,8 +309,8 @@ def test_instance_equals_the_structures_built_directly(case):
     cs = convolution_structure(EpsilonBialgebra(alg, delta, F(t)))
     cs1 = convolution_structure(EpsilonBialgebra(alg, delta1, F(t1)))
     if builder == "tri":
-        unlabeled = trialgebra_from_baxter(cs.end, cs.left_conv, t, validate=False).ops()
-        labeled = trialgebra_from_baxter(cs.end, cs1.left_conv, t1, validate=False).ops()
+        unlabeled = trialgebra_from_baxter(cs.end, cs.left_conv, t, validate=False).ops
+        labeled = trialgebra_from_baxter(cs.end, cs1.left_conv, t1, validate=False).ops
         t_eval = 0
     else:
         unlabeled = ennea_from_commuting_pair(
@@ -451,7 +452,7 @@ def test_orders_past_the_last_nonzero_product_are_counted_not_summed(order):
 def test_instance_tensors_satisfy_relations_via_check_system_directly():
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
-    report = check_system(inst.deformed.system, inst.ops, inst.t_eval)
+    report = check_system(Structure(inst.deformed.system, inst.t_eval, inst.ops))
     assert report.passed
 
 

@@ -19,7 +19,6 @@ import oracles
 from splitalg import Tensor3, check_jacobi, check_prelie
 from splitalg.exactlin import first_nested_difference, nested_residual, nested_value
 from splitalg.report import Report, compare_dual
-from splitalg.splitting import PreLieStructure
 
 F = Fraction
 ORDERS = list(itertools.permutations(range(3)))
@@ -149,7 +148,7 @@ def test_prelie_witness_is_the_smallest_asymmetric_associator(seed, dim):
         ),
         None,
     )
-    report = check_prelie(PreLieStructure(op))
+    report = check_prelie(op)
     assert report.checks_run == n**3
     assert report.passed is (expected is None)
     if expected is not None:

@@ -13,10 +13,13 @@ from splitalg import (
     NINE_OP_SYSTEM,
     THREE_OP_SYSTEM,
     TWO_OP_SYSTEM,
+    Structure,
+    Tensor3,
     TPoly,
     check_system,
     resolve_tensor,
 )
+from splitalg.operad import builtin_presentation
 from splitalg.relations import NINE_OP_GENERATORS, P_ONE, P_T, SYSTEMS, expand_relation
 
 F = Fraction
@@ -98,10 +101,31 @@ def test_resolve_tensor_matches_manual_expansion():
     rng = random.Random(3)
     ops = {name: oracles.random_tensor(rng, 3) for name in NINE_OP_GENERATORS}
     t = F(2, 3)
+    at = NINE_OP_SYSTEM.at(t)
     for name in NINE_OP_SYSTEM.operation_names():
-        got = resolve_tensor(NINE_OP_SYSTEM, ops, t, name)
+        got = resolve_tensor(at, ops, t, name)
         want = oracles.expand_named(NINE_OP_SYSTEM, ops, t, name)
         assert got.entries == want.entries, name
+        assert Structure(NINE_OP_SYSTEM, t, ops).tensor(name) == got
+    with pytest.raises(ValueError, match="evaluated at t = 2/3 read at t = 1"):
+        resolve_tensor(at, ops, F(1), "starbar")
+
+
+@pytest.mark.parametrize("family", ["two_op", "three_op", "nine_op", "deformed_two_three"])
+def test_structure_holds_exactly_the_generators_in_one_dimension(family):
+    system = builtin_presentation(family)
+    ops = {gen: Tensor3.zero(2) for gen in system.generators}
+    first, *others = system.generators
+    assert Structure(system, 1, ops).dim == 2
+    missing = {gen: ops[gen] for gen in others}
+    extra = dict(ops, lhs=Tensor3.zero(2))
+    for faulty, message in (
+        (missing, rf"missing \['{first}'\], extra \[\]"),
+        (extra, r"missing \[\], extra \['lhs'\]"),
+        (dict(ops, **{first: Tensor3.zero(3)}), "share one dimension"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Structure(system, 1, faulty)
 
 
 def test_check_system_agrees_with_brute_force_on_random_ops():
@@ -109,7 +133,7 @@ def test_check_system_agrees_with_brute_force_on_random_ops():
     rng = random.Random(17)
     ops = {name: oracles.random_tensor(rng, 2, entries=4) for name in ("prec", "succ")}
     t = F(0)
-    report = check_system(TWO_OP_SYSTEM, ops, t)
+    report = check_system(Structure(TWO_OP_SYSTEM, t, ops))
     failing = {w.context.split(":", 1)[1] for w in report.witnesses}
     for rel in TWO_OP_SYSTEM.relations:
         holds = oracles.brute_relation_holds(TWO_OP_SYSTEM, ops, t, rel)

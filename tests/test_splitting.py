@@ -24,7 +24,7 @@ from splitalg import (
     triangular_baxter_example,
     vertical_trialgebra,
 )
-from splitalg.relations import FOUR_OP_SYSTEM, TWO_OP_SYSTEM, check_system
+from splitalg.relations import FOUR_OP_SYSTEM, TWO_OP_SYSTEM, Structure, check_system
 from splitalg.splitting import nested_splitting_report, star_morphism_report
 
 F = Fraction
@@ -53,8 +53,10 @@ def test_baxter_splitting_gives_three_op_structure(t):
 def test_zero_weight_splitting_gives_two_op_structure():
     s, param = row_trialgebra(3, F(0))
     assert param == 0
-    assert s.circ.entries == s.circ.scale(0).entries  # circ vanishes at weight 0
-    assert check_system(TWO_OP_SYSTEM, {"prec": s.prec, "succ": s.succ}, F(0)).passed
+    circ = s.ops["circ"]
+    assert circ.entries == circ.scale(0).entries  # circ vanishes at weight 0
+    two = {name: s.ops[name] for name in ("prec", "succ")}
+    assert check_system(Structure(TWO_OP_SYSTEM, F(0), two)).passed
 
 
 def test_splitting_from_non_operator_raises():
@@ -84,14 +86,14 @@ def test_nine_op_from_refining_operator_on_three_op():
     s = trialgebra_from_baxter(alg, row, param)
     e = ennea_from_baxter_on_trialgebra(s, row, param)
     assert check_ennea(e).passed
-    assert e.ops["prec"].entries == s.prec.entries
+    assert e.ops["prec"].entries == s.ops["prec"].entries
 
 
 def test_quadri_from_commuting_pair_at_weight_zero():
     alg, row, _, param = triangular_baxter_example(3, F(0))
     e = ennea_from_commuting_pair(alg, row, row, param)
     corners = {name: e.ops[name] for name in FOUR_OP_SYSTEM.generators}
-    assert check_system(FOUR_OP_SYSTEM, corners, param).passed
+    assert check_system(Structure(FOUR_OP_SYSTEM, param, corners)).passed
 
 
 @pytest.mark.parametrize("t", [F(1), F(-1), F(2, 3)])
@@ -107,9 +109,9 @@ def test_tensor_total_operation_is_the_tensor_of_totals():
     a, _ = row_trialgebra(2, F(1))
     b, _ = col_trialgebra(2, F(1))
     e = tensor_ennea(a, b, F(2, 3))
-    grand = e.derived("starbar")
-    total_a = combine(3, [(F(1), a.prec), (F(1), a.succ), (F(1), a.circ)])
-    total_b = combine(3, [(F(1), b.prec), (F(1), b.succ), (F(1), b.circ)])
+    grand = e.tensor("starbar")
+    total_a = combine(3, [(F(1), a.ops[name]) for name in ("prec", "succ", "circ")])
+    total_b = combine(3, [(F(1), b.ops[name]) for name in ("prec", "succ", "circ")])
     for i in range(3):
         for j in range(3):
             for k in range(3):
@@ -143,10 +145,10 @@ def test_pre_lie_pair_and_coinciding_brackets():
     first, second = prelie_pair_from_ennea(e)
     assert check_prelie(first).passed
     assert check_prelie(second).passed
-    grand = e.derived("starbar")
+    grand = e.tensor("starbar")
     bracket = grand.sub(grand.swap_args())
     for p in (first, second):
-        assert p.bracket().entries == bracket.entries
+        assert p.sub(p.swap_args()).entries == bracket.entries
     assert check_jacobi(bracket).passed
 
 

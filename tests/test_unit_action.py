@@ -32,7 +32,8 @@ from splitalg import (
 )
 from splitalg.cli import _rules_from_args, main
 from splitalg.jsonio import operations_to_json, save
-from splitalg.relations import NINE_OP_GENERATORS
+from splitalg.operad import builtin_presentation
+from splitalg.relations import NINE_OP_GENERATORS, Structure
 from splitalg.unit_action import (
     UnitScalars,
     augment_tensor,
@@ -111,7 +112,7 @@ def test_augment_tensor_layout():
 def test_end_structure_is_unit_compatible_with_frozen_counts():
     e = end_nine_op()
     rules = oracles.NINE_OP_RULES
-    report = check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, rules)
+    report = check_unit_compatibility(e, rules)
     assert report.passed, report.summary()
     assert report.checks_run == 48688
     assert report.skipped_undefined == 312
@@ -121,7 +122,7 @@ def skipped_per_relation(system, ops, t, rules):
     """relation name -> skipped triples, each identity checked on its own."""
     return {
         relation.name: check_unit_compatibility(
-            dataclasses.replace(system, relations=(relation,)), ops, t, rules
+            Structure(dataclasses.replace(system, relations=(relation,)), t, ops), rules
         ).skipped_undefined
         for relation in system.relations
     }
@@ -186,7 +187,7 @@ def genuine_ops(system, n, t):
     alg, row, _, param = triangular_baxter_example(n, -t)
     if system is NINE_OP_SYSTEM:
         return ennea_from_commuting_pair(alg, row, row, param).ops
-    return trialgebra_from_baxter(alg, row, param).ops()
+    return trialgebra_from_baxter(alg, row, param).ops
 
 
 def random_rules(seed, system):
@@ -262,7 +263,7 @@ def perturbed_case(system, t, seed, bump):
 def assert_matches_oracle(system, rules, t, ops):
     """The report equals the brute-force augmented-cube oracle's, witnesses
     included; returns the oracle's witnesses."""
-    report = check_unit_compatibility(system, ops, t, rules)
+    report = check_unit_compatibility(Structure(system, t, ops), rules)
     passed, checks, skipped, witnesses = oracles.unit_compatibility_oracle(system, ops, t, rules)
     assert (report.passed, report.checks_run, report.skipped_undefined) == (passed, checks, skipped)
     assert [(w.context, w.args, w.lhs, w.rhs) for w in report.witnesses] == witnesses
@@ -305,7 +306,7 @@ def test_empty_operations_at_dim_65536_need_no_augmented_copy():
     ops = {gen: Tensor3.zero(dim) for gen in NINE_OP_GENERATORS}
     tracemalloc.start()
     try:
-        report = check_unit_compatibility(NINE_OP_SYSTEM, ops, F(-1), oracles.NINE_OP_RULES)
+        report = check_unit_compatibility(Structure(NINE_OP_SYSTEM, F(-1), ops), oracles.NINE_OP_RULES)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -316,7 +317,7 @@ def test_empty_operations_at_dim_65536_need_no_augmented_copy():
 
 def test_small_structure_is_unit_compatible():
     e = small_nine_op()
-    report = check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, oracles.NINE_OP_RULES)
+    report = check_unit_compatibility(e, oracles.NINE_OP_RULES)
     assert report.passed
     assert report.checks_run + report.skipped_undefined == 49 * (e.dim + 1) ** 3
 
@@ -324,7 +325,7 @@ def test_small_structure_is_unit_compatible():
 def test_perturbed_rules_fail_with_witness():
     e = end_nine_op()
     bad = unit_rules(NINE_OP_GENERATORS, right_identity=("nw", "ne"), left_identity=("se",))
-    report = check_unit_compatibility(NINE_OP_SYSTEM, e.ops, e.t, bad)
+    report = check_unit_compatibility(e, bad)
     assert not report.passed
     assert len(report.witnesses) == 17
     w = report.witnesses[0]
@@ -337,11 +338,11 @@ def test_coherence_on_mixed_two_factor_space():
     a = small_nine_op()
     b = small_nine_op(use_column=True)
     rules = oracles.NINE_OP_RULES
-    report = check_coherence(NINE_OP_SYSTEM, a.ops, b.ops, a.t, rules, "starbar")
+    report = check_coherence(a, b, rules, "starbar")
     assert report.passed, report.summary()
     assert report.checks_run == 49 * 15**3
     # swapping the factors works too
-    assert check_coherence(NINE_OP_SYSTEM, b.ops, a.ops, a.t, rules, "starbar").passed
+    assert check_coherence(b, a, rules, "starbar").passed
 
 
 def test_coherence_requires_matching_parameters_and_unital_total(tmp_path, capsys):
@@ -355,7 +356,30 @@ def test_coherence_requires_matching_parameters_and_unital_total(tmp_path, capsy
     assert capsys.readouterr().err == "error: both operations files must share family and t\n"
     silent = unit_rules(NINE_OP_GENERATORS)  # all zero: total is not unital
     with pytest.raises(ValueError):
-        check_coherence(NINE_OP_SYSTEM, a.ops, a.ops, a.t, silent, "starbar")
+        check_coherence(a, a, silent, "starbar")
+
+
+def test_coherence_refuses_structures_of_another_system_or_t():
+    a = small_nine_op()
+    alg, row, _, param = triangular_baxter_example(2, F(2, 3))
+    other_t = ennea_from_commuting_pair(alg, row, row, param)
+    three = trialgebra_from_baxter(alg, row, param)
+    for b in (other_t, three):
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="two structures of one system and one t"):
+                check_coherence(*pair, oracles.NINE_OP_RULES, "starbar")
+
+
+def test_coherence_accepts_equal_systems_built_apart():
+    """A deformed family's table is rebuilt on each lookup, as the CLI does
+    for each operations file; equal tables count as one system."""
+    first, second = (builtin_presentation("deformed_two_three") for _ in range(2))
+    assert first is not second and first == second
+    rng = random.Random(7)
+    ops = {gen: oracles.random_tensor(rng, 1, 2) for gen in first.generators}
+    rules = unit_rules(first.generators, right_identity=("prec",), left_identity=("succ",))
+    mixed = coherence_ops(Structure(first, 0, ops), Structure(second, 0, ops), rules, "star_total")
+    assert mixed.system is first and mixed.dim == 3
 
 
 THREE_OP_TABLES = {
@@ -389,12 +413,11 @@ def test_coherence_ops_match_the_dense_mixed_space_product(case):
     rng = random.Random(1000 + case)
     ops_a = {gen: oracles.random_tensor(rng, p, 4) for gen in system.generators}
     ops_b = {gen: oracles.random_tensor(rng, q, 4) for gen in system.generators}
-    got = coherence_ops(system, ops_a, ops_b, t, rules, total_name)
+    got = coherence_ops(Structure(system, t, ops_a), Structure(system, t, ops_b), rules, total_name)
     want = oracles.dense_coherence(system, ops_a, ops_b, t, rules, total_name)
-    assert set(got) == set(system.generators)
+    assert got.system is system and got.t == t and got.dim == p + q + p * q
     for gen in system.generators:
-        assert got[gen].dim == p + q + p * q
-        assert got[gen].entries == oracles.frozen(want[gen]), gen
+        assert got.ops[gen].entries == oracles.frozen(want[gen]), gen
 
 
 @pytest.mark.parametrize(
@@ -406,16 +429,16 @@ def test_coherence_ops_match_the_dense_mixed_space_product(case):
     ],
 )
 def test_coherence_ops_refuse_a_non_unital_total(system, rules, total_name):
-    ops = {gen: Tensor3.zero(2) for gen in system.generators}
+    s = Structure(system, F(1), {gen: Tensor3.zero(2) for gen in system.generators})
     with pytest.raises(ValueError, match="does not make"):
-        coherence_ops(system, ops, ops, F(1), rules, total_name)
+        coherence_ops(s, s, rules, total_name)
 
 
 def test_coherence_fails_with_a_witness_when_b_is_perturbed():
     a = small_nine_op()
     b = small_nine_op(use_column=True)
     bent = dict(b.ops, nw=combine(b.dim, [(1, b.ops["nw"]), (1, Tensor3.from_sparse(b.dim, [(0, 1, 2, F(1))]))]))
-    report = check_coherence(NINE_OP_SYSTEM, a.ops, bent, a.t, oracles.NINE_OP_RULES, "starbar")
+    report = check_coherence(a, dataclasses.replace(b, ops=bent), oracles.NINE_OP_RULES, "starbar")
     assert not report.passed
     assert report.checks_run == 49 * 15**3
     assert len(report.witnesses) == 17
@@ -443,7 +466,7 @@ def test_deformed_unit_choices(labeled):
         right_identity=("prec" + suffix,),
         left_identity=("succ" + suffix,),
     )
-    report = check_unit_compatibility(system, inst.ops, inst.t_eval, rules)
+    report = check_unit_compatibility(Structure(system, inst.t_eval, inst.ops), rules)
     assert report.passed, report.summary()
     assert report.checks_run == 15883
     assert report.skipped_undefined == 117
