@@ -109,10 +109,8 @@ _EXPORTS_BY_MODULE = {
     ),
     "report": ("Report", "Witness"),
     "splitting": (
-        "check_ennea",
         "check_jacobi",
         "check_prelie",
-        "check_trialgebra",
         "ennea_from_baxter_on_trialgebra",
         "ennea_from_commuting_pair",
         "horizontal_trialgebra",

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
-    from .relations import AxiomSystem, Relation, Structure, TPoly
+    from .relations import AxiomSystem, Relation, TPoly
     from .report import Report
 
 # Each command imports the modules it runs, so a process loads only those.
@@ -114,14 +114,6 @@ def _write_or_print(args: argparse.Namespace, data: dict) -> int:
     return 0
 
 
-def _load_operations(path: str) -> Structure:
-    from . import jsonio
-    from .relations import Structure
-
-    family, t, ops = jsonio.operations_from_json(jsonio.load(path))
-    return Structure(jsonio.system_for_family(family), t, ops)
-
-
 def _rules_from_args(system: AxiomSystem, args: argparse.Namespace) -> dict:
     from .unit_action import unit_rules
 
@@ -167,22 +159,14 @@ def cmd_verify_baxter(args: argparse.Namespace) -> int:
     return _emit_reports(args, [check_baxter(algebra, operator, args.t)])
 
 
-def cmd_verify_trialgebra(args: argparse.Namespace) -> int:
-    from .splitting import check_trialgebra
+def cmd_verify_family(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .relations import check_system
 
-    structure = _load_operations(args.file)
-    if structure.system.name != "three_op":
-        raise ValueError(f"expected a three_op operations file, got {structure.system.name!r}")
-    return _emit_reports(args, [check_trialgebra(structure)])
-
-
-def cmd_verify_ennea(args: argparse.Namespace) -> int:
-    from .splitting import check_ennea
-
-    structure = _load_operations(args.file)
-    if structure.system.name != "nine_op":
-        raise ValueError(f"expected a nine_op operations file, got {structure.system.name!r}")
-    return _emit_reports(args, [check_ennea(structure)])
+    structure = jsonio.operations_from_json(jsonio.load(args.file))
+    if structure.system.name != args.family:
+        raise ValueError(f"expected a {args.family} operations file, got {structure.system.name!r}")
+    return _emit_reports(args, [check_system(structure)])
 
 
 def cmd_verify_graph_bialgebra(args: argparse.Namespace) -> int:
@@ -220,18 +204,20 @@ def cmd_verify_graph_bialgebra(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_unit_action(args: argparse.Namespace) -> int:
+    from . import jsonio
     from .unit_action import check_unit_compatibility
 
-    structure = _load_operations(args.file)
+    structure = jsonio.operations_from_json(jsonio.load(args.file))
     rules = _rules_from_args(structure.system, args)
     return _emit_reports(args, [check_unit_compatibility(structure, rules)])
 
 
 def cmd_verify_coherence(args: argparse.Namespace) -> int:
+    from . import jsonio
     from .unit_action import check_coherence
 
-    a = _load_operations(args.file)
-    b = _load_operations(args.file2) if args.file2 else a
+    a = jsonio.operations_from_json(jsonio.load(args.file))
+    b = jsonio.operations_from_json(jsonio.load(args.file2)) if args.file2 else a
     if b.system.name != a.system.name or b.t != a.t:
         raise ValueError("both operations files must share family and t")
     rules = _rules_from_args(a.system, args)
@@ -269,10 +255,7 @@ def cmd_construct_end_ennea(args: argparse.Namespace) -> int:
     graph = jsonio.graph_from_json(jsonio.load(args.graph))
     pa = path_algebra(graph)
     bial = EpsilonBialgebra(pa.algebra, chain_coproduct(pa), Fraction(-1))
-    ennea = ennea_on_end(bial)
-    return _write_or_print(
-        args, jsonio.operations_to_json("nine_op", ennea.t, ennea.ops)
-    )
+    return _write_or_print(args, jsonio.operations_to_json(ennea_on_end(bial)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
         "trialgebra", parents=[common], help="three-operation splitting identities"
     )
     p.add_argument("--file", required=True, help="three_op operations envelope")
-    p.set_defaults(func=cmd_verify_trialgebra)
+    p.set_defaults(func=cmd_verify_family, family="three_op")
 
     p = verify.add_parser(
         "ennea", parents=[common], help="nine-operation splitting identities"
     )
     p.add_argument("--file", required=True, help="nine_op operations envelope")
-    p.set_defaults(func=cmd_verify_ennea)
+    p.set_defaults(func=cmd_verify_family, family="nine_op")
 
     p = verify.add_parser(
         "graph-bialgebra",

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Container, Iterable, Mapping
 
 from .exactlin import IntEntry, LinearOperator, Scalar, Tensor3, check_indices, rat
-from .relations import AxiomSystem, Relation, Term, TPoly
+from .relations import AxiomSystem, Relation, Structure, Term, TPoly
 from .report import Report
 
 if TYPE_CHECKING:  # the decoders that build these import their modules
@@ -349,25 +349,21 @@ def coproduct_from_json(data: Mapping[str, Any]) -> CoalgebraData:
     return CoalgebraData(legs.permuted((1, 2, 0)))
 
 
-def operations_to_json(
-    family: str, t: Scalar, ops: Mapping[str, Tensor3]
-) -> dict[str, Any]:
-    """Envelope for one concrete structure: family name, parameter, tensors."""
-    dims = {tensor.dim for tensor in ops.values()}
-    if len(dims) != 1:
-        raise ValueError("all operation tensors must share one dimension")
+def operations_to_json(s: Structure) -> dict[str, Any]:
+    """Envelope for one concrete structure: its family's name, t and tensors.
+    A system that :func:`system_for_family` would not read back (a deformed
+    one, say) raises ValueError."""
+    system_for_family(s.system.name)
     return {
         "kind": "operations",
-        "family": family,
-        "t": scalar_to_json(t),
-        "dim": dims.pop(),
-        "ops": {name: tensor_to_json(tensor) for name, tensor in sorted(ops.items())},
+        "family": s.system.name,
+        "t": scalar_to_json(s.t),
+        "dim": s.dim,
+        "ops": {name: tensor_to_json(tensor) for name, tensor in sorted(s.ops.items())},
     }
 
 
-def operations_from_json(
-    data: Mapping[str, Any],
-) -> tuple[str, Fraction, dict[str, Tensor3]]:
+def operations_from_json(data: Mapping[str, Any]) -> Structure:
     """An operations envelope, validated in one place: ``family`` names a
     known family, ``t`` is an exact scalar, ``dim`` an int in
     1..MAX_ENVELOPE_DIM, and ``ops`` an object holding one list of
@@ -377,7 +373,7 @@ def operations_from_json(
     family = _field(data, "family")
     if not isinstance(family, str):
         raise ValueError(f"operations field 'family' must be a string, got {family!r}")
-    generators = system_for_family(family).generators
+    system = system_for_family(family)
     try:
         t = scalar_from_json(_field(data, "t"))
     except ValueError as exc:
@@ -388,8 +384,8 @@ def operations_from_json(
         raise ValueError(
             f"operations field 'ops' must be an object of named tensors, got {type(named).__name__}"
         )
-    missing = [name for name in generators if name not in named]
-    unknown = sorted(set(named) - set(generators))
+    missing = [name for name in system.generators if name not in named]
+    unknown = sorted(set(named) - set(system.generators))
     if missing or unknown:
         raise ValueError(
             f"operations field 'ops' must hold the generators of {family!r}: "
@@ -401,7 +397,7 @@ def operations_from_json(
             ops[name] = tensor_from_json(dim, items)
         except ValueError as exc:
             raise ValueError(f"operations field 'ops' entry {name!r}: {exc}") from None
-    return family, t, ops
+    return Structure(system, t, ops)
 
 
 def system_for_family(family: str) -> AxiomSystem:

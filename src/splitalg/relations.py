@@ -448,10 +448,16 @@ def _side_terms(
 def check_system(s: Structure, title: str | None = None) -> Report:
     """Verify every identity of a structure's system on its tensors.
 
-    The witness for a failing identity is its lexicographically smallest
-    failing basis triple.
+    The title defaults to a base family's "two-op splitting" ... "nine-op
+    splitting (t=T)", the one table that reads t, and to any other system's
+    "<name> identities".  The witness for a failing identity is its
+    lexicographically smallest failing basis triple.
     """
     system = s.system
+    if title is None and system.name in SYSTEMS:
+        title = f"{system.name.split('_')[0]}-op splitting"
+        if system.name == "nine_op":
+            title += f" (t={s.t})"
     report = Report(title=title or f"{system.name} identities", passed=True)
     at, dim = system.at(s.t), s.dim
     cache: dict[str, Tensor3] = {}

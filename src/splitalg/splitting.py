@@ -40,16 +40,6 @@ def _trialgebra(prec: Tensor3, succ: Tensor3, circ: Tensor3) -> Structure:
     return Structure(THREE_OP_SYSTEM, ZERO, {"prec": prec, "succ": succ, "circ": circ})
 
 
-def check_trialgebra(s: Structure) -> Report:
-    """All seven identities of a three-operation structure."""
-    return check_system(s, "three-op splitting")
-
-
-def check_ennea(e: Structure) -> Report:
-    """All forty-nine identities of a nine-operation structure."""
-    return check_system(e, f"nine-op splitting (t={e.t})")
-
-
 # ---------------------------------------------------------------------------
 # constructions from Baxter operators
 # ---------------------------------------------------------------------------
@@ -242,7 +232,7 @@ def nested_splitting_report(e: Structure) -> Report:
         report.add_failure(
             Witness("nested:horizontal-sum", (), "up+down+t*circ", "cbar")
         )
-    report.merge(check_trialgebra(inner_h))
+    report.merge(check_system(inner_h))
 
     vertical = vertical_trialgebra(e)
     inner_v = _trialgebra(*(e.ops[name].scale(t) for name in ("prec", "succ", "circ")))
@@ -251,7 +241,7 @@ def nested_splitting_report(e: Structure) -> Report:
         report.add_failure(
             Witness("nested:vertical-sum", (), "t*(prec+succ+circ)", "t*star")
         )
-    report.merge(check_trialgebra(inner_v))
+    report.merge(check_system(inner_v))
 
     grand = e.tensor("starbar")
     report.checks_run += 2

@@ -37,7 +37,6 @@ what lets the augmented free algebras carry bialgebra structures.
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -48,7 +47,6 @@ from .exactlin import (
     Tensor3,
     combine,
     first_nested_difference,
-    kron,
     rat,
 )
 from .relations import Structure, SystemAt, _side_terms, check_system, resolve_tensor
@@ -79,7 +77,7 @@ def unit_rules(
     left = set(left_identity)
     unknown = (right | left) - set(generators)
     if unknown:
-        raise KeyError(f"rule names not among the generators: {sorted(unknown)}")
+        raise ValueError(f"rule names not among the generators: {sorted(unknown)}")
     return {
         gen: (
             IDENTITY if gen in right else NOTHING,
@@ -107,7 +105,7 @@ def unit_scalars(at: SystemAt, rules: UnitRules) -> dict[str, UnitScalars]:
     included, from its table at t."""
     missing = {gen for parts in at.ops.values() for _, gen in parts} - set(rules)
     if missing:
-        raise KeyError(f"unit rules missing for generators: {sorted(missing)}")
+        raise ValueError(f"unit rules missing for generators: {sorted(missing)}")
     return {
         name: UnitScalars(
             sum((c * rat(rules[gen][0]) for c, gen in parts), ZERO),
@@ -115,38 +113,6 @@ def unit_scalars(at: SystemAt, rules: UnitRules) -> dict[str, UnitScalars]:
         )
         for name, parts in at.ops.items()
     }
-
-
-def augment_tensor(tensor: Tensor3, scalars: UnitScalars) -> Tensor3:
-    """Structure tensor of one operation on ``k·1 ⊕ A`` (unit at index 0).
-
-    The undefined corner (both arguments the unit) is stored as zero;
-    :func:`coherence_ops` never reads it, since it drops the products whose
-    right factors are both the unit.
-    The sorted entries are written in order, not re-summed: the corner,
-    the unit row ``1 op e_j``, then for each i the unit column entry
-    ``e_i op 1`` ahead of the shifted entries of row i.
-    """
-    n = tensor.dim
-    left, right = rat(scalars.left), rat(scalars.right)
-    denom = math.lcm(tensor.denom, left.denominator, right.denominator)
-    grow = denom // tensor.denom
-    c_left = left.numerator * (denom // left.denominator)
-    c_right = right.numerator * (denom // right.denominator)
-    items: list[tuple[int, int, int, int]] = []
-    if c_right and scalars.defined:
-        items.append((0, 0, 0, c_right))
-    if c_left:
-        items.extend((0, j, j, c_left) for j in range(1, n + 1))
-    numerators, p = tensor.numerators, 0
-    for i in range(n):
-        if c_right:
-            items.append((i + 1, 0, i + 1, c_right))
-        while p < len(numerators) and numerators[p][0] == i:
-            _, j, k, c = numerators[p]
-            items.append((i + 1, j + 1, k + 1, c * grow))
-            p += 1
-    return Tensor3.from_sorted(n + 1, denom, items)
 
 
 def _regions(left_nested: bool, s_in: UnitScalars, s_out: UnitScalars, inner: str, outer: str):
@@ -258,11 +224,10 @@ def check_unit_compatibility(
 def coherence_ops(a: Structure, b: Structure, rules: UnitRules, total_name: str) -> Structure:
     """The structure on ``A⊗1 ⊕ 1⊗B ⊕ A⊗B`` for a unit action.
 
-    Each operation is the Kronecker product of the augmented total
-    operation on ``k·1 ⊕ A`` with the operation augmented by its rule
-    scalars on ``k·1 ⊕ B``, restricted to the mixed space (inputs at
-    ``1⊗1`` dropped) — except that two unit right factors flip the
-    operation onto the left factors, so that block is the operation on A.
+    Each operation is built block by block (see the module docstring): the
+    operation on A where both right factors are the unit, and elsewhere the
+    unital total operation on the left factors times, on the right factors,
+    the operation on B or its unit scalar (``1 op y`` or ``y op 1``).
     ``a`` and ``b`` must share one system and t, and the rule table must
     make the total operation unital, otherwise the mixed space has no
     consistent product; either failure raises ValueError.
@@ -282,28 +247,44 @@ def coherence_ops(a: Structure, b: Structure, rules: UnitRules, total_name: str)
             "the mixed-space construction needs a genuine unit"
         )
     p, q = a.dim, b.dim
-    total = augment_tensor(resolve_tensor(at, a.ops, t, total_name), s_total)
-    # Kronecker index a*(q+1) + b, with 0 the unit in either factor, to the
-    # mixed-space layout; 1⊗1 has no place there
-    place: list[int | None] = [None, *range(p, p + q)]
-    for i in range(p):
-        place += [i, *range(p + q + i * q, p + q + (i + 1) * q)]
+    dim = p + q + p * q
 
+    def place(i: int | None, j: int | None) -> int:
+        """Index of x_i ⊗ y_j, None standing for the unit of either factor."""
+        if j is None:
+            return i
+        return p + j if i is None else p + q + i * q + j
+
+    def products(left, right, denom: int) -> Tensor3:
+        """(x⊗y)(x'⊗y') = (x·x') ⊗ (y·y') for entries (x, x', x·x', n) of
+        ``left`` and (y, y', y·y', m) of ``right``, over ``denom``."""
+        return Tensor3.from_numerators(
+            dim,
+            denom,
+            [
+                (place(i, j), place(i2, j2), place(k, k2), n * m)
+                for i, i2, k, n in left
+                for j, j2, k2, m in right
+            ],
+        )
+
+    # the total operation on A, made unital on k·1 ⊕ A
+    total = resolve_tensor(at, a.ops, t, total_name)
+    d = total.denom
+    unital = [(None, None, None, d), *total.numerators]
+    unital += [(None, i, i, d) for i in range(p)] + [(i, None, i, d) for i in range(p)]
+    # (x⊗1)(x'⊗y) = (x·x') ⊗ (1 op y) and (x⊗y)(x'⊗1) = (x·x') ⊗ (y op 1),
+    # before the unit scalars
+    left_unit = [(None, j, j, 1) for j in range(q)]
+    right_unit = [(j, None, j, 1) for j in range(q)]
+    by_left = products([e for e in unital if e[0] is not None], left_unit, d)
+    by_right = products([e for e in unital if e[1] is not None], right_unit, d)
     out: dict[str, Tensor3] = {}
     for gen in system.generators:
-        pair = kron(total, augment_tensor(b.ops[gen], scalars[gen]))
-        op_a = a.ops[gen]
-        denom = math.lcm(pair.denom, op_a.denom)
-        grow_a, grow_pair = denom // op_a.denom, denom // pair.denom
-        # (x⊗1)(x'⊗1) = (x op x') ⊗ 1; the Kronecker product gives the
-        # rest, once its unit-right-factor pairs and 1⊗1 inputs are dropped
-        items = [(i, j, k, n * grow_a) for i, j, k, n in op_a.numerators]
-        items.extend(
-            (place[x], place[y], place[z], n * grow_pair)
-            for x, y, z, n in pair.numerators
-            if (x % (q + 1) or y % (q + 1)) and x and y
-        )
-        out[gen] = Tensor3.from_numerators(p + q + p * q, denom, items)
+        op_a, op_b, s = a.ops[gen], b.ops[gen], scalars[gen]
+        on_a = Tensor3(dim, op_a.denom, op_a.numerators)  # (x⊗1)(x'⊗1) = (x op x') ⊗ 1
+        on_b = products(unital, op_b.numerators, d * op_b.denom)
+        out[gen] = combine(dim, [(ONE, on_a), (ONE, on_b), (s.left, by_left), (s.right, by_right)])
     return Structure(system, t, out)
 
 

@@ -30,12 +30,11 @@ from splitalg import (
     check_cobaxter,
     check_coherence,
     check_deformation_instance,
-    check_ennea,
     check_eps_bialgebra,
     check_hypercubic,
     check_jacobi,
     check_prelie,
-    check_trialgebra,
+    check_system,
     check_unit_compatibility,
     combine,
     convolution_report,
@@ -136,11 +135,11 @@ def test_criterion_3_construction_chain():
 
     e = ennea_on_end(b)
     assert e.dim == 9
-    nine = check_ennea(e)
+    nine = check_system(e)
     assert nine.passed and nine.checks_run == 49 * 9**3
 
     for projection in (horizontal_trialgebra, vertical_trialgebra):
-        tri = check_trialgebra(projection(e))
+        tri = check_system(projection(e))
         assert tri.passed and tri.checks_run == 7 * 9**3
 
     first, second = prelie_pair_from_ennea(e)
@@ -239,7 +238,7 @@ def test_criterion_7_tensor_product_structure():
     for t in (F(1), F(-1)):
         e = tensor_ennea(a, b, t)
         assert e.dim == 9
-        report = check_ennea(e)
+        report = check_system(e)
         assert report.passed and report.checks_run == 49 * 9**3
         # the grand total is the tensor product of the two factor totals
         grand = e.tensor("starbar")
@@ -312,7 +311,7 @@ def test_criterion_9_randomized_invariants():
         for move in (opposite_ennea, transpose_ennea):
             twice = move(move(e))
             assert all(twice.ops[k].entries == e.ops[k].entries for k in e.ops)
-        assert check_ennea(e).passed == check_ennea(opposite_ennea(e)).passed
+        assert check_system(e).passed == check_system(opposite_ennea(e)).passed
 
     # generic-parameter certification at three independent points
     nine = builtin_presentations()["nine_op"]
@@ -342,7 +341,7 @@ def test_criterion_9_randomized_invariants():
     for t in (F(1), F(-2), F(3, 4)):
         alg, row, col, param = triangular_baxter_example(2, t)
         e = ennea_from_commuting_pair(alg, col, col, param)
-        assert check_ennea(e).passed and check_ennea(opposite_ennea(e)).passed
+        assert check_system(e).passed and check_system(opposite_ennea(e)).passed
         first, second = prelie_pair_from_ennea(e)
         for p in (first, second):
             assert check_prelie(p).passed

@@ -11,10 +11,10 @@ from splitalg import (
     EpsilonBialgebra,
     WeightedDigraph,
     chain_coproduct,
-    check_ennea,
     check_eps_bialgebra,
     check_hypercubic,
     check_prelie,
+    check_system,
     convolution_report,
     convolution_structure,
     ennea_from_commuting_pair,
@@ -79,7 +79,7 @@ def test_nine_op_on_end_matches_the_commuting_pair_construction():
     e2 = ennea_from_commuting_pair(cs.end, cs.left_conv, cs.right_conv, b.t)
     assert all(e.ops[k].entries == e2.ops[k].entries for k in e.ops)
     assert e.dim == b.dim * b.dim
-    assert check_ennea(e).passed
+    assert check_system(e).passed
 
 
 def test_pre_lie_product_from_bialgebra():

@@ -164,8 +164,8 @@ def test_each_command_evaluates_each_table_coefficient_once(
     capsys.readouterr()
 
 
-def save_operations(path, family, t, ops):
-    save(str(path), operations_to_json(family, t, ops))
+def save_operations(path, structure):
+    save(str(path), operations_to_json(structure))
     return str(path)
 
 
@@ -176,8 +176,8 @@ def small_structures(tmp_path):
     tri = trialgebra_from_baxter(alg, row, param)
     nine = ennea_from_commuting_pair(alg, row, row, param)
     return (
-        save_operations(tmp_path / "three.json", "three_op", 0, tri.ops),
-        save_operations(tmp_path / "nine.json", "nine_op", nine.t, nine.ops),
+        save_operations(tmp_path / "three.json", tri),
+        save_operations(tmp_path / "nine.json", nine),
     )
 
 
@@ -233,6 +233,15 @@ def test_verify_trialgebra_passes_fails_and_refuses_another_family(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: expected a three_op operations file, got 'nine_op'\n"
+
+
+def test_verify_unit_action_refuses_a_rule_name_outside_the_family(tmp_path, capsys):
+    _, nine = small_structures(tmp_path)
+    for flag in ("--right", "--left"):
+        assert main(["verify", "unit-action", "--file", nine, flag, "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rule names not among the generators: ['nope']\n"
 
 
 def test_verify_ennea_fails_on_perturbed_envelope(graph_file, tmp_path, capsys):

@@ -24,7 +24,8 @@ SRC = str(Path(splitalg.__file__).resolve().parents[1])
 # Every public name the package exports, by submodule: those it exported
 # when it still imported all its submodules eagerly, less the definitions
 # since deleted because no command reached them, with the three structure
-# classes of ``splitting`` replaced by the one ``relations.Structure``.
+# classes of ``splitting`` replaced by the one ``relations.Structure`` and its
+# two family checks by ``relations.check_system``.
 EXPORTED = {
     "algebra_core": (
         "CoalgebraData", "FiniteAlgebra", "check_coassociative",
@@ -56,9 +57,9 @@ EXPORTED = {
     ),
     "report": ("Report", "Witness"),
     "splitting": (
-        "check_ennea", "check_jacobi", "check_prelie", "check_trialgebra",
-        "ennea_from_baxter_on_trialgebra", "ennea_from_commuting_pair", "horizontal_trialgebra",
-        "opposite_ennea", "prelie_pair_from_ennea", "tensor_ennea", "transpose_ennea",
+        "check_jacobi", "check_prelie", "ennea_from_baxter_on_trialgebra",
+        "ennea_from_commuting_pair", "horizontal_trialgebra", "opposite_ennea",
+        "prelie_pair_from_ennea", "tensor_ennea", "transpose_ennea",
         "trialgebra_from_baxter", "vertical_trialgebra",
     ),
     "unit_action": ("check_coherence", "check_unit_compatibility", "unit_rules"),
@@ -254,7 +255,7 @@ def test_verify_unit_action_and_coherence_load_six_library_modules(tmp_path, ver
     alg, row, _, param = triangular_baxter_example(2, 1)
     e = ennea_from_commuting_pair(alg, row, row, param)
     path = str(tmp_path / "nine.json")
-    save(path, operations_to_json("nine_op", e.t, e.ops))
+    save(path, operations_to_json(e))
     code = (
         "import contextlib, io\n"
         "from splitalg.cli import main\n"
@@ -264,4 +265,26 @@ def test_verify_unit_action_and_coherence_load_six_library_modules(tmp_path, ver
     assert loaded_after(code) == [
         "splitalg", "splitalg.cli", "splitalg.exactlin", "splitalg.jsonio",
         "splitalg.operad", "splitalg.relations", "splitalg.report", "splitalg.unit_action",
+    ]
+
+
+def test_verify_ennea_json_loads_no_construction_module(tmp_path):
+    """``verify ennea`` reads the envelope as a ``Structure`` and runs
+    ``relations.check_system``; neither ``splitting`` nor ``algebra_core``
+    loads."""
+    from splitalg import ennea_from_commuting_pair, triangular_baxter_example
+    from splitalg.jsonio import operations_to_json, save
+
+    alg, row, _, param = triangular_baxter_example(2, 1)
+    path = str(tmp_path / "nine.json")
+    save(path, operations_to_json(ennea_from_commuting_pair(alg, row, row, param)))
+    code = (
+        "import contextlib, io\n"
+        "from splitalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['verify', 'ennea', '--file', {path!r}, '--json']) == 0\n"
+    )
+    assert loaded_after(code) == [
+        "splitalg", "splitalg.cli", "splitalg.exactlin", "splitalg.jsonio",
+        "splitalg.operad", "splitalg.relations", "splitalg.report",
     ]

@@ -25,7 +25,7 @@ import oracles
 from splitalg import (
     WeightedDigraph,
     builtin_presentations,
-    check_ennea,
+    check_system,
     check_unit_compatibility,
     triangular_baxter_example,
     triangular_matrix_coalgebra,
@@ -193,7 +193,7 @@ def oracle_reports(data):
     }
     structure = Structure(NINE_OP_SYSTEM, t, ops)
     return {
-        "ennea": check_ennea(structure),
+        "ennea": check_system(structure),
         "unit-action": check_unit_compatibility(structure, oracles.NINE_OP_RULES),
     }
 

@@ -36,11 +36,9 @@ from splitalg import (
     check_cobaxter,
     check_coassociative,
     check_deformation_instance,
-    check_ennea,
     check_eps_bialgebra,
     check_hypercubic,
     check_prelie,
-    check_trialgebra,
     check_unit_compatibility,
     convolution_structure,
     deformed_structure_check,
@@ -252,23 +250,20 @@ def _bumped(s, name, i, j, k, delta):
 
 def _identity_system_cases():
     end = ennea_on_end(_chain_bialgebra(F(2, 3)))
-    yield "ennea/end_perturbed_rational", check_ennea(_bumped(end, "ne", 1, 4, 2, F(1, 2)))
+    yield "ennea/end_perturbed_rational", check_system(_bumped(end, "ne", 1, 4, 2, F(1, 2)))
     alg, row, col, param = triangular_baxter_example(2, F(2, 3))
     pair = ennea_from_commuting_pair(alg, row, row, param)
-    yield "ennea/commuting_pair_rational_t", check_ennea(pair)
-    yield "ennea/commuting_pair_rational_t_fail", check_ennea(
+    yield "ennea/commuting_pair_rational_t", check_system(pair)
+    yield "ennea/commuting_pair_rational_t_fail", check_system(
         _bumped(pair, "circ", 0, 1, 1, F(3, 7))
     )
     tri = trialgebra_from_baxter(alg, row, param)
-    yield "trialgebra/check_fail", check_trialgebra(_bumped(tri, "prec", 0, 0, 0, F(1, 5)))
+    yield "trialgebra/check_fail", check_system(_bumped(tri, "prec", 0, 0, 0, F(1, 5)))
     two = {name: tri.ops[name] for name in ("prec", "succ")}
-    yield "dialgebra/check_fail", check_system(
-        Structure(TWO_OP_SYSTEM, F(0), two), "two-op splitting"
-    )
+    yield "dialgebra/check_fail", check_system(Structure(TWO_OP_SYSTEM, F(0), two))
     corners = {name: pair.ops[name] for name in ("nw", "ne", "sw", "se")}
     yield "quadri/check_fail", check_system(
-        Structure(FOUR_OP_SYSTEM, F(0), _bumped_ops(corners, "sw", 1, 2, 0, F(-2, 9))),
-        "four-op splitting",
+        Structure(FOUR_OP_SYSTEM, F(0), _bumped_ops(corners, "sw", 1, 2, 0, F(-2, 9)))
     )
     skew = Tensor3.from_sparse(
         3, [(0, 1, 2, F(1, 2)), (1, 2, 0, F(2, 3)), (2, 2, 1, F(-1)), (1, 0, 1, F(1))]
@@ -290,7 +285,7 @@ def _identity_system_cases():
     # dim 36 (37 with the unit), the size the benchmark checks: the witnesses
     # of the fourteen failing identities lie in slices x = 0, 4, 5 and 30
     bumped3 = _bumped(end3, "se", 30, 29, 35, F(2, 3))
-    yield "ennea/end_chain3_perturbed", check_ennea(bumped3)
+    yield "ennea/end_chain3_perturbed", check_system(bumped3)
     yield "unit/end_chain3_perturbed", check_unit_compatibility(bumped3, rules)
     pa = _chain2()
     inst = baxter_deformation(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,13 @@ from splitalg.jsonio import (
     tensor_from_json,
     tensor_to_json,
     tpoly_from_json,
+)
+from splitalg.relations import (
+    FOUR_OP_SYSTEM,
+    NINE_OP_SYSTEM,
+    THREE_OP_SYSTEM,
+    TWO_OP_SYSTEM,
+    Structure,
 )
 
 F = Fraction
@@ -200,19 +208,24 @@ def test_coproduct_envelope_lists_the_legs_in_order():
 
 
 def test_operations_envelope_roundtrip():
+    """Family, t and tensors come back for a structure of each base family."""
     pa = path_algebra(WeightedDigraph.build(2, [(0, 1, 1)]))
     b = EpsilonBialgebra(pa.algebra, chain_coproduct(pa), F(-1))
-    e = ennea_on_end(b)
-    data = operations_to_json("nine_op", e.t, e.ops)
-    family, t, ops = operations_from_json(data)
-    assert family == "nine_op" and t == F(-1)
-    assert all(ops[k].entries == e.ops[k].entries for k in e.ops)
+    rng = random.Random(5)
+    structures = [ennea_on_end(b)] + [
+        Structure(system, F(-2, 3), {gen: oracles.random_tensor(rng, 3, 4) for gen in system.generators})
+        for system in (TWO_OP_SYSTEM, THREE_OP_SYSTEM, FOUR_OP_SYSTEM, NINE_OP_SYSTEM)
+    ]
+    for s in structures:
+        back = operations_from_json(operations_to_json(s))
+        assert back.system is s.system and back.t == s.t and back.ops == s.ops
 
 
-def test_operations_envelope_rejects_mixed_dimensions():
-    ops = {"prec": Tensor3.zero(2), "succ": Tensor3.zero(3)}
-    with pytest.raises(ValueError):
-        operations_to_json("two_op", F(0), ops)
+def test_operations_envelope_refuses_a_family_it_cannot_read_back():
+    system = system_for_family("deformed_two_three")
+    s = Structure(system, F(0), {gen: Tensor3.zero(2) for gen in system.generators})
+    with pytest.raises(ValueError, match="unknown family 'three_op_deformed'"):
+        operations_to_json(s)
 
 
 def test_system_for_family_covers_presets():

@@ -15,7 +15,6 @@ from splitalg import (
     builtin_presentations,
     check_baxter,
     check_cobaxter,
-    check_ennea,
     check_jacobi,
     check_prelie,
     check_system,
@@ -74,7 +73,7 @@ def test_opposite_and_transpose_are_involutions(e):
 @given(random_ennea(2))
 def test_validity_is_preserved_by_opposite(e):
     """A structure and its opposite always get the same verdict."""
-    assert check_ennea(e).passed == check_ennea(opposite_ennea(e)).passed
+    assert check_system(e).passed == check_system(opposite_ennea(e)).passed
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -82,9 +81,9 @@ def test_validity_is_preserved_by_opposite(e):
 def test_valid_structures_and_their_opposites_pass(t):
     alg, row, _, param = triangular_baxter_example(2, t)
     e = ennea_from_commuting_pair(alg, row, row, param)
-    assert check_ennea(e).passed
-    assert check_ennea(opposite_ennea(e)).passed
-    assert check_ennea(transpose_ennea(e)).passed
+    assert check_system(e).passed
+    assert check_system(opposite_ennea(e)).passed
+    assert check_system(transpose_ennea(e)).passed
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)

@@ -128,6 +128,22 @@ def test_structure_holds_exactly_the_generators_in_one_dimension(family):
             Structure(system, 1, faulty)
 
 
+@pytest.mark.parametrize(
+    "family,t,title",
+    [
+        ("two_op", F(0), "two-op splitting"),
+        ("three_op", F(0), "three-op splitting"),
+        ("four_op", F(0), "four-op splitting"),
+        ("nine_op", F(-1), "nine-op splitting (t=-1)"),
+        ("deformed_two_three", F(0), "three_op_deformed identities"),
+    ],
+)
+def test_check_system_titles_a_structure_by_its_family(family, t, title):
+    system = builtin_presentation(family)
+    s = Structure(system, t, {gen: Tensor3.zero(2) for gen in system.generators})
+    assert check_system(s).title == title
+
+
 def test_check_system_agrees_with_brute_force_on_random_ops():
     """The fast composition-map path and naive triple loops agree per relation."""
     rng = random.Random(17)

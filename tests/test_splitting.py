@@ -9,10 +9,8 @@ import pytest
 import oracles
 from splitalg import (
     combine,
-    check_ennea,
     check_jacobi,
     check_prelie,
-    check_trialgebra,
     ennea_from_baxter_on_trialgebra,
     ennea_from_commuting_pair,
     horizontal_trialgebra,
@@ -45,7 +43,7 @@ def col_trialgebra(n, t):
 @pytest.mark.parametrize("t", PARAMS)
 def test_baxter_splitting_gives_three_op_structure(t):
     s, _ = row_trialgebra(3, t)
-    report = check_trialgebra(s)
+    report = check_system(s)
     assert report.passed, report.summary()
     assert report.checks_run == 7 * 6**3
 
@@ -76,7 +74,7 @@ def test_operator_is_morphism_to_total_operation(t):
 def test_commuting_pair_gives_nine_op_structure(t):
     alg, row, _, param = triangular_baxter_example(3, t)
     e = ennea_from_commuting_pair(alg, row, row, param)
-    report = check_ennea(e)
+    report = check_system(e)
     assert report.passed, report.summary()
     assert report.checks_run == 49 * 6**3
 
@@ -85,7 +83,7 @@ def test_nine_op_from_refining_operator_on_three_op():
     alg, row, _, param = triangular_baxter_example(3, F(1))
     s = trialgebra_from_baxter(alg, row, param)
     e = ennea_from_baxter_on_trialgebra(s, row, param)
-    assert check_ennea(e).passed
+    assert check_system(e).passed
     assert e.ops["prec"].entries == s.ops["prec"].entries
 
 
@@ -102,7 +100,7 @@ def test_tensor_product_of_three_op_structures(t):
     b, _ = col_trialgebra(2, F(1))
     e = tensor_ennea(a, b, t)
     assert e.dim == 9
-    assert check_ennea(e).passed
+    assert check_system(e).passed
 
 
 def test_tensor_total_operation_is_the_tensor_of_totals():
@@ -134,8 +132,8 @@ def test_tensor_construction_needs_nonzero_parameter():
 def test_row_and_column_projections_are_three_op_structures(t):
     alg, row, _, param = triangular_baxter_example(3, t)
     e = ennea_from_commuting_pair(alg, row, row, param)
-    assert check_trialgebra(horizontal_trialgebra(e)).passed
-    assert check_trialgebra(vertical_trialgebra(e)).passed
+    assert check_system(horizontal_trialgebra(e)).passed
+    assert check_system(vertical_trialgebra(e)).passed
     assert nested_splitting_report(e).passed
 
 
@@ -159,4 +157,4 @@ def test_opposite_and_transpose_are_involutions_preserving_validity():
         twice = move(move(e))
         assert twice.t == e.t
         assert all(twice.ops[k].entries == e.ops[k].entries for k in e.ops)
-        assert check_ennea(move(e)).passed
+        assert check_system(move(e)).passed

@@ -18,7 +18,6 @@ from splitalg import LinearOperator, Tensor3, combine
 from splitalg.exactlin import twist
 from splitalg.jsonio import tensor_from_json
 from splitalg.report import Report, Witness, compare_on_pairs
-from splitalg.unit_action import UnitScalars, augment_tensor
 
 F = Fraction
 
@@ -152,18 +151,6 @@ def test_twist_matches_dense_oracle(case):
         post=operator(post),
     )
     want = oracles.dense_twist(oracles.grid_from_items(dim, items), left, right, post)
-    assert_matches(got, want)
-
-
-unit_scalars = st.sampled_from([F(0), F(1), F(-1), F(2), F(2, 3), F(-5, 7)])
-
-
-@settings(max_examples=50, derandomize=True, deadline=None)
-@given(dims.flatmap(lambda d: st.tuples(st.just(d), items_for(d), unit_scalars, unit_scalars)))
-def test_augment_tensor_matches_dense_oracle(case):
-    dim, items, right, left = case
-    got = augment_tensor(Tensor3.from_sparse(dim, items), UnitScalars(right, left))
-    want = oracles.dense_augment(oracles.grid_from_items(dim, items), right, left)
     assert_matches(got, want)
 
 

@@ -35,8 +35,6 @@ from splitalg.jsonio import operations_to_json, save
 from splitalg.operad import builtin_presentation
 from splitalg.relations import NINE_OP_GENERATORS, Structure
 from splitalg.unit_action import (
-    UnitScalars,
-    augment_tensor,
     check_coherence,
     coherence_ops,
     unit_scalars,
@@ -60,7 +58,7 @@ def small_nine_op(use_column=False):
 def test_unit_rules_constructor():
     rules = unit_rules(("a", "b"), right_identity=("a",), left_identity=("b",))
     assert rules == {"a": (F(1), F(0)), "b": (F(0), F(1))}
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"rule names not among the generators: \['c'\]"):
         unit_rules(("a",), right_identity=("c",))
 
 
@@ -91,22 +89,6 @@ def test_composite_scalars_at_minus_one():
         assert (s.right, s.left, s.defined) == (right, left, defined), name
         # and the independent recomputation agrees
         assert oracles.unit_scalars(NINE_OP_SYSTEM, rules, F(-1), name) == (right, left)
-
-
-def test_augment_tensor_layout():
-    op = Tensor3.from_sparse(2, [(0, 1, 0, F(5))])
-    big = augment_tensor(op, UnitScalars(right=F(2), left=F(3)))
-    assert big.dim == 3
-    # interior shifted by one
-    assert big.entries[1][2][1] == F(5)
-    # unit actions on each side
-    for j in range(1, 3):
-        assert big.entries[0][j][j] == F(3)
-        assert big.entries[j][0][j] == F(2)
-    # unit times unit is undefined (left != right): stored as zero
-    assert big.entries[0][0][0] == 0
-    whole = augment_tensor(op, UnitScalars(right=F(2), left=F(2)))
-    assert whole.entries[0][0][0] == F(2)
 
 
 def test_end_structure_is_unit_compatible_with_frozen_counts():
@@ -351,7 +333,7 @@ def test_coherence_requires_matching_parameters_and_unital_total(tmp_path, capsy
     other = ennea_from_commuting_pair(alg, row, row, param)
     paths = [str(tmp_path / f"{name}.json") for name in ("a", "other")]
     for path, e in zip(paths, (a, other)):
-        save(path, operations_to_json("nine_op", e.t, e.ops))
+        save(path, operations_to_json(e))
     assert main(["verify", "coherence", "--file", paths[0], "--file2", paths[1]]) == 2
     assert capsys.readouterr().err == "error: both operations files must share family and t\n"
     silent = unit_rules(NINE_OP_GENERATORS)  # all zero: total is not unital
