@@ -213,7 +213,7 @@ def test_operations_envelope_roundtrip():
     b = EpsilonBialgebra(pa.algebra, chain_coproduct(pa), F(-1))
     rng = random.Random(5)
     structures = [ennea_on_end(b)] + [
-        Structure(system, F(-2, 3), {gen: oracles.random_tensor(rng, 3, 4) for gen in system.generators})
+        Structure(system, F(-2, 3), {g: oracles.random_tensor(rng, 3, 4) for g in system.generators})
         for system in (TWO_OP_SYSTEM, THREE_OP_SYSTEM, FOUR_OP_SYSTEM, NINE_OP_SYSTEM)
     ]
     for s in structures:
