@@ -105,7 +105,6 @@ _EXPORTS_BY_MODULE = {
         "Term",
         "TPoly",
         "check_system",
-        "resolve_tensor",
     ),
     "report": ("Report", "Witness"),
     "splitting": (

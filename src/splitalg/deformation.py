@@ -60,12 +60,10 @@ class DeformedSystem:
     """The quadratic presentation of a one-parameter deformation."""
 
     base: AxiomSystem
-    nonzero_base: frozenset[str]
     system: AxiomSystem
     degree0: tuple[str, ...]
     degree1: tuple[str, ...]
     degree2: tuple[str, ...]
-    total_name: str | None  # unital total operation (base total + labeled total)
 
 
 def _labeled(name: str) -> str:
@@ -125,12 +123,11 @@ def cross_term_system(base: AxiomSystem, nonzero_base: Iterable[str]) -> Deforme
             relations.append(Relation(name, lhs, rhs))
             names_by_degree[degree].append(name)
 
-    total_name = None
+    # the unital total operation: base total + labeled total
     for candidate in ("starbar", "star"):
         if candidate in base.composites:
             total = tuple(composites.get(candidate, ())) + composites[_labeled(candidate)]
-            total_name = f"{candidate}_total"
-            composites[total_name] = total
+            composites[f"{candidate}_total"] = total
             break
 
     system = AxiomSystem(
@@ -141,12 +138,10 @@ def cross_term_system(base: AxiomSystem, nonzero_base: Iterable[str]) -> Deforme
     )
     return DeformedSystem(
         base=base,
-        nonzero_base=nonzero,
         system=system,
         degree0=tuple(names_by_degree[0]),
         degree1=tuple(names_by_degree[1]),
         degree2=tuple(names_by_degree[2]),
-        total_name=total_name,
     )
 
 

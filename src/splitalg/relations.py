@@ -13,14 +13,19 @@ Coefficients are polynomials in t (:class:`TPoly`); named composite
 operations (sums of generators, possibly t-weighted) are part of the system
 and are kept *unexpanded* in the tables, because the unit-action checks need
 to evaluate composites as single slots.  :meth:`AxiomSystem.at` turns every
-coefficient into a number once per t, and every tensor check reads that
-table.  A :class:`Structure` is one family's generator tensors at one t;
-every identity check takes one.
+coefficient into a number once per t.  A :class:`Structure` is one
+family's generator tensors at one t, and every identity check takes one.
+It is the one place where operations are resolved: ``table`` is its system
+at its t, evaluated on first read; ``tensor(name)`` is the tensor of any
+operation, composite or generator, resolved from that table once; and
+``terms(side)`` turns one identity side of the table into
+(coefficient, inner, outer) tensor terms for the nested evaluator.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -161,8 +166,10 @@ class Structure:
     """Concrete tensors for the generators of a system at one value of t.
 
     The constructor is the one place that checks ``ops``: it holds exactly
-    the system's generators, all of one dimension.  Composite operations are
-    resolved on demand by :meth:`tensor`.
+    the system's generators, all of one dimension.  The table at t and each
+    resolved operation are computed on first use and kept with the
+    structure; they are not fields, so ``==`` and ``dataclasses.replace``
+    see only the system, t and the generator tensors.
     """
 
     system: AxiomSystem
@@ -186,9 +193,27 @@ class Structure:
     def dim(self) -> int:
         return next(iter(self.ops.values())).dim
 
+    @functools.cached_property
+    def table(self) -> SystemAt:
+        """The system at this structure's t."""
+        return self.system.at(self.t)
+
+    @functools.cached_property
+    def _resolved(self) -> dict[str, Tensor3]:
+        return {}
+
     def tensor(self, name: str) -> Tensor3:
         """Tensor of any named operation, composite or generator."""
-        return resolve_tensor(self.system.at(self.t), self.ops, self.t, name)
+        resolved = self._resolved
+        if name not in resolved:
+            parts = self.table.ops[name]
+            resolved[name] = combine(self.dim, [(c, self.ops[gen]) for c, gen in parts])
+        return resolved[name]
+
+    def terms(self, side: SideAt) -> list[NestedTerm]:
+        """One identity side of the table as (coefficient, inner, outer)
+        tensor terms."""
+        return [(c, self.tensor(inner), self.tensor(outer)) for c, inner, outer in side]
 
 
 def _rel(name: str, coeff: TPoly, left: tuple[str, str], right: tuple[str, str]) -> Relation:
@@ -408,43 +433,6 @@ DEFORMATIONS: dict[str, tuple[AxiomSystem, tuple[str, ...]]] = {
 # ---------------------------------------------------------------------------
 
 
-def resolve_tensor(
-    at: SystemAt,
-    ops: dict[str, Tensor3],
-    t: Fraction,
-    op_name: str,
-    cache: dict[str, Tensor3] | None = None,
-) -> Tensor3:
-    """Structure tensor of a (possibly composite) operation, from a system's
-    table at t; a table read at another t raises ValueError."""
-    if cache is not None and op_name in cache:
-        return cache[op_name]
-    if t != at.t:
-        raise ValueError(f"a table evaluated at t = {at.t} read at t = {t}")
-    dim = next(iter(ops.values())).dim
-    tensor = combine(dim, [(c, ops[gen]) for c, gen in at.ops[op_name]])
-    if cache is not None:
-        cache[op_name] = tensor
-    return tensor
-
-
-def _side_terms(
-    at: SystemAt,
-    ops: dict[str, Tensor3],
-    terms: SideAt,
-    cache: dict[str, Tensor3],
-) -> list[NestedTerm]:
-    """One identity side of a table as (coefficient, inner, outer) tensor terms."""
-    return [
-        (
-            c,
-            resolve_tensor(at, ops, at.t, inner_name, cache),
-            resolve_tensor(at, ops, at.t, outer_name, cache),
-        )
-        for c, inner_name, outer_name in terms
-    ]
-
-
 def check_system(s: Structure, title: str | None = None) -> Report:
     """Verify every identity of a structure's system on its tensors.
 
@@ -459,13 +447,9 @@ def check_system(s: Structure, title: str | None = None) -> Report:
         if system.name == "nine_op":
             title += f" (t={s.t})"
     report = Report(title=title or f"{system.name} identities", passed=True)
-    at, dim = system.at(s.t), s.dim
-    cache: dict[str, Tensor3] = {}
-    for relation, (lhs, rhs) in zip(system.relations, at.relations):
-        report.checks_run += dim**3
-        diff = first_nested_difference(
-            _side_terms(at, s.ops, lhs, cache), _side_terms(at, s.ops, rhs, cache)
-        )
+    for relation, (lhs, rhs) in zip(system.relations, s.table.relations):
+        report.checks_run += s.dim**3
+        diff = first_nested_difference(s.terms(lhs), s.terms(rhs))
         if diff is not None:
             key, lvec, rvec = diff
             report.add_failure(

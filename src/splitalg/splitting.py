@@ -66,9 +66,7 @@ def trialgebra_from_baxter(
     return _trialgebra(twist(mult, right=op), twist(mult, left=op), mult.scale(t))
 
 
-def star_morphism_report(
-    algebra: FiniteAlgebra, op: LinearOperator, s: Structure, t: Scalar
-) -> Report:
+def star_morphism_report(algebra: FiniteAlgebra, op: LinearOperator, s: Structure) -> Report:
     """B maps the split total product to the original product:
     B(x star_t y) = B(x) B(y), with star_t = prec + succ + t*circ... the
     Baxter-built structure stores circ = t*(product), so the total here is

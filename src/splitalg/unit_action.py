@@ -49,7 +49,7 @@ from .exactlin import (
     first_nested_difference,
     rat,
 )
-from .relations import Structure, SystemAt, _side_terms, check_system, resolve_tensor
+from .relations import Structure, SystemAt, check_system
 from .report import Report, Witness
 
 # Rule scalars: the unit acts as the identity, or kills the argument.
@@ -136,11 +136,11 @@ def _regions(left_nested: bool, s_in: UnitScalars, s_out: UnitScalars, inner: st
 _EDGE_TRIPLES = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0))
 
 
-def _boundary(ops, dim, at, terms):
+def _boundary(s, terms):
     """The number of skipped triples and (triple, lhs, rhs) at the first
-    failure of each failing face, edge and corner.  ``at`` is the system's
-    table at t; ``terms`` are (left_nested, c, faces, edges), the last two
-    from :func:`_regions`.
+    failure of each failing face, edge and corner of one identity on the
+    structure ``s``.  ``terms`` are (left_nested, c, faces, edges), the last
+    two from :func:`_regions`.
 
     An edge or the corner is skipped when a term there is undefined, and is
     otherwise an identity of scalars.  A face resolves both sides to
@@ -148,6 +148,7 @@ def _boundary(ops, dim, at, terms):
     structure, otherwise its first failure is the first entry of their
     difference tensor.
     """
+    ops, dim = s.ops, s.dim
     skipped, failures = 0, []
     for r, triple in enumerate(_EDGE_TRIPLES):
         if any(edges[r] is None for *_, edges in terms):
@@ -165,7 +166,7 @@ def _boundary(ops, dim, at, terms):
             scalar, name = faces[slot]
             if scalar:
                 acc = coeffs[not n]
-                for value, gen in at.ops[name]:
+                for value, gen in s.table.ops[name]:
                     acc[gen] = acc.get(gen, ZERO) + c * scalar * value
         lhs, rhs = ({gen: v for gen, v in acc.items() if v} for acc in coeffs)
         if lhs == rhs:
@@ -177,7 +178,7 @@ def _boundary(ops, dim, at, terms):
             triple = [a + 1, b + 1]
             triple.insert(slot, 0)
             sums = (combine(dim, [(c, ops[g]) for g, c in side.items()]) for side in (lhs, rhs))
-            vecs = ({k + 1: v for i, j, k, v in s.nonzeros() if (i, j) == (a, b)} for s in sums)
+            vecs = ({k + 1: v for i, j, k, v in m.nonzeros() if (i, j) == (a, b)} for m in sums)
             failures.append((tuple(triple), *vecs))
     return skipped, failures
 
@@ -192,25 +193,21 @@ def check_unit_compatibility(
     counted in ``skipped_undefined``.  The witness of a failing identity is
     its smallest failing triple over all regions, the unit at index 0.
     """
-    system, ops, dim = s.system, s.ops, s.dim
-    at = system.at(s.t)
-    scalars = unit_scalars(at, rules)
+    system, dim = s.system, s.dim
+    scalars = unit_scalars(s.table, rules)
     report = Report(title=title or f"{system.name} unit compatibility", passed=True)
-    cache: dict[str, Tensor3] = {}
-    for relation, (lhs, rhs) in zip(system.relations, at.relations):
+    for relation, (lhs, rhs) in zip(system.relations, s.table.relations):
         terms = [
             (left_nested, c, *_regions(left_nested, scalars[inner], scalars[outer], inner, outer))
             for side, left_nested in ((lhs, True), (rhs, False))
             for c, inner, outer in side
         ]
-        skipped, failures = _boundary(ops, dim, at, terms)
+        skipped, failures = _boundary(s, terms)
         report.checks_run += (dim + 1) ** 3 - skipped
         report.skipped_undefined += skipped
         # no interior triple has x = 0, so such a failure comes first
         if all(triple[0] for triple, *_ in failures):
-            diff = first_nested_difference(
-                _side_terms(at, ops, lhs, cache), _side_terms(at, ops, rhs, cache)
-            )
+            diff = first_nested_difference(s.terms(lhs), s.terms(rhs))
             if diff is not None:
                 (x, y, z), lvec, rvec = diff
                 shifted = ({m + 1: v for m, v in vec.items()} for vec in (lvec, rvec))
@@ -238,8 +235,7 @@ def coherence_ops(a: Structure, b: Structure, rules: UnitRules, total_name: str)
     if a.system != b.system or a.t != b.t:
         raise ValueError("a mixed space needs two structures of one system and one t")
     system, t = a.system, a.t
-    at = system.at(t)
-    scalars = unit_scalars(at, rules)
+    scalars = unit_scalars(a.table, rules)
     s_total = scalars[total_name]
     if not (s_total.defined and s_total.right == ONE):
         raise ValueError(
@@ -269,7 +265,7 @@ def coherence_ops(a: Structure, b: Structure, rules: UnitRules, total_name: str)
         )
 
     # the total operation on A, made unital on k·1 ⊕ A
-    total = resolve_tensor(at, a.ops, t, total_name)
+    total = a.tensor(total_name)
     d = total.denom
     unital = [(None, None, None, d), *total.numerators]
     unital += [(None, i, i, d) for i in range(p)] + [(i, None, i, d) for i in range(p)]

@@ -25,7 +25,8 @@ SRC = str(Path(splitalg.__file__).resolve().parents[1])
 # when it still imported all its submodules eagerly, less the definitions
 # since deleted because no command reached them, with the three structure
 # classes of ``splitting`` replaced by the one ``relations.Structure`` and its
-# two family checks by ``relations.check_system``.
+# two family checks by ``relations.check_system``; ``resolve_tensor`` is now
+# ``Structure.tensor``.
 EXPORTED = {
     "algebra_core": (
         "CoalgebraData", "FiniteAlgebra", "check_coassociative",
@@ -53,7 +54,7 @@ EXPORTED = {
     "operad": ("Degree3Count", "builtin_presentations", "degree3_dimension"),
     "relations": (
         "FOUR_OP_SYSTEM", "NINE_OP_SYSTEM", "THREE_OP_SYSTEM", "TWO_OP_SYSTEM", "AxiomSystem",
-        "Relation", "Structure", "Term", "TPoly", "check_system", "resolve_tensor",
+        "Relation", "Structure", "Term", "TPoly", "check_system",
     ),
     "report": ("Report", "Witness"),
     "splitting": (

@@ -12,6 +12,10 @@ annotations reach nothing, and ``__init__`` is not read, so an export alone
 keeps nothing alive.  A definition that no reached code names is dead.
 Each listed name must be one that the command and benchmark roots leave
 unnamed, so each new route or deletion shrinks the lists.
+
+Every field of a dataclass must likewise be read as an attribute by reached
+code; a field that nothing reads is dead data.  A ``NamedTuple`` such as
+``relations.Term`` is read by unpacking, so its fields are exempt.
 """
 
 from __future__ import annotations
@@ -68,6 +72,15 @@ KEPT = PROPOSITIONS | COBAXTER_EXAMPLES | ENVELOPE_WRITERS
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _is_dataclass(stmt: ast.ClassDef) -> bool:
+    """Whether a class is decorated with ``dataclass``, called or not."""
+    for decorator in stmt.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
 def names_read(nodes: Iterable[ast.AST]) -> tuple[set[str], set[str]]:
     """The bare names the nodes read and the names they take as attributes,
     outside import statements and annotations."""
@@ -107,6 +120,7 @@ class Definitions:
         self.by_name: dict[str, list[str]] = {}  # module-level name -> qualified names
         self.methods: dict[str, dict[str, str]] = {}  # class -> method name -> qualified
         self.kinds: dict[str, str] = {}  # qualified name -> "def" or "constant"
+        self.fields: dict[str, list[str]] = {}  # dataclass -> field names
         for module, source in sources.items():
             for stmt in ast.parse(source).body:
                 if isinstance(stmt, DEFINITIONS):
@@ -124,6 +138,12 @@ class Definitions:
         header = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
         body = [item for item in stmt.body if not isinstance(item, DEFINITIONS)]
         self.reads[qualified] = names_read(header + body)
+        if _is_dataclass(stmt):
+            self.fields[qualified] = [
+                item.target.id
+                for item in stmt.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
         methods = self.methods[qualified] = {}
         for item in stmt.body:
             if isinstance(item, DEFINITIONS):
@@ -160,6 +180,16 @@ class Definitions:
         reached = self.reached(roots)
         return sorted(q for q, kind in self.kinds.items() if kind == "def" and q not in reached)
 
+    def unread_fields(self, roots: Iterable[str]) -> list[str]:
+        """Dataclass fields that no code the roots reach reads as an attribute."""
+        read = set().union(*(self.reads[q][1] for q in self.reached(roots)))
+        return sorted(
+            f"{cls}.{name}"
+            for cls, names in self.fields.items()
+            for name in names
+            if name not in read
+        )
+
 
 def definitions_in(directory: Path) -> Definitions:
     """The definitions of every module of a package but its ``__init__``."""
@@ -174,6 +204,10 @@ def definitions_in(directory: Path) -> Definitions:
 
 def test_every_definition_is_reached():
     assert definitions_in(PACKAGE).unreached(COMMAND_AND_BENCHMARK_ROOTS | KEPT) == []
+
+
+def test_every_dataclass_field_is_read():
+    assert definitions_in(PACKAGE).unread_fields(COMMAND_AND_BENCHMARK_ROOTS | KEPT) == []
 
 
 def test_allowlist_holds_only_unnamed_definitions():
@@ -223,3 +257,20 @@ def test_a_definition_only_exported_is_caught(tmp_path):
         "def exported():\n    pass\n\n\ndef main():\n    pass\n", encoding="utf-8"
     )
     assert definitions_in(tmp_path).unreached({"a.main"}) == ["a.exported"]
+
+
+def test_unread_field_is_caught():
+    sources = {
+        "a": (
+            "import dataclasses\nfrom typing import NamedTuple\n\n\n"
+            "@dataclasses.dataclass(frozen=True)\nclass Pair:\n    left: int\n"
+            "    right: int\n    spare: int = 0\n\n\n"
+            "class Term(NamedTuple):\n    coeff: int\n    name: str\n\n\n"
+            "def main(pair):\n    coeff, name = Term(1, 'x')\n    return pair.left, coeff\n\n\n"
+            "def dead(pair):\n    return pair.right\n"
+        ),
+    }
+    definitions = Definitions(sources)
+    # a field read only by unreached code is unread; a NamedTuple's are exempt
+    assert definitions.unread_fields({"a.main"}) == ["a.Pair.right", "a.Pair.spare"]
+    assert definitions.unread_fields({"a.main", "a.dead"}) == ["a.Pair.spare"]

@@ -133,16 +133,12 @@ def _trialgebra_cases():
     yield "trialgebra/baxter_on_trialgebra_fail_circ", is_baxter_on_trialgebra(
         dataclasses.replace(s, ops=dict(s.ops, prec=zero, succ=zero)), cs.right_conv, F(0)
     )
-    yield "trialgebra/star_morphism", star_morphism_report(cs.end, cs.left_conv, s, F(-1))
-    yield "trialgebra/star_morphism_fail", star_morphism_report(
-        cs.end, cs.right_conv, s, F(-1)
-    )
+    yield "trialgebra/star_morphism", star_morphism_report(cs.end, cs.left_conv, s)
+    yield "trialgebra/star_morphism_fail", star_morphism_report(cs.end, cs.right_conv, s)
     alg, row, col, param = triangular_baxter_example(3, F(2, 3))
     s3 = trialgebra_from_baxter(alg, row, param)
-    yield "trialgebra/star_morphism_triangular", star_morphism_report(alg, row, s3, param)
-    yield "trialgebra/star_morphism_triangular_fail", star_morphism_report(
-        alg, col, s3, param
-    )
+    yield "trialgebra/star_morphism_triangular", star_morphism_report(alg, row, s3)
+    yield "trialgebra/star_morphism_triangular_fail", star_morphism_report(alg, col, s3)
 
 
 def _derivation_cases():

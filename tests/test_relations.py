@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from splitalg import (
     Tensor3,
     TPoly,
     check_system,
-    resolve_tensor,
 )
 from splitalg.operad import builtin_presentation
 from splitalg.relations import NINE_OP_GENERATORS, P_ONE, P_T, SYSTEMS, expand_relation
@@ -97,18 +97,33 @@ def test_resolve_unknown_name_raises():
     assert TWO_OP_SYSTEM.resolve("prec") == ((P_ONE, "prec"),)
 
 
-def test_resolve_tensor_matches_manual_expansion():
+def test_structure_tensor_matches_manual_expansion():
     rng = random.Random(3)
     ops = {name: oracles.random_tensor(rng, 3) for name in NINE_OP_GENERATORS}
     t = F(2, 3)
-    at = NINE_OP_SYSTEM.at(t)
+    s = Structure(NINE_OP_SYSTEM, t, ops)
     for name in NINE_OP_SYSTEM.operation_names():
-        got = resolve_tensor(at, ops, t, name)
         want = oracles.expand_named(NINE_OP_SYSTEM, ops, t, name)
-        assert got.entries == want.entries, name
-        assert Structure(NINE_OP_SYSTEM, t, ops).tensor(name) == got
-    with pytest.raises(ValueError, match="evaluated at t = 2/3 read at t = 1"):
-        resolve_tensor(at, ops, F(1), "starbar")
+        assert s.tensor(name).entries == want.entries, name
+        assert s.tensor(name) is s.tensor(name)
+    assert s.table == NINE_OP_SYSTEM.at(t)
+
+
+def test_structure_evaluates_its_table_once(monkeypatch):
+    """All 16 nine-op operations resolved twice read the table's 134
+    coefficients once; the cached table and tensors are not fields."""
+    ops = {name: Tensor3.zero(2) for name in NINE_OP_GENERATORS}
+    s = Structure(NINE_OP_SYSTEM, F(2, 3), ops)
+    calls = []
+    evaluate = TPoly.eval
+    monkeypatch.setattr(TPoly, "eval", lambda poly, t: calls.append(t) or evaluate(poly, t))
+    for _ in range(2):
+        for name in NINE_OP_SYSTEM.operation_names():
+            s.tensor(name)
+    assert len(NINE_OP_SYSTEM.operation_names()) == 16
+    assert len(calls) == 134
+    fresh = dataclasses.replace(s)
+    assert fresh == s and "table" not in vars(fresh)
 
 
 @pytest.mark.parametrize("family", ["two_op", "three_op", "nine_op", "deformed_two_three"])

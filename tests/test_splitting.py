@@ -8,13 +8,19 @@ import pytest
 
 import oracles
 from splitalg import (
+    EpsilonBialgebra,
+    TPoly,
+    WeightedDigraph,
+    chain_coproduct,
     combine,
     check_jacobi,
     check_prelie,
     ennea_from_baxter_on_trialgebra,
     ennea_from_commuting_pair,
+    ennea_on_end,
     horizontal_trialgebra,
     opposite_ennea,
+    path_algebra,
     prelie_pair_from_ennea,
     tensor_ennea,
     transpose_ennea,
@@ -67,7 +73,7 @@ def test_splitting_from_non_operator_raises():
 def test_operator_is_morphism_to_total_operation(t):
     alg, row, _, param = triangular_baxter_example(3, t)
     s = trialgebra_from_baxter(alg, row, param)
-    assert star_morphism_report(alg, row, s, param).passed
+    assert star_morphism_report(alg, row, s).passed
 
 
 @pytest.mark.parametrize("t", PARAMS)
@@ -148,6 +154,21 @@ def test_pre_lie_pair_and_coinciding_brackets():
     for p in (first, second):
         assert p.sub(p.swap_args()).entries == bracket.entries
     assert check_jacobi(bracket).passed
+
+
+def test_nested_splitting_and_prelie_pair_evaluate_each_table_once(monkeypatch):
+    """On the End structure of a 3-vertex chain: the nine-op table (134
+    coefficients) once, and the three-op table (20) once for each of the
+    four trialgebras that resolve an operation: the two projections and
+    the two inner splittings."""
+    pa = path_algebra(WeightedDigraph.build(3, [(0, 1, F(2)), (1, 2, F(3))]))
+    e = ennea_on_end(EpsilonBialgebra(pa.algebra, chain_coproduct(pa), F(-1)))
+    calls = []
+    evaluate = TPoly.eval
+    monkeypatch.setattr(TPoly, "eval", lambda poly, t: calls.append(t) or evaluate(poly, t))
+    assert nested_splitting_report(e).passed
+    prelie_pair_from_ennea(e)
+    assert len(calls) == 134 + 4 * 20
 
 
 def test_opposite_and_transpose_are_involutions_preserving_validity():
