@@ -187,10 +187,10 @@ def ennea_on_end(b: EpsilonBialgebra) -> Structure:
 
     These are the formulas of
     :func:`~splitalg.splitting.ennea_from_commuting_pair` for B = id*(-) and
-    G = (-)*id, applied without validating the operators first.
+    G = (-)*id; the operators are not checked.
     """
     cs = convolution_structure(b)
-    return ennea_from_commuting_pair(cs.end, cs.left_conv, cs.right_conv, b.t, validate=False)
+    return ennea_from_commuting_pair(cs.end, cs.left_conv, cs.right_conv, b.t)
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,6 @@ def _rules_from_args(system: AxiomSystem, args: argparse.Namespace) -> dict:
     )
 
 
-def _total_name(system: AxiomSystem) -> str:
-    for name in ("star_total", "starbar", "star"):
-        if name in system.composites:
-            return name
-    raise ValueError(f"system {system.name!r} has no total operation composite")
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -220,8 +213,14 @@ def cmd_verify_coherence(args: argparse.Namespace) -> int:
     b = jsonio.operations_from_json(jsonio.load(args.file2)) if args.file2 else a
     if b.system.name != a.system.name or b.t != a.t:
         raise ValueError("both operations files must share family and t")
+    mixed = a.dim + b.dim + a.dim * b.dim
+    if mixed > jsonio.MAX_ENVELOPE_DIM:
+        raise ValueError(
+            f"the mixed space would have dimension {mixed}, "
+            f"above the limit {jsonio.MAX_ENVELOPE_DIM}"
+        )
     rules = _rules_from_args(a.system, args)
-    report = check_coherence(a, b, rules, _total_name(a.system))
+    report = check_coherence(a, b, rules)
     return _emit_reports(args, [report])
 
 

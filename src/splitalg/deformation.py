@@ -124,11 +124,9 @@ def cross_term_system(base: AxiomSystem, nonzero_base: Iterable[str]) -> Deforme
             names_by_degree[degree].append(name)
 
     # the unital total operation: base total + labeled total
-    for candidate in ("starbar", "star"):
-        if candidate in base.composites:
-            total = tuple(composites.get(candidate, ())) + composites[_labeled(candidate)]
-            composites[f"{candidate}_total"] = total
-            break
+    total = base.total()
+    if total is not None:
+        composites[f"{total}_total"] = composites.get(total, ()) + composites[_labeled(total)]
 
     system = AxiomSystem(
         name=f"{base.name}_deformed",
@@ -212,16 +210,17 @@ def baxter_deformation(
     delta1: CoalgebraData,
     t: Scalar,
     t1: Scalar,
-    validate: bool = True,
 ) -> DeformationInstance:
     """Build a deformation instance on End(A) from two compatible coproducts.
 
     Both (algebra, delta, t) and (algebra, delta1, t1) must be t-twisted
     bialgebras.  Variants that mix one coproduct's left convolution with the
-    other's right convolution also need the pairwise coproduct exchange law
-    (checked where required); the purely left-sided variants only need the
-    two-operator deformation identity, which ``instance_operator_equation``
-    verifies directly.  The variant picks the structure being deformed:
+    other's right convolution also need the pairwise coproduct exchange law;
+    the purely left-sided variants only need the two-operator deformation
+    identity, which ``instance_operator_equation`` verifies directly.  The
+    variant and its parameters are refused first, then the bialgebras and
+    the exchange law are checked; each failure raises ValueError.  The
+    variant picks the structure being deformed:
 
     * ``two_three``   two-op base (t must be 0) deformed with labeled
                       three-op operations from delta1;
@@ -243,37 +242,36 @@ def baxter_deformation(
     t, t1 = rat(t), rat(t1)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
-    b = EpsilonBialgebra(algebra, delta, t)
-    b1 = EpsilonBialgebra(algebra, delta1, t1)
-    if validate:
-        reports = [check_eps_bialgebra(b), check_eps_bialgebra(b1)]
-        if variant == "four_four":
-            # the labeled corners pair delta1's left convolution with
-            # delta's right convolution, which needs the exchange law
-            reports.append(check_hypercubic([delta, delta1]))
-        for rep in reports:
-            if not rep.passed:
-                raise ValueError("precondition failed:\n" + rep.summary())
     if variant == "two_three" and t != 0:
         raise ValueError("two_three needs the unlabeled coproduct at parameter 0")
     if variant == "four_four" and (t != 0 or t1 != 0):
         raise ValueError("four_four needs both coproducts at parameter 0")
     if variant == "nine_nine" and t != t1:
         raise ValueError("nine_nine needs one shared nonzero parameter")
+    b = EpsilonBialgebra(algebra, delta, t)
+    b1 = EpsilonBialgebra(algebra, delta1, t1)
+    reports = [check_eps_bialgebra(b), check_eps_bialgebra(b1)]
+    if variant == "four_four":
+        # the labeled corners pair delta1's left convolution with
+        # delta's right convolution, which needs the exchange law
+        reports.append(check_hypercubic([delta, delta1]))
+    for rep in reports:
+        if not rep.passed:
+            raise ValueError("precondition failed:\n" + rep.summary())
     cs = convolution_structure(b)
     cs1 = convolution_structure(b1)
     end = cs.end
     base, nonzero = DEFORMATIONS[variant]
     if base is THREE_OP_SYSTEM:
-        unlabeled = trialgebra_from_baxter(end, cs.left_conv, t, validate=False).ops
-        labeled = trialgebra_from_baxter(end, cs1.left_conv, t1, validate=False).ops
+        unlabeled = trialgebra_from_baxter(end, cs.left_conv, t).ops
+        labeled = trialgebra_from_baxter(end, cs1.left_conv, t1).ops
         t_eval = ZERO
     else:
         right = cs.right_conv  # both structures share delta's right convolution
-        if validate and not commute(cs1.left_conv, right):
+        if not commute(cs1.left_conv, right):
             raise ValueError("labeled operator must commute with the right convolution")
-        unlabeled = ennea_from_commuting_pair(end, cs.left_conv, right, t, validate=False).ops
-        labeled = ennea_from_commuting_pair(end, cs1.left_conv, right, t1, validate=False).ops
+        unlabeled = ennea_from_commuting_pair(end, cs.left_conv, right, t).ops
+        labeled = ennea_from_commuting_pair(end, cs1.left_conv, right, t1).ops
         t_eval = t
     zero = Tensor3.zero(end.dim)
     ops = {g: unlabeled[g] for g in base.generators if g in nonzero}

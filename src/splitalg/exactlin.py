@@ -99,11 +99,10 @@ def _divide_content(row: dict[int, int]) -> None:
             row[c] //= content
 
 
-def rank_int_rows(rows: Iterable[Union[Sequence[int], Mapping[int, int]]]) -> int:
-    """Exact rank over the rationals of integer rows, by sparse fraction-free
-    elimination.
+def rank_int_rows(rows: Iterable[Mapping[int, int]]) -> int:
+    """Exact rank over the rationals of integer rows, each a ``{col: int}``
+    map of its entries, by sparse fraction-free elimination.
 
-    A row is a dense sequence of ints or a ``{col: int}`` map of its entries.
     Each step takes the shortest remaining row as pivot row and, within it,
     the column met by the fewest rows, ties going to the smallest |value|
     (Markowitz-style, to keep fill-in low).  Every other row ``r`` meeting the
@@ -117,8 +116,7 @@ def rank_int_rows(rows: Iterable[Union[Sequence[int], Mapping[int, int]]]) -> in
     rows_of: dict[int, set[int]] = {}
     queue: list[tuple[int, int]] = []  # (length, row id); stale entries skipped
     for r, row in enumerate(rows):
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
-        sparse = {c: v for c, v in items if v}
+        sparse = {c: v for c, v in row.items() if v}
         if not sparse:
             continue
         _divide_content(sparse)

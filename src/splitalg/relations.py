@@ -12,8 +12,12 @@ read the same data.
 Coefficients are polynomials in t (:class:`TPoly`); named composite
 operations (sums of generators, possibly t-weighted) are part of the system
 and are kept *unexpanded* in the tables, because the unit-action checks need
-to evaluate composites as single slots.  :meth:`AxiomSystem.at` turns every
-coefficient into a number once per t.  A :class:`Structure` is one
+to evaluate composites as single slots.  One composite, the one whose parts
+name every generator, is the system's total operation
+(:meth:`AxiomSystem.total`): ``star`` for two and three operations,
+``starbar`` for four and nine, ``*_total`` for a deformation.
+:meth:`AxiomSystem.at` turns every coefficient into a number once per t.
+A :class:`Structure` is one
 family's generator tensors at one t, and every identity check takes one.
 It is the one place where operations are resolved: ``table`` is its system
 at its t, evaluated on first read; ``tensor(name)`` is the tensor of any
@@ -56,8 +60,8 @@ class TPoly(tuple):
         return TPoly([rat(c)])
 
     @staticmethod
-    def t_power(power: int, c: Scalar = 1) -> "TPoly":
-        return TPoly([0] * power + [c])
+    def t_power(power: int) -> "TPoly":
+        return TPoly([0] * power + [1])
 
     def add(self, other: "TPoly") -> "TPoly":
         return TPoly(
@@ -147,6 +151,15 @@ class AxiomSystem:
 
     def operation_names(self) -> tuple[str, ...]:
         return self.generators + tuple(self.composites)
+
+    def total(self) -> str | None:
+        """The total operation: the composite whose parts name every
+        generator, or None when no composite does."""
+        every = set(self.generators)
+        return next(
+            (name for name, parts in self.composites.items() if {g for _, g in parts} == every),
+            None,
+        )
 
     def at(self, t: Fraction) -> SystemAt:
         """The system at t: each coefficient evaluated once, zero terms dropped."""

@@ -45,23 +45,14 @@ def _trialgebra(prec: Tensor3, succ: Tensor3, circ: Tensor3) -> Structure:
 # ---------------------------------------------------------------------------
 
 
-def _require(report: Report) -> None:
-    if not report.passed:
-        raise ValueError("precondition failed:\n" + report.summary())
-
-
-def trialgebra_from_baxter(
-    algebra: FiniteAlgebra, op: LinearOperator, t: Scalar, validate: bool = True
-) -> Structure:
+def trialgebra_from_baxter(algebra: FiniteAlgebra, op: LinearOperator, t: Scalar) -> Structure:
     """Split a product along a t-Baxter operator B:
 
     x prec y = x B(y),   x succ y = B(x) y,   x circ y = t x y.
+
+    B is not checked here; :func:`splitalg.baxter.check_baxter` checks it.
     """
     t = rat(t)
-    if validate:
-        from .baxter import check_baxter
-
-        _require(check_baxter(algebra, op, t))
     mult = algebra.mult
     return _trialgebra(twist(mult, right=op), twist(mult, left=op), mult.scale(t))
 
@@ -95,20 +86,20 @@ def is_baxter_on_trialgebra(s: Structure, op: LinearOperator, t: Scalar) -> Repo
     return report
 
 
-def ennea_from_baxter_on_trialgebra(
-    s: Structure, op: LinearOperator, t: Scalar, validate: bool = True
-) -> Structure:
+def ennea_from_baxter_on_trialgebra(s: Structure, op: LinearOperator, t: Scalar) -> Structure:
     """Refine a three-op structure along a t-Baxter operator G on it:
 
     x se y = G(x) succ y      x ne y = x succ G(y)
     x sw y = G(x) prec y      x nw y = x prec G(y)
     x down y = G(x) circ y    x up y = x circ G(y)
 
-    keeping prec/succ/circ as they are.
+    keeping prec/succ/circ as they are.  An operator that fails
+    :func:`is_baxter_on_trialgebra` raises ValueError.
     """
     t = rat(t)
-    if validate:
-        _require(is_baxter_on_trialgebra(s, op, t))
+    report = is_baxter_on_trialgebra(s, op, t)
+    if not report.passed:
+        raise ValueError("precondition failed:\n" + report.summary())
     prec, succ, circ = s.ops["prec"], s.ops["succ"], s.ops["circ"]
     return Structure(
         NINE_OP_SYSTEM,
@@ -128,26 +119,18 @@ def ennea_from_baxter_on_trialgebra(
 
 
 def ennea_from_commuting_pair(
-    algebra: FiniteAlgebra,
-    first: LinearOperator,
-    second: LinearOperator,
-    t: Scalar,
-    validate: bool = True,
+    algebra: FiniteAlgebra, first: LinearOperator, second: LinearOperator, t: Scalar
 ) -> Structure:
     """Nine-way splitting from two commuting t-Baxter operators B, G:
 
     x se y = B(G(x)) y    x ne y = B(x) G(y)    x sw y = G(x) B(y)
     x nw y = x B(G(y))    x up y = t x G(y)     x down y = t G(x) y
     x prec y = x B(y)     x succ y = B(x) y     x circ y = t x y
+
+    Neither operator is checked here; :func:`splitalg.baxter.check_baxter`
+    checks each and :func:`splitalg.baxter.commute` the pair.
     """
     t = rat(t)
-    if validate:
-        from .baxter import check_baxter, commute
-
-        _require(check_baxter(algebra, first, t))
-        _require(check_baxter(algebra, second, t))
-        if not commute(first, second):
-            raise ValueError("precondition failed: the two operators do not commute")
     mult = algebra.mult
     both = first.compose(second)
     return Structure(

@@ -27,11 +27,13 @@ structures A and B of the same kind, it builds the standard structure on
     A ⊗ 1  ⊕  1 ⊗ B  ⊕  A ⊗ B,
 
 where a product ``(a ⊗ b) op (a' ⊗ b')`` multiplies the left factors
-with the unital total operation and the right factors with ``op`` itself
-— except that when both right factors are the unit, the *left* factors
-are multiplied with ``op`` instead.  The unit action is called coherent
-when this mixed space satisfies all the identities again; coherence is
-what lets the augmented free algebras carry bialgebra structures.
+with the unital total operation (the system's own, see
+:meth:`splitalg.relations.AxiomSystem.total`) and the right factors with
+``op`` itself — except that when both right factors are the unit, the
+*left* factors are multiplied with ``op`` instead.  The unit action is
+called coherent when this mixed space satisfies all the identities again;
+coherence is what lets the augmented free algebras carry bialgebra
+structures.
 """
 
 from __future__ import annotations
@@ -183,9 +185,7 @@ def _boundary(s, terms):
     return skipped, failures
 
 
-def check_unit_compatibility(
-    s: Structure, rules: UnitRules, title: str | None = None
-) -> Report:
+def check_unit_compatibility(s: Structure, rules: UnitRules) -> Report:
     """Verify every identity of a structure's system on the unit-augmented
     space, region by region (see the module docstring).
 
@@ -195,7 +195,7 @@ def check_unit_compatibility(
     """
     system, dim = s.system, s.dim
     scalars = unit_scalars(s.table, rules)
-    report = Report(title=title or f"{system.name} unit compatibility", passed=True)
+    report = Report(title=f"{system.name} unit compatibility", passed=True)
     for relation, (lhs, rhs) in zip(system.relations, s.table.relations):
         terms = [
             (left_nested, c, *_regions(left_nested, scalars[inner], scalars[outer], inner, outer))
@@ -218,16 +218,18 @@ def check_unit_compatibility(
     return report
 
 
-def coherence_ops(a: Structure, b: Structure, rules: UnitRules, total_name: str) -> Structure:
+def coherence_ops(a: Structure, b: Structure, rules: UnitRules) -> Structure:
     """The structure on ``A⊗1 ⊕ 1⊗B ⊕ A⊗B`` for a unit action.
 
     Each operation is built block by block (see the module docstring): the
     operation on A where both right factors are the unit, and elsewhere the
     unital total operation on the left factors times, on the right factors,
-    the operation on B or its unit scalar (``1 op y`` or ``y op 1``).
-    ``a`` and ``b`` must share one system and t, and the rule table must
-    make the total operation unital, otherwise the mixed space has no
-    consistent product; either failure raises ValueError.
+    the operation on B or its unit scalar (``1 op y`` or ``y op 1``).  The
+    total operation is the system's own
+    (:meth:`splitalg.relations.AxiomSystem.total`).  ``a`` and ``b`` must
+    share one system and t, the system must have a total operation, and the
+    rule table must make it unital, otherwise the mixed space has no
+    consistent product; each failure raises ValueError.
 
     Basis layout: ``x_i ⊗ 1`` at i, ``1 ⊗ y_j`` at p + j, and
     ``x_i ⊗ y_j`` at p + q + i*q + j.
@@ -235,6 +237,9 @@ def coherence_ops(a: Structure, b: Structure, rules: UnitRules, total_name: str)
     if a.system != b.system or a.t != b.t:
         raise ValueError("a mixed space needs two structures of one system and one t")
     system, t = a.system, a.t
+    total_name = system.total()
+    if total_name is None:
+        raise ValueError(f"system {system.name!r} has no total operation composite")
     scalars = unit_scalars(a.table, rules)
     s_total = scalars[total_name]
     if not (s_total.defined and s_total.right == ONE):
@@ -284,16 +289,10 @@ def coherence_ops(a: Structure, b: Structure, rules: UnitRules, total_name: str)
     return Structure(system, t, out)
 
 
-def check_coherence(
-    a: Structure,
-    b: Structure,
-    rules: UnitRules,
-    total_name: str,
-    title: str | None = None,
-) -> Report:
+def check_coherence(a: Structure, b: Structure, rules: UnitRules) -> Report:
     """Verify that a unit action is coherent: the mixed space on
     ``A⊗1 ⊕ 1⊗B ⊕ A⊗B`` satisfies all the identities again."""
-    mixed = coherence_ops(a, b, rules, total_name)
-    report = check_system(mixed, title or f"{a.system.name} coherence")
+    mixed = coherence_ops(a, b, rules)
+    report = check_system(mixed, f"{a.system.name} coherence")
     report.notes.append(f"mixed space of dimensions {a.dim} and {b.dim}")
     return report

@@ -277,7 +277,7 @@ def test_criterion_8_unit_action():
     small_a = ennea_from_commuting_pair(alg, row, row, param)
     small_b = ennea_from_commuting_pair(alg, col, col, param)
     for a, b in ((small_a, small_b), (small_b, small_a)):
-        coherence = check_coherence(a, b, rules, "starbar")
+        coherence = check_coherence(a, b, rules)
         assert coherence.passed and coherence.checks_run == 49 * 15**3
 
     # both unit choices on the deformed structure

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -10,21 +11,28 @@ import pytest
 
 import oracles
 from splitalg import (
+    Structure,
     Tensor3,
     WeightedDigraph,
+    check_system,
     ennea_from_commuting_pair,
     trialgebra_from_baxter,
     triangular_baxter_example,
 )
 from splitalg.cli import main
 from splitalg.jsonio import (
+    dump_json,
     graph_to_json,
     load,
     operations_to_json,
     operator_to_json,
+    report_to_json,
     save,
+    tensor_to_json,
 )
+from splitalg.operad import builtin_presentation
 from splitalg.relations import TPoly
+from splitalg.unit_action import unit_rules
 
 F = Fraction
 
@@ -215,6 +223,62 @@ def test_verify_coherence_refuses_mismatched_files(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: both operations files must share family and t\n"
+
+
+def test_verify_coherence_on_a_deformed_four_four_envelope_uses_starbar_total(
+    tmp_path, capsys
+):
+    """The mixed space multiplies the left factors with the system's total,
+    starbar_total (every generator), not with the base's starbar."""
+    system = builtin_presentation("deformed_four_four")
+    rng = random.Random(5)
+    ops = {gen: oracles.random_tensor(rng, 2, 3) for gen in system.generators}
+    path = str(tmp_path / "d44.json")
+    envelope = {"kind": "operations", "family": "deformed_four_four", "t": "0", "dim": 2}
+    save(path, {**envelope, "ops": {gen: tensor_to_json(op) for gen, op in ops.items()}})
+    rules = unit_rules(system.generators, right_identity=("nw",), left_identity=("se",))
+
+    def oracle_report(total):
+        grids = oracles.dense_coherence(system, ops, ops, F(0), rules, total)
+        mixed = {
+            gen: Tensor3.from_sparse(8, [
+                (i, j, k, c)
+                for i, plane in enumerate(grid)
+                for j, row in enumerate(plane)
+                for k, c in enumerate(row)
+                if c
+            ])
+            for gen, grid in grids.items()
+        }
+        report = check_system(Structure(system, F(0), mixed), "four_op_deformed coherence")
+        report.notes.append("mixed space of dimensions 2 and 2")
+        return report_to_json(report)
+
+    want = oracle_report("starbar_total")
+    assert want != oracle_report("starbar")
+    assert main(["verify", "coherence", "--file", path, "--json"]) == (0 if want["passed"] else 1)
+    assert json.loads(capsys.readouterr().out) == json.loads(dump_json(want))
+
+
+def test_verify_coherence_refuses_a_mixed_space_above_the_envelope_bound(
+    tmp_path, capsys, monkeypatch
+):
+    import splitalg.unit_action as unit_action
+
+    def never(*args):
+        raise AssertionError("the mixed space was built")
+
+    monkeypatch.setattr(unit_action, "coherence_ops", never)
+    path = str(tmp_path / "empty256.json")
+    system = builtin_presentation("nine_op")
+    save(path, {"kind": "operations", "family": "nine_op", "t": "-1", "dim": 256,
+                "ops": {gen: [] for gen in system.generators}})
+    assert main(["verify", "coherence", "--file", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the mixed space would have dimension 66048, above the limit 65536\n"
+    )
 
 
 def test_verify_trialgebra_passes_fails_and_refuses_another_family(tmp_path, capsys):

@@ -26,6 +26,7 @@ from splitalg import (
     baxter_deformation,
     chain_coproduct,
     check_deformation_instance,
+    check_eps_bialgebra,
     check_system,
     cross_term_system,
     deformed_structure_check,
@@ -281,16 +282,12 @@ def pq_chain_setup():
 
 
 # variant -> (base system, generators kept at h = 0, builder of both
-# structures, which coproducts of pq_chain_setup it takes, t, t1, validate)
+# structures, which coproducts of pq_chain_setup it takes, t, t1)
 DIRECT_VARIANTS = {
-    "two_three": (THREE_OP_SYSTEM, ("prec", "succ"), "tri", (1, 2), 0, -1, True),
-    "three_three": (THREE_OP_SYSTEM, ("prec", "succ", "circ"), "tri", (1, 2), 0, -1, True),
-    "four_four": (FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators, "ennea", (1, 3), 0, 0, True),
-    "nine_nine": (NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators, "ennea", (2, 2), -1, -1, True),
-    # the two chain weightings do not commute, but the tensors are still defined
-    "nine_nine_unvalidated": (
-        NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators, "ennea", (2, 4), F(-1), F(-1), False
-    ),
+    "two_three": (THREE_OP_SYSTEM, ("prec", "succ"), "tri", (1, 2), 0, -1),
+    "three_three": (THREE_OP_SYSTEM, ("prec", "succ", "circ"), "tri", (1, 2), 0, -1),
+    "four_four": (FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators, "ennea", (1, 3), 0, 0),
+    "nine_nine": (NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators, "ennea", (2, 2), -1, -1),
 }
 
 
@@ -298,25 +295,20 @@ DIRECT_VARIANTS = {
 def test_instance_equals_the_structures_built_directly(case):
     """ops, series, t_eval and the presentation of every variant, against the
     splitting constructions applied to the convolution operators."""
-    base, kept, builder, (d, d1), t, t1, validate = DIRECT_VARIANTS[case]
+    base, kept, builder, (d, d1), t, t1 = DIRECT_VARIANTS[case]
     setup = pq_chain_setup()
     alg, delta, delta1 = setup[0], setup[d], setup[d1]
-    variant = case.removesuffix("_unvalidated")
-    inst = baxter_deformation(variant, alg, delta, delta1, t, t1, validate=validate)
+    inst = baxter_deformation(case, alg, delta, delta1, t, t1)
 
     cs = convolution_structure(EpsilonBialgebra(alg, delta, F(t)))
     cs1 = convolution_structure(EpsilonBialgebra(alg, delta1, F(t1)))
     if builder == "tri":
-        unlabeled = trialgebra_from_baxter(cs.end, cs.left_conv, t, validate=False).ops
-        labeled = trialgebra_from_baxter(cs.end, cs1.left_conv, t1, validate=False).ops
+        unlabeled = trialgebra_from_baxter(cs.end, cs.left_conv, t).ops
+        labeled = trialgebra_from_baxter(cs.end, cs1.left_conv, t1).ops
         t_eval = 0
     else:
-        unlabeled = ennea_from_commuting_pair(
-            cs.end, cs.left_conv, cs.right_conv, t, validate=False
-        ).ops
-        labeled = ennea_from_commuting_pair(
-            cs.end, cs1.left_conv, cs.right_conv, t1, validate=False
-        ).ops
+        unlabeled = ennea_from_commuting_pair(cs.end, cs.left_conv, cs.right_conv, t).ops
+        labeled = ennea_from_commuting_pair(cs.end, cs1.left_conv, cs.right_conv, t1).ops
         t_eval = t
     zero = Tensor3.zero(cs.end.dim)
     want_ops = {g: unlabeled[g] for g in base.generators if g in kept}
@@ -325,46 +317,46 @@ def test_instance_equals_the_structures_built_directly(case):
         g: [unlabeled[g] if g in kept else zero, labeled[g]] for g in base.generators
     }
 
-    assert inst.variant == variant and inst.end == cs.end
+    assert inst.variant == case and inst.end == cs.end
     assert inst.ops == want_ops
     assert inst.series == want_series
     assert inst.t_eval == t_eval and (inst.r, inst.r1) == (t, t1)
     assert inst.deformed == cross_term_system(base, kept)
-    if case == "nine_nine_unvalidated":
-        assert inst.ops["nw1"] != inst.ops["nw"]
 
 
 PARAMETER_ERRORS = [
     (
-        ("bogus", 1, 2, 0, -1, True),
+        ("bogus", 1, 2, 0, -1),
         "unknown variant 'bogus'; pick one of "
         "('two_three', 'three_three', 'four_four', 'nine_nine')",
     ),
-    (("two_three", 1, 2, 1, -1, False), "two_three needs the unlabeled coproduct at parameter 0"),
-    (("four_four", 1, 3, 0, 1, False), "four_four needs both coproducts at parameter 0"),
-    (("four_four", 1, 3, 1, 0, False), "four_four needs both coproducts at parameter 0"),
-    (("nine_nine", 2, 1, -1, 0, True), "nine_nine needs one shared nonzero parameter"),
-    (
-        ("nine_nine", 2, 4, -1, -1, True),
-        "labeled operator must commute with the right convolution",
-    ),
+    (("two_three", 1, 2, 1, -1), "two_three needs the unlabeled coproduct at parameter 0"),
+    (("four_four", 1, 3, 0, 1), "four_four needs both coproducts at parameter 0"),
+    (("four_four", 1, 3, 1, 0), "four_four needs both coproducts at parameter 0"),
+    (("nine_nine", 2, 1, -1, 0), "nine_nine needs one shared nonzero parameter"),
+    (("nine_nine", 2, 4, -1, -1), "labeled operator must commute with the right convolution"),
 ]
 
 
 @pytest.mark.parametrize("args,message", PARAMETER_ERRORS)
 def test_parameter_errors_keep_their_messages(args, message):
-    variant, d, d1, t, t1, validate = args
+    variant, d, d1, t, t1 = args
     setup = pq_chain_setup()
     with pytest.raises(ValueError) as caught:
-        baxter_deformation(variant, setup[0], setup[d], setup[d1], t, t1, validate=validate)
+        baxter_deformation(variant, setup[0], setup[d], setup[d1], t, t1)
     assert str(caught.value) == message
 
 
 def test_a_failed_bialgebra_precondition_names_the_failing_check():
-    alg, dw, dch, _, _ = pq_chain_setup()
+    alg, _, dch, _, _ = pq_chain_setup()
     with pytest.raises(ValueError) as caught:
-        baxter_deformation("two_three", alg, dw, dch, 1, -1)
-    assert str(caught.value).startswith("precondition failed:\n[FAIL] t-twisted bialgebra (t=1)")
+        baxter_deformation("two_three", alg, dch, dch, 0, -1)
+    assert str(caught.value).startswith("precondition failed:\n[FAIL] t-twisted bialgebra (t=0)")
+    # with a bad parameter as well, the parameter is refused first
+    assert not check_eps_bialgebra(EpsilonBialgebra(alg, dch, F(1))).passed
+    with pytest.raises(ValueError) as caught:
+        baxter_deformation("two_three", alg, dch, dch, 1, -1)
+    assert str(caught.value) == "two_three needs the unlabeled coproduct at parameter 0"
 
 
 def test_operator_level_equation_on_convolution_operators():

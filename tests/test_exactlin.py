@@ -189,7 +189,8 @@ def test_matrix_rank_matches_sympy(seed):
 
 def test_rank_int_rows_matches_fraction_rank():
     rows = [[2, 4, 6], [1, 2, 3], [0, 1, 1]]
-    assert rank_int_rows(rows) == oracles.sympy_rank([[F(v) for v in row] for row in rows]) == 2
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    assert rank_int_rows(sparse) == oracles.sympy_rank([[F(v) for v in row] for row in rows]) == 2
 
 
 OPTIMIZED_CHECKS = """

@@ -20,7 +20,14 @@ from splitalg import (
     check_system,
 )
 from splitalg.operad import builtin_presentation
-from splitalg.relations import NINE_OP_GENERATORS, P_ONE, P_T, SYSTEMS, expand_relation
+from splitalg.relations import (
+    ASSOCIATIVITY,
+    NINE_OP_GENERATORS,
+    P_ONE,
+    P_T,
+    SYSTEMS,
+    expand_relation,
+)
 
 F = Fraction
 
@@ -89,6 +96,34 @@ def test_four_op_composites():
     assert comp["wedge"] == ["ne", "nw"]
     assert comp["vee"] == ["se", "sw"]
     assert comp["starbar"] == ["ne", "nw", "se", "sw"]
+
+
+TOTALS = {
+    "two_op": "star",
+    "three_op": "star",
+    "four_op": "starbar",
+    "nine_op": "starbar",
+    "deformed_two_two": "star_total",
+    "deformed_two_three": "star_total",
+    "deformed_three_three": "star_total",
+    "deformed_four_four": "starbar_total",
+    "deformed_nine_nine": "starbar_total",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(TOTALS))
+def test_total_is_the_composite_naming_every_generator(preset):
+    system = builtin_presentation(preset)
+    total = system.total()
+    assert total == TOTALS[preset]
+    assert {gen for _, gen in system.composites[total]} == set(system.generators)
+
+
+def test_a_presentation_without_a_total_has_none():
+    assert ASSOCIATIVITY.total() is None  # no composites
+    partial = dict(NINE_OP_SYSTEM.composites)
+    del partial["starbar"]  # star names only prec, succ and circ
+    assert dataclasses.replace(NINE_OP_SYSTEM, composites=partial).total() is None
 
 
 def test_resolve_unknown_name_raises():

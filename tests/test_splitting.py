@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import oracles
 from splitalg import (
     EpsilonBialgebra,
     TPoly,
@@ -61,12 +60,6 @@ def test_zero_weight_splitting_gives_two_op_structure():
     assert circ.entries == circ.scale(0).entries  # circ vanishes at weight 0
     two = {name: s.ops[name] for name in ("prec", "succ")}
     assert check_system(Structure(TWO_OP_SYSTEM, F(0), two)).passed
-
-
-def test_splitting_from_non_operator_raises():
-    alg, _, _, _ = triangular_baxter_example(2, F(1))
-    with pytest.raises(ValueError):
-        trialgebra_from_baxter(alg, oracles.identity_operator(alg.dim), F(1))
 
 
 @pytest.mark.parametrize("t", PARAMS)

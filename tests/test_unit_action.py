@@ -33,7 +33,7 @@ from splitalg import (
 from splitalg.cli import _rules_from_args, main
 from splitalg.jsonio import operations_to_json, save
 from splitalg.operad import builtin_presentation
-from splitalg.relations import NINE_OP_GENERATORS, Structure
+from splitalg.relations import ASSOCIATIVITY, NINE_OP_GENERATORS, Structure
 from splitalg.unit_action import (
     check_coherence,
     coherence_ops,
@@ -320,11 +320,11 @@ def test_coherence_on_mixed_two_factor_space():
     a = small_nine_op()
     b = small_nine_op(use_column=True)
     rules = oracles.NINE_OP_RULES
-    report = check_coherence(a, b, rules, "starbar")
+    report = check_coherence(a, b, rules)
     assert report.passed, report.summary()
     assert report.checks_run == 49 * 15**3
     # swapping the factors works too
-    assert check_coherence(b, a, rules, "starbar").passed
+    assert check_coherence(b, a, rules).passed
 
 
 def test_coherence_requires_matching_parameters_and_unital_total(tmp_path, capsys):
@@ -338,7 +338,7 @@ def test_coherence_requires_matching_parameters_and_unital_total(tmp_path, capsy
     assert capsys.readouterr().err == "error: both operations files must share family and t\n"
     silent = unit_rules(NINE_OP_GENERATORS)  # all zero: total is not unital
     with pytest.raises(ValueError):
-        check_coherence(a, a, silent, "starbar")
+        check_coherence(a, a, silent)
 
 
 def test_coherence_refuses_structures_of_another_system_or_t():
@@ -349,7 +349,7 @@ def test_coherence_refuses_structures_of_another_system_or_t():
     for b in (other_t, three):
         for pair in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="two structures of one system and one t"):
-                check_coherence(*pair, oracles.NINE_OP_RULES, "starbar")
+                check_coherence(*pair, oracles.NINE_OP_RULES)
 
 
 def test_coherence_accepts_equal_systems_built_apart():
@@ -360,7 +360,7 @@ def test_coherence_accepts_equal_systems_built_apart():
     rng = random.Random(7)
     ops = {gen: oracles.random_tensor(rng, 1, 2) for gen in first.generators}
     rules = unit_rules(first.generators, right_identity=("prec",), left_identity=("succ",))
-    mixed = coherence_ops(Structure(first, 0, ops), Structure(second, 0, ops), rules, "star_total")
+    mixed = coherence_ops(Structure(first, 0, ops), Structure(second, 0, ops), rules)
     assert mixed.system is first and mixed.dim == 3
 
 
@@ -376,11 +376,11 @@ THREE_OP_TABLES = {
 }
 
 COHERENCE_CASES = [
-    (NINE_OP_SYSTEM, oracles.NINE_OP_RULES, F(-1), "starbar", 2, 2),
-    (NINE_OP_SYSTEM, oracles.NINE_OP_RULES, F(-1), "starbar", 1, 3),
-    (NINE_OP_SYSTEM, oracles.NINE_OP_RULES, F(2, 3), "starbar", 3, 2),
+    (NINE_OP_SYSTEM, oracles.NINE_OP_RULES, F(-1), 2, 2),
+    (NINE_OP_SYSTEM, oracles.NINE_OP_RULES, F(-1), 1, 3),
+    (NINE_OP_SYSTEM, oracles.NINE_OP_RULES, F(2, 3), 3, 2),
     *(
-        (THREE_OP_SYSTEM, rules, F(1), "star", p, q)
+        (THREE_OP_SYSTEM, rules, F(1), p, q)
         for rules in THREE_OP_TABLES.values()
         for p, q in ((1, 3), (3, 1), (2, 2))
     ),
@@ -391,36 +391,42 @@ COHERENCE_CASES = [
 def test_coherence_ops_match_the_dense_mixed_space_product(case):
     """The mixed-space tensors equal the product written out pair by pair,
     on random tensors (the construction does not need the identities)."""
-    system, rules, t, total_name, p, q = COHERENCE_CASES[case]
+    system, rules, t, p, q = COHERENCE_CASES[case]
     rng = random.Random(1000 + case)
     ops_a = {gen: oracles.random_tensor(rng, p, 4) for gen in system.generators}
     ops_b = {gen: oracles.random_tensor(rng, q, 4) for gen in system.generators}
-    got = coherence_ops(Structure(system, t, ops_a), Structure(system, t, ops_b), rules, total_name)
-    want = oracles.dense_coherence(system, ops_a, ops_b, t, rules, total_name)
+    got = coherence_ops(Structure(system, t, ops_a), Structure(system, t, ops_b), rules)
+    want = oracles.dense_coherence(system, ops_a, ops_b, t, rules, system.total())
     assert got.system is system and got.t == t and got.dim == p + q + p * q
     for gen in system.generators:
         assert got.ops[gen].entries == oracles.frozen(want[gen]), gen
 
 
 @pytest.mark.parametrize(
-    "system,rules,total_name",
+    "system,rules,total",
     [
         (THREE_OP_SYSTEM, unit_rules(THREE_OP_SYSTEM.generators, right_identity=("prec",)),
          "star"),
         (NINE_OP_SYSTEM, unit_rules(NINE_OP_GENERATORS, right_identity=("nw",)), "starbar"),
     ],
 )
-def test_coherence_ops_refuse_a_non_unital_total(system, rules, total_name):
+def test_coherence_ops_refuse_a_non_unital_total(system, rules, total):
     s = Structure(system, F(1), {gen: Tensor3.zero(2) for gen in system.generators})
-    with pytest.raises(ValueError, match="does not make"):
-        coherence_ops(s, s, rules, total_name)
+    with pytest.raises(ValueError, match=f"does not make '{total}' unital"):
+        coherence_ops(s, s, rules)
+
+
+def test_coherence_ops_refuse_a_system_without_a_total():
+    s = Structure(ASSOCIATIVITY, F(1), {"mul": Tensor3.zero(2)})
+    with pytest.raises(ValueError, match="^system 'assoc' has no total operation composite$"):
+        coherence_ops(s, s, {"mul": (F(1), F(1))})
 
 
 def test_coherence_fails_with_a_witness_when_b_is_perturbed():
     a = small_nine_op()
     b = small_nine_op(use_column=True)
     bent = dict(b.ops, nw=combine(b.dim, [(1, b.ops["nw"]), (1, Tensor3.from_sparse(b.dim, [(0, 1, 2, F(1))]))]))
-    report = check_coherence(a, dataclasses.replace(b, ops=bent), oracles.NINE_OP_RULES, "starbar")
+    report = check_coherence(a, dataclasses.replace(b, ops=bent), oracles.NINE_OP_RULES)
     assert not report.passed
     assert report.checks_run == 49 * 15**3
     assert len(report.witnesses) == 17
