@@ -49,8 +49,10 @@ EXPECTED_DIM3 = {
 
 
 def _fraction(text: str) -> Fraction:
+    from .exactlin import rat
+
     try:
-        return Fraction(text)
+        return rat(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
@@ -391,20 +393,9 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
         delta, delta1 = weighted, weighted_coproduct(pa, weights2)
         t, t1 = Fraction(0), Fraction(0)
     instance = baxter_deformation(args.variant, pa.algebra, delta, delta1, t, t1)
-    reports = [
-        check_deformation_instance(instance),
-        instance_operator_equation(instance),
-    ]
+    reports = [check_deformation_instance(instance), instance_operator_equation(instance)]
     for tau in args.taus:
-        reports.append(
-            deformed_structure_check(
-                instance.deformed.base,
-                instance.series,
-                instance.t_eval,
-                order=args.order,
-                tau=tau,
-            )
-        )
+        reports.append(deformed_structure_check(instance, order=args.order, tau=tau))
     return _emit_reports(args, reports)
 
 

@@ -14,16 +14,17 @@ doubled alphabet (labeled generators get a ``1`` suffix, and composite slots
 stay unexpanded so the printed systems and the unit checks can use them).
 
 The second half of the module builds concrete instances on End(A) from a
-pair of coproducts on one algebra (via the convolution Baxter operators) and
+pair of coproducts on one algebra (via the convolution Baxter operators),
+each holding its tensors once as a Structure of the deformed system, and
 verifies them: against the generated presentation, against the one remaining
-operator-level equation, and order by order as a truncated power series.
+operator-level equation, and order by order in h from the same tensors.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exactlin import (
     ONE,
@@ -157,9 +158,7 @@ class DeformationInstance:
     variant: str
     deformed: DeformedSystem
     end: FiniteAlgebra
-    ops: dict[str, Tensor3]                 # doubled-alphabet generators
-    series: dict[str, list[Tensor3]]        # base generator -> [order0, order1]
-    t_eval: Fraction                        # family parameter for coefficients
+    structure: Structure                    # the deformed system's tensors
     r: Fraction
     r1: Fraction
     left_conv: LinearOperator               # id * (-) for delta, at r
@@ -227,7 +226,7 @@ def baxter_deformation(
     * ``three_three`` three-op base deformed with labeled three-op ops;
     * ``four_four``   four-corner base (t = t1 = 0) from the commuting
                       convolution pair, labeled corners swap in delta1;
-    * ``nine_nine``   full nine-op base (t = t1, nonzero recommended),
+    * ``nine_nine``   full nine-op base (t = t1, nonzero),
                       labeled ops swap in delta1.
     """
     from .baxter import commute
@@ -246,7 +245,7 @@ def baxter_deformation(
         raise ValueError("two_three needs the unlabeled coproduct at parameter 0")
     if variant == "four_four" and (t != 0 or t1 != 0):
         raise ValueError("four_four needs both coproducts at parameter 0")
-    if variant == "nine_nine" and t != t1:
+    if variant == "nine_nine" and (t != t1 or t == 0):
         raise ValueError("nine_nine needs one shared nonzero parameter")
     b = EpsilonBialgebra(algebra, delta, t)
     b1 = EpsilonBialgebra(algebra, delta1, t1)
@@ -273,17 +272,14 @@ def baxter_deformation(
         unlabeled = ennea_from_commuting_pair(end, cs.left_conv, right, t).ops
         labeled = ennea_from_commuting_pair(end, cs1.left_conv, right, t1).ops
         t_eval = t
-    zero = Tensor3.zero(end.dim)
     ops = {g: unlabeled[g] for g in base.generators if g in nonzero}
     ops.update({_labeled(g): labeled[g] for g in base.generators})
-    series = {g: [unlabeled[g] if g in nonzero else zero, labeled[g]] for g in base.generators}
+    deformed = cross_term_system(base, nonzero)
     return DeformationInstance(
         variant=variant,
-        deformed=cross_term_system(base, nonzero),
+        deformed=deformed,
         end=end,
-        ops=ops,
-        series=series,
-        t_eval=t_eval,
+        structure=Structure(deformed.system, t_eval, ops),
         r=t,
         r1=t1,
         left_conv=cs.left_conv,
@@ -293,8 +289,7 @@ def baxter_deformation(
 
 def check_deformation_instance(instance: DeformationInstance) -> Report:
     """All generated relations (degrees 0, 1, 2) on the instance tensors."""
-    structure = Structure(instance.deformed.system, instance.t_eval, instance.ops)
-    return check_system(structure, f"deformed system ({instance.variant})")
+    return check_system(instance.structure, f"deformed system ({instance.variant})")
 
 
 def instance_operator_equation(instance: DeformationInstance) -> Report:
@@ -311,60 +306,40 @@ def instance_operator_equation(instance: DeformationInstance) -> Report:
 
 
 def deformed_structure_check(
-    base: AxiomSystem,
-    series: Mapping[str, Sequence[Tensor3]],
-    t_eval: Scalar = 0,
-    order: int = 3,
-    tau: Scalar = 1,
+    instance: DeformationInstance, order: int = 3, tau: Scalar = 1
 ) -> Report:
-    """Check the base identities order by order for op(h) = sum_m h^m op_m.
-
-    ``series`` maps each base generator to its list of h-coefficients
-    (missing orders are zero); ``tau`` rescales every order-1 coefficient,
-    giving the one-parameter family op0 + (tau h) op1.  All coefficients of
-    h^m for m < order must vanish identically; an order below 1 would check
-    nothing and raises ValueError.
-    """
+    """Check the base identities order by order for op(h) = op0 + (tau h) op1,
+    op0 the instance's unlabeled operation (zero where the deformation drops
+    it) and op1 its labeled one.  All coefficients of h^m for m < order must
+    vanish identically; an order below 1 would check nothing and raises
+    ValueError."""
     if order < 1:
         raise ValueError(f"the series order must be at least 1, got {order}")
-    t_eval, tau = rat(t_eval), rat(tau)
-    dims = {s[0].dim for s in series.values() if s}
-    if len(dims) != 1:
-        raise ValueError("series tensors must share one dimension")
-    dim = dims.pop()
-
-    at = base.at(t_eval)
-    # The closure does not refer to itself, so no reference cycle keeps its
-    # cache alive after the check returns.
-    cache: dict[tuple[str, int], Tensor3] = {}
-
-    def op_series(name: str, m: int) -> Tensor3:
-        """The h^m coefficient of an operation, generators included."""
-        key = (name, m)
-        if key not in cache:
-            parts = [(c * tau**m, series.get(gen, ())) for c, gen in at.ops[name]]
-            cache[key] = combine(dim, [(w, coeffs[m]) for w, coeffs in parts if m < len(coeffs)])
-        return cache[key]
-
+    tau = rat(tau)
+    s = instance.structure
+    base = instance.deformed.base
+    at = base.at(s.t)
+    zero = Tensor3.zero(s.dim)
+    coeffs = {
+        name: (s.tensor(name) if name in s.table.ops else zero, s.tensor(_labeled(name)).scale(tau))
+        for name in at.ops
+    }
     report = Report(
         title=f"order-by-order deformation check (order<{order}, tau={tau})",
         passed=True,
+        checks_run=order * len(base.relations) * s.dim**3,
     )
-    # every product at order m >= 2L - 1, L the longest coefficient list,
-    # has a factor of order >= L, which is zero: those orders hold as they
-    # stand and are counted without being summed
-    summed = min(order, 2 * max(map(len, series.values())) - 1)
-    report.checks_run += (order - summed) * len(base.relations) * dim**3
+    # every product at an order m >= 3 has a zero factor of order >= 2:
+    # those orders hold as they stand and are counted without being summed
     for rel, (lhs, rhs) in zip(base.relations, at.relations):
-        for m in range(summed):
+        for m in range(min(order, 3)):
             total: CompositionMap = {}
             for sign, terms, composer in ((ONE, lhs, compose_left), (-ONE, rhs, compose_right)):
                 for c, inner, outer in terms:
-                    value = c * sign
-                    for p in range(m + 1):
-                        part = composer(op_series(inner, p), op_series(outer, m - p))
-                        accumulate(total, part, value)
-            report.checks_run += dim**3
+                    for p in (0, 1):
+                        if 0 <= m - p <= 1:
+                            part = composer(coeffs[inner][p], coeffs[outer][m - p])
+                            accumulate(total, part, c * sign)
             diff = first_discrepancy(total, {})
             if diff is not None:
                 key, lvec, _ = diff

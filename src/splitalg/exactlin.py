@@ -60,6 +60,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -70,9 +71,21 @@ ONE = Fraction(1)
 
 
 def rat(value: Scalar) -> Fraction:
-    """Coerce an int, 'p/q' string, or Fraction to an exact rational."""
+    """Coerce an int, 'p/q' string, or Fraction to an exact rational.  A string
+    whose exponent would make an integer of more digits than the interpreter
+    reads or prints (``sys.get_int_max_str_digits()``) is refused before
+    Fraction builds it: ``Fraction("1e10000000")`` alone takes seconds."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        limit = sys.get_int_max_str_digits()
+        try:  # without an exponent, Fraction reads or refuses the spelling
+            digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent))
+        except ValueError:
+            digits = 0
+        if limit and digits > limit:
+            raise ValueError(f"scalar {value!r} needs more than {limit} digits")
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")

@@ -51,7 +51,7 @@ def scalar_from_json(text: Any) -> Fraction:
         return Fraction(text)
     if isinstance(text, str):
         try:
-            return Fraction(text)
+            return rat(text)
         except ZeroDivisionError:
             raise ValueError(f"scalar {text!r} has a zero denominator") from None
     raise ValueError(f"cannot read a scalar from {text!r}")

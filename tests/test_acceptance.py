@@ -22,6 +22,7 @@ from splitalg import (
     FiniteAlgebra,
     LinearOperator,
     Structure,
+    Tensor3,
     WeightedDigraph,
     baxter_deformation,
     builtin_presentations,
@@ -206,27 +207,21 @@ def test_criterion_6_deformation_instances():
     # formal-series check at several truncation orders and family values
     for order in (3, 4):
         for tau in (F(0), F(1), F(2)):
-            series = deformed_structure_check(
-                inst.deformed.base, inst.series, inst.t_eval, order=order, tau=tau
-            )
+            series = deformed_structure_check(inst, order=order, tau=tau)
             assert series.passed and series.checks_run == 7 * order * 9**3
 
     # the zero family member coincides with the undeformed structure
-    tau_zero = deformed_structure_check(
-        inst.deformed.base, inst.series, inst.t_eval, order=3, tau=F(0)
-    )
-    trivial = deformed_structure_check(
-        inst.deformed.base,
-        {name: s[:1] for name, s in inst.series.items()},
-        inst.t_eval,
-        order=3,
-        tau=F(1),
-    )
+    tau_zero = deformed_structure_check(inst, order=3, tau=F(0))
+    ops = inst.structure.ops
+    zero = Tensor3.zero(9)
+    unlabeled = td.with_ops(inst, **{name + "1": zero for name in inst.deformed.base.generators})
+    trivial = deformed_structure_check(unlabeled, order=3, tau=F(1))
     assert tau_zero.passed and trivial.passed
     assert tau_zero.checks_run == trivial.checks_run
-    for name, s in inst.series.items():
-        at_zero = combine(9, [(F(0) ** k, part) for k, part in enumerate(s)])
-        assert at_zero.entries == s[0].entries, name
+    for name in inst.deformed.base.generators:
+        series = [ops.get(name, zero), ops[name + "1"]]
+        at_zero = combine(9, [(F(0) ** k, part) for k, part in enumerate(series)])
+        assert at_zero.entries == series[0].entries, name
     stamp("criterion 6 (deformation instances on the 2-vertex chain)", started, 60.0)
 
 
@@ -291,11 +286,11 @@ def test_criterion_8_unit_action():
             right_identity=("prec" + suffix,),
             left_identity=("succ" + suffix,),
         )
-        deformed = check_unit_compatibility(Structure(system, inst.t_eval, inst.ops), choice)
+        deformed = check_unit_compatibility(inst.structure, choice)
         assert deformed.passed
         assert deformed.checks_run == 15883
         assert deformed.skipped_undefined == 117
-        total = unit_scalars(system.at(inst.t_eval), choice)["star_total"]
+        total = unit_scalars(inst.structure.table, choice)["star_total"]
         assert (total.right, total.left) == (F(1), F(1))
     stamp("criterion 8 (unit action and coherence)", started)
 

@@ -535,6 +535,38 @@ def test_zero_denominator_arc_weight_is_a_usage_error(tmp_path, capsys, argv):
     _assert_one_line_usage_error(capsys)
 
 
+# 10**5000 has 5001 digits, past the interpreter's default limit of 4300 on
+# reading and printing integers; Fraction would build it without complaint
+HUGE_SCALAR = "1e5000"
+
+
+@pytest.mark.parametrize("where", ["coefficient", "t", "weight"])
+def test_a_scalar_past_the_digit_limit_is_a_usage_error(tmp_path, capsys, where):
+    path = str(tmp_path / "input.json")
+    if where == "weight":
+        arc = {"src": 0, "dst": 1, "weight": HUGE_SCALAR}
+        save(path, {"kind": "graph", "vertices": 2, "arcs": [arc]})
+        argv = ["construct", "end-ennea", "--graph", path]
+    else:
+        envelope = _empty_nine_op_envelope(2)
+        if where == "t":
+            envelope["t"] = HUGE_SCALAR
+        else:
+            envelope["ops"]["nw"] = [[0, 1, 1, HUGE_SCALAR]]
+        save(path, envelope)
+        argv = ["verify", "ennea", "--file", path]
+    assert main(argv) == 2
+    _assert_one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("text", [HUGE_SCALAR, "-1E-5000", "3.5e5000"])
+def test_a_parameter_past_the_digit_limit_is_refused(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["operad", "dim3", "--preset", "nine_op", f"--t={text}"])
+    assert exc.value.code == 2
+    assert f"argument --t: not an exact rational: '{text}'" in capsys.readouterr().err
+
+
 def _presentation(**changes):
     from splitalg import builtin_presentations
     from splitalg.jsonio import system_to_json

@@ -8,7 +8,9 @@ generators.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -223,7 +225,7 @@ def two_vertex_setup():
 def test_two_three_instance_passes_all_generated_relations():
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
-    assert inst.t_eval == 0 and (inst.r, inst.r1) == (0, -1)
+    assert inst.structure.t == 0 and (inst.r, inst.r1) == (0, -1)
     report = check_deformation_instance(inst)
     assert report.passed, report.summary()
     assert report.checks_run == 16 * 9**3
@@ -251,7 +253,7 @@ def test_four_four_instance_passes():
 def test_nine_nine_identical_pair_is_the_trivial_deformation():
     alg, _, dch = two_vertex_setup()
     inst = baxter_deformation("nine_nine", alg, dch, dch, -1, -1)
-    assert inst.t_eval == -1
+    assert inst.structure.t == -1
     report = check_deformation_instance(inst)
     assert report.passed
     assert report.checks_run == 147 * 9**3
@@ -293,7 +295,7 @@ DIRECT_VARIANTS = {
 
 @pytest.mark.parametrize("case", sorted(DIRECT_VARIANTS))
 def test_instance_equals_the_structures_built_directly(case):
-    """ops, series, t_eval and the presentation of every variant, against the
+    """The structure and the presentation of every variant, against the
     splitting constructions applied to the convolution operators."""
     base, kept, builder, (d, d1), t, t1 = DIRECT_VARIANTS[case]
     setup = pq_chain_setup()
@@ -310,18 +312,13 @@ def test_instance_equals_the_structures_built_directly(case):
         unlabeled = ennea_from_commuting_pair(cs.end, cs.left_conv, cs.right_conv, t).ops
         labeled = ennea_from_commuting_pair(cs.end, cs1.left_conv, cs.right_conv, t1).ops
         t_eval = t
-    zero = Tensor3.zero(cs.end.dim)
     want_ops = {g: unlabeled[g] for g in base.generators if g in kept}
     want_ops.update({g + "1": labeled[g] for g in base.generators})
-    want_series = {
-        g: [unlabeled[g] if g in kept else zero, labeled[g]] for g in base.generators
-    }
 
     assert inst.variant == case and inst.end == cs.end
-    assert inst.ops == want_ops
-    assert inst.series == want_series
-    assert inst.t_eval == t_eval and (inst.r, inst.r1) == (t, t1)
     assert inst.deformed == cross_term_system(base, kept)
+    assert inst.structure == Structure(inst.deformed.system, t_eval, want_ops)
+    assert (inst.r, inst.r1) == (t, t1)
 
 
 PARAMETER_ERRORS = [
@@ -335,6 +332,7 @@ PARAMETER_ERRORS = [
     (("four_four", 1, 3, 1, 0), "four_four needs both coproducts at parameter 0"),
     (("nine_nine", 2, 1, -1, 0), "nine_nine needs one shared nonzero parameter"),
     (("nine_nine", 2, 4, -1, -1), "labeled operator must commute with the right convolution"),
+    (("nine_nine", 1, 1, 0, 0), "nine_nine needs one shared nonzero parameter"),
 ]
 
 
@@ -370,14 +368,18 @@ def test_operator_level_equation_on_convolution_operators():
     assert not two_operator_equation(cs.end, cs.left_conv, cs1.left_conv, F(1), F(-1)).passed
 
 
+def with_ops(inst, **ops):
+    """The instance with some of its structure's tensors replaced."""
+    structure = dataclasses.replace(inst.structure, ops=dict(inst.structure.ops, **ops))
+    return dataclasses.replace(inst, structure=structure)
+
+
 @pytest.mark.parametrize("tau", [F(0), F(1), F(2)])
 @pytest.mark.parametrize("order", [3, 4])
 def test_series_structure_check(tau, order):
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
-    report = deformed_structure_check(
-        inst.deformed.base, inst.series, inst.t_eval, order=order, tau=tau
-    )
+    report = deformed_structure_check(inst, order=order, tau=tau)
     assert report.passed, report.summary()
     assert report.checks_run == 7 * order * 9**3
 
@@ -387,74 +389,120 @@ def test_series_check_refuses_an_order_below_one(order):
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
     with pytest.raises(ValueError, match=f"order must be at least 1, got {order}"):
-        deformed_structure_check(inst.deformed.base, inst.series, inst.t_eval, order=order)
+        deformed_structure_check(inst, order=order)
 
 
 def test_tau_zero_equals_the_truncated_series():
+    """The series truncated after order 0 is the instance with every labeled
+    operation zero."""
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
-    tau_zero = deformed_structure_check(
-        inst.deformed.base, inst.series, inst.t_eval, order=3, tau=F(0)
-    )
-    truncated = deformed_structure_check(
-        inst.deformed.base,
-        {name: s[:1] for name, s in inst.series.items()},
-        inst.t_eval,
-        order=3,
-        tau=F(1),
-    )
-    assert tau_zero.passed and truncated.passed
-    assert tau_zero.checks_run == truncated.checks_run
+    tau_zero = deformed_structure_check(inst, order=3, tau=F(0))
+    zero = Tensor3.zero(inst.end.dim)
+    unlabeled = with_ops(inst, **{g + "1": zero for g in inst.deformed.base.generators})
+    untouched = deformed_structure_check(unlabeled, order=3, tau=F(1))
+    assert tau_zero.passed and untouched.passed
+    assert tau_zero.checks_run == untouched.checks_run
 
 
 def test_broken_series_is_caught():
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
-    series = dict(inst.series)
-    series["prec"] = [series["prec"][0], series["succ"][1]]  # wrong order-1 part
-    report = deformed_structure_check(inst.deformed.base, series, inst.t_eval, order=3)
+    broken = with_ops(inst, prec1=inst.structure.ops["succ1"])  # wrong order-1 part
+    report = deformed_structure_check(broken, order=3)
     assert not report.passed
     assert report.witnesses
 
 
 @pytest.mark.parametrize("order", range(1, 7))
 def test_orders_past_the_last_nonzero_product_are_counted_not_summed(order):
-    """Orders m >= 2L - 1 (L the longest coefficient list) hold as they
-    stand: the report equals the one that sums every order, which padding
-    each list with zero tensors forces."""
+    """Every product at order 3 or more has a factor of order 2 or more,
+    which is zero: order N >= 3 reports order 3's witnesses, and every
+    order counts its 7 identities on 9^3 triples."""
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
-    series = dict(inst.series)
-    series["prec"] = [series["prec"][0], series["succ"][1]]  # wrong order-1 part
-    series["circ"] = [*series["circ"], series["succ"][1]]  # a nonzero order-2 part: L = 3
-    zero = Tensor3.zero(inst.end.dim)
-    padded = {name: [*s, *[zero] * order] for name, s in series.items()}
+    broken = with_ops(inst, prec1=inst.structure.ops["succ1"])  # wrong order-1 part
     for tau in (F(1), F(-2, 3)):
-        got = deformed_structure_check(inst.deformed.base, series, inst.t_eval, order, tau)
-        want = deformed_structure_check(inst.deformed.base, padded, inst.t_eval, order, tau)
-        assert got == want
+        got = deformed_structure_check(broken, order, tau)
+        if order >= 3:
+            assert got.witnesses == deformed_structure_check(broken, 3, tau).witnesses
         assert got.checks_run == 7 * order * 9**3
-    # the order-2 part makes order 4 fail, which 2L - 1 = 5 still sums
     failing_orders = {int(w.context.rsplit("^", 1)[1]) for w in got.witnesses}
-    assert failing_orders == set(range(1, min(order, 5)))
+    assert failing_orders == {1, 2} & set(range(order))
+
+
+def _failing_set(report, parse):
+    return {(*parse(w.context), w.args) for w in report.witnesses}
+
+
+def _degree_context(context):
+    """"three_op_deformed:d1:di:1" -> ("di:1", 1)"""
+    _, degree, name = context.split(":", 2)
+    return name, int(degree[1:])
+
+
+def _order_context(context):
+    """"di:1@h^1" -> ("di:1", 1)"""
+    name, order = context.rsplit("@h^", 1)
+    return name, int(order)
+
+
+def _bump(tensor, i, j, k, delta):
+    return Tensor3.from_sparse(tensor.dim, tensor.nonzeros() + ((i, j, k, delta),))
+
+
+EQUIVALENCE_INSTANCES = {
+    "two_three": lambda setup: ("two_three", setup[0], setup[1], setup[2], 0, -1),
+    "four_four": lambda setup: ("four_four", setup[0], setup[1], setup[3], 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_INSTANCES))
+@pytest.mark.parametrize("tau", [F(1), F(-2, 3)])
+def test_series_check_fails_where_the_tau_scaled_cross_term_system_fails(case, tau):
+    """For tau != 0 the coefficient of h^m is tau^m times the degree-m
+    identities of the deformed system, so the failing (identity, order,
+    triple) set of the series check equals the failing (identity, degree,
+    triple) set of check_system on the structure with every labeled
+    operation scaled by tau."""
+    inst = baxter_deformation(*EQUIVALENCE_INSTANCES[case](pq_chain_setup()))
+    structure = inst.structure
+    labeled = {g + "1" for g in inst.deformed.base.generators}
+    rng = random.Random(f"{case} {tau}")
+    failing = 0
+    for _ in range(8):
+        name = rng.choice(sorted(structure.ops))
+        i, j, k = (rng.randrange(structure.dim) for _ in range(3))
+        delta = F(rng.choice([1, -3]), 2)
+        bumped = with_ops(inst, **{name: _bump(structure.ops[name], i, j, k, delta)})
+        ops = bumped.structure.ops
+        scaled = dataclasses.replace(
+            bumped.structure,
+            ops={g: op.scale(tau) if g in labeled else op for g, op in ops.items()},
+        )
+        cross_terms = _failing_set(check_system(scaled), _degree_context)
+        series = _failing_set(deformed_structure_check(bumped, order=4, tau=tau), _order_context)
+        assert series == cross_terms, (name, i, j, k)
+        failing += bool(series)
+    assert failing >= 4
 
 
 def test_instance_tensors_satisfy_relations_via_check_system_directly():
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
-    report = check_system(Structure(inst.deformed.system, inst.t_eval, inst.ops))
+    report = check_system(inst.structure)
     assert report.passed
 
 
 def test_structure_check_leaves_no_tensor_in_cyclic_garbage():
-    """The series cache is freed by reference counting when the check returns."""
+    """Every h-coefficient is freed by reference counting when the check returns."""
     alg, dw, dch = two_vertex_setup()
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
     gc.collect()
     gc.garbage.clear()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert deformed_structure_check(inst.deformed.base, inst.series, inst.t_eval).passed
+        assert deformed_structure_check(inst).passed
         gc.collect()
         left_over = [obj for obj in gc.garbage if isinstance(obj, Tensor3)]
     finally:

@@ -288,12 +288,12 @@ def _identity_system_cases():
         "two_three", pa.algebra, weighted_coproduct(pa), chain_coproduct(pa), 0, -1
     )
     yield "deformation/instance_fail", check_deformation_instance(
-        dataclasses.replace(inst, ops=_bumped_ops(inst.ops, "succ1", 3, 4, 5, F(7, 4)))
+        dataclasses.replace(inst, structure=_bumped(inst.structure, "succ1", 3, 4, 5, F(7, 4)))
     )
-    succ0, succ1 = inst.series["succ"]
-    series = dict(inst.series, succ=[succ0, _bump(succ1, 1, 4, 2, F(-2, 5))])
     yield "deformation/series_fail", deformed_structure_check(
-        inst.deformed.base, series, inst.t_eval, order=3, tau=F(3, 2)
+        dataclasses.replace(inst, structure=_bumped(inst.structure, "succ1", 1, 4, 2, F(-2, 5))),
+        order=3,
+        tau=F(3, 2),
     )
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -407,6 +409,17 @@ def test_tensor_from_json_equals_from_sparse_on_the_same_entries(case):
 def test_other_fraction_spellings_decode_as_fraction_reads_them(text):
     expected = Tensor3.from_sparse(2, [(0, 1, 1, F(text)), (1, 0, 0, F(1, 3))])
     assert tensor_from_json(2, [[0, 1, 1, text], [1, 0, 0, "1/3"]]) == expected
+
+
+@pytest.mark.parametrize("text", ["1e5000", "-1E+5000", "1e-5000", "2.5e5000", "1_0e4_300"])
+def test_a_scalar_with_more_digits_than_the_interpreter_prints_is_refused(text):
+    message = f"scalar '{text}' needs more than {sys.get_int_max_str_digits()} digits"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tensor_from_json(2, [[0, 1, 1, text]])
+
+
+def test_an_exponent_within_the_digit_limit_is_read():
+    assert tensor_from_json(1, [[0, 0, 0, "1e4299"]]).nonzeros() == ((0, 0, 0, F(10) ** 4299),)
 
 
 @pytest.mark.parametrize(

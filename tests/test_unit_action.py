@@ -454,9 +454,9 @@ def test_deformed_unit_choices(labeled):
         right_identity=("prec" + suffix,),
         left_identity=("succ" + suffix,),
     )
-    report = check_unit_compatibility(Structure(system, inst.t_eval, inst.ops), rules)
+    report = check_unit_compatibility(inst.structure, rules)
     assert report.passed, report.summary()
     assert report.checks_run == 15883
     assert report.skipped_undefined == 117
-    total = unit_scalars(system.at(inst.t_eval), rules)["star_total"]
+    total = unit_scalars(inst.structure.table, rules)["star_total"]
     assert (total.right, total.left) == (F(1), F(1))
