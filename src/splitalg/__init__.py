@@ -75,7 +75,6 @@ _EXPORTS_BY_MODULE = {
     ),
     "deformation": (
         "DeformationInstance",
-        "DeformedSystem",
         "baxter_deformation",
         "check_deformation_instance",
         "cross_term_system",

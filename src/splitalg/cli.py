@@ -345,29 +345,23 @@ def format_relation(relation: Relation) -> str:
 
 def cmd_deform_derive(args: argparse.Namespace) -> int:
     from .deformation import cross_term_system
-    from .relations import DEFORMATIONS
 
-    base, nonzero = DEFORMATIONS[args.variant]
-    deformed = cross_term_system(base, nonzero)
+    system = cross_term_system(args.variant)
     if args.json:
         from . import jsonio
 
-        sys.stdout.write(jsonio.dump_json(jsonio.system_to_json(deformed.system)))
+        sys.stdout.write(jsonio.dump_json(jsonio.system_to_json(system)))
         return 0
-    system = deformed.system
     print(
         f"{system.name}: {len(system.generators)} generators "
         f"{', '.join(system.generators)}; {len(system.relations)} identities"
     )
-    for label, names in (
-        ("base identities", deformed.degree0),
-        ("cross-term identities", deformed.degree1),
-        ("labeled identities", deformed.degree2),
-    ):
-        print(f"-- {label} ({len(names)})")
-        by_name = {rel.name: rel for rel in system.relations}
-        for name in names:
-            print("  " + format_relation(by_name[name]))
+    labels = ("base identities", "cross-term identities", "labeled identities")
+    for degree, label in enumerate(labels):
+        relations = [rel for rel in system.relations if rel.name.startswith(f"d{degree}:")]
+        print(f"-- {label} ({len(relations)})")
+        for rel in relations:
+            print("  " + format_relation(rel))
     return 0
 
 
@@ -382,6 +376,8 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
     from .graphalg import chain_coproduct, path_algebra, weighted_coproduct
 
     _refuse_unread_weights2(args, "four_four")
+    if not args.taus:
+        raise ValueError("--taus needs at least one rescaling")
     graph = jsonio.graph_from_json(jsonio.load(args.graph))
     pa = path_algebra(graph)
     weighted = weighted_coproduct(pa)

@@ -8,10 +8,11 @@ Substituting into a quadratic identity and collecting powers of h gives
 * degree 1 — the cross-term system mixing unlabeled and labeled operations,
 * degree 2 — the base identities on the labeled operations.
 
-:func:`cross_term_system` performs that bookkeeping over the relation tables
-of :mod:`splitalg.relations`, producing a new quadratic presentation over a
-doubled alphabet (labeled generators get a ``1`` suffix, and composite slots
-stay unexpanded so the printed systems and the unit checks can use them).
+:func:`cross_term_system` performs that bookkeeping for each variant of
+:data:`splitalg.relations.DEFORMATIONS`, producing the quadratic presentation
+``deformed_<variant>`` over a doubled alphabet (labeled generators get a
+``1`` suffix, and composite slots stay unexpanded so the printed systems and
+the unit checks can use them).
 
 The second half of the module builds concrete instances on End(A) from a
 pair of coproducts on one algebra (via the convolution Baxter operators),
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exactlin import (
     ONE,
@@ -56,32 +57,20 @@ if TYPE_CHECKING:  # baxter_deformation imports what it builds with
     from .algebra_core import CoalgebraData, FiniteAlgebra
 
 
-@dataclasses.dataclass(frozen=True)
-class DeformedSystem:
-    """The quadratic presentation of a one-parameter deformation."""
-
-    base: AxiomSystem
-    system: AxiomSystem
-    degree0: tuple[str, ...]
-    degree1: tuple[str, ...]
-    degree2: tuple[str, ...]
-
-
 def _labeled(name: str) -> str:
     return name + "1"
 
 
-def cross_term_system(base: AxiomSystem, nonzero_base: Iterable[str]) -> DeformedSystem:
-    """Polarize a relation table for op(h) = op0 + h op1.
+def cross_term_system(variant: str) -> AxiomSystem:
+    """Polarize the relation table of ``DEFORMATIONS[variant]`` for
+    op(h) = op0 + h op1, as the presentation ``deformed_<variant>``.
 
-    ``nonzero_base`` lists the generators whose base part op0 is kept;
-    the others deform from zero (only their op1 exists).
+    The variant's kept generators keep their base part op0; the others
+    deform from zero (only their op1 exists).  An identity of degree d in h
+    is named ``d<d>:<base identity>``, and the identities come in degree
+    order.
     """
-    nonzero = frozenset(nonzero_base)
-    unknown = nonzero - set(base.generators)
-    if unknown:
-        raise ValueError(f"not generators of {base.name}: {sorted(unknown)}")
-
+    base, nonzero = DEFORMATIONS[variant]
     generators = tuple(g for g in base.generators if g in nonzero) + tuple(
         _labeled(g) for g in base.generators
     )
@@ -94,53 +83,39 @@ def cross_term_system(base: AxiomSystem, nonzero_base: Iterable[str]) -> Deforme
             composites[name] = kept
         composites[_labeled(name)] = tuple((poly, _labeled(g)) for poly, g in parts)
 
-    def at0(name: str) -> str | None:
-        return name if base0_ok[name] else None
-
     def polarize_terms(terms: Sequence[Term], degree: int) -> tuple[Term, ...]:
         out: list[Term] = []
         for coeff, inner, outer in terms:
             if degree == 0:
-                if at0(inner) and at0(outer):
+                if base0_ok[inner] and base0_ok[outer]:
                     out.append(Term(coeff, inner, outer))
             elif degree == 2:
                 out.append(Term(coeff, _labeled(inner), _labeled(outer)))
             else:
-                if at0(inner):
+                if base0_ok[inner]:
                     out.append(Term(coeff, inner, _labeled(outer)))
-                if at0(outer):
+                if base0_ok[outer]:
                     out.append(Term(coeff, _labeled(inner), outer))
         return tuple(out)
 
     relations: list[Relation] = []
-    names_by_degree: dict[int, list[str]] = {0: [], 1: [], 2: []}
     for degree in (0, 1, 2):
         for rel in base.relations:
             lhs = polarize_terms(rel.lhs, degree)
             rhs = polarize_terms(rel.rhs, degree)
-            if not lhs and not rhs:
-                continue
-            name = f"d{degree}:{rel.name}"
-            relations.append(Relation(name, lhs, rhs))
-            names_by_degree[degree].append(name)
+            if lhs or rhs:
+                relations.append(Relation(f"d{degree}:{rel.name}", lhs, rhs))
 
     # the unital total operation: base total + labeled total
     total = base.total()
     if total is not None:
         composites[f"{total}_total"] = composites.get(total, ()) + composites[_labeled(total)]
 
-    system = AxiomSystem(
-        name=f"{base.name}_deformed",
+    return AxiomSystem(
+        name=f"deformed_{variant}",
         generators=generators,
         composites=composites,
         relations=tuple(relations),
-    )
-    return DeformedSystem(
-        base=base,
-        system=system,
-        degree0=tuple(names_by_degree[0]),
-        degree1=tuple(names_by_degree[1]),
-        degree2=tuple(names_by_degree[2]),
     )
 
 
@@ -156,9 +131,8 @@ class DeformationInstance:
     """A deformed splitting structure on End(A) built from two coproducts."""
 
     variant: str
-    deformed: DeformedSystem
     end: FiniteAlgebra
-    structure: Structure                    # the deformed system's tensors
+    structure: Structure                    # deformed_<variant>'s tensors
     r: Fraction
     r1: Fraction
     left_conv: LinearOperator               # id * (-) for delta, at r
@@ -274,12 +248,10 @@ def baxter_deformation(
         t_eval = t
     ops = {g: unlabeled[g] for g in base.generators if g in nonzero}
     ops.update({_labeled(g): labeled[g] for g in base.generators})
-    deformed = cross_term_system(base, nonzero)
     return DeformationInstance(
         variant=variant,
-        deformed=deformed,
         end=end,
-        structure=Structure(deformed.system, t_eval, ops),
+        structure=Structure(cross_term_system(variant), t_eval, ops),
         r=t,
         r1=t1,
         left_conv=cs.left_conv,
@@ -317,7 +289,7 @@ def deformed_structure_check(
         raise ValueError(f"the series order must be at least 1, got {order}")
     tau = rat(tau)
     s = instance.structure
-    base = instance.deformed.base
+    base = DEFORMATIONS[instance.variant][0]
     at = base.at(s.t)
     zero = Tensor3.zero(s.dim)
     coeffs = {

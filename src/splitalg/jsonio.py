@@ -351,8 +351,9 @@ def coproduct_from_json(data: Mapping[str, Any]) -> CoalgebraData:
 
 def operations_to_json(s: Structure) -> dict[str, Any]:
     """Envelope for one concrete structure: its family's name, t and tensors.
-    A system that :func:`system_for_family` would not read back (a deformed
-    one, say) raises ValueError."""
+    The family is the system's name, which :func:`system_for_family` reads
+    back for every preset, deformed ones included; any other system raises
+    its ValueError."""
     system_for_family(s.system.name)
     return {
         "kind": "operations",

@@ -81,25 +81,19 @@ def degree3_dimension(system: AxiomSystem, t: Scalar = 0) -> Degree3Count:
     )
 
 
-# name -> (base system, generators kept nonzero at h = 0 by its one-parameter
-# formal deformation, or None for the base system itself)
-_PRESETS: dict[str, tuple[AxiomSystem, tuple[str, ...] | None]] = {
-    **{name: (system, None) for name, system in SYSTEMS.items()},
-    **{f"deformed_{name}": pair for name, pair in DEFORMATIONS.items()},
-}
-
-PRESET_NAMES = tuple(_PRESETS)
+PRESET_NAMES = (*SYSTEMS, *(f"deformed_{variant}" for variant in DEFORMATIONS))
 
 
 def builtin_presentation(name: str) -> AxiomSystem:
     """One named presentation, building only that one; a name outside
     :data:`PRESET_NAMES` raises KeyError."""
-    base, nonzero_base = _PRESETS[name]
-    if nonzero_base is None:
-        return base
+    if name in SYSTEMS:
+        return SYSTEMS[name]
+    if name not in PRESET_NAMES:
+        raise KeyError(name)
     from .deformation import cross_term_system
 
-    return cross_term_system(base, nonzero_base=nonzero_base).system
+    return cross_term_system(name.removeprefix("deformed_"))
 
 
 def builtin_presentations() -> dict[str, AxiomSystem]:

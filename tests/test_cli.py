@@ -27,7 +27,7 @@ from splitalg.jsonio import (
     save,
     tensor_to_json,
 )
-from splitalg.operad import builtin_presentation
+from splitalg.operad import PRESET_NAMES, builtin_presentation
 from splitalg.relations import TPoly
 from splitalg.unit_action import unit_rules
 
@@ -72,6 +72,12 @@ def test_operad_dim3_presets(capsys, preset, expected):
     assert main(["operad", "dim3", "--preset", preset, "--t", "1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["dim3"] == expected
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_operad_dim3_names_the_system_by_its_preset(capsys, preset):
+    assert main(["operad", "dim3", "--preset", preset, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["system"] == preset
 
 
 def test_operad_dim3_unknown_preset(capsys):
@@ -340,7 +346,7 @@ def test_deform_derive_json_is_a_presentation(capsys):
     assert main(["deform", "derive", "--variant", "two_three", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "presentation"
-    assert payload["name"] == "three_op_deformed"
+    assert payload["name"] == "deformed_two_three"
     assert len(payload["relations"]) == 16
 
 
@@ -412,6 +418,14 @@ def test_deform_check_order_below_one_is_a_usage_error(graph_file, capsys, order
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: the series order must be at least 1, got {order}\n"
+
+
+def test_deform_check_refuses_an_empty_taus_list(graph_file, capsys):
+    # with no rescaling the series check would not run at all
+    assert main(["deform", "check", "--graph", graph_file, "--taus="]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --taus needs at least one rescaling\n"
 
 
 def test_missing_file_is_a_usage_error(capsys):

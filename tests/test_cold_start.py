@@ -42,9 +42,9 @@ EXPORTED = {
         "convolution_report", "convolution_structure", "ennea_on_end", "prelie_from_bialgebra",
     ),
     "deformation": (
-        "DeformationInstance", "DeformedSystem", "baxter_deformation",
-        "check_deformation_instance", "cross_term_system", "deformed_structure_check",
-        "instance_operator_equation", "two_operator_equation",
+        "DeformationInstance", "baxter_deformation", "check_deformation_instance",
+        "cross_term_system", "deformed_structure_check", "instance_operator_equation",
+        "two_operator_equation",
     ),
     "exactlin": ("LinearOperator", "Scalar", "Tensor3", "combine", "rat"),
     "graphalg": (

@@ -20,7 +20,6 @@ from splitalg import (
     FOUR_OP_SYSTEM,
     NINE_OP_SYSTEM,
     THREE_OP_SYSTEM,
-    TWO_OP_SYSTEM,
     EpsilonBialgebra,
     Structure,
     Tensor3,
@@ -38,6 +37,7 @@ from splitalg import (
     weighted_coproduct,
 )
 from splitalg.bialgebra import convolution_structure
+from splitalg.relations import DEFORMATIONS
 from splitalg.splitting import ennea_from_commuting_pair, trialgebra_from_baxter
 
 F = Fraction
@@ -138,12 +138,15 @@ def expand_derived_side(system, terms):
     return tuple(sorted((k, v) for k, v in out.items() if v))
 
 
-def derived_canonical(deformed):
-    system = deformed.system
+def of_degree(system, degree):
+    """The identities of one degree in h, named ``d<degree>:...``."""
+    return [rel for rel in system.relations if rel.name.startswith(f"d{degree}:")]
+
+
+def derived_canonical(system):
     eqs = [
         (expand_derived_side(system, rel.lhs), expand_derived_side(system, rel.rhs))
-        for rel in system.relations
-        if rel.name in deformed.degree1
+        for rel in of_degree(system, 1)
     ]
     return sorted(eqs)
 
@@ -152,24 +155,24 @@ def derived_canonical(deformed):
 
 
 def test_six_equation_system_is_reproduced_exactly():
-    deformed = cross_term_system(THREE_OP_SYSTEM, ("prec", "succ"))
-    assert len(deformed.degree1) == 6
+    deformed = cross_term_system("two_three")
+    assert len(of_degree(deformed, 1)) == 6
     assert derived_canonical(deformed) == reference_canonical(
         DENDRIFORM_WITH_LABELED_TRIDENDRIFORM
     )
 
 
 def test_seven_equation_system_is_reproduced_exactly():
-    deformed = cross_term_system(THREE_OP_SYSTEM, THREE_OP_SYSTEM.generators)
-    assert len(deformed.degree1) == 7
+    deformed = cross_term_system("three_three")
+    assert len(of_degree(deformed, 1)) == 7
     assert derived_canonical(deformed) == reference_canonical(
         TRIDENDRIFORM_WITH_LABELED_TRIDENDRIFORM
     )
 
 
 def test_nine_equation_system_is_reproduced_exactly():
-    deformed = cross_term_system(FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators)
-    assert len(deformed.degree1) == 9
+    deformed = cross_term_system("four_four")
+    assert len(of_degree(deformed, 1)) == 9
     assert derived_canonical(deformed) == reference_canonical(QUADRI_WITH_LABELED_QUADRI)
 
 
@@ -178,36 +181,37 @@ def test_nine_equation_system_is_reproduced_exactly():
 
 def test_polarized_system_shapes():
     cases = [
-        (TWO_OP_SYSTEM, ("prec", "succ"), (3, 3, 3), 4),
-        (THREE_OP_SYSTEM, ("prec", "succ"), (3, 6, 7), 5),
-        (THREE_OP_SYSTEM, THREE_OP_SYSTEM.generators, (7, 7, 7), 6),
-        (FOUR_OP_SYSTEM, FOUR_OP_SYSTEM.generators, (9, 9, 9), 8),
-        (NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators, (49, 49, 49), 18),
+        ("two_two", (3, 3, 3), 4),
+        ("two_three", (3, 6, 7), 5),
+        ("three_three", (7, 7, 7), 6),
+        ("four_four", (9, 9, 9), 8),
+        ("nine_nine", (49, 49, 49), 18),
     ]
-    for base, nonzero, (d0, d1, d2), gens in cases:
-        deformed = cross_term_system(base, nonzero)
-        assert len(deformed.degree0) == d0
-        assert len(deformed.degree1) == d1
-        assert len(deformed.degree2) == d2
-        assert len(deformed.system.generators) == gens
-        assert len(deformed.system.relations) == d0 + d1 + d2
-        assert deformed.system.name == base.name + "_deformed"
+    assert [variant for variant, *_ in cases] == list(DEFORMATIONS)
+    for variant, (d0, d1, d2), gens in cases:
+        deformed = cross_term_system(variant)
+        assert [len(of_degree(deformed, d)) for d in (0, 1, 2)] == [d0, d1, d2]
+        assert len(deformed.generators) == gens
+        # the identities come in degree order, and each has a degree prefix
+        assert [rel.name[:3] for rel in deformed.relations] == (
+            ["d0:"] * d0 + ["d1:"] * d1 + ["d2:"] * d2
+        )
+        assert deformed.name == f"deformed_{variant}"
 
 
 def test_total_operation_names():
-    assert "star_total" in cross_term_system(THREE_OP_SYSTEM, ("prec", "succ")).system.composites
-    deformed = cross_term_system(NINE_OP_SYSTEM, NINE_OP_SYSTEM.generators)
-    assert "starbar_total" in deformed.system.composites
+    assert "star_total" in cross_term_system("two_three").composites
+    assert "starbar_total" in cross_term_system("nine_nine").composites
 
 
-def test_unknown_kept_generator_is_rejected():
-    with pytest.raises(ValueError):
-        cross_term_system(THREE_OP_SYSTEM, ("prec", "bogus"))
+def test_unknown_variant_is_a_key_error():
+    with pytest.raises(KeyError):
+        cross_term_system("two_four")
 
 
 def test_degree2_relations_are_the_relabeled_base():
-    deformed = cross_term_system(THREE_OP_SYSTEM, ("prec", "succ"))
-    by_name = {r.name: r for r in deformed.system.relations}
+    deformed = cross_term_system("two_three")
+    by_name = {r.name: r for r in deformed.relations}
     for base_rel in THREE_OP_SYSTEM.relations:
         rel = by_name[f"d2:{base_rel.name}"]
         assert [(c, i + "1", o + "1") for c, i, o in base_rel.lhs] == list(rel.lhs)
@@ -315,9 +319,9 @@ def test_instance_equals_the_structures_built_directly(case):
     want_ops = {g: unlabeled[g] for g in base.generators if g in kept}
     want_ops.update({g + "1": labeled[g] for g in base.generators})
 
+    assert DEFORMATIONS[case] == (base, kept)
     assert inst.variant == case and inst.end == cs.end
-    assert inst.deformed == cross_term_system(base, kept)
-    assert inst.structure == Structure(inst.deformed.system, t_eval, want_ops)
+    assert inst.structure == Structure(cross_term_system(case), t_eval, want_ops)
     assert (inst.r, inst.r1) == (t, t1)
 
 
@@ -399,7 +403,7 @@ def test_tau_zero_equals_the_truncated_series():
     inst = baxter_deformation("two_three", alg, dw, dch, 0, -1)
     tau_zero = deformed_structure_check(inst, order=3, tau=F(0))
     zero = Tensor3.zero(inst.end.dim)
-    unlabeled = with_ops(inst, **{g + "1": zero for g in inst.deformed.base.generators})
+    unlabeled = with_ops(inst, **{g + "1": zero for g in THREE_OP_SYSTEM.generators})
     untouched = deformed_structure_check(unlabeled, order=3, tau=F(1))
     assert tau_zero.passed and untouched.passed
     assert tau_zero.checks_run == untouched.checks_run
@@ -436,7 +440,7 @@ def _failing_set(report, parse):
 
 
 def _degree_context(context):
-    """"three_op_deformed:d1:di:1" -> ("di:1", 1)"""
+    """"deformed_two_three:d1:di:1" -> ("di:1", 1)"""
     _, degree, name = context.split(":", 2)
     return name, int(degree[1:])
 
@@ -463,7 +467,7 @@ def test_series_check_fails_where_the_tau_scaled_cross_term_system_fails(case, t
     setup = pq_chain_setup()
     inst = baxter_deformation(case, setup[0], setup[d], setup[d1], t, t1)
     structure = inst.structure
-    labeled = {g + "1" for g in inst.deformed.base.generators}
+    labeled = {g + "1" for g in DEFORMATIONS[case][0].generators}
     rng = random.Random(f"{case} {tau}")
     failing = 0
     for _ in range(8):

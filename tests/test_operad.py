@@ -122,15 +122,23 @@ def test_builtin_presentation_builds_only_the_named_system(monkeypatch):
     built = []
     real = deformation.cross_term_system
 
-    def counting(base, nonzero_base):
-        built.append(base.name)
-        return real(base, nonzero_base=nonzero_base)
+    def counting(variant):
+        built.append(variant)
+        return real(variant)
 
     monkeypatch.setattr(deformation, "cross_term_system", counting)
     assert builtin_presentation("nine_op") is NINE_OP_SYSTEM
     assert system_for_family("nine_op") is NINE_OP_SYSTEM
     assert built == []
-    assert system_for_family("deformed_two_three").name == "three_op_deformed"
-    assert built == ["three_op"]
+    assert system_for_family("deformed_two_three").name == "deformed_two_three"
+    assert built == ["two_three"]
     assert list(builtin_presentations()) == list(PRESET_NAMES)
     assert len(built) == 1 + 5
+
+
+@pytest.mark.parametrize("name", ["two_two", "deformed_nope"])
+def test_builtin_presentation_knows_only_its_presets(name):
+    from splitalg.operad import builtin_presentation
+
+    with pytest.raises(KeyError):
+        builtin_presentation(name)

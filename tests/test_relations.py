@@ -185,7 +185,7 @@ def test_structure_holds_exactly_the_generators_in_one_dimension(family):
         ("three_op", F(0), "three-op splitting"),
         ("four_op", F(0), "four-op splitting"),
         ("nine_op", F(-1), "nine-op splitting (t=-1)"),
-        ("deformed_two_three", F(0), "three_op_deformed identities"),
+        ("deformed_two_three", F(0), "deformed_two_three identities"),
     ],
 )
 def test_check_system_titles_a_structure_by_its_family(family, t, title):

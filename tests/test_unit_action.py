@@ -447,7 +447,7 @@ def test_deformed_unit_choices(labeled):
     through the base pair (prec, succ) or through the labeled pair
     (prec1, succ1), and either way the total operation is unital."""
     inst = deformed_instance()
-    system = inst.deformed.system
+    system = inst.structure.system
     suffix = "1" if labeled else ""
     rules = unit_rules(
         system.generators,
