@@ -53,6 +53,16 @@ bialgebra compatibility (its indices (i, j, a, b) in the slots
 (x, y, z, m), through permuted tensors) are checked the same way.
 Only the order-by-order deformation check still reads the Fraction
 composition maps (:func:`compose_left`, :func:`compose_right`).
+
+A structure's whole list of identities goes through
+:func:`first_nested_differences`, which builds every identity's plans, and
+so every grouping, in this process first.  On a space of dimension 30 or
+more, where ``os.fork`` exists, no second thread runs and more than one CPU
+is usable, it forks W - 1 workers, W being at most the usable CPUs and the
+number of identities.  This process and each worker take every W-th
+identity, the workers reading the groupings copy-on-write and pickling
+their results back through a pipe, and the results are merged in identity
+order, so they are the serial ones.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -680,19 +691,24 @@ def _slice(plans: list[tuple], x: int) -> dict[int, int]:
     return acc
 
 
-def _failing_slices(
+def _identity_plans(
     left_terms: Sequence[NestedTerm], right_terms: Sequence[NestedTerm]
-) -> Iterator[tuple[int, int, dict[int, int]]]:
-    """(n, x, slice) for each x, in increasing order, whose slice of
-    L * (sum left - sum right) has a nonzero entry, n being the dimension.
-    Only the x that some term's walked tensor holds are visited, and a slice
-    is summed only when the one before it has been consumed, so a caller
-    that stops at the first failing slice does no further work."""
-    n, _, plans = _slice_plans(((1, True, left_terms), (-1, False, right_terms)))
+) -> tuple[int, int, list[tuple]]:
+    """The plans of L * (sum left - sum right); see :func:`_slice_plans`."""
+    return _slice_plans(((1, True, left_terms), (-1, False, right_terms)))
+
+
+def _failing_slices(planned: tuple[int, int, list[tuple]]) -> Iterator[tuple[int, dict[int, int]]]:
+    """(x, slice) for each x, in increasing order, whose slice of the
+    planned residual has a nonzero entry.  Only the x that some term's walked
+    tensor holds are visited, and a slice is summed only when the one before
+    it has been consumed, so a caller that stops at the first failing slice
+    does no further work."""
+    plans = planned[2]
     for x in sorted(set().union(*(runs for _, runs, *_ in plans))):
         acc = _slice(plans, x)
         if any(acc.values()):
-            yield n, x, acc
+            yield x, acc
 
 
 def nested_residual(
@@ -713,8 +729,10 @@ def nested_residual(
     collected here; :func:`first_nested_difference` stops at the first
     failing one).
     """
+    planned = _identity_plans(left_terms, right_terms)
+    n = planned[0]
     out: dict[tuple[int, int, int, int], int] = {}
-    for n, x, acc in _failing_slices(left_terms, right_terms):
+    for x, acc in _failing_slices(planned):
         for key, value in acc.items():
             if value:
                 yz, m = divmod(key, n)
@@ -733,14 +751,17 @@ def nested_value(
     return {m: Fraction(v, common) for m in range(n) if (v := acc.get(base + m))}
 
 
-def first_nested_difference(
-    left_terms: Sequence[NestedTerm], right_terms: Sequence[NestedTerm]
-) -> tuple[tuple[int, int, int], dict[int, Fraction], dict[int, Fraction]] | None:
-    """Smallest basis triple where the two sides differ, with the exact
-    values of both sides there, if any.  Slices are summed in increasing x
-    and the scan stops at the first failing one: the triple is its smallest
-    failing (y, z)."""
-    for n, x, acc in _failing_slices(left_terms, right_terms):
+Difference = tuple[tuple[int, int, int], dict[int, Fraction], dict[int, Fraction]]
+Identity = tuple[Sequence[NestedTerm], Sequence[NestedTerm]]
+
+
+def _first_difference(
+    left_terms: Sequence[NestedTerm],
+    right_terms: Sequence[NestedTerm],
+    planned: tuple[int, int, list[tuple]],
+) -> Difference | None:
+    n = planned[0]
+    for x, acc in _failing_slices(planned):
         yz = min(key for key, value in acc.items() if value) // n
         triple = (x, *divmod(yz, n))
         return (
@@ -749,6 +770,136 @@ def first_nested_difference(
             nested_value(right_terms, False, triple),
         )
     return None
+
+
+def first_nested_difference(
+    left_terms: Sequence[NestedTerm], right_terms: Sequence[NestedTerm]
+) -> Difference | None:
+    """Smallest basis triple where the two sides differ, with the exact
+    values of both sides there, if any.  Slices are summed in increasing x
+    and the scan stops at the first failing one: the triple is its smallest
+    failing (y, z)."""
+    return _first_difference(left_terms, right_terms, _identity_plans(left_terms, right_terms))
+
+
+# Below this dimension a structure's identities are checked in this process
+# only: a worker costs about 2-4 ms to fork, to fault in the pages it
+# touches and to reap.  check_system on End(A) of chain graphs, for the 49
+# nine-op identities (2-core x86_64, Python 3.11, medians of 31 interleaved
+# runs, serial vs two workers): dim 9 took 5.0 vs 8.6 ms; dims 16 and 25
+# broke even within the host's drift (10-21 ms either way); dim 36 took
+# 31-44 vs 23-39 ms and dim 100 262 vs 162 ms.
+_FORK_MIN_DIM = 30
+
+
+def _worker_count(dim: int, identities: int) -> int:
+    """How many processes share a check of ``identities`` identities on a
+    space of dimension ``dim``: 1 (no fork) below :data:`_FORK_MIN_DIM`,
+    where ``os.fork`` is missing, while a second thread is alive (forking such
+    a process can deadlock the child) or when one CPU is usable; otherwise
+    the usable CPUs, at most one per identity."""
+    if dim < _FORK_MIN_DIM or not hasattr(os, "fork"):
+        return 1
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, identities)
+
+
+def first_nested_differences(identities: Sequence[Identity]) -> list[Difference | None]:
+    """:func:`first_nested_difference` of each ``(left_terms, right_terms)``
+    identity, in order.
+
+    Every identity's plans, and with them every tensor grouping, are built
+    here first, so a malformed term list raises ValueError before any work
+    is shared out.  When :func:`_worker_count` gives W > 1, W - 1 forked
+    workers and this process each take every W-th identity, the workers
+    reading the groupings copy-on-write; the results are merged in identity
+    order, so they equal the serial ones.
+    """
+    plans = [_identity_plans(left, right) for left, right in identities]
+    workers = _worker_count(max((n for n, *_ in plans), default=0), len(plans))
+
+    def one(index: int) -> Difference | None:
+        return _first_difference(*identities[index], plans[index])
+
+    if workers < 2:
+        return [one(index) for index in range(len(plans))]
+    return _forked(one, len(plans), workers)
+
+
+def _forked(job, count: int, workers: int) -> list:
+    """``[job(i) for i in range(count)]``, worker w computing the i with
+    i % workers == w: worker 0 is this process, the others forked children
+    that pickle their results back through a pipe.  A worker's exception
+    is raised again here; a worker that ends without its results raises
+    ChildProcessError.  Every child is reaped before this returns or
+    raises, and killed first when this process stops early."""
+    import pickle
+    import signal
+
+    children: dict[int, object] = {}  # pid -> read end of its pipe
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: nothing holds the pipe yet
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _work(job, range(w, count, workers), write)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        shares = [[job(i) for i in range(0, count, workers)]]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status or not data:
+                raise ChildProcessError(
+                    f"a check worker ended without its results "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            shares.append(value)
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [None] * count
+    for w, share in enumerate(shares):
+        results[w::workers] = share
+    return results
+
+
+def _work(job, indices: range, write: int) -> None:
+    """The body of a forked worker: pickle ``(True, results)`` or
+    ``(False, exception)`` to the pipe ``write``, then end the process
+    without returning to the caller's stack or flushing its buffers."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            outcome = (True, [job(i) for i in indices])
+        except Exception as exc:  # raised again in the parent
+            outcome = (False, exc)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 CompositionMap = dict[tuple[int, int, int], dict[int, Fraction]]

@@ -40,7 +40,7 @@ from .exactlin import (
     Scalar,
     Tensor3,
     combine,
-    first_nested_difference,
+    first_nested_differences,
     rat,
 )
 from .report import Report, Witness
@@ -452,7 +452,9 @@ def check_system(s: Structure, title: str | None = None) -> Report:
     The title defaults to a base family's "two-op splitting" ... "nine-op
     splitting (t=T)", the one table that reads t, and to any other system's
     "<name> identities".  The witness for a failing identity is its
-    lexicographically smallest failing basis triple.
+    lexicographically smallest failing basis triple.  All identities go to
+    :func:`~splitalg.exactlin.first_nested_differences` at once, which
+    shares them out over forked workers when the structure is large enough.
     """
     system = s.system
     if title is None and system.name in SYSTEMS:
@@ -460,9 +462,9 @@ def check_system(s: Structure, title: str | None = None) -> Report:
         if system.name == "nine_op":
             title += f" (t={s.t})"
     report = Report(title=title or f"{system.name} identities", passed=True)
-    for relation, (lhs, rhs) in zip(system.relations, s.table.relations):
+    identities = [(s.terms(lhs), s.terms(rhs)) for lhs, rhs in s.table.relations]
+    for relation, diff in zip(system.relations, first_nested_differences(identities)):
         report.checks_run += s.dim**3
-        diff = first_nested_difference(s.terms(lhs), s.terms(rhs))
         if diff is not None:
             key, lvec, rvec = diff
             report.add_failure(

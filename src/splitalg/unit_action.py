@@ -48,7 +48,7 @@ from .exactlin import (
     Scalar,
     Tensor3,
     combine,
-    first_nested_difference,
+    first_nested_differences,
     rat,
 )
 from .relations import Structure, SystemAt, check_system
@@ -191,11 +191,15 @@ def check_unit_compatibility(s: Structure, rules: UnitRules) -> Report:
 
     Edges and corners that read an undefined ``1 op 1`` are skipped and
     counted in ``skipped_undefined``.  The witness of a failing identity is
-    its smallest failing triple over all regions, the unit at index 0.
+    its smallest failing triple over all regions, the unit at index 0.  The
+    boundary of every identity is checked first; the interiors of those
+    with no failure at x = 0 then go to
+    :func:`~splitalg.exactlin.first_nested_differences` together.
     """
     system, dim = s.system, s.dim
     scalars = unit_scalars(s.table, rules)
     report = Report(title=f"{system.name} unit compatibility", passed=True)
+    checked = []  # (relation, its failures, its interior identity or None)
     for relation, (lhs, rhs) in zip(system.relations, s.table.relations):
         terms = [
             (left_nested, c, *_regions(left_nested, scalars[inner], scalars[outer], inner, outer))
@@ -206,12 +210,17 @@ def check_unit_compatibility(s: Structure, rules: UnitRules) -> Report:
         report.checks_run += (dim + 1) ** 3 - skipped
         report.skipped_undefined += skipped
         # no interior triple has x = 0, so such a failure comes first
+        interior = None
         if all(triple[0] for triple, *_ in failures):
-            diff = first_nested_difference(s.terms(lhs), s.terms(rhs))
-            if diff is not None:
-                (x, y, z), lvec, rvec = diff
-                shifted = ({m + 1: v for m, v in vec.items()} for vec in (lvec, rvec))
-                failures.append(((x + 1, y + 1, z + 1), *shifted))
+            interior = (s.terms(lhs), s.terms(rhs))
+        checked.append((relation, failures, interior))
+    diffs = iter(first_nested_differences([i for *_, i in checked if i is not None]))
+    for relation, failures, interior in checked:
+        diff = None if interior is None else next(diffs)
+        if diff is not None:
+            (x, y, z), lvec, rvec = diff
+            shifted = ({m + 1: v for m, v in vec.items()} for vec in (lvec, rvec))
+            failures.append(((x + 1, y + 1, z + 1), *shifted))
         if failures:
             context = f"{system.name}:{relation.name}+unit"
             report.add_failure(Witness(context, *min(failures, key=lambda f: f[0])))

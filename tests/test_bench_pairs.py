@@ -140,3 +140,11 @@ def test_verdict_worse_unresolved_and_within_bound():
     # change beats every run of the parent
     assert verdict(wide, [0.5] * 10) == "within_bound"
     assert verdict([v + 1 for v in wide], wide) == "within_bound"
+
+
+def test_host_records_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(bench_pairs.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+    assert bench_pairs.host().startswith("8-core (2 usable) ")
+    monkeypatch.delattr(bench_pairs.os, "sched_getaffinity")
+    assert bench_pairs.host().startswith("8-core ") and "usable" not in bench_pairs.host()

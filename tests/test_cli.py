@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
+import splitalg
 from splitalg import (
     Tensor3,
     WeightedDigraph,
@@ -32,6 +36,7 @@ from splitalg.relations import TPoly
 from splitalg.unit_action import unit_rules
 
 F = Fraction
+SRC = str(Path(splitalg.__file__).resolve().parents[1])
 
 
 @pytest.fixture()
@@ -431,6 +436,21 @@ def test_deform_check_refuses_an_empty_taus_list(graph_file, capsys):
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["verify", "ennea", "--file", "/nonexistent/nope.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_reader_that_stops_after_one_line_gets_exit_141_and_no_error(graph3_file):
+    """``splitalg construct end-ennea … | head -1``: the 158 kB envelope
+    outgrows the pipe, so the writer meets the closed read end.  Output is
+    left buffered, as a shell gives it, whatever PYTHONUNBUFFERED says here."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "splitalg.cli", "construct", "end-ennea", "--graph", graph3_file]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == b"{\n"
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_wrong_envelope_kind_is_a_usage_error(tmp_path, capsys):

@@ -161,10 +161,13 @@ def summarize(raw: dict, bounds: dict[str, float]) -> dict:
 
 
 def host() -> str:
+    """The host in one line.  The usable CPUs (this process's affinity mask,
+    where the platform has one) bound how many workers a check forks."""
     cache = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
+    usable = f" ({len(os.sched_getaffinity(0))} usable)" if hasattr(os, "sched_getaffinity") else ""
     return (
-        f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}, "
-        f"bytecode cache {cache}"
+        f"{os.cpu_count()}-core{usable} {platform.machine()}, "
+        f"Python {platform.python_version()}, bytecode cache {cache}"
     )
 
 
