@@ -65,7 +65,8 @@ def chain_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("chains")
     paths = {}
     for vertices, weights in ((2, [2]), (3, [2, -3])):
-        pa = path_algebra(WeightedDigraph.build(vertices, [(a, a + 1, w) for a, w in enumerate(weights)]))
+        arcs = [(a, a + 1, w) for a, w in enumerate(weights)]
+        pa = path_algebra(WeightedDigraph.build(vertices, arcs))
         bial = EpsilonBialgebra(pa.algebra, chain_coproduct(pa), F(-1))
         paths[vertices] = str(root / f"end{vertices}.json")
         save(paths[vertices], operations_to_json(ennea_on_end(bial)))
@@ -100,7 +101,9 @@ def run(capsys, argv):
         ("coherence", 2, 0),
     ],
 )
-def test_forked_commands_print_the_serial_reports(monkeypatch, capsys, forks, chain_files, verb, file, code):
+def test_forked_commands_print_the_serial_reports(
+    monkeypatch, capsys, forks, chain_files, verb, file, code
+):
     argv = ["verify", verb, "--file", chain_files[file], "--json"]
     force_workers(monkeypatch, 1)
     serial = run(capsys, argv)
@@ -115,7 +118,8 @@ def test_forked_commands_print_the_serial_reports(monkeypatch, capsys, forks, ch
 
 def bumped(ops, gen, i, j, k, delta):
     dim = ops[gen].dim
-    return dict(ops, **{gen: combine(dim, [(1, ops[gen]), (1, Tensor3.from_sparse(dim, [(i, j, k, delta)]))])})
+    bump = Tensor3.from_sparse(dim, [(i, j, k, delta)])
+    return dict(ops, **{gen: combine(dim, [(1, ops[gen]), (1, bump)])})
 
 
 @st.composite
@@ -133,7 +137,8 @@ def drawn_case(draw):
     if draw(st.booleans()):
         index = st.integers(0, dim - 1)
         delta = draw(st.sampled_from((F(1), F(-5, 6))))
-        ops = bumped(ops, draw(st.sampled_from(system.generators)), draw(index), draw(index), draw(index), delta)
+        gen = draw(st.sampled_from(system.generators))
+        ops = bumped(ops, gen, draw(index), draw(index), draw(index), delta)
     seed = draw(st.none() | st.integers(0, 5))
     if seed is not None:
         rules = random_rules(seed, system)
@@ -163,7 +168,7 @@ def test_drawn_structures_get_the_serial_reports_from_forked_workers(case):
 
 @pytest.mark.parametrize("where", [(), (0,)], ids=["interior", "face x=1"])
 def test_perturbed_structures_fail_in_their_region_on_both_paths(monkeypatch, forks, where):
-    (spec,) = [spec for region_, *spec in PERTURBED if region_ == where and spec[0] is NINE_OP_SYSTEM]
+    (spec,) = [spec for at, *spec in PERTURBED if at == where and spec[0] is NINE_OP_SYSTEM]
     system, rules, t, ops = perturbed_case(*spec)
     s = Structure(system, t, ops)
     force_workers(monkeypatch, 1)
